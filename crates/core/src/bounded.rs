@@ -4,9 +4,9 @@
 //! Index queries always verify candidates against a known budget (τ for
 //! range/join, the current radius for top-k), so the verifier can stop the
 //! moment the budget is provably blown. Following the bounded-TED
-//! literature (Jin 2021; Nogler–Saha–Xu 2024), [`ted_at_most`] runs a
-//! Zhang–Shasha-shaped keyroot DP with three budget devices stacked on the
-//! exact recurrence:
+//! literature (Jin 2021; Nogler–Saha–Xu 2024), [`ted_at_most`] runs
+//! Zhang–Shasha's keyroot-pair loop over the shared keyroot sheet, with
+//! three budget devices stacked on the exact recurrence:
 //!
 //! 1. **Size pre-bound.** `|n_F − n_G|` surplus nodes must be deleted (or
 //!    inserted), each costing at least the cheapest per-node delete
@@ -41,14 +41,15 @@
 //!
 //! The result is [`BoundedResult::Exact`] — bit-identical to the exact
 //! algorithms — whenever the distance is within budget, and
-//! [`BoundedResult::Exceeds`] with a certified lower bound otherwise. All
-//! scratch comes from the [`Workspace`] (the same pooled buffers as the
-//! Zhang–Shasha kernel), so warm calls stay allocation-free.
+//! [`BoundedResult::Exceeds`] with a certified lower bound otherwise. This
+//! module keeps only the pre-bound, the band widths and the frontier
+//! check; the sheet routine fills the band. All scratch comes from the
+//! [`Workspace`], so warm calls stay allocation-free.
 
 use crate::cost::CostModel;
-use crate::view::SubtreeView;
+use crate::keyroot::Band;
 use crate::workspace::Workspace;
-use crate::zs::zhang_shasha_in;
+use crate::zs::{keyroot_pairs, zhang_shasha_in};
 use rted_tree::Tree;
 
 /// Outcome of a budgeted distance computation.
@@ -124,30 +125,16 @@ pub fn ted_at_most_run<L, C: CostModel<L>>(
     if tau == f64::INFINITY {
         // No budget: the exact kernel, verbatim.
         let (d, subproblems) = zhang_shasha_in(f, g, cm, false, ws);
-        ws.note_run(subproblems);
-        return BoundedRun {
-            result: BoundedResult::Exact(d),
-            subproblems,
-            early_exit: false,
-        };
+        return finish(ws, BoundedResult::Exact(d), subproblems, false);
     }
     if tau < 0.0 {
         // Distances are non-negative, so nothing fits a negative budget.
-        ws.note_run(0);
-        return BoundedRun {
-            result: BoundedResult::Exceeds(0.0),
-            subproblems: 0,
-            early_exit: true,
-        };
+        return finish(ws, BoundedResult::Exceeds(0.0), 0, true);
     }
 
-    let fv = SubtreeView::new(f, f.root(), false);
-    let gv = SubtreeView::new(g, g.root(), false);
     ws.ftab.rebuild(f, cm);
     ws.gtab.rebuild(g, cm);
-
-    let nf = fv.n;
-    let ng = gv.n;
+    let (nf, ng) = (f.len() as u32, g.len() as u32);
 
     // Cheapest single delete / insert: the weights behind the size
     // pre-bound, the band widths, and the completion bounds.
@@ -156,184 +143,46 @@ pub fn ted_at_most_run<L, C: CostModel<L>>(
 
     // Size pre-bound: the surplus nodes of the larger tree have no
     // partners, so each costs at least one cheapest delete (insert).
-    let lb_size = if nf >= ng {
-        (nf - ng) as f64 * min_del
-    } else {
-        (ng - nf) as f64 * min_ins
-    };
+    let lb_size = completion(nf, ng, min_del, min_ins);
     if lb_size > tau {
-        ws.note_run(0);
-        return BoundedRun {
-            result: BoundedResult::Exceeds(lb_size),
-            subproblems: 0,
-            early_exit: true,
-        };
+        return finish(ws, BoundedResult::Exceeds(lb_size), 0, true);
     }
 
-    // Band half-widths in sheet-local coordinates: a prefix pair carrying
-    // more than ⌊τ/min_del⌋ surplus F-nodes (⌊τ/min_ins⌋ surplus G-nodes)
-    // already costs more than τ. A zero min cost makes the band infinite —
-    // the kernel degrades to a plain (still exact) full-sheet DP.
-    const WIDE: i64 = i64::MAX / 4;
-    let half_width = |unit: f64| -> i64 {
-        if unit > 0.0 {
-            let b = (tau / unit).floor();
-            if b >= WIDE as f64 {
-                WIDE
-            } else {
-                b as i64
-            }
-        } else {
-            WIDE
-        }
+    // Band half-widths: a prefix pair carrying more than ⌊τ/min_del⌋
+    // surplus F-nodes (⌊τ/min_ins⌋ surplus G-nodes) already costs more
+    // than τ. A zero min cost (`τ/0` is `+∞` or NaN, which `min` drops)
+    // makes the band wider than any sheet: a plain, still exact, DP.
+    let half_width = |unit: f64| (tau / unit).min(Band::WIDE as f64).floor() as i64;
+    let band = Band {
+        del: half_width(min_del),
+        ins: half_width(min_ins),
     };
-    let bd = half_width(min_del);
-    let bi = half_width(min_ins);
 
-    let stride = (ng + 1) as usize;
-    let td = &mut ws.d;
-    td.clear();
-    // +∞, not 0: banded-out subtree pairs must read as "too expensive",
-    // and every cell is written at most once (by its own keyroot sheet).
-    td.resize((nf as usize + 1) * stride, f64::INFINITY);
-    let fd = &mut ws.fd;
-    fd.clear();
-    fd.resize((nf as usize + 1) * stride, f64::INFINITY);
-
-    let f_lml = &mut ws.a_lml;
-    f_lml.clear();
-    f_lml.extend(std::iter::once(0).chain((1..=nf).map(|r| fv.lml(r))));
-    let g_lml = &mut ws.b_lml;
-    g_lml.clear();
-    g_lml.extend(std::iter::once(0).chain((1..=ng).map(|r| gv.lml(r))));
-    let f_del = &mut ws.a_del;
-    f_del.clear();
-    f_del.extend(std::iter::once(0.0).chain((1..=nf).map(|r| ws.ftab.del[fv.node(r).idx()])));
-    let g_ins = &mut ws.b_ins;
-    g_ins.clear();
-    g_ins.extend(std::iter::once(0.0).chain((1..=ng).map(|r| ws.gtab.ins[gv.node(r).idx()])));
-
-    let f_kr = &mut ws.keyroots_a;
-    fv.keyroots_into(f_kr);
-    let g_kr = &mut ws.keyroots_b;
-    gv.keyroots_into(g_kr);
-
-    let mut subproblems = 0u64;
-    let mut abandoned = false;
-    // Keyroots are ascending with the subtree root last, so the root pair
-    // (the lone full sheet, `l_i = l_j = 1`) is processed last — the only
-    // sheet whose td writes nobody reads, hence the only one that may be
-    // abandoned midway.
-    let last_i = *f_kr.last().expect("trees are non-empty");
-    let last_j = *g_kr.last().expect("trees are non-empty");
-
-    'sheets: for &i in f_kr.iter() {
-        let li = f_lml[i as usize];
-        for &j in g_kr.iter() {
-            let lj = g_lml[j as usize];
-            let final_sheet = i == last_i && j == last_j;
-            let cols = (j - lj + 1) as i64;
-            let at = |x: u32, y: u32| (x as usize) * stride + y as usize;
-
-            fd[at(li - 1, lj - 1)] = 0.0;
-            // Top row (empty F-prefix): in-band up to y' = bi, then one
-            // +∞ sentinel so the next row's delete read stays fenced.
-            let hi0 = cols.min(bi);
-            for yp in 1..=hi0 {
-                let y = lj - 1 + yp as u32;
-                fd[at(li - 1, y)] = fd[at(li - 1, y - 1)] + g_ins[y as usize];
-            }
-            if hi0 < cols {
-                fd[at(li - 1, lj + hi0 as u32)] = f64::INFINITY;
-            }
-
-            for x in li..=i {
-                let xp = (x - li + 1) as i64;
-                let lo = (xp - bd).max(0);
-                if lo > cols {
-                    // This row (and every later one: `lo` is monotone) is
-                    // entirely out of band; the sheet corner stays +∞.
-                    break;
-                }
-                let hi = (xp + bi).min(cols);
-                let lx = f_lml[x as usize];
-                let dx = f_del[x as usize];
-                // The row's augmented minimum (final sheet only): a lower
-                // bound on any full distance routed through this row.
-                let mut row_pot = f64::INFINITY;
-                if lo == 0 {
-                    // Left column (empty G-prefix) is still in band.
-                    let v = fd[at(x - 1, lj - 1)] + dx;
-                    fd[at(x, lj - 1)] = v;
-                    if final_sheet {
-                        row_pot = v + completion(nf - x, ng, min_del, min_ins);
-                    }
-                } else {
-                    // +∞ sentinel just left of the band: the first in-band
-                    // cell's insert read must not see a stale value.
-                    fd[at(x, lj - 1 + lo as u32 - 1)] = f64::INFINITY;
-                }
-                let y0 = lo.max(1);
-                for yp in y0..=hi {
-                    let y = lj - 1 + yp as u32;
-                    let ly = g_lml[y as usize];
-                    let del = fd[at(x - 1, y)] + dx;
-                    let ins = fd[at(x, y - 1)] + g_ins[y as usize];
-                    let v = if lx == li && ly == lj {
-                        // Both prefixes are complete subtrees: rename case.
-                        let ren = fd[at(x - 1, y - 1)]
-                            + cm.rename(f.label(fv.node(x)), g.label(gv.node(y)));
-                        let best = del.min(ins).min(ren);
-                        td[at(x, y)] = best;
-                        best
-                    } else {
-                        // Match the complete subtrees at x and y. The jump
-                        // source can sit far outside the band — fence it
-                        // explicitly instead of reading a stale cell.
-                        let jx = (lx - li) as i64;
-                        let jy = (ly - lj) as i64;
-                        let m = if jx - jy <= bd && jy - jx <= bi {
-                            fd[at(lx - 1, ly - 1)] + td[at(x, y)]
-                        } else {
-                            f64::INFINITY
-                        };
-                        del.min(ins).min(m)
-                    };
-                    fd[at(x, y)] = v;
-                    subproblems += 1;
-                    if final_sheet {
-                        let c = completion(nf - x, ng - y, min_del, min_ins);
-                        row_pot = row_pot.min(v + c);
-                    }
-                }
-                if hi < cols {
-                    // +∞ sentinel just right of the band, for the next
-                    // row's delete read.
-                    fd[at(x, lj + hi as u32)] = f64::INFINITY;
-                }
-                if final_sheet && row_pot > tau {
-                    // Every way of completing a ≤ τ mapping leaves a cell
-                    // with `fd + comp ≤ τ` in every row; this row has none,
-                    // so the distance exceeds the budget — abandon.
-                    abandoned = true;
-                    break 'sheets;
-                }
-            }
-        }
-    }
-
-    let corner = td[(nf as usize) * stride + ng as usize];
-    ws.note_run(subproblems);
-    let result = if !abandoned && corner <= tau {
+    // The frontier check on the root sheet (whose local ranks are global):
+    // a row with no cell of `fd + comp ≤ τ` certifies `ted > τ`.
+    let frontier = |x: u32, row: &[f64], lo: usize, hi: usize| {
+        let pot = (lo..=hi)
+            .map(|y| row[y] + completion(nf - x, ng - y as u32, min_del, min_ins))
+            .fold(f64::INFINITY, f64::min);
+        pot <= tau
+    };
+    let (corner, subproblems, completed) = keyroot_pairs(f, g, cm, false, Some(band), ws, frontier);
+    let result = if completed && corner <= tau {
         // In-budget cells are exact (see the module docs).
         BoundedResult::Exact(corner)
     } else {
         BoundedResult::Exceeds(lb_size.max(tau))
     };
+    finish(ws, result, subproblems, !completed)
+}
+
+/// Counts a finished run in `ws` and packages it.
+fn finish(ws: &mut Workspace, result: BoundedResult, subproblems: u64, early: bool) -> BoundedRun {
+    ws.note_run(subproblems);
     BoundedRun {
         result,
         subproblems,
-        early_exit: abandoned,
+        early_exit: early,
     }
 }
 

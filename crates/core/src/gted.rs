@@ -281,28 +281,50 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
         }
     }
 
+    /// Index of δ(subtree(a), subtree(b)) in `D`, in the current
+    /// orientation.
+    #[inline]
+    fn d_at(&self, a: NodeId, b: NodeId, swapped: bool) -> usize {
+        let (v, w) = if swapped { (b, a) } else { (a, b) };
+        v.idx() * self.g.len() + w.idx()
+    }
+
     /// Reads δ(subtree(a), subtree(b)) in the current orientation.
     #[inline]
     pub(crate) fn d_get(&self, a: NodeId, b: NodeId, swapped: bool) -> f64 {
-        let idx = if swapped {
-            b.idx() * self.g.len() + a.idx()
-        } else {
-            a.idx() * self.g.len() + b.idx()
-        };
-        let d = self.d[idx];
+        let d = self.d[self.d_at(a, b, swapped)];
         debug_assert!(!d.is_nan(), "D({a},{b}) read before computed");
         d
+    }
+
+    /// δ(subtree(a), subtree(b)) for each `b` of `bs` in the current
+    /// orientation, as one contiguous slice: borrowed from `D` when it
+    /// holds them in that order (unswapped, `bs` consecutive ascending
+    /// nodes), gathered into `buf` otherwise. Entries not computed yet are
+    /// unset.
+    #[inline]
+    pub(crate) fn d_row<'s>(
+        &'s self,
+        a: NodeId,
+        bs: &[NodeId],
+        swapped: bool,
+        consecutive: bool,
+        buf: &'s mut Vec<f64>,
+    ) -> &'s [f64] {
+        if consecutive && !swapped {
+            let first = self.d_at(a, bs[0], false);
+            return &self.d[first..first + bs.len()];
+        }
+        buf.clear();
+        buf.extend(bs.iter().map(|&b| self.d[self.d_at(a, b, swapped)]));
+        buf
     }
 
     /// Writes δ(subtree(a), subtree(b)) in the current orientation.
     #[inline]
     pub(crate) fn d_set(&mut self, a: NodeId, b: NodeId, swapped: bool, val: f64) {
-        let idx = if swapped {
-            b.idx() * self.g.len() + a.idx()
-        } else {
-            a.idx() * self.g.len() + b.idx()
-        };
-        self.d[idx] = val;
+        let at = self.d_at(a, b, swapped);
+        self.d[at] = val;
     }
 }
 

@@ -8,7 +8,9 @@
 //! * [`reference`](crate::reference) — the recursive formula of Fig. 2,
 //!   memoized on explicit forests (the correctness oracle of the tests);
 //! * [`zs`] — the classic Zhang–Shasha algorithm (left and right variants),
-//!   i.e. the paper's optimized `Zhang-L` / `Zhang-R` baselines;
+//!   i.e. the paper's optimized `Zhang-L` / `Zhang-R` baselines, around the
+//!   one keyroot sheet routine that also serves `∆L`/`∆R`, [`bounded`] and
+//!   the [`mapping`] backtrace;
 //! * [`strategy`] — the cost formula of Fig. 5 and `OptStrategy`
 //!   (Algorithm 2), generalized over a pluggable chooser so the same O(n²)
 //!   engine also computes the exact subproblem counts of every fixed
@@ -17,7 +19,7 @@
 //!   an executable specification for Algorithm 2;
 //! * [`gted`] — the GTED executor (Algorithm 1) running any LRH strategy in
 //!   O(n²) space, built on three single-path functions: `∆L`/`∆R`
-//!   (keyroot DPs) and `∆I` (the Demaine-style heavy-path DP over the
+//!   (keyroot sheets) and `∆I` (the Demaine-style heavy-path DP over the
 //!   canonical forest encoding);
 //! * [`rted`] — the RTED facade: optimal strategy + GTED, with run
 //!   statistics, and the [`Algorithm`] enum running all five algorithms of
@@ -55,6 +57,7 @@ mod view;
 pub mod workspace;
 pub mod zs;
 
+mod keyroot;
 mod spf_i;
 mod spf_lr;
 

@@ -3,9 +3,10 @@
 //! The distance algorithms report only the cost; applications (XML diff,
 //! change detection — the paper's §1 motivation) need the *edit script*:
 //! which nodes were deleted, inserted, or mapped (kept/renamed). This
-//! module recovers an optimal mapping by re-running the Zhang–Shasha
-//! forest DP along the optimal trace: the full keyroot DP gives all
-//! subtree distances, then a backtrace walks each forest DP from the top
+//! module recovers an optimal mapping along the optimal trace: Zhang–Shasha
+//! gives all subtree distances, then a backtrace refills the forest DP of
+//! each subtree pair it visits with the shared keyroot sheet routine
+//! (reading those distances, writing none back) and walks it from the top
 //! cell, descending into matched subtree pairs.
 //!
 //! Two entry points produce an [`EditMapping`]:
@@ -30,6 +31,7 @@
 //! the minimum over all valid mappings (Tai 1979).
 
 use crate::cost::CostModel;
+use crate::keyroot::{self, Ranks, SheetHooks};
 use crate::workspace::Workspace;
 use crate::zs::zhang_shasha_in;
 use rted_tree::{NodeId, Tree};
@@ -309,17 +311,15 @@ pub(crate) struct TraceFrame {
 }
 
 /// The read-only DP inputs of the backtrace, all left in the workspace by
-/// [`zhang_shasha_in`]: the subtree-distance matrix, per-rank leftmost
-/// leaves, and per-rank delete/insert costs (index 0 unused).
+/// [`zhang_shasha_in`]: the subtree-distance matrix and the per-rank
+/// leftmost leaves and delete/insert costs.
 struct TraceCtx<'a, L, C> {
     f: &'a Tree<L>,
     g: &'a Tree<L>,
     cm: &'a C,
     td: &'a [f64],
-    f_lml: &'a [u32],
-    g_lml: &'a [u32],
-    f_del: &'a [f64],
-    g_ins: &'a [f64],
+    a: &'a Ranks,
+    b: &'a Ranks,
     ng: u32,
 }
 
@@ -328,67 +328,47 @@ impl<L, C: CostModel<L>> TraceCtx<'_, L, C> {
     fn td_at(&self, x: u32, y: u32) -> f64 {
         self.td[(x * (self.ng + 1) + y) as usize]
     }
+}
 
+/// The backtrace refills a sheet from the finished subtree distances and
+/// writes none back.
+impl<L, C: CostModel<L>> SheetHooks for TraceCtx<'_, L, C> {
     #[inline]
-    fn del(&self, x: u32) -> f64 {
-        self.f_del[x as usize]
-    }
-
-    #[inline]
-    fn ins(&self, y: u32) -> f64 {
-        self.g_ins[y as usize]
-    }
-
-    #[inline]
-    fn ren(&self, x: u32, y: u32) -> f64 {
+    fn rename(&self, x: u32, y: u32) -> f64 {
         self.cm
             .rename(self.f.label(NodeId(x - 1)), self.g.label(NodeId(y - 1)))
     }
+
+    #[inline]
+    fn td_row<'s>(&'s self, x: u32, lj: u32, _j: u32, _buf: &'s mut Vec<f64>) -> &'s [f64] {
+        &self.td[(x * (self.ng + 1) + lj) as usize..]
+    }
+
+    #[inline]
+    fn set_td(&mut self, _x: u32, _y: u32, _v: f64) {}
 }
 
 /// Re-runs the forest DP for the subtree pair `(x, y)` into the pooled
 /// sheet at depth `frames.len()` and pushes the frame, positioned at its
 /// top cell. Returns the number of DP cells computed.
 fn push_frame<L, C: CostModel<L>>(
-    cx: &TraceCtx<'_, L, C>,
+    cx: &mut TraceCtx<'_, L, C>,
     sheets: &mut Vec<Vec<f64>>,
     frames: &mut Vec<TraceFrame>,
+    rows: &mut keyroot::Rows,
     x: u32,
     y: u32,
 ) -> u64 {
-    let lx = cx.f_lml[x as usize];
-    let ly = cx.g_lml[y as usize];
-    let w = (y - ly + 2) as usize; // columns ly-1..=y
-    let h = (x - lx + 2) as usize; // rows lx-1..=x
     let depth = frames.len();
     if sheets.len() == depth {
         sheets.push(Vec::new());
     }
+    let (a, b) = (cx.a, cx.b);
     let fd = &mut sheets[depth];
-    fd.clear();
-    fd.resize(h * w, 0.0);
-    let at = |a: u32, b: u32| ((a + 1 - lx) as usize) * w + (b + 1 - ly) as usize;
-    for a in lx..=x {
-        fd[at(a, ly - 1)] = fd[at(a - 1, ly - 1)] + cx.del(a);
-    }
-    for b in ly..=y {
-        fd[at(lx - 1, b)] = fd[at(lx - 1, b - 1)] + cx.ins(b);
-    }
-    for a in lx..=x {
-        let la = cx.f_lml[a as usize];
-        for b in ly..=y {
-            let lb = cx.g_lml[b as usize];
-            let del = fd[at(a - 1, b)] + cx.del(a);
-            let ins = fd[at(a, b - 1)] + cx.ins(b);
-            let v = if la == lx && lb == ly {
-                del.min(ins).min(fd[at(a - 1, b - 1)] + cx.ren(a, b))
-            } else {
-                del.min(ins).min(fd[at(la - 1, lb - 1)] + cx.td_at(a, b))
-            };
-            fd[at(a, b)] = v;
-        }
-    }
-    debug_assert!(close(fd[at(x, y)], cx.td_at(x, y)), "trace DP mismatch");
+    let (cells, _) = keyroot::sheet(cx, a, b, (x, y), None, fd, rows);
+    let (lx, ly) = (a.lml[x as usize], b.lml[y as usize]);
+    let corner = (x - lx + 2) as usize * (y - ly + 2) as usize - 1;
+    debug_assert!(close(fd[corner], cx.td_at(x, y)), "trace DP mismatch");
     frames.push(TraceFrame {
         x,
         y,
@@ -397,7 +377,7 @@ fn push_frame<L, C: CostModel<L>>(
         a: x,
         b: y,
     });
-    (x - lx + 1) as u64 * (y - ly + 1) as u64
+    cells
 }
 
 /// The backtrace driver: walks the frame stack, emitting one operation
@@ -406,13 +386,15 @@ fn push_frame<L, C: CostModel<L>>(
 /// position and descends into a child frame; the parent's sheet stays
 /// live in its pool slot until the child (and its descendants) finish.
 fn backtrace<L, C: CostModel<L>>(
-    cx: &TraceCtx<'_, L, C>,
+    cx: &mut TraceCtx<'_, L, C>,
     sheets: &mut Vec<Vec<f64>>,
     frames: &mut Vec<TraceFrame>,
+    rows: &mut keyroot::Rows,
     ops: &mut Vec<EditOp>,
 ) -> u64 {
     frames.clear();
-    let mut cells = push_frame(cx, sheets, frames, cx.f.len() as u32, cx.ng);
+    let (nf, ng) = (cx.f.len() as u32, cx.ng);
+    let mut cells = push_frame(cx, sheets, frames, rows, nf, ng);
     'frames: while let Some(fi) = frames.len().checked_sub(1) {
         let TraceFrame {
             x,
@@ -445,20 +427,20 @@ fn backtrace<L, C: CostModel<L>>(
             let w = (y - ly + 2) as usize;
             let at = |a: u32, b: u32| ((a + 1 - lx) as usize) * w + (b + 1 - ly) as usize;
             let cur = sheet[at(a, b)];
-            if close(cur, sheet[at(a - 1, b)] + cx.del(a)) {
+            if close(cur, sheet[at(a - 1, b)] + cx.a.cost[a as usize]) {
                 ops.push(EditOp::Delete(NodeId(a - 1)));
                 a -= 1;
                 continue;
             }
-            if close(cur, sheet[at(a, b - 1)] + cx.ins(b)) {
+            if close(cur, sheet[at(a, b - 1)] + cx.b.cost[b as usize]) {
                 ops.push(EditOp::Insert(NodeId(b - 1)));
                 b -= 1;
                 continue;
             }
-            let la = cx.f_lml[a as usize];
-            let lb = cx.g_lml[b as usize];
+            let la = cx.a.lml[a as usize];
+            let lb = cx.b.lml[b as usize];
             if la == lx && lb == ly {
-                debug_assert!(close(cur, sheet[at(a - 1, b - 1)] + cx.ren(a, b)));
+                debug_assert!(close(cur, sheet[at(a - 1, b - 1)] + cx.rename(a, b)));
                 ops.push(EditOp::Map(NodeId(a - 1), NodeId(b - 1)));
                 a -= 1;
                 b -= 1;
@@ -471,7 +453,7 @@ fn backtrace<L, C: CostModel<L>>(
             // matched subtree pair.
             frames[fi].a = la - 1;
             frames[fi].b = lb - 1;
-            cells += push_frame(cx, sheets, frames, a, b);
+            cells += push_frame(cx, sheets, frames, rows, a, b);
             continue 'frames;
         }
     }
@@ -493,20 +475,25 @@ pub fn edit_mapping_in<L, C: CostModel<L>>(
     let (distance, dp_cells) = zhang_shasha_in(f, g, cm, false, ws);
     let mut ops = Vec::with_capacity(f.len() + g.len());
     // Disjoint field borrows: the DP products `zhang_shasha_in` left in
-    // the workspace are read-only inputs; the sheets and frames are the
-    // only mutable scratch.
-    let cx = TraceCtx {
+    // the workspace are read-only inputs; the sheets, frames and sheet
+    // rows are the only mutable scratch.
+    let kr = &mut ws.keyroot;
+    let mut cx = TraceCtx {
         f,
         g,
         cm,
         td: &ws.d,
-        f_lml: &ws.a_lml,
-        g_lml: &ws.b_lml,
-        f_del: &ws.a_del,
-        g_ins: &ws.b_ins,
+        a: &kr.a,
+        b: &kr.b,
         ng: g.len() as u32,
     };
-    let trace_cells = backtrace(&cx, &mut ws.trace_sheets, &mut ws.trace_frames, &mut ops);
+    let trace_cells = backtrace(
+        &mut cx,
+        &mut ws.trace_sheets,
+        &mut ws.trace_frames,
+        &mut kr.rows,
+        &mut ops,
+    );
     ops.reverse(); // backtrace emits from the right; present left-to-right
     ws.note_run(dp_cells + trace_cells);
     EditMapping {

@@ -1,16 +1,19 @@
 //! Single-path functions `∆L` and `∆R` (§4.3): the Zhang–Shasha keyroot DP
-//! adapted to a single root-leaf path.
+//! restricted to a single root-leaf path.
 //!
 //! `∆L(F, G, γL(F), D)` computes δ(F_v, G_w) for every node `v` on the
 //! **left** path of `F` and every `w` in `G`, given that `D` already holds
 //! the distances for all subtrees of `F` hanging off the path (GTED
-//! recursed on them first). It computes exactly
-//! `|F| × |F(G, Γ_L(G))|` relevant subproblems (Lemma 4): one keyroot DP of
-//! size `|F| × |G_j|` per left-keyroot `j` of `G`. `∆R` is the same code on
-//! the mirrored orientation.
+//! recursed on them first). The A side is one keyroot, the whole subtree,
+//! so this is the keyroot-pair loop of Zhang–Shasha with `i` fixed: one
+//! [`keyroot::sheet`] of size `|F| × |G_j|` per left-keyroot `j` of `G`,
+//! exactly `|F| × |F(G, Γ_L(G))|` relevant subproblems (Lemma 4). The
+//! sheet's subtree distances live in the executor's `D`. `∆R` is the same
+//! code on the mirrored orientation.
 
 use crate::cost::CostModel;
 use crate::gted::Executor;
+use crate::keyroot::{self, Ranks, SheetHooks};
 use crate::view::SubtreeView;
 use rted_tree::NodeId;
 
@@ -26,149 +29,60 @@ pub(crate) fn run<L, C: CostModel<L>>(
     swapped: bool,
     right: bool,
 ) {
-    let ta = exec.tree_a(swapped);
-    let tb = exec.tree_b(swapped);
-    let va = SubtreeView::new(ta, a_root, right);
-    let vb = SubtreeView::new(tb, b_root, right);
-    let na = va.n;
-    let nb = vb.n;
-    let stride = (nb + 1) as usize;
+    let va = SubtreeView::new(exec.tree_a(swapped), a_root, right);
+    let vb = SubtreeView::new(exec.tree_b(swapped), b_root, right);
+    // Scratch comes from the workspace and is handed back below, so
+    // repeat executions allocate nothing.
+    let mut s = std::mem::take(&mut exec.scratch().keyroot);
+    s.a.load(&va, |a| exec.del_a(a, swapped));
+    s.b.load(&vb, |b| exec.ins_b(b, swapped));
+    vb.keyroots_into(&mut s.b.keyroots);
 
-    // Scratch comes from the workspace; every buffer is length-reset and
-    // handed back below, so repeat executions allocate nothing.
-    let (
-        mut a_lml,
-        mut b_lml,
-        mut a_node,
-        mut b_node,
-        mut a_del,
-        mut b_ins,
-        mut fd,
-        mut cand,
-        mut krb,
-    ) = {
-        let ws = exec.scratch();
-        (
-            std::mem::take(&mut ws.a_lml),
-            std::mem::take(&mut ws.b_lml),
-            std::mem::take(&mut ws.a_node),
-            std::mem::take(&mut ws.b_node),
-            std::mem::take(&mut ws.a_del),
-            std::mem::take(&mut ws.b_ins),
-            std::mem::take(&mut ws.fd),
-            std::mem::take(&mut ws.cand),
-            std::mem::take(&mut ws.keyroots_b),
-        )
+    let mut hooks = Oriented {
+        exec,
+        a: &s.a,
+        b: &s.b,
+        swapped,
+        right,
     };
-
-    // Per-rank data. Rank 0 entries are padding.
-    a_lml.clear();
-    a_lml.extend(std::iter::once(0).chain((1..=na).map(|r| va.lml(r))));
-    b_lml.clear();
-    b_lml.extend(std::iter::once(0).chain((1..=nb).map(|r| vb.lml(r))));
-    a_node.clear();
-    a_node.extend(std::iter::once(NodeId(0)).chain((1..=na).map(|r| va.node(r))));
-    b_node.clear();
-    b_node.extend(std::iter::once(NodeId(0)).chain((1..=nb).map(|r| vb.node(r))));
-    a_del.clear();
-    a_del.push(0.0);
-    for r in 1..=na {
-        a_del.push(exec.del_a(a_node[r as usize], swapped));
+    let (fd, rows) = (&mut s.fd, &mut s.rows);
+    for &j in &s.b.keyroots {
+        let (cells, _) = keyroot::sheet(&mut hooks, &s.a, &s.b, (va.n, j), None, fd, rows);
+        hooks.exec.stats.subproblems += cells;
     }
-    b_ins.clear();
-    b_ins.push(0.0);
-    for r in 1..=nb {
-        b_ins.push(exec.ins_b(b_node[r as usize], swapped));
-    }
+    exec.scratch().keyroot = s;
+}
 
-    fd.clear();
-    fd.resize((na as usize + 1) * stride, 0.0);
-    cand.clear();
-    cand.resize(stride, 0.0);
-    let at = |x: u32, y: u32| (x as usize) * stride + y as usize;
+/// The single-path functions' sheet hooks: costs and subtree distances
+/// through the executor's orientation-aware accessors.
+struct Oriented<'e, 'a, L, C> {
+    exec: &'e mut Executor<'a, L, C>,
+    a: &'e Ranks,
+    b: &'e Ranks,
+    swapped: bool,
+    right: bool,
+}
 
-    // The A side always spans the whole subtree (its "keyroot" is the root,
-    // whose view-leftmost leaf is rank 1). Spine nodes are the ranks whose
-    // lml is 1 — exactly the nodes on the left (resp. right) path.
-    vb.keyroots_into(&mut krb);
-    for &j in &krb {
-        let lj = b_lml[j as usize];
-        exec.stats.subproblems += na as u64 * (j - lj + 1) as u64;
-        fd[at(0, lj - 1)] = 0.0;
-        for x in 1..=na {
-            fd[at(x, lj - 1)] = fd[at(x - 1, lj - 1)] + a_del[x as usize];
-        }
-        for y in lj..=j {
-            fd[at(0, y)] = fd[at(0, y - 1)] + b_ins[y as usize];
-        }
-        for x in 1..=na {
-            let lx = a_lml[x as usize];
-            let dx = a_del[x as usize];
-            let xi = (x as usize) * stride;
-            // Two-pass row, as in the Zhang–Shasha kernel: pass 1 streams
-            // the delete/rename/jump candidates (all reads from rows `< x`
-            // or from D) into `cand`; pass 2 runs the sequential insert
-            // chain. The min is associative, so values are bit-identical
-            // to the fused loop's.
-            let (before, cur) = fd.split_at_mut(xi);
-            let cur = &mut cur[..stride];
-            let prev = &before[xi - stride..];
-            if lx == 1 {
-                // Spine row: rename where the B-prefix is a complete
-                // subtree, jump elsewhere.
-                for y in lj..=j {
-                    let ly = b_lml[y as usize];
-                    let t = if ly == lj {
-                        prev[y as usize - 1]
-                            + exec.ren_ab(a_node[x as usize], b_node[y as usize], swapped)
-                    } else {
-                        before[(lx as usize - 1) * stride + ly as usize - 1]
-                            + exec.d_get(a_node[x as usize], b_node[y as usize], swapped)
-                    };
-                    cand[y as usize] = (prev[y as usize] + dx).min(t);
-                }
-            } else {
-                // Match complete subtrees at x and y; their tree-tree
-                // distance is in D (hanging subtree of A × anything, or
-                // A-path node × earlier keyroot region of B).
-                for y in lj..=j {
-                    let ly = b_lml[y as usize];
-                    let m = before[(lx as usize - 1) * stride + ly as usize - 1]
-                        + exec.d_get(a_node[x as usize], b_node[y as usize], swapped);
-                    cand[y as usize] = (prev[y as usize] + dx).min(m);
-                }
-            }
-            let mut run = cur[lj as usize - 1];
-            for y in lj..=j {
-                let v = cand[y as usize].min(run + b_ins[y as usize]);
-                cur[y as usize] = v;
-                run = v;
-            }
-            if lx == 1 {
-                // Both prefixes were complete subtrees rooted at path
-                // nodes: record the new tree-tree distances.
-                for y in lj..=j {
-                    if b_lml[y as usize] == lj {
-                        exec.d_set(
-                            a_node[x as usize],
-                            b_node[y as usize],
-                            swapped,
-                            cur[y as usize],
-                        );
-                    }
-                }
-            }
-        }
+impl<L, C: CostModel<L>> SheetHooks for Oriented<'_, '_, L, C> {
+    #[inline]
+    fn rename(&self, x: u32, y: u32) -> f64 {
+        let (a, b) = (self.a.node[x as usize], self.b.node[y as usize]);
+        self.exec.ren_ab(a, b, self.swapped)
     }
 
-    let ws = exec.scratch();
-    ws.a_lml = a_lml;
-    ws.b_lml = b_lml;
-    ws.a_node = a_node;
-    ws.b_node = b_node;
-    ws.a_del = a_del;
-    ws.b_ins = b_ins;
-    ws.fd = fd;
-    ws.cand = cand;
-    ws.keyroots_b = krb;
+    /// The row's oriented `D` entries as one contiguous slice (see
+    /// [`Executor::d_row`]). Entries this sheet has yet to write are unset
+    /// and never read.
+    #[inline]
+    fn td_row<'s>(&'s self, x: u32, lj: u32, j: u32, buf: &'s mut Vec<f64>) -> &'s [f64] {
+        let bs = &self.b.node[lj as usize..=j as usize];
+        let a = self.a.node[x as usize];
+        self.exec.d_row(a, bs, self.swapped, !self.right, buf)
+    }
+
+    #[inline]
+    fn set_td(&mut self, x: u32, y: u32, v: f64) {
+        let (a, b) = (self.a.node[x as usize], self.b.node[y as usize]);
+        self.exec.d_set(a, b, self.swapped, v);
+    }
 }

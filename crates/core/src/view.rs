@@ -68,13 +68,17 @@ impl<'a, L> SubtreeView<'a, L> {
     /// rank `r` (Zhang–Shasha's `l()` in view coordinates).
     #[inline]
     pub fn lml(&self, r: u32) -> u32 {
-        let v = self.node(r);
-        let leaf = if self.right {
+        self.local(self.leaf(self.node(r)))
+    }
+
+    /// The view-leftmost leaf descendant of `v`.
+    #[inline]
+    fn leaf(&self, v: NodeId) -> NodeId {
+        if self.right {
             self.tree.rld(v)
         } else {
             self.tree.lld(v)
-        };
-        self.local(leaf)
+        }
     }
 
     /// Subtree size of the node at local rank `r`.
@@ -99,33 +103,19 @@ impl<'a, L> SubtreeView<'a, L> {
     /// [`keyroots`](Self::keyroots) writing into a caller-owned buffer
     /// (cleared first), so hot loops can reuse one allocation.
     pub fn keyroots_into(&self, kr: &mut Vec<u32>) {
+        // A non-root node is a keyroot iff it is not the view-first child
+        // of its parent, i.e. its view-leftmost leaf differs from the
+        // parent's.
         kr.clear();
-        for r in 1..=self.n {
-            if r == self.n {
-                kr.push(r);
-                continue;
-            }
+        kr.extend((1..self.n).filter(|&r| {
             let v = self.node(r);
             let p = self
                 .tree
                 .parent(v)
                 .expect("non-root subtree node has a parent");
-            // `v` is a keyroot iff it is not the view-first child of its
-            // parent, i.e. its view-leftmost leaf differs from the parent's.
-            let vleaf = if self.right {
-                self.tree.rld(v)
-            } else {
-                self.tree.lld(v)
-            };
-            let pleaf = if self.right {
-                self.tree.rld(p)
-            } else {
-                self.tree.lld(p)
-            };
-            if vleaf != pleaf {
-                kr.push(r);
-            }
-        }
+            self.leaf(v) != self.leaf(p)
+        }));
+        kr.push(self.n);
     }
 }
 

@@ -1,8 +1,8 @@
 //! Reusable scratch memory for the TED hot path.
 //!
 //! Every distance computation needs the same family of buffers: the
-//! subtree-distance matrix, per-tree cost tables, the GTED work stack, and
-//! the DP rows and side tables of the three single-path functions. A
+//! subtree-distance matrix, per-tree cost tables, the GTED work stack, the
+//! keyroot sheet with its per-rank rows, and the `∆I` rows and tables. A
 //! [`Workspace`] owns one instance of each, handed out by `mem::take` and
 //! returned when the borrowing phase finishes. Buffers are only ever
 //! **length-reset** (`clear` + `resize`), never freed, so the second and
@@ -96,22 +96,9 @@ pub struct Workspace {
     /// Root-leaf path scratch for `∆I` dispatch.
     pub(crate) path: Vec<NodeId>,
 
-    // ---- keyroot DP scratch (`∆L`/`∆R` and Zhang–Shasha).
-    pub(crate) a_lml: Vec<u32>,
-    pub(crate) b_lml: Vec<u32>,
-    pub(crate) a_node: Vec<NodeId>,
-    pub(crate) b_node: Vec<NodeId>,
-    pub(crate) a_del: Vec<f64>,
-    pub(crate) b_ins: Vec<f64>,
-    /// Forest-distance sheet.
-    pub(crate) fd: Vec<f64>,
-    /// Row of per-cell candidate minima for the blocked keyroot DP: the
-    /// order-independent (delete/rename/jump) terms are streamed into this
-    /// row first, so the sequential insert chain is the only loop-carried
-    /// dependence left in the second pass.
-    pub(crate) cand: Vec<f64>,
-    pub(crate) keyroots_a: Vec<u32>,
-    pub(crate) keyroots_b: Vec<u32>,
+    // ---- keyroot sheet scratch (Zhang–Shasha, `∆L`/`∆R`, bounded; the
+    // mapping backtrace reads the per-rank rows Zhang–Shasha left here).
+    pub(crate) keyroot: crate::keyroot::Scratch,
 
     // ---- `∆I` scratch.
     /// The precomputed B-side canonical-forest tables.
@@ -162,8 +149,8 @@ pub struct Workspace {
     /// Forest-DP sheet pool for the mapping backtrace: sheet `i` belongs
     /// to the frame at nesting depth `i` of the subtree-match recursion
     /// (a parent's sheet stays live while its children are traced, so one
-    /// shared sheet is not enough). Slots are never freed; each is
-    /// length-reset per use, so slot capacity is monotone and a repeated
+    /// shared sheet is not enough). Slots are never freed and only ever
+    /// grow, so slot capacity is monotone and a repeated
     /// pair meets sheets that are already big enough — the same
     /// order-independence discipline as the strategy row pool above.
     pub(crate) trace_sheets: Vec<Vec<f64>>,

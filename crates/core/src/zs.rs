@@ -2,14 +2,17 @@
 //! `Zhang-L` baseline — and its mirrored variant `Zhang-R`.
 //!
 //! Zhang–Shasha is the GTED instance whose strategy maps every subtree pair
-//! to the left (resp. right) root-leaf path of the first tree. This
-//! standalone implementation hard-codes that strategy the way the paper's
-//! optimized baseline does: one keyroot DP per pair of keyroots. It is used
-//! both as a baseline in the benchmarks and as a trusted second
-//! implementation in the test suite (validated against the recursive
-//! reference, then used to validate GTED on larger inputs).
+//! to the left (resp. right) root-leaf path of the first tree. Instead of
+//! going through the executor, it runs the keyroot-pair loop directly: one
+//! keyroot sheet (`keyroot.rs`) per pair of keyroots, over a view-local
+//! subtree distance matrix, the way the paper's optimized baseline does. The
+//! bounded verifier runs the same loop inside a band. It is used both as a
+//! baseline in the benchmarks and as a trusted second implementation in the
+//! test suite (validated against the recursive reference, then used to
+//! validate GTED on larger inputs).
 
 use crate::cost::CostModel;
+use crate::keyroot::{self, Band, Ranks, SheetHooks};
 use crate::view::SubtreeView;
 use crate::workspace::Workspace;
 use rted_tree::Tree;
@@ -57,114 +60,111 @@ pub(crate) fn zhang_shasha_in<L, C: CostModel<L>>(
     right: bool,
     ws: &mut Workspace,
 ) -> (f64, u64) {
-    let fv = SubtreeView::new(f, f.root(), right);
-    let gv = SubtreeView::new(g, g.root(), right);
     ws.ftab.rebuild(f, cm);
     ws.gtab.rebuild(g, cm);
+    let (distance, cells, _) = keyroot_pairs(f, g, cm, right, None, ws, |_, _, _, _| true);
+    (distance, cells)
+}
 
-    let nf = fv.n;
-    let ng = gv.n;
+/// The keyroot-pair loop: one sheet per A-keyroot × B-keyroot pair, in
+/// ascending order, so every subtree distance a sheet reads was written
+/// by an earlier one. `ws.ftab`/`ws.gtab` must hold `f`'s and `g`'s costs.
+/// `root_row` sees the rows of the root pair's sheet, the last one, and
+/// may abandon the run. Returns the root pair's distance, the cells
+/// computed and whether the run completed.
+pub(crate) fn keyroot_pairs<L, C, R>(
+    f: &Tree<L>,
+    g: &Tree<L>,
+    cm: &C,
+    right: bool,
+    band: Option<Band>,
+    ws: &mut Workspace,
+    root_row: R,
+) -> (f64, u64, bool)
+where
+    C: CostModel<L>,
+    R: FnMut(u32, &[f64], usize, usize) -> bool,
+{
+    let fv = SubtreeView::new(f, f.root(), right);
+    let gv = SubtreeView::new(g, g.root(), right);
+    let (ftab, gtab, s) = (&ws.ftab, &ws.gtab, &mut ws.keyroot);
+    s.a.load(&fv, |v| ftab.del[v.idx()]);
+    s.b.load(&gv, |w| gtab.ins[w.idx()]);
+    fv.keyroots_into(&mut s.a.keyroots);
+    gv.keyroots_into(&mut s.b.keyroots);
+    let (nf, ng) = (fv.n, gv.n);
     let stride = (ng + 1) as usize;
     let td = &mut ws.d;
     td.clear();
-    td.resize((nf as usize + 1) * stride, 0.0);
-    let fd = &mut ws.fd;
-    fd.clear();
-    fd.resize((nf as usize + 1) * stride, 0.0);
-    let cand = &mut ws.cand;
-    cand.clear();
-    cand.resize(stride, 0.0);
-    let mut subproblems = 0u64;
-
-    // Precompute per-rank data to keep the inner loop tight.
-    let f_lml = &mut ws.a_lml;
-    f_lml.clear();
-    f_lml.extend(std::iter::once(0).chain((1..=nf).map(|r| fv.lml(r))));
-    let g_lml = &mut ws.b_lml;
-    g_lml.clear();
-    g_lml.extend(std::iter::once(0).chain((1..=ng).map(|r| gv.lml(r))));
-    let f_del = &mut ws.a_del;
-    f_del.clear();
-    f_del.extend(std::iter::once(0.0).chain((1..=nf).map(|r| ws.ftab.del[fv.node(r).idx()])));
-    let g_ins = &mut ws.b_ins;
-    g_ins.clear();
-    g_ins.extend(std::iter::once(0.0).chain((1..=ng).map(|r| ws.gtab.ins[gv.node(r).idx()])));
-
-    let f_kr = &mut ws.keyroots_a;
-    fv.keyroots_into(f_kr);
-    let g_kr = &mut ws.keyroots_b;
-    gv.keyroots_into(g_kr);
-
-    for &i in f_kr.iter() {
-        let li = f_lml[i as usize];
-        for &j in g_kr.iter() {
-            let lj = g_lml[j as usize];
-            subproblems += (i - li + 1) as u64 * (j - lj + 1) as u64;
-            // Forest distances over prefixes [li..x] × [lj..y].
-            let at = |x: u32, y: u32| (x as usize) * stride + y as usize;
-            fd[at(li - 1, lj - 1)] = 0.0;
-            for x in li..=i {
-                fd[at(x, lj - 1)] = fd[at(x - 1, lj - 1)] + f_del[x as usize];
-            }
-            for y in lj..=j {
-                fd[at(li - 1, y)] = fd[at(li - 1, y - 1)] + g_ins[y as usize];
-            }
-            for x in li..=i {
-                let lx = f_lml[x as usize];
-                let dx = f_del[x as usize];
-                let xi = (x as usize) * stride;
-                // Two-pass row: all delete/rename/jump candidates read rows
-                // `< x` only, so pass 1 streams them into `cand` as pure
-                // min/add work over the contiguous previous row; pass 2 is
-                // the one loop-carried dependence — the insert chain. The
-                // min is associative, so cell values are bit-identical to
-                // the fused loop's.
-                let (before, cur) = fd.split_at_mut(xi);
-                let cur = &mut cur[..stride];
-                let prev = &before[xi - stride..];
-                if lx == li {
-                    // Keyroot-eligible row: rename where the G-prefix is a
-                    // complete subtree, jump elsewhere.
-                    for y in lj..=j {
-                        let ly = g_lml[y as usize];
-                        let t = if ly == lj {
-                            prev[y as usize - 1]
-                                + cm.rename(f.label(fv.node(x)), g.label(gv.node(y)))
-                        } else {
-                            before[(lx as usize - 1) * stride + ly as usize - 1]
-                                + td[xi + y as usize]
-                        };
-                        cand[y as usize] = (prev[y as usize] + dx).min(t);
-                    }
-                } else {
-                    // Match the complete subtrees at x and y.
-                    for y in lj..=j {
-                        let ly = g_lml[y as usize];
-                        let m = before[(lx as usize - 1) * stride + ly as usize - 1]
-                            + td[xi + y as usize];
-                        cand[y as usize] = (prev[y as usize] + dx).min(m);
-                    }
-                }
-                let mut run = cur[lj as usize - 1];
-                for y in lj..=j {
-                    let v = cand[y as usize].min(run + g_ins[y as usize]);
-                    cur[y as usize] = v;
-                    run = v;
-                }
-                if lx == li {
-                    // Both prefixes were complete subtrees: record the
-                    // subtree distances.
-                    for y in lj..=j {
-                        if g_lml[y as usize] == lj {
-                            td[xi + y as usize] = cur[y as usize];
-                        }
-                    }
-                }
+    // Pairs no sheet computes (row and column 0; with a band, the pairs
+    // outside it) read as too expensive.
+    td.resize((nf as usize + 1) * stride, f64::INFINITY);
+    let mut hooks = Matrix {
+        f,
+        g,
+        cm,
+        a: &s.a,
+        b: &s.b,
+        td,
+        stride,
+        root: false,
+        root_row,
+    };
+    let mut cells = 0u64;
+    let (fd, rows) = (&mut s.fd, &mut s.rows);
+    for &i in &s.a.keyroots {
+        for &j in &s.b.keyroots {
+            hooks.root = i == nf && j == ng;
+            let (n, done) = keyroot::sheet(&mut hooks, &s.a, &s.b, (i, j), band, fd, rows);
+            cells += n;
+            if !done {
+                return (f64::INFINITY, cells, false);
             }
         }
     }
+    (hooks.td[nf as usize * stride + ng as usize], cells, true)
+}
 
-    (td[(nf as usize) * stride + ng as usize], subproblems)
+/// Zhang–Shasha's sheet hooks: renames by label, subtree distances in the
+/// view-local matrix `td`.
+struct Matrix<'a, L, C, R> {
+    f: &'a Tree<L>,
+    g: &'a Tree<L>,
+    cm: &'a C,
+    a: &'a Ranks,
+    b: &'a Ranks,
+    td: &'a mut Vec<f64>,
+    stride: usize,
+    /// Whether the root pair's sheet is running.
+    root: bool,
+    root_row: R,
+}
+
+impl<L, C, R> SheetHooks for Matrix<'_, L, C, R>
+where
+    C: CostModel<L>,
+    R: FnMut(u32, &[f64], usize, usize) -> bool,
+{
+    #[inline]
+    fn rename(&self, x: u32, y: u32) -> f64 {
+        let (v, w) = (self.a.node[x as usize], self.b.node[y as usize]);
+        self.cm.rename(self.f.label(v), self.g.label(w))
+    }
+
+    #[inline]
+    fn td_row<'s>(&'s self, x: u32, lj: u32, _j: u32, _buf: &'s mut Vec<f64>) -> &'s [f64] {
+        &self.td[x as usize * self.stride + lj as usize..]
+    }
+
+    #[inline]
+    fn set_td(&mut self, x: u32, y: u32, v: f64) {
+        self.td[x as usize * self.stride + y as usize] = v;
+    }
+
+    #[inline]
+    fn row_done(&mut self, x: u32, row: &[f64], lo: usize, hi: usize) -> bool {
+        !self.root || (self.root_row)(x, row, lo, hi)
+    }
 }
 
 /// Convenience wrapper: the Zhang–Shasha (left) distance.

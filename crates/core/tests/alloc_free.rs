@@ -1,32 +1,41 @@
 //! Proof of the workspace contract: the **second** computation of a pair
 //! through a reused [`Workspace`] performs zero heap allocations.
 //!
-//! A counting global allocator tallies every `alloc`/`realloc`; the test
-//! warms a workspace with one run per (algorithm, pair), snapshots the
-//! counter, repeats the exact run, and demands the counter did not move.
-//! Kept in its own integration-test binary so the allocator sees only this
-//! test's traffic.
+//! A counting global allocator tallies every `alloc`/`alloc_zeroed`/
+//! `realloc` of the calling thread; the test warms a workspace with one
+//! run per (algorithm, pair), snapshots the counter, repeats the exact run,
+//! and demands the counter did not move. The count is per thread because
+//! the harness runs these tests in parallel: a process-wide count would
+//! charge each test with its siblings' allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised, so reading or bumping it never allocates.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the slot is gone while the thread is being torn down.
+    let _ = ALLOC_CALLS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -38,8 +47,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocations made by the calling thread so far.
 fn allocations() -> u64 {
-    ALLOC_CALLS.load(Ordering::SeqCst)
+    ALLOC_CALLS.with(Cell::get)
 }
 
 use rted_core::{Algorithm, PerLabelCost, UnitCost, Workspace};
@@ -262,4 +272,33 @@ fn one_pass_over_a_mixed_workload_reaches_the_allocation_fixed_point() {
         delta, 0,
         "warm mixed-workload runs performed {delta} allocations"
     );
+}
+
+#[test]
+fn sibling_threads_allocating_do_not_count() {
+    // Two sibling threads allocate between this thread's two counter
+    // reads, around a warm run; the barriers force that interleaving.
+    // Only this thread's own allocations may reach its count.
+    use std::sync::Barrier;
+    let (f, g) = (mixed_tree(60, 41), mixed_tree(55, 42));
+    let mut ws = Workspace::new();
+    Algorithm::Rted.run_in(&f, &g, &UnitCost, &mut ws);
+    let (start, done) = (Barrier::new(3), Barrier::new(3));
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..1000 {
+                    std::hint::black_box(vec![0u8; 64]);
+                }
+                done.wait();
+            });
+        }
+        let before = allocations();
+        start.wait();
+        Algorithm::Rted.run_in(&f, &g, &UnitCost, &mut ws);
+        done.wait();
+        let delta = allocations() - before;
+        assert_eq!(delta, 0, "a warm run counted {delta} allocations");
+    });
 }

@@ -7,9 +7,10 @@
 //!
 //! A counting global allocator tallies every `alloc`/`realloc` across
 //! all threads; the test warms the path, snapshots the counter, issues a
-//! batch of requests, and demands the counter did not move. Kept in its
-//! own integration-test binary so the allocator sees only this test's
-//! traffic.
+//! batch of requests, and demands the counter did not move. The count is
+//! process-wide, not per thread, because one request crosses the client,
+//! queue and worker threads; so this must stay the binary's only test, or
+//! the harness would run a sibling in parallel and charge its traffic here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
