@@ -20,7 +20,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rted_core::{ted_at_most_run, Algorithm, BoundedResult, UnitCost, Workspace};
 use rted_datasets::shapes::{perturb_labels, Shape, DEFAULT_ALPHABET};
-use rted_index::{AlgorithmVerifier, TreeIndex};
+use rted_index::TreeIndex;
 use rted_tree::Tree;
 use std::hint::black_box;
 
@@ -91,8 +91,7 @@ fn bounded_verify(c: &mut Criterion) {
     let trees = clustered_corpus(8, 8, 36);
     let query = perturb_labels(&trees[0], 1, DEFAULT_ALPHABET, 999);
     let bounded = TreeIndex::build(trees.iter().cloned());
-    let exact =
-        TreeIndex::build(trees.iter().cloned()).with_verifier(Box::new(AlgorithmVerifier::rted()));
+    let exact = TreeIndex::build(trees.iter().cloned()).with_algorithm(Algorithm::Rted);
     for tau in [6.0, 24.0] {
         let a = bounded.range(&query, tau);
         let b = exact.range(&query, tau);

@@ -113,15 +113,11 @@ fn candidate_gen(c: &mut Criterion) {
         });
     }
 
-    // Join shows the same regime split: at tiny τ the pipeline + sorted
-    // early-break already dominates and per-tree routing is overhead; in
-    // the bound-blind band the metric path wins.
+    // Joins always scan linearly (the per-tree metric join lost in every
+    // regime); the rows keep the join's cost next to range/top-k.
     for tau in [4.0, 24.0] {
         group.bench_with_input(BenchmarkId::new("join_linear", tau), &tau, |b, &tau| {
             b.iter(|| black_box(linear.join(tau).matches.len()));
-        });
-        group.bench_with_input(BenchmarkId::new("join_metric", tau), &tau, |b, &tau| {
-            b.iter(|| black_box(metric.join(tau).matches.len()));
         });
     }
 

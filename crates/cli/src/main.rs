@@ -7,11 +7,11 @@
 //! rted diff      --index INDEX <ID1> <ID2> [--format text|json]
 //! rted generate  <SHAPE> <N> [--seed S]
 //! rted join      <FILE> [--tau T] [--algorithm NAME] [--threads N] [--no-filter]
-//!                [--pq P,Q] [--no-metric-tree] [--no-planner]
+//!                [--pq P,Q] [--no-planner]
 //! rted search    <FILE> <QUERY> [--tau T] [--algorithm NAME] [--threads N] [--no-filter]
-//!                [--pq P,Q] [--no-metric-tree] [--no-planner]
+//!                [--pq P,Q] [--metric-tree] [--no-planner]
 //! rted topk      <FILE> <QUERY> [--k K] [--algorithm NAME] [--threads N] [--no-filter]
-//!                [--pq P,Q] [--no-metric-tree] [--no-planner]
+//!                [--pq P,Q] [--metric-tree] [--no-planner]
 //! rted index build   <INDEX> <FILE> [--format-version 1|2]
 //! rted index update  <INDEX> [--add FILE] [--remove IDS]... [--compact]
 //! rted index compact <INDEX>
@@ -69,10 +69,14 @@
 //! logs every request whose wall time (queue wait included) crosses the
 //! threshold to stderr, carrying the request's `id` when one was given.
 //!
-//! The adaptive query planner (`rted-plan`) steers candidate
-//! generation, verifier choice, and filter-stage order per query; it is
-//! answer-invariant and **on by default** for the query commands and
-//! `rted serve` — `--no-planner` pins the fixed configuration instead.
+//! The adaptive query planner (`rted-plan`) steers candidate generation
+//! and filter-stage order per query; it is answer-invariant and **on by
+//! default** for the query commands and `rted serve` — `--no-planner`
+//! pins the fixed configuration instead. Metric-tree (vantage-point)
+//! candidate generation is **off by default**, as in `rted serve`:
+//! `--metric-tree` turns it on for `search` and `topk` (joins always scan
+//! linearly). Verification picks the cheapest exact kernel per pair
+//! unless `--algorithm` pins one.
 //! `rted query --explain` asks a running service what it would plan
 //! (`{"op":"explain"}`, `--tau T` for a budgeted query), and `rted
 //! index info --stats` prints the planner's decision report and the
@@ -117,10 +121,11 @@ fn usage() -> ExitCode {
          \x20             [--explain [--tau T]]\n  \
          rted metrics  (--socket PATH | --tcp ADDR) [--auth-token TOKEN] [--json]\n\n\
          join/search/topk also accept --index <INDEX> in place of <FILE>, plus\n\
-         --pq P,Q (re-profile with those gram lengths), --no-metric-tree\n\
-         (linear size-window scan instead of the vantage-point tree), and\n\
-         --no-planner (fixed candidate generator / verifier / stage order\n\
-         instead of the adaptive query planner; answers are identical).\n\
+         --pq P,Q (re-profile with those gram lengths) and --no-planner\n\
+         (fixed candidate generator / stage order instead of the adaptive\n\
+         query planner; answers are identical). search/topk also accept\n\
+         --metric-tree (vantage-point tree instead of the linear size-window\n\
+         scan; answers are identical).\n\
          serve/query speak one JSON request per line (see README); ops: range |\n\
          topk | distance | diff (single or batched pairs) | join | insert |\n\
          remove | status | compact | metrics | explain | shutdown. serve\n\
@@ -474,7 +479,6 @@ const QUERY_FLAGS: &[&str] = &[
     "no-filter",
     "index",
     "pq",
-    "no-metric-tree",
     "no-planner",
 ];
 
@@ -508,14 +512,14 @@ fn parse_pq(spec: &str) -> Result<rted_core::PqParams, String> {
 /// Loads the corpus for a query command — either the positional flat file
 /// or a persistent `--index` file (read-only, via [`CorpusFile`], so a
 /// query never touches the file) — honoring the shared `--algorithm`,
-/// `--threads`, `--no-filter`, `--pq`, `--no-metric-tree` and
-/// `--no-planner` flags. `extra` is how many positional arguments follow
+/// `--threads`, `--no-filter`, `--pq`, `--no-planner` and (search/topk)
+/// `--metric-tree` flags. `extra` is how many positional arguments follow
 /// the corpus (the query, for search/topk).
 ///
-/// Metric-tree candidate generation and the adaptive query planner are
-/// both **on** by default for the query commands (results are identical
-/// either way; stderr counters show the difference) and disabled by
-/// `--no-metric-tree` / `--no-planner` respectively.
+/// The adaptive query planner is **on** by default and disabled by
+/// `--no-planner`; metric-tree candidate generation is **off** by default
+/// and enabled by `--metric-tree`. Results are identical either way;
+/// stderr counters show the difference.
 fn load_query_index(opts: &Opts, cmd: &str, extra: usize) -> Result<TreeIndex<String>, String> {
     let mut corpus = match opts.flag("index") {
         Some(path) => {
@@ -540,14 +544,13 @@ fn load_query_index(opts: &Opts, cmd: &str, extra: usize) -> Result<TreeIndex<St
         // the loaded corpus in memory (the index file is not rewritten).
         corpus.recompute_profiles(parse_pq(spec)?);
     }
-    let alg = match opts.flag("algorithm") {
-        None => Algorithm::Rted,
-        Some(name) => algorithm_by_name(name).ok_or(format!("unknown algorithm {name}"))?,
-    };
     let mut index = TreeIndex::from_corpus(corpus)
-        .with_algorithm(alg)
-        .with_metric_tree(!opts.has("no-metric-tree"))
+        .with_metric_tree(opts.has("metric-tree"))
         .with_planner(!opts.has("no-planner"));
+    if let Some(name) = opts.flag("algorithm") {
+        let alg = algorithm_by_name(name).ok_or(format!("unknown algorithm {name}"))?;
+        index = index.with_algorithm(alg);
+    }
     if opts.has("no-filter") {
         index = index.unfiltered();
     }
@@ -699,7 +702,10 @@ fn print_pipeline_stats(corpus: rted_index::TreeCorpus<String>) {
 }
 
 fn cmd_search(opts: &Opts) -> Result<(), String> {
-    opts.expect_flags("search", &[QUERY_FLAGS, &["tau", "xml"]].concat())?;
+    opts.expect_flags(
+        "search",
+        &[QUERY_FLAGS, &["tau", "xml", "metric-tree"]].concat(),
+    )?;
     let index = load_query_index(opts, "search", 1)?;
     let query = load_tree(
         opts.positional.last().ok_or("search needs a QUERY")?,
@@ -715,7 +721,10 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_topk(opts: &Opts) -> Result<(), String> {
-    opts.expect_flags("topk", &[QUERY_FLAGS, &["k", "xml"]].concat())?;
+    opts.expect_flags(
+        "topk",
+        &[QUERY_FLAGS, &["k", "xml", "metric-tree"]].concat(),
+    )?;
     let index = load_query_index(opts, "topk", 1)?;
     let query = load_tree(
         opts.positional.last().ok_or("topk needs a QUERY")?,

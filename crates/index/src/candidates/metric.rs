@@ -54,54 +54,16 @@
 
 use crate::corpus::{CorpusEntry, TreeCorpus};
 use crate::filter::FilterPipeline;
-use crate::verify::Verifier;
+use crate::verify::{CountedVerifier, Verifier};
 use crate::{candidates::MetricStats, Neighbor, OrdF64, SearchStats};
 use rted_core::bounds::TreeSketch;
-use rted_core::{BoundedResult, Workspace};
+use rted_core::Workspace;
 use rted_tree::Tree;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Absent child sentinel.
 const NONE_IDX: u32 = u32::MAX;
-
-/// One budget-aware verification of a leaf-bucket or overflow candidate,
-/// with counters folded into `stats`. Returns the exact distance iff it
-/// is ≤ `tau`; `None` means the budget is provably blown. Routing
-/// distances to vantage points must NOT go through this — the traversal
-/// needs the true distance to the vantage to bound both branches — so
-/// they stay on the exact [`Verifier::verify_in`] path.
-fn verify_bounded_into<L>(
-    verifier: &dyn Verifier<L>,
-    f: &Tree<L>,
-    g: &Tree<L>,
-    tau: f64,
-    ws: &mut Workspace,
-    stats: &mut SearchStats,
-) -> Option<f64> {
-    if tau == f64::INFINITY {
-        let run = verifier.verify_in(f, g, ws);
-        stats.verified += 1;
-        stats.subproblems += run.subproblems;
-        stats.ted_time += run.strategy_time + run.distance_time;
-        return Some(run.distance);
-    }
-    let started = Instant::now();
-    let bv = verifier.verify_within(f, g, tau, ws);
-    let spent = started.elapsed();
-    stats.verified += 1;
-    stats.subproblems += bv.subproblems;
-    stats.ted_time += spent;
-    stats.bounded_time += spent;
-    if bv.early_exit {
-        stats.early_exits += 1;
-    }
-    match bv.result {
-        BoundedResult::Exact(d) => Some(d),
-        BoundedResult::Exceeds(_) => None,
-    }
-}
 
 /// Tuning of the metric candidate generator.
 #[derive(Debug, Clone, Copy)]
@@ -221,9 +183,9 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
         let mut dists: Vec<(f64, u32)> = subset[1..]
             .iter()
             .map(|&id| {
-                let run = verifier.verify_in(vtree, corpus.tree(id as usize), ws);
+                let bv = verifier.verify_within(vtree, corpus.tree(id as usize), f64::INFINITY, ws);
                 self.build_ted += 1;
-                (run.distance, id)
+                (bv.result.value(), id)
             })
             .collect();
         dists.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -325,24 +287,21 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
     }
 
     /// All live ids with `TED(query, tree) < tau`, appended to `out`
-    /// (unsorted). `min_id` restricts *reporting* (not routing) to ids
-    /// strictly greater — the self-join's each-pair-once rule.
+    /// (unsorted).
     #[allow(clippy::too_many_arguments)]
-    pub fn range(
+    pub(crate) fn range(
         &self,
         corpus: &TreeCorpus<L>,
         query: &Tree<L>,
         qsketch: &TreeSketch<L>,
         tau: f64,
-        min_id: Option<usize>,
         pipeline: &FilterPipeline<L>,
-        verifier: &dyn Verifier<L>,
+        verifier: &CountedVerifier<'_, L>,
         ws: &mut Workspace,
         out: &mut Vec<Neighbor>,
         stats: &mut SearchStats,
     ) {
         debug_assert!(tau.is_finite() && tau > 0.0);
-        let reportable = |id: u32| min_id.map_or(true, |m| id as usize > m);
         let mut metric = MetricStats::default();
         // (node, lower bound on every distance within the region) —
         // checked at pop time because an ancestor's routing distance can
@@ -359,7 +318,7 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
                 VpNode::Leaf { start, len } => {
                     for &id in &self.bucket[start as usize..(start + len) as usize] {
                         metric.nodes_visited += 1;
-                        if !self.alive(id) || !reportable(id) {
+                        if !self.alive(id) {
                             continue;
                         }
                         let sketch = corpus.sketch(id as usize);
@@ -367,14 +326,9 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
                             stats.filter.record(stage, 1);
                             continue;
                         }
-                        if let Some(d) = verify_bounded_into(
-                            verifier,
-                            query,
-                            corpus.tree(id as usize),
-                            tau,
-                            ws,
-                            stats,
-                        ) {
+                        if let Some(d) =
+                            verifier.pair(query, corpus.tree(id as usize), tau, ws, stats)
+                        {
                             if d < tau {
                                 out.push(Neighbor {
                                     id: id as usize,
@@ -407,13 +361,13 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
                         }
                         continue;
                     }
-                    let run = verifier.verify_in(query, ventry.tree(), ws);
+                    // Routing needs the true distance to the vantage to
+                    // bound both branches: an unbudgeted verification.
+                    let d = verifier
+                        .pair(query, ventry.tree(), f64::INFINITY, ws, stats)
+                        .expect("an infinite budget is never exceeded");
                     metric.routing_ted += 1;
-                    stats.verified += 1;
-                    stats.subproblems += run.subproblems;
-                    stats.ted_time += run.strategy_time + run.distance_time;
-                    let d = run.distance;
-                    if d < tau && self.alive(id) && reportable(id) {
+                    if d < tau && self.alive(id) {
                         out.push(Neighbor {
                             id: id as usize,
                             distance: d,
@@ -432,17 +386,12 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
         // linear leaf.
         for &id in &self.pending {
             metric.pending_scanned += 1;
-            if !reportable(id) {
-                continue;
-            }
             let sketch = corpus.sketch(id as usize);
             if let Some(stage) = pipeline.prune_stage(qsketch, sketch, tau) {
                 stats.filter.record(stage, 1);
                 continue;
             }
-            if let Some(d) =
-                verify_bounded_into(verifier, query, corpus.tree(id as usize), tau, ws, stats)
-            {
+            if let Some(d) = verifier.pair(query, corpus.tree(id as usize), tau, ws, stats) {
                 if d < tau {
                     out.push(Neighbor {
                         id: id as usize,
@@ -457,14 +406,14 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
     /// The `k` nearest live trees by `(distance, id)` — identical to the
     /// linear best-first scan, returned sorted.
     #[allow(clippy::too_many_arguments)]
-    pub fn top_k(
+    pub(crate) fn top_k(
         &self,
         corpus: &TreeCorpus<L>,
         query: &Tree<L>,
         qsketch: &TreeSketch<L>,
         k: usize,
         pipeline: &FilterPipeline<L>,
-        verifier: &dyn Verifier<L>,
+        verifier: &CountedVerifier<'_, L>,
         ws: &mut Workspace,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
@@ -492,9 +441,7 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
             // simply not admitted (ties at the radius come back `Exact`
             // and still win the id tie-break) — the heap evolves exactly
             // as on the unbudgeted path.
-            if let Some(d) =
-                verify_bounded_into(verifier, query, corpus.tree(id as usize), r, ws, stats)
-            {
+            if let Some(d) = verifier.pair(query, corpus.tree(id as usize), r, ws, stats) {
                 Self::admit(&mut heap, k_eff, d, id as usize);
             }
         }
@@ -528,14 +475,9 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
                                 continue;
                             }
                         }
-                        if let Some(d) = verify_bounded_into(
-                            verifier,
-                            query,
-                            corpus.tree(id as usize),
-                            r,
-                            ws,
-                            stats,
-                        ) {
+                        if let Some(d) =
+                            verifier.pair(query, corpus.tree(id as usize), r, ws, stats)
+                        {
                             Self::admit(&mut heap, k_eff, d, id as usize);
                         }
                     }
@@ -563,12 +505,10 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
                         }
                         continue;
                     }
-                    let run = verifier.verify_in(query, ventry.tree(), ws);
+                    let d = verifier
+                        .pair(query, ventry.tree(), f64::INFINITY, ws, stats)
+                        .expect("an infinite budget is never exceeded");
                     metric.routing_ted += 1;
-                    stats.verified += 1;
-                    stats.subproblems += run.subproblems;
-                    stats.ted_time += run.strategy_time + run.distance_time;
-                    let d = run.distance;
                     if self.alive(id) {
                         Self::admit(&mut heap, k_eff, d, id as usize);
                     }

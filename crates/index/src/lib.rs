@@ -12,23 +12,21 @@
 //! * a staged [`FilterPipeline`] of sound [`rted_core::bounds::LowerBound`]
 //!   stages (size → depth → leaf → degree → histogram) prunes candidate
 //!   pairs before any exact computation, recording per-stage counters;
-//! * surviving candidates go to a pluggable [`Verifier`] — the
-//!   budget-aware [`BoundedVerifier`] (exact RTED under unit costs behind
-//!   a band-limited early-exit kernel) by default, any
-//!   [`rted_core::Algorithm`] and cost model on request. Queries hand the
-//!   verifier their threshold (`tau` for `range`/`join`, the current
-//!   radius for `top_k`) through [`Verifier::verify_within`], so the
-//!   verifier may abandon a pair the moment the budget is provably blown
-//!   — results are byte-identical to exact verification, only "no"
-//!   answers get cheaper;
+//! * surviving candidates go to the [`TedVerifier`], which runs the
+//!   cheapest exact unit-cost kernel per pair — Zhang–Shasha for tiny
+//!   pairs, a band-limited early-exit kernel under a finite budget, RTED
+//!   otherwise — or one pinned [`rted_core::Algorithm`]
+//!   ([`TreeIndex::with_algorithm`]). Queries hand the verifier their
+//!   threshold (`tau` for `range`/`join`, the current radius for `top_k`)
+//!   through [`Verifier::verify_within`], so it may abandon a pair the
+//!   moment the budget is provably blown — results are byte-identical to
+//!   exact verification, only "no" answers get cheaper;
 //! * a chunked executor ([`exec::map_chunks`]) spreads verification over
 //!   scoped threads; results are bit-identical for any thread count;
 //! * an optional **adaptive planner** ([`TreeIndex::with_planner`], the
 //!   `rted-plan` crate) re-decides, per query, the candidate generator
-//!   (linear vs. metric-tree), the verifier per surviving pair
-//!   (Zhang–Shasha / bounded-τ kernel / full RTED) and the filter-stage
-//!   order, from the same lifetime counters the metrics surface
-//!   exports. Every planned choice is answer-invariant by construction
+//!   (linear vs. metric-tree) and the filter-stage order, from the same
+//!   lifetime counters the metrics surface exports. Every planned choice is answer-invariant by construction
 //!   — see [`TreeIndex::explain`] for the decision record.
 //!
 //! Three query APIs cover the common workloads: [`TreeIndex::range`]
@@ -42,9 +40,9 @@
 //!
 //! The standard filter stages are sound for cost models charging ≥ 1 per
 //! delete/insert and ≥ 1 per rename of distinct labels (unit costs, the
-//! default verifier). When plugging in a cheaper cost model via
-//! [`TreeIndex::with_verifier`], disable or replace the pipeline — see
-//! the `with_verifier` docs.
+//! index's verifier). When joining under a cheaper cost model via
+//! [`TreeIndex::join_with`], disable or replace the pipeline — see the
+//! `join_with` docs.
 //!
 //! # Example
 //!
@@ -87,14 +85,13 @@ pub use filter::{FilterPipeline, FilterStats, StagePrune};
 pub use persist::{encode_corpus, salvage_corpus, CorpusFile, PersistError, RepairReport, Salvage};
 pub use store::{CorpusLog, CorpusStore, LogCounts, Recovery, WalObs};
 pub use totals::{IndexTotals, QueryKind, TotalsSnapshot};
-pub use verify::{AlgorithmVerifier, BoundedVerifier, BoundedVerify, Verifier};
+pub use verify::{BoundedVerify, Kernel, TedVerifier, Verifier, ZS_CELL_CUTOFF};
 
-use crate::verify::PlannedVerifier;
+use crate::verify::CountedVerifier;
 use rted_core::bounds::{standard_bounds, TreeSketch};
-use rted_core::{Algorithm, BoundedResult, Workspace};
+use rted_core::Algorithm;
 use rted_plan::CandidateGen;
 use rted_tree::Tree;
-use std::collections::BinaryHeap;
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
@@ -151,19 +148,13 @@ pub struct JoinPair {
 ///   pairs, `n·(n−1)/2`, and the partition holds pair-wise:
 ///   `filter.total_pruned() + verified == candidates` (the per-row size
 ///   early-break books the remainder of each inner loop).
-/// * **metric-tree paths** — `candidates` keeps the meaning above, but
-///   pruned/verified count **work done, not a partition**: routing
-///   distances to vantage points are included in `verified` (see
-///   [`MetricStats::routing_ted`]), bound-settled vantages are counted
-///   in neither, and regions proven out by the triangle inequality
-///   vanish without touching any counter — so pruned + verified may be
-///   far *below* `candidates`. The metric **join** additionally runs one
-///   metric range query per corpus tree, and only *reporting* is
-///   restricted to higher ids: an unordered pair can be examined (and
-///   pruned or verified) from **both** sides, so pruned + verified may
-///   also *exceed* `candidates`. Matches are still reported exactly
-///   once; only the work counters double-book relative to `range`
-///   semantics.
+/// * **metric-tree paths** (`range`/`top_k`) — `candidates` keeps the
+///   meaning above, but pruned/verified count **work done, not a
+///   partition**: routing distances to vantage points are included in
+///   `verified` (see [`MetricStats::routing_ted`]), bound-settled
+///   vantages are counted in neither, and regions proven out by the
+///   triangle inequality vanish without touching any counter — so
+///   pruned + verified may be far *below* `candidates`.
 ///
 /// The linear-path partition invariants are asserted in the
 /// `stats_semantics` integration test.
@@ -244,7 +235,7 @@ pub struct JoinOutcome {
 pub struct TreeIndex<L> {
     corpus: TreeCorpus<L>,
     pipeline: Arc<FilterPipeline<L>>,
-    verifier: Arc<dyn Verifier<L>>,
+    verifier: TedVerifier,
     policy: ExecPolicy,
     /// Recycled verification scratch, shared by all queries: one
     /// [`Workspace`](rted_core::Workspace) per concurrent worker, warm
@@ -267,19 +258,13 @@ pub struct TreeIndex<L> {
     /// Whether queries go through the adaptive planner (off by default;
     /// the CLI and serving layers opt in).
     planner_enabled: bool,
-    /// Whether the verifier is still the construction default — the only
-    /// verifier the planner may dispatch around, since all its arms
-    /// compute the same unit-cost distances. Cleared by
-    /// [`with_verifier`](Self::with_verifier) / `with_algorithm`.
-    default_verifier: bool,
 }
 
 /// Adaptive-planner state, shared across snapshot forks like
 /// [`IndexTotals`] so what the planner has learned survives an epoch
-/// swap: the decision constants, the lock-free per-arm observation
-/// accumulators, and the cached stage-reordered pipeline.
+/// swap: the lock-free per-arm observation accumulators and the cached
+/// stage-reordered pipeline.
 struct PlannerState<L> {
-    config: rted_plan::PlannerConfig,
     obs: rted_plan::Observations,
     /// The planner's current stage-order rebuild. `None` until the first
     /// reorder; reads are the per-query fast path, the write lock is
@@ -301,7 +286,6 @@ impl<L> PlannerState<L> {
                 .zip(STANDARD)
                 .all(|(stage, name)| stage.name() == name);
         PlannerState {
-            config: rted_plan::PlannerConfig::default(),
             obs: rted_plan::Observations::default(),
             reordered: RwLock::new(None),
             reorderable,
@@ -317,64 +301,13 @@ fn relock<T>(result: Result<T, PoisonError<T>>) -> T {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Per-chunk accumulator for the worker threads.
-struct ChunkOut<T> {
-    filter: FilterStats,
-    verified: usize,
-    subproblems: u64,
-    ted_time: Duration,
-    early_exits: usize,
-    bounded_time: Duration,
-    found: Vec<T>,
-}
-
-impl<T> ChunkOut<T> {
-    fn new<L>(pipeline: &FilterPipeline<L>) -> Self {
-        ChunkOut {
-            filter: FilterStats::for_pipeline(pipeline),
-            verified: 0,
-            subproblems: 0,
-            ted_time: Duration::ZERO,
-            early_exits: 0,
-            bounded_time: Duration::ZERO,
-            found: Vec::new(),
-        }
-    }
-}
-
-/// One budget-aware verification through `verifier`, with counters folded
-/// into `out`. Returns `Some(d)` — the exact distance — iff `d ≤ tau`;
-/// `None` means the pair provably exceeds the budget (and, since matching
-/// is strict, can never match). An infinite `tau` takes the plain exact
-/// path so unbudgeted queries are bit-for-bit unchanged.
-fn verify_bounded<L, T>(
-    verifier: &dyn Verifier<L>,
-    f: &Tree<L>,
-    g: &Tree<L>,
-    tau: f64,
-    ws: &mut Workspace,
-    out: &mut ChunkOut<T>,
-) -> Option<f64> {
-    if tau == f64::INFINITY {
-        let run = verifier.verify_in(f, g, ws);
-        out.verified += 1;
-        out.subproblems += run.subproblems;
-        out.ted_time += run.strategy_time + run.distance_time;
-        return Some(run.distance);
-    }
-    let started = Instant::now();
-    let bv = verifier.verify_within(f, g, tau, ws);
-    let spent = started.elapsed();
-    out.verified += 1;
-    out.subproblems += bv.subproblems;
-    out.ted_time += spent;
-    out.bounded_time += spent;
-    if bv.early_exit {
-        out.early_exits += 1;
-    }
-    match bv.result {
-        BoundedResult::Exact(d) => Some(d),
-        BoundedResult::Exceeds(_) => None,
+/// Zeroed counters for one query (or one worker chunk of it, merged
+/// into the query's with [`SearchStats::merge`]).
+fn zeroed_stats<L>(candidates: usize, pipeline: &FilterPipeline<L>) -> SearchStats {
+    SearchStats {
+        candidates,
+        filter: FilterStats::for_pipeline(pipeline),
+        ..SearchStats::default()
     }
 }
 
@@ -382,9 +315,9 @@ impl<L> TreeIndex<L>
 where
     L: Eq + std::hash::Hash + Clone + Send + Sync + 'static,
 {
-    /// Builds an index with the standard filter pipeline, the budget-aware
-    /// RTED unit-cost verifier ([`BoundedVerifier`]), and the default
-    /// execution policy.
+    /// Builds an index with the standard filter pipeline, the per-pair
+    /// dispatching unit-cost [`TedVerifier`], and the default execution
+    /// policy.
     pub fn build(trees: impl IntoIterator<Item = Tree<L>>) -> Self {
         Self::from_corpus(TreeCorpus::build(trees))
     }
@@ -398,7 +331,7 @@ where
         TreeIndex {
             corpus,
             pipeline: Arc::new(pipeline),
-            verifier: Arc::new(BoundedVerifier::rted()),
+            verifier: TedVerifier::default(),
             policy: ExecPolicy::default(),
             scratch: Arc::new(WorkspacePool::new()),
             metric_enabled: false,
@@ -407,7 +340,6 @@ where
             totals,
             plan,
             planner_enabled: false,
-            default_verifier: true,
         }
     }
 
@@ -423,7 +355,7 @@ where
         TreeIndex {
             corpus: self.corpus.clone(),
             pipeline: Arc::clone(&self.pipeline),
-            verifier: Arc::clone(&self.verifier),
+            verifier: self.verifier,
             policy: self.policy,
             scratch: Arc::clone(&self.scratch),
             metric_enabled: self.metric_enabled,
@@ -432,7 +364,6 @@ where
             totals: Arc::clone(&self.totals),
             plan: Arc::clone(&self.plan),
             planner_enabled: self.planner_enabled,
-            default_verifier: self.default_verifier,
         }
     }
 
@@ -491,30 +422,14 @@ where
         }
     }
 
-    /// Exact distance between two trees under this index's verifier,
-    /// drawing scratch from `ws` — the serving layer's per-worker
-    /// allocation-free distance path (neither tree needs to be in the
-    /// corpus).
-    pub fn distance_in(
-        &self,
-        f: &Tree<L>,
-        g: &Tree<L>,
-        ws: &mut rted_core::Workspace,
-    ) -> rted_core::RunStats {
-        let run = self.verifier.verify_in(f, g, ws);
-        // Lock-free, allocation-free recording: this is the serving
-        // layer's zero-allocation hot path.
-        self.totals
-            .record_distance(run.subproblems, run.strategy_time + run.distance_time);
-        run
-    }
-
     /// Budget-aware distance between two trees under this index's
-    /// verifier: the exact distance when it is ≤ `tau`, or a certified
-    /// lower bound the moment the budget is provably blown — the serving
-    /// layer's `distance … at_most` path. Shares `distance_in`'s
-    /// allocation-free recording; early exits land in the
-    /// `index_verify_early_exit_total` metric.
+    /// verifier, drawing scratch from `ws` — the serving layer's
+    /// per-worker, allocation-free `distance` path (neither tree needs to
+    /// be in the corpus). Returns the exact distance when it is ≤ `tau`
+    /// (always, for `tau = ∞`), or a certified lower bound the moment the
+    /// budget is provably blown; finite budgets land in the
+    /// `index_verify_bounded_ns` / `index_verify_early_exit_total`
+    /// metrics.
     pub fn distance_within(
         &self,
         f: &Tree<L>,
@@ -524,16 +439,20 @@ where
     ) -> BoundedVerify {
         let started = Instant::now();
         let bv = self.verifier.verify_within(f, g, tau, ws);
-        self.totals
-            .record_bounded_distance(bv.subproblems, started.elapsed(), bv.early_exit);
+        self.totals.record_distance(
+            bv.subproblems,
+            started.elapsed(),
+            tau != f64::INFINITY,
+            bv.early_exit,
+        );
         bv
     }
 
     /// Optimal edit mapping between two trees under **unit costs**,
     /// drawing scratch from `ws` — the serving layer's per-worker `diff`
     /// path (neither tree needs to be in the corpus). Under unit costs
-    /// the mapping's cost equals the distance this index's default
-    /// verifier reports for the same pair, so a served edit script is
+    /// the mapping's cost equals the distance this index's verifier
+    /// reports for the same pair, so a served edit script is
     /// always consistent with a served `distance`.
     pub fn diff_in(
         &self,
@@ -584,22 +503,10 @@ where
         self.with_pipeline(FilterPipeline::none())
     }
 
-    /// Replaces the verifier.
-    ///
-    /// **Soundness:** the filter stages assume the verifier's cost model
-    /// charges ≥ 1 per delete/insert and ≥ 1 per rename of distinct
-    /// labels (true for unit costs). A verifier with cheaper operations
-    /// can have exact distances *below* the stage bounds, silently
-    /// dropping true matches — pair such verifiers with
-    /// [`unfiltered`](Self::unfiltered) or a custom pipeline whose stages
-    /// are sound for that model.
-    pub fn with_verifier(mut self, verifier: Box<dyn Verifier<L>>) -> Self {
-        self.verifier = Arc::from(verifier);
-        // The planner's per-pair verifier dispatch is only
-        // answer-invariant over the construction default (all its arms
-        // compute unit-cost distances): a custom verifier is always
-        // called as given.
-        self.default_verifier = false;
+    /// Verifies every pair with `algorithm` under unit costs instead of
+    /// the per-pair dispatch — the oracle configuration.
+    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
+        self.verifier.algorithm = Some(algorithm);
         // Metric routing compares fresh distances against the mu radii
         // recorded at build time; a tree built under a different verifier
         // would prune with stale geometry. Drop it for a lazy rebuild.
@@ -607,25 +514,19 @@ where
         self
     }
 
-    /// Verifies with `algorithm` under unit costs.
-    pub fn with_algorithm(self, algorithm: Algorithm) -> Self {
-        self.with_verifier(Box::new(AlgorithmVerifier::unit(algorithm)))
-    }
-
     /// Enables (or disables) metric-tree candidate generation:
-    /// `range`/`top_k`/`join` with a finite threshold route through a
+    /// `range` with a finite threshold and `top_k` route through a
     /// vantage-point tree over the corpus (built lazily by the first
     /// eligible query, maintained incrementally under mutation) instead
     /// of the linear size-window scan. Results are **identical** either
     /// way; only the number of candidates examined changes — see
     /// [`candidates::metric`].
     ///
-    /// Requires the index's verifier to compute a *metric* (true for the
-    /// default unit-cost verifiers). The `*_with` explicit-verifier query
-    /// variants always use the linear path: routing distances must come
-    /// from the same metric that verification uses. Metric traversal runs
-    /// on one workspace (sequential) — [`with_threads`](Self::with_threads)
-    /// parallelism currently applies to the linear path only.
+    /// Requires the index's verifier to compute a *metric* (true for
+    /// unit costs). Joins always take the linear path. Metric traversal
+    /// runs on one workspace (sequential) —
+    /// [`with_threads`](Self::with_threads) parallelism applies to the
+    /// linear path only.
     pub fn with_metric_tree(mut self, enabled: bool) -> Self {
         self.metric_enabled = enabled;
         self
@@ -641,17 +542,12 @@ where
     /// Enables (or disables) the adaptive query planner.
     ///
     /// With the planner on, each `range`/`top_k`/`join` query re-decides
-    /// three things from the index's lifetime counters:
+    /// two things from the index's lifetime counters:
     ///
     /// * the **candidate generator** — linear size-window scan vs.
     ///   metric-tree routing (when [`with_metric_tree`](Self::with_metric_tree)
     ///   made the metric path available), by observed exact-TED
     ///   computations per candidate on each arm;
-    /// * the **verifier per surviving pair** — Zhang–Shasha below a
-    ///   size-product cutoff, the bounded-τ kernel under a finite budget,
-    ///   full RTED otherwise (only while the verifier is still the
-    ///   construction default, whose arms all compute unit-cost
-    ///   distances);
     /// * the **filter-stage order** — measured selectivity-per-cost,
     ///   descending, with `size` pinned first (standard pipeline only).
     ///
@@ -681,8 +577,8 @@ where
         rted_plan::PlanReport {
             candidate_gen: gen,
             stage_order: pipeline.stages().iter().map(|s| s.name()).collect(),
-            zs_cell_cutoff: self.plan.config.zs_cell_cutoff,
-            budgeted: budgeted && self.planner_enabled && self.default_verifier,
+            zs_cell_cutoff: ZS_CELL_CUTOFF,
+            budgeted: budgeted && self.planner_enabled && self.verifier.algorithm.is_none(),
             linear_rate: self.plan.obs.linear.rate(),
             metric_rate: self.plan.obs.metric.rate(),
             observed_queries: self.plan.obs.linear.queries() + self.plan.obs.metric.queries(),
@@ -713,12 +609,13 @@ where
     /// ranking moves. Reordering never changes answers — a pair is
     /// pruned iff *any* stage bound reaches the threshold — it only
     /// moves cheap-and-selective stages ahead so pruned pairs cost less.
+    /// With the planner disabled this is always the base pipeline.
     fn planned_pipeline(&self) -> Arc<FilterPipeline<L>> {
-        if !self.plan.reorderable {
+        if !self.planner_enabled || !self.plan.reorderable {
             return Arc::clone(&self.pipeline);
         }
         let obs = &self.plan.obs;
-        if obs.linear.queries() + obs.metric.queries() < self.plan.config.reorder_after {
+        if obs.linear.queries() + obs.metric.queries() < rted_plan::REORDER_AFTER {
             return Arc::clone(&self.pipeline);
         }
         let target = rted_plan::order_stages(&self.totals.stage_prune_counts());
@@ -743,11 +640,13 @@ where
         rebuilt
     }
 
-    /// The per-pair dispatching verifier, when the planner may use it
-    /// (planner on, construction-default verifier still installed).
-    fn planned_verifier(&self) -> Option<PlannedVerifier<'_>> {
-        (self.planner_enabled && self.default_verifier)
-            .then(|| PlannedVerifier::new(self.plan.config.zs_cell_cutoff, &self.totals))
+    /// This index's verifier, counting its kernel choices into the
+    /// index totals.
+    fn counted(&self) -> CountedVerifier<'_, L> {
+        CountedVerifier {
+            verifier: &self.verifier,
+            totals: &self.totals,
+        }
     }
 
     /// A point-in-time view of the metric-tree state (never triggers a
@@ -802,20 +701,15 @@ where
     /// finite positive `tau`, candidates come from the vantage-point tree
     /// instead of the linear size window — identical results, fewer
     /// candidates examined. With [`with_planner`](Self::with_planner) the
-    /// generator, stage order and per-pair verifier are re-decided from
-    /// observed costs instead (still identical results).
+    /// generator and stage order are re-decided from observed costs
+    /// instead (still identical results).
     pub fn range(&self, query: &Tree<L>, tau: f64) -> QueryResult {
         let metric_eligible =
             self.metric_enabled && tau.is_finite() && tau > 0.0 && !self.corpus.is_empty();
         let (gen, pipeline) = self.plan_query(metric_eligible);
-        let planned = self.planned_verifier();
-        let verifier: &dyn Verifier<L> = match &planned {
-            Some(pv) => pv,
-            None => self.verifier.as_ref(),
-        };
         match gen {
-            CandidateGen::Metric => self.range_metric(query, tau, &pipeline, verifier),
-            CandidateGen::Linear => self.range_core(query, tau, verifier, &pipeline),
+            CandidateGen::Metric => self.range_metric(query, tau, &pipeline),
+            CandidateGen::Linear => self.range_linear(query, tau, &pipeline),
         }
     }
 
@@ -834,26 +728,10 @@ where
         TreeSketch::with_pq(query, params, &mut rted_core::PqScratch::default())
     }
 
-    /// [`range`](Self::range) with an explicit (possibly borrowed) verifier.
-    /// Always the linear path in the construction stage order.
-    pub fn range_with(&self, query: &Tree<L>, tau: f64, verifier: &dyn Verifier<L>) -> QueryResult {
-        self.range_core(query, tau, verifier, &Arc::clone(&self.pipeline))
-    }
-
-    fn range_core(
-        &self,
-        query: &Tree<L>,
-        tau: f64,
-        verifier: &dyn Verifier<L>,
-        pipeline: &Arc<FilterPipeline<L>>,
-    ) -> QueryResult {
+    fn range_linear(&self, query: &Tree<L>, tau: f64, pipeline: &FilterPipeline<L>) -> QueryResult {
         let start = Instant::now();
         let qsketch = self.query_sketch(query);
-        let mut stats = SearchStats {
-            candidates: self.corpus.len(),
-            filter: FilterStats::for_pipeline(pipeline),
-            ..SearchStats::default()
-        };
+        let mut stats = zeroed_stats(self.corpus.len(), pipeline);
 
         // The size-sorted window is the size stage, run as index arithmetic
         // instead of a per-candidate check.
@@ -872,12 +750,14 @@ where
         // With `tau = ∞` no finite bound can reach the threshold: skip the
         // per-candidate stage evaluation entirely.
         let filters_active = tau != f64::INFINITY;
+        let verifier = self.counted();
         let chunks = map_chunks_with(
             window,
             &self.policy,
             || self.scratch.take(),
             |ws, _, chunk| {
-                let mut out: ChunkOut<Neighbor> = ChunkOut::new(pipeline);
+                let mut out = zeroed_stats(0, pipeline);
+                let mut found = Vec::new();
                 for &id in chunk {
                     let entry = self.corpus.entry(id as usize);
                     if filters_active {
@@ -890,30 +770,23 @@ where
                     // distance provably exceeds `tau` cannot match, so the
                     // bounded kernel may stop early. Matching stays strict
                     // (`d < tau`); `Some(d)` guarantees `d ≤ tau` exactly.
-                    if let Some(d) =
-                        verify_bounded(verifier, query, entry.tree(), tau, ws.get(), &mut out)
-                    {
+                    if let Some(d) = verifier.pair(query, entry.tree(), tau, ws.get(), &mut out) {
                         if d < tau {
-                            out.found.push(Neighbor {
+                            found.push(Neighbor {
                                 id: id as usize,
                                 distance: d,
                             });
                         }
                     }
                 }
-                out
+                (out, found)
             },
         );
 
         let mut neighbors = Vec::new();
-        for out in chunks {
-            stats.filter.merge(&out.filter);
-            stats.verified += out.verified;
-            stats.subproblems += out.subproblems;
-            stats.ted_time += out.ted_time;
-            stats.early_exits += out.early_exits;
-            stats.bounded_time += out.bounded_time;
-            neighbors.extend(out.found);
+        for (out, found) in chunks {
+            stats.merge(&out);
+            neighbors.extend(found);
         }
         neighbors.sort_by_key(|n| n.id);
         stats.time = start.elapsed();
@@ -947,169 +820,15 @@ where
     /// shrinks to the current k-th distance, letting the filter stages and
     /// the sorted-size early-break prune the tail. The neighbour set is
     /// identical for every thread count; with filters disabled every
-    /// candidate is verified.
+    /// candidate is verified. The linear path is the striped driver
+    /// ([`top_k_striped`](Self::top_k_striped)) over this one index.
     pub fn top_k(&self, query: &Tree<L>, k: usize) -> QueryResult {
         let metric_eligible = self.metric_enabled && k > 0 && !self.corpus.is_empty();
         let (gen, pipeline) = self.plan_query(metric_eligible);
-        let planned = self.planned_verifier();
-        let verifier: &dyn Verifier<L> = match &planned {
-            Some(pv) => pv,
-            None => self.verifier.as_ref(),
-        };
         match gen {
-            CandidateGen::Metric => self.top_k_metric(query, k, &pipeline, verifier),
-            CandidateGen::Linear => self.top_k_inner(query, k, verifier, &pipeline),
+            CandidateGen::Metric => self.top_k_metric(query, k, &pipeline),
+            CandidateGen::Linear => Self::top_k_linear(&[self], query, k, &pipeline),
         }
-    }
-
-    /// [`top_k`](Self::top_k) with an explicit (possibly borrowed) verifier.
-    /// Always the linear path in the construction stage order.
-    pub fn top_k_with(&self, query: &Tree<L>, k: usize, verifier: &dyn Verifier<L>) -> QueryResult {
-        self.top_k_inner(query, k, verifier, &Arc::clone(&self.pipeline))
-    }
-
-    fn top_k_inner(
-        &self,
-        query: &Tree<L>,
-        k: usize,
-        verifier: &dyn Verifier<L>,
-        pipeline: &Arc<FilterPipeline<L>>,
-    ) -> QueryResult {
-        let start = Instant::now();
-        let qsketch = self.query_sketch(query);
-        let mut stats = SearchStats {
-            candidates: self.corpus.len(),
-            filter: FilterStats::for_pipeline(pipeline),
-            ..SearchStats::default()
-        };
-        if k == 0 || self.corpus.is_empty() {
-            stats.time = start.elapsed();
-            self.observe_linear(&stats);
-            self.totals.record_query(QueryKind::TopK, &stats);
-            return QueryResult {
-                neighbors: Vec::new(),
-                stats,
-            };
-        }
-
-        // Candidates ordered by |size − query size|: walk outward from the
-        // query's position in the size-sorted view.
-        let order = self.candidates_by_size_distance(qsketch.size);
-        let size_stage = pipeline.leading_size_stage();
-
-        // Max-heap on (distance, id): the top is the worst of the best k.
-        // Capacity (and the batch schedule below) is sized from the
-        // *effective* k — the heap can never hold more than the corpus —
-        // so an absurd requested k (e.g. from an untrusted service
-        // request) cannot force a huge up-front allocation or abort.
-        let k_eff = k.min(order.len());
-        let mut heap: BinaryHeap<(OrdF64, usize)> = BinaryHeap::with_capacity(k_eff + 1);
-        // Batches grow geometrically: a small first batch establishes a
-        // finite radius quickly (so later batches can prune), while later
-        // batches amortize dispatch. Sizes depend only on `k` and the
-        // chunk setting — never on the thread count — so prune counters
-        // (not just results) are reproducible across policies.
-        let mut batch = (2 * k_eff).max(16);
-        let batch_cap = (self.policy.chunk.max(1) * 4).max(batch);
-        let mut pos = 0;
-        while pos < order.len() {
-            let radius = if heap.len() == k {
-                heap.peek()
-                    .map(|&(OrdF64(d), _)| d)
-                    .unwrap_or(f64::INFINITY)
-            } else {
-                f64::INFINITY
-            };
-
-            // Select this batch's survivors at the current radius. Pruning
-            // is strict (`bound > radius`) because a candidate tying the
-            // k-th distance can still win the id tie-break.
-            let mut survivors: Vec<u32> = Vec::new();
-            let batch_end = (pos + batch).min(order.len());
-            batch = (batch * 2).min(batch_cap);
-            // Until the heap holds k entries the radius is infinite and no
-            // finite bound can prune; skip the stage evaluation.
-            if radius == f64::INFINITY {
-                while pos < batch_end {
-                    survivors.push(order[pos]);
-                    pos += 1;
-                }
-            }
-            while pos < batch_end {
-                let id = order[pos];
-                let sketch = self.corpus.sketch(id as usize);
-                if let Some(idx) = size_stage {
-                    let size_lb = (sketch.size as f64 - qsketch.size as f64).abs();
-                    if size_lb > radius {
-                        // Candidates are size-ordered: everything after
-                        // this one is at least as far. Prune the tail.
-                        stats.filter.record(idx, (order.len() - pos) as u64);
-                        pos = order.len();
-                        break;
-                    }
-                }
-                match pipeline.prune_stage_strict(&qsketch, sketch, radius) {
-                    Some(stage) => stats.filter.record(stage, 1),
-                    None => survivors.push(id),
-                }
-                pos += 1;
-            }
-
-            // Verify the survivors in parallel, then fold them into the
-            // best-k heap in deterministic (batch) order. The batch-start
-            // radius is the verification budget: once the heap is full, a
-            // candidate that provably exceeds the current k-th distance
-            // would be popped right back out, so `Exceeds` survivors are
-            // simply not folded — the heap evolves identically to the
-            // exact path (a tie at the radius is still returned `Exact`
-            // and can win the id tie-break). The budget is fixed per batch
-            // — never the mid-batch shrinking radius — so counters and
-            // results are reproducible across thread counts.
-            let chunk_outs = map_chunks_with(
-                &survivors,
-                &self.policy,
-                || self.scratch.take(),
-                |ws, _, chunk| {
-                    let mut out: ChunkOut<(usize, f64)> = ChunkOut::new(pipeline);
-                    for &id in chunk {
-                        if let Some(d) = verify_bounded(
-                            verifier,
-                            query,
-                            self.corpus.tree(id as usize),
-                            radius,
-                            ws.get(),
-                            &mut out,
-                        ) {
-                            out.found.push((id as usize, d));
-                        }
-                    }
-                    out
-                },
-            );
-            for out in chunk_outs {
-                stats.verified += out.verified;
-                stats.subproblems += out.subproblems;
-                stats.ted_time += out.ted_time;
-                stats.early_exits += out.early_exits;
-                stats.bounded_time += out.bounded_time;
-                for (id, distance) in out.found {
-                    heap.push((OrdF64(distance), id));
-                    if heap.len() > k {
-                        heap.pop();
-                    }
-                }
-            }
-        }
-
-        let neighbors: Vec<Neighbor> = heap
-            .into_sorted_vec()
-            .into_iter()
-            .map(|(OrdF64(distance), id)| Neighbor { id, distance })
-            .collect();
-        stats.time = start.elapsed();
-        self.observe_linear(&stats);
-        self.totals.record_query(QueryKind::TopK, &stats);
-        QueryResult { neighbors, stats }
     }
 
     /// The similarity self-join: every pair `(i, j)`, `i < j`, with
@@ -1118,53 +837,55 @@ where
     /// Pairs are enumerated in size-sorted order, so the size stage becomes
     /// an early-break of the inner loop; remaining stages and exact
     /// verification run per surviving pair, parallelized over chunks of
-    /// outer positions.
+    /// outer positions. Joins always take this linear path: a metric-tree
+    /// join (one routed range query per tree) lost to it in every measured
+    /// regime.
     pub fn join(&self, tau: f64) -> JoinOutcome {
-        let metric_eligible =
-            self.metric_enabled && tau.is_finite() && tau > 0.0 && self.corpus.len() > 1;
-        let (gen, pipeline) = self.plan_query(metric_eligible);
-        let planned = self.planned_verifier();
-        let verifier: &dyn Verifier<L> = match &planned {
-            Some(pv) => pv,
-            None => self.verifier.as_ref(),
-        };
-        match gen {
-            CandidateGen::Metric => self.join_metric(tau, &pipeline, verifier),
-            CandidateGen::Linear => self.join_core(tau, verifier, &pipeline),
-        }
+        let (_, pipeline) = self.plan_query(false);
+        self.join_linear(tau, &self.verifier, &pipeline)
     }
 
-    /// [`join`](Self::join) with an explicit (possibly borrowed) verifier.
-    /// Always the linear path in the construction stage order.
+    /// [`join`](Self::join) with an explicit (possibly borrowed) verifier,
+    /// in the construction stage order — e.g. a [`TedVerifier`] pinning one
+    /// algorithm under a caller's cost model.
+    ///
+    /// **Soundness:** the filter stages assume the verifier's cost model
+    /// charges ≥ 1 per delete/insert and ≥ 1 per rename of distinct
+    /// labels (true for unit costs). A verifier with cheaper operations
+    /// can have exact distances *below* the stage bounds, silently
+    /// dropping true matches — pair such verifiers with
+    /// [`unfiltered`](Self::unfiltered) or a custom pipeline whose stages
+    /// are sound for that model.
     pub fn join_with(&self, tau: f64, verifier: &dyn Verifier<L>) -> JoinOutcome {
-        self.join_core(tau, verifier, &Arc::clone(&self.pipeline))
+        self.join_linear(tau, verifier, &self.pipeline)
     }
 
-    fn join_core(
+    fn join_linear(
         &self,
         tau: f64,
         verifier: &dyn Verifier<L>,
-        pipeline: &Arc<FilterPipeline<L>>,
+        pipeline: &FilterPipeline<L>,
     ) -> JoinOutcome {
         let start = Instant::now();
         let n = self.corpus.len();
-        let mut stats = SearchStats {
-            candidates: n.saturating_sub(1) * n / 2,
-            filter: FilterStats::for_pipeline(pipeline),
-            ..SearchStats::default()
-        };
+        let mut stats = zeroed_stats(n.saturating_sub(1) * n / 2, pipeline);
         let by_size = self.corpus.by_size();
         let size_stage = pipeline.leading_size_stage();
         // With `tau = ∞` no finite bound can reach the threshold: skip the
         // per-pair stage evaluation entirely.
         let filters_active = tau != f64::INFINITY;
+        let verifier = CountedVerifier {
+            verifier,
+            totals: &self.totals,
+        };
 
         let chunks = map_chunks_with(
             by_size,
             &self.policy,
             || self.scratch.take(),
             |ws, chunk_start, chunk| {
-                let mut out: ChunkOut<JoinPair> = ChunkOut::new(pipeline);
+                let mut out = zeroed_stats(0, pipeline);
+                let mut found = Vec::new();
                 for (off, &i) in chunk.iter().enumerate() {
                     let p = chunk_start + off;
                     let si = self.corpus.sketch(i as usize);
@@ -1190,8 +911,7 @@ where
                         // with i < j.
                         let (left, right) =
                             ((i as usize).min(j as usize), (i as usize).max(j as usize));
-                        if let Some(d) = verify_bounded(
-                            verifier,
+                        if let Some(d) = verifier.pair(
                             self.corpus.tree(left),
                             self.corpus.tree(right),
                             tau,
@@ -1199,7 +919,7 @@ where
                             &mut out,
                         ) {
                             if d < tau {
-                                out.found.push(JoinPair {
+                                found.push(JoinPair {
                                     left,
                                     right,
                                     distance: d,
@@ -1208,19 +928,14 @@ where
                         }
                     }
                 }
-                out
+                (out, found)
             },
         );
 
         let mut matches = Vec::new();
-        for out in chunks {
-            stats.filter.merge(&out.filter);
-            stats.verified += out.verified;
-            stats.subproblems += out.subproblems;
-            stats.ted_time += out.ted_time;
-            stats.early_exits += out.early_exits;
-            stats.bounded_time += out.bounded_time;
-            matches.extend(out.found);
+        for (out, found) in chunks {
+            stats.merge(&out);
+            matches.extend(found);
         }
         matches.sort_by_key(|m| (m.left, m.right));
         stats.time = start.elapsed();
@@ -1246,26 +961,14 @@ where
     /// (`pruned + verified == candidates`).
     pub fn join_between(&self, other: &TreeIndex<L>, tau: f64) -> JoinOutcome {
         let start = Instant::now();
-        let mut stats = SearchStats {
-            candidates: self.corpus.len() * other.corpus.len(),
-            ..SearchStats::default()
-        };
         // The cross-shard half-join is inherently linear (the two sides
-        // have independent id spaces), but the planner's stage order and
-        // per-pair verifier dispatch still apply.
-        let pipeline = if self.planner_enabled {
-            self.planned_pipeline()
-        } else {
-            Arc::clone(&self.pipeline)
-        };
-        stats.filter = FilterStats::for_pipeline(&pipeline);
+        // have independent id spaces), but the planner's stage order
+        // still applies.
+        let pipeline = self.planned_pipeline();
+        let mut stats = zeroed_stats(self.corpus.len() * other.corpus.len(), &pipeline);
         let size_stage = pipeline.leading_size_stage();
         let filters_active = tau != f64::INFINITY;
-        let planned = self.planned_verifier();
-        let verifier: &dyn Verifier<L> = match &planned {
-            Some(pv) => pv,
-            None => self.verifier.as_ref(),
-        };
+        let verifier = self.counted();
         let pipeline = &pipeline;
 
         let chunks = map_chunks_with(
@@ -1273,7 +976,8 @@ where
             &self.policy,
             || self.scratch.take(),
             |ws, _, chunk| {
-                let mut out: ChunkOut<JoinPair> = ChunkOut::new(pipeline);
+                let mut out = zeroed_stats(0, pipeline);
+                let mut found = Vec::new();
                 for &i in chunk {
                     let si = self.corpus.sketch(i as usize);
                     let window: &[u32] = if size_stage.is_some() {
@@ -1293,8 +997,7 @@ where
                                 continue;
                             }
                         }
-                        if let Some(d) = verify_bounded(
-                            verifier,
+                        if let Some(d) = verifier.pair(
                             self.corpus.tree(i as usize),
                             other.corpus.tree(j as usize),
                             tau,
@@ -1302,7 +1005,7 @@ where
                             &mut out,
                         ) {
                             if d < tau {
-                                out.found.push(JoinPair {
+                                found.push(JoinPair {
                                     left: i as usize,
                                     right: j as usize,
                                     distance: d,
@@ -1311,19 +1014,14 @@ where
                         }
                     }
                 }
-                out
+                (out, found)
             },
         );
 
         let mut matches = Vec::new();
-        for out in chunks {
-            stats.filter.merge(&out.filter);
-            stats.verified += out.verified;
-            stats.subproblems += out.subproblems;
-            stats.ted_time += out.ted_time;
-            stats.early_exits += out.early_exits;
-            stats.bounded_time += out.bounded_time;
-            matches.extend(out.found);
+        for (out, found) in chunks {
+            stats.merge(&out);
+            matches.extend(found);
         }
         matches.sort_by_key(|m| (m.left, m.right));
         stats.time = start.elapsed();
@@ -1348,7 +1046,7 @@ where
                 let mut ws = self.scratch.take();
                 *guard = Some(VpTree::build(
                     &self.corpus,
-                    self.verifier.as_ref(),
+                    &self.verifier,
                     ws.get(),
                     &self.metric_config,
                 ));
@@ -1360,24 +1058,11 @@ where
         f(guard.as_ref().expect("tree built above"))
     }
 
-    /// [`range`](Self::range) through the vantage-point tree. The
-    /// verifier must compute the same distances as the one the tree was
-    /// built with (true for the planner's dispatch: all arms are exact
-    /// unit-cost).
-    fn range_metric(
-        &self,
-        query: &Tree<L>,
-        tau: f64,
-        pipeline: &Arc<FilterPipeline<L>>,
-        verifier: &dyn Verifier<L>,
-    ) -> QueryResult {
+    /// [`range`](Self::range) through the vantage-point tree.
+    fn range_metric(&self, query: &Tree<L>, tau: f64, pipeline: &FilterPipeline<L>) -> QueryResult {
         let start = Instant::now();
         let qsketch = self.query_sketch(query);
-        let mut stats = SearchStats {
-            candidates: self.corpus.len(),
-            filter: FilterStats::for_pipeline(pipeline),
-            ..SearchStats::default()
-        };
+        let mut stats = zeroed_stats(self.corpus.len(), pipeline);
         let mut neighbors = Vec::new();
         self.with_metric(|vp| {
             let mut ws = self.scratch.take();
@@ -1386,9 +1071,8 @@ where
                 query,
                 &qsketch,
                 tau,
-                None,
                 pipeline,
-                verifier,
+                &self.counted(),
                 ws.get(),
                 &mut neighbors,
                 &mut stats,
@@ -1402,20 +1086,10 @@ where
     }
 
     /// [`top_k`](Self::top_k) through the vantage-point tree.
-    fn top_k_metric(
-        &self,
-        query: &Tree<L>,
-        k: usize,
-        pipeline: &Arc<FilterPipeline<L>>,
-        verifier: &dyn Verifier<L>,
-    ) -> QueryResult {
+    fn top_k_metric(&self, query: &Tree<L>, k: usize, pipeline: &FilterPipeline<L>) -> QueryResult {
         let start = Instant::now();
         let qsketch = self.query_sketch(query);
-        let mut stats = SearchStats {
-            candidates: self.corpus.len(),
-            filter: FilterStats::for_pipeline(pipeline),
-            ..SearchStats::default()
-        };
+        let mut stats = zeroed_stats(self.corpus.len(), pipeline);
         let neighbors = self.with_metric(|vp| {
             let mut ws = self.scratch.take();
             vp.top_k(
@@ -1424,7 +1098,7 @@ where
                 &qsketch,
                 k,
                 pipeline,
-                verifier,
+                &self.counted(),
                 ws.get(),
                 &mut stats,
             )
@@ -1433,88 +1107,5 @@ where
         self.observe_metric(&stats);
         self.totals.record_query(QueryKind::TopK, &stats);
         QueryResult { neighbors, stats }
-    }
-
-    /// [`join`](Self::join) through the vantage-point tree: one metric
-    /// range query per corpus tree, reporting only partners with a larger
-    /// id so each unordered pair is verified exactly once (in the same
-    /// `(left, right)` operand order as the linear join).
-    fn join_metric(
-        &self,
-        tau: f64,
-        pipeline: &Arc<FilterPipeline<L>>,
-        verifier: &dyn Verifier<L>,
-    ) -> JoinOutcome {
-        let start = Instant::now();
-        let n = self.corpus.len();
-        let mut stats = SearchStats {
-            candidates: n.saturating_sub(1) * n / 2,
-            filter: FilterStats::for_pipeline(pipeline),
-            ..SearchStats::default()
-        };
-        let mut matches = Vec::new();
-        self.with_metric(|vp| {
-            let mut ws = self.scratch.take();
-            let mut found = Vec::new();
-            for (i, entry) in self.corpus.iter() {
-                found.clear();
-                vp.range(
-                    &self.corpus,
-                    entry.tree(),
-                    entry.sketch(),
-                    tau,
-                    Some(i),
-                    pipeline,
-                    verifier,
-                    ws.get(),
-                    &mut found,
-                    &mut stats,
-                );
-                matches.extend(found.iter().map(|nb| JoinPair {
-                    left: i,
-                    right: nb.id,
-                    distance: nb.distance,
-                }));
-            }
-        });
-        matches.sort_by_key(|m| (m.left, m.right));
-        stats.time = start.elapsed();
-        self.observe_metric(&stats);
-        self.totals.record_query(QueryKind::Join, &stats);
-        JoinOutcome { matches, stats }
-    }
-
-    /// Corpus ids ordered by `(|size − center|, side, id)` — the best-first
-    /// visit order for top-k.
-    fn candidates_by_size_distance(&self, center: usize) -> Vec<u32> {
-        let by_size = self.corpus.by_size();
-        let split = by_size.partition_point(|&id| self.corpus.sketch(id as usize).size < center);
-        let mut order = Vec::with_capacity(by_size.len());
-        let (mut lo, mut hi) = (split, split);
-        while lo > 0 || hi < by_size.len() {
-            let below =
-                (lo > 0).then(|| center - self.corpus.sketch(by_size[lo - 1] as usize).size);
-            let above = (hi < by_size.len())
-                .then(|| self.corpus.sketch(by_size[hi] as usize).size - center);
-            // Prefer the smaller size gap; on ties, the smaller size (the
-            // "below" side) — any fixed rule works, it only has to be
-            // deterministic.
-            match (below, above) {
-                (Some(b), Some(a)) if b <= a => {
-                    lo -= 1;
-                    order.push(by_size[lo]);
-                }
-                (Some(_), None) => {
-                    lo -= 1;
-                    order.push(by_size[lo]);
-                }
-                (_, Some(_)) => {
-                    order.push(by_size[hi]);
-                    hi += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        order
     }
 }

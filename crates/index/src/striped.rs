@@ -1,31 +1,29 @@
-//! Deterministic top-k over a striped (sharded) corpus.
+//! Deterministic linear top-k over one index or a striped (sharded)
+//! corpus.
 //!
 //! The sharded serving layer splits one logical corpus over `N` shard
 //! indexes, global id `g` living on shard `g % N` as local id `g / N`.
 //! Range queries and joins scatter-gather trivially — every per-pair
 //! decision depends only on the pair — but top-k is a *global* argmin:
 //! the search radius after `k` hits belongs to the union, not to any
-//! shard. The previous implementation ran one radius-racing `top_k` per
-//! shard against a shared atomic budget; results were exact, but the
-//! per-shard work counters depended on cross-thread publication timing,
-//! so `verified` was not reproducible run to run.
+//! shard. Running one radius-racing `top_k` per shard against a shared
+//! atomic budget gives exact results, but per-shard work counters that
+//! depend on cross-thread publication timing.
 //!
-//! [`TreeIndex::top_k_striped`] replaces that with one centralized
-//! driver replicating the single-index best-first batch algorithm over
-//! the merged candidate view: the same `(|size − q|, side, id)` visit
-//! order (on *global* ids), the same geometric batch schedule, the same
-//! batch-start radius — so the neighbour set **and every counter** are
-//! byte-identical to an unsharded index holding the union, for any
-//! shard count and thread count.
+//! One centralized best-first batch driver runs instead, over the merged
+//! candidate view: a `(|size − q|, side, global id)` visit order, a
+//! geometric batch schedule and a batch-start radius — so the neighbour
+//! set **and every counter** are byte-identical to an unsharded index
+//! holding the union, for any shard count and thread count. The
+//! single-index [`TreeIndex::top_k`] is the same driver over one shard.
 
 use crate::exec::map_chunks_with;
-use crate::filter::FilterStats;
+use crate::filter::FilterPipeline;
 use crate::totals::QueryKind;
-use crate::verify::{PlannedVerifier, Verifier};
-use crate::{verify_bounded, ChunkOut, Neighbor, OrdF64, QueryResult, SearchStats, TreeIndex};
+use crate::verify::CountedVerifier;
+use crate::{zeroed_stats, Neighbor, OrdF64, QueryResult, TreeIndex};
 use rted_tree::Tree;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One merged-view candidate: where it lives and how big it is.
@@ -53,8 +51,7 @@ where
     /// `shards[0]` is the driver: its filter pipeline (planner-reordered
     /// if enabled), execution policy, workspace pool and lifetime totals
     /// serve the whole query; each surviving pair is verified by its
-    /// owning shard's verifier (with the planner's per-pair dispatch
-    /// when that shard allows it). The query is recorded once, into the
+    /// owning shard's verifier. The query is recorded once, into the
     /// driver's totals and linear-arm observations.
     ///
     /// # Panics
@@ -65,20 +62,25 @@ where
         if shards.len() == 1 {
             return shards[0].top_k(query, k);
         }
+        Self::top_k_linear(shards, query, k, &shards[0].planned_pipeline())
+    }
+
+    /// The best-first batch driver behind every linear top-k, over one
+    /// index (`top_k`) or many (`top_k_striped`). With one shard the
+    /// global id is the local id, so this is the plain single-index
+    /// search.
+    pub(crate) fn top_k_linear(
+        shards: &[&TreeIndex<L>],
+        query: &Tree<L>,
+        k: usize,
+        pipeline: &FilterPipeline<L>,
+    ) -> QueryResult {
         let driver = shards[0];
         let start = Instant::now();
         let qsketch = driver.query_sketch(query);
-        let pipeline = if driver.planner_enabled {
-            driver.planned_pipeline()
-        } else {
-            Arc::clone(&driver.pipeline)
-        };
-        let mut stats = SearchStats {
-            candidates: shards.iter().map(|s| s.corpus.len()).sum(),
-            filter: FilterStats::for_pipeline(&pipeline),
-            ..SearchStats::default()
-        };
-        if k == 0 || stats.candidates == 0 {
+        let candidates = shards.iter().map(|s| s.corpus.len()).sum();
+        let mut stats = zeroed_stats(candidates, pipeline);
+        if k == 0 || candidates == 0 {
             stats.time = start.elapsed();
             driver.observe_linear(&stats);
             driver.totals.record_query(QueryKind::TopK, &stats);
@@ -88,20 +90,23 @@ where
             };
         }
 
+        // Candidates ordered by |size − query size|: walk outward from the
+        // query's position in the merged size-sorted view.
         let order = merged_by_size_distance(shards, qsketch.size);
         let size_stage = pipeline.leading_size_stage();
-        // Per-shard verifier choice, resolved once: the planner's
-        // dispatching verifier where a shard allows it, that shard's own
-        // verifier otherwise.
-        let planned: Vec<Option<PlannedVerifier<'_>>> =
-            shards.iter().map(|s| s.planned_verifier()).collect();
 
-        // From here on this is `top_k_inner`'s batch loop verbatim, with
-        // `(shard, local)` lookups where the single index used `id` —
-        // see that function for the algorithmic commentary. Schedule
-        // constants must stay in lockstep for counter equality.
+        // Max-heap on (distance, id): the top is the worst of the best k.
+        // Capacity (and the batch schedule below) is sized from the
+        // *effective* k — the heap can never hold more than the corpus —
+        // so an absurd requested k (e.g. from an untrusted service
+        // request) cannot force a huge up-front allocation or abort.
         let k_eff = k.min(order.len());
         let mut heap: BinaryHeap<(OrdF64, usize)> = BinaryHeap::with_capacity(k_eff + 1);
+        // Batches grow geometrically: a small first batch establishes a
+        // finite radius quickly (so later batches can prune), while later
+        // batches amortize dispatch. Sizes depend only on `k` and the
+        // chunk setting — never on the thread count — so prune counters
+        // (not just results) are reproducible across policies.
         let mut batch = (2 * k_eff).max(16);
         let batch_cap = (driver.policy.chunk.max(1) * 4).max(batch);
         let mut pos = 0;
@@ -114,9 +119,14 @@ where
                 f64::INFINITY
             };
 
+            // Select this batch's survivors at the current radius. Pruning
+            // is strict (`bound > radius`) because a candidate tying the
+            // k-th distance can still win the id tie-break.
             let mut survivors: Vec<Cand> = Vec::new();
             let batch_end = (pos + batch).min(order.len());
             batch = (batch * 2).min(batch_cap);
+            // Until the heap holds k entries the radius is infinite and no
+            // finite bound can prune; skip the stage evaluation.
             if radius == f64::INFINITY {
                 while pos < batch_end {
                     survivors.push(order[pos]);
@@ -131,6 +141,8 @@ where
                 if let Some(idx) = size_stage {
                     let size_lb = (sketch.size as f64 - qsketch.size as f64).abs();
                     if size_lb > radius {
+                        // Candidates are size-ordered: everything after
+                        // this one is at least as far. Prune the tail.
                         stats.filter.record(idx, (order.len() - pos) as u64);
                         pos = order.len();
                         break;
@@ -143,39 +155,40 @@ where
                 pos += 1;
             }
 
+            // Verify the survivors in parallel, then fold them into the
+            // best-k heap in deterministic (batch) order. The batch-start
+            // radius is the verification budget: once the heap is full, a
+            // candidate that provably exceeds the current k-th distance
+            // would be popped right back out, so `Exceeds` survivors are
+            // simply not folded — the heap evolves identically to the
+            // exact path (a tie at the radius is still returned `Exact`
+            // and can win the id tie-break). The budget is fixed per batch
+            // — never the mid-batch shrinking radius — so counters and
+            // results are reproducible across thread counts.
             let chunk_outs = map_chunks_with(
                 &survivors,
                 &driver.policy,
                 || driver.scratch.take(),
                 |ws, _, chunk| {
-                    let mut out: ChunkOut<(usize, f64)> = ChunkOut::new(&pipeline);
+                    let mut out = zeroed_stats(0, pipeline);
+                    let mut found = Vec::new();
                     for cand in chunk {
-                        let shard = &shards[cand.shard as usize];
-                        let verifier: &dyn Verifier<L> = match &planned[cand.shard as usize] {
-                            Some(pv) => pv,
-                            None => shard.verifier.as_ref(),
+                        let shard = shards[cand.shard as usize];
+                        let verifier = CountedVerifier {
+                            verifier: &shard.verifier,
+                            totals: &driver.totals,
                         };
-                        if let Some(d) = verify_bounded(
-                            verifier,
-                            query,
-                            shard.corpus.tree(cand.local as usize),
-                            radius,
-                            ws.get(),
-                            &mut out,
-                        ) {
-                            out.found.push((cand.global, d));
+                        let tree = shard.corpus.tree(cand.local as usize);
+                        if let Some(d) = verifier.pair(query, tree, radius, ws.get(), &mut out) {
+                            found.push((cand.global, d));
                         }
                     }
-                    out
+                    (out, found)
                 },
             );
-            for out in chunk_outs {
-                stats.verified += out.verified;
-                stats.subproblems += out.subproblems;
-                stats.ted_time += out.ted_time;
-                stats.early_exits += out.early_exits;
-                stats.bounded_time += out.bounded_time;
-                for (id, distance) in out.found {
+            for (out, found) in chunk_outs {
+                stats.merge(&out);
+                for (id, distance) in found {
                     heap.push((OrdF64(distance), id));
                     if heap.len() > k {
                         heap.pop();
@@ -197,9 +210,9 @@ where
 }
 
 /// The merged best-first visit order: all live trees across all shards
-/// by `(|size − center|, below-side-first, global id)` — exactly
-/// `candidates_by_size_distance` run on the union corpus, where the
-/// union's `by_size` view is sorted by `(size, global id)`.
+/// by `(|size − center|, below-side-first, global id)` — exactly the
+/// single-index walk over the union corpus, whose `by_size` view is
+/// sorted by `(size, global id)`.
 fn merged_by_size_distance<L>(shards: &[&TreeIndex<L>], center: usize) -> Vec<Cand>
 where
     L: Eq + std::hash::Hash + Clone + Send + Sync + 'static,
@@ -224,8 +237,9 @@ where
     while lo > 0 || hi < by_size.len() {
         let below = (lo > 0).then(|| center - by_size[lo - 1].size);
         let above = (hi < by_size.len()).then(|| by_size[hi].size - center);
-        // Same tie rule as the single-index walk: prefer the smaller
-        // size gap, and on ties the "below" side.
+        // Prefer the smaller size gap; on ties, the smaller size (the
+        // "below" side) — any fixed rule works, it only has to be
+        // deterministic.
         match (below, above) {
             (Some(b), Some(a)) if b <= a => {
                 lo -= 1;

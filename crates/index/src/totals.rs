@@ -12,6 +12,7 @@
 //! --stats`.
 
 use crate::filter::{FilterPipeline, StagePrune};
+use crate::verify::Kernel;
 use crate::SearchStats;
 use rted_obs::Counter;
 use std::time::Duration;
@@ -38,7 +39,7 @@ pub struct IndexTotals {
     range_queries: Counter,
     topk_queries: Counter,
     join_queries: Counter,
-    /// Point-to-point `distance_in` calls (the serving layer's `distance`
+    /// Point-to-point `distance_within` calls (the serving layer's `distance`
     /// request path), not part of any query's `verified` count.
     distance_calls: Counter,
     /// Point-to-point `diff_in` calls (the serving layer's `diff` request
@@ -75,11 +76,11 @@ pub struct IndexTotals {
     plan_metric: Counter,
     /// Times the planner changed the filter-stage execution order.
     plan_reorders: Counter,
-    /// Pairs the planned verifier dispatched to Zhang–Shasha.
+    /// Pairs the per-pair dispatch sent to Zhang–Shasha.
     plan_zs_pairs: Counter,
-    /// Pairs the planned verifier dispatched to the bounded-τ kernel.
+    /// Pairs the per-pair dispatch sent to the bounded-τ kernel.
     plan_bounded_pairs: Counter,
-    /// Pairs the planned verifier dispatched to full RTED.
+    /// Pairs the per-pair dispatch sent to full RTED.
     plan_rted_pairs: Counter,
 }
 
@@ -147,13 +148,27 @@ impl IndexTotals {
     }
 
     /// Folds one point-to-point distance computation in (the serving
-    /// layer's `distance` request). `ted_time` is the run's
-    /// strategy + distance time.
+    /// layer's `distance` request). `spent` is wall time inside the
+    /// verification; under a finite budget it also counts toward
+    /// `bounded_ns`, and an early exit is counted.
     #[inline]
-    pub fn record_distance(&self, subproblems: u64, ted_time: Duration) {
+    pub fn record_distance(
+        &self,
+        subproblems: u64,
+        spent: Duration,
+        budgeted: bool,
+        early_exit: bool,
+    ) {
         self.distance_calls.inc();
         self.subproblems.add(subproblems);
-        self.ted_ns.add(duration_ns(ted_time));
+        let ns = duration_ns(spent);
+        self.ted_ns.add(ns);
+        if budgeted {
+            self.verify_bounded_ns.add(ns);
+            if early_exit {
+                self.verify_early_exits.inc();
+            }
+        }
     }
 
     /// Folds one edit-script extraction in (the serving layer's `diff`
@@ -165,22 +180,6 @@ impl IndexTotals {
         self.diff_calls.inc();
         self.subproblems.add(subproblems);
         self.ted_ns.add(duration_ns(ted_time));
-    }
-
-    /// Folds one budget-aware point-to-point distance computation in (the
-    /// serving layer's `distance … at_most` request). `spent` is wall
-    /// time inside the verification; it counts toward both `ted_ns` and
-    /// `bounded_ns`.
-    #[inline]
-    pub fn record_bounded_distance(&self, subproblems: u64, spent: Duration, early_exit: bool) {
-        self.distance_calls.inc();
-        self.subproblems.add(subproblems);
-        let ns = duration_ns(spent);
-        self.ted_ns.add(ns);
-        self.verify_bounded_ns.add(ns);
-        if early_exit {
-            self.verify_early_exits.inc();
-        }
     }
 
     /// Folds one planner candidate-generation decision in (a planned
@@ -199,14 +198,14 @@ impl IndexTotals {
         self.plan_reorders.inc();
     }
 
-    /// Notes one pair dispatched by the planned verifier. Lock-free and
+    /// Notes the kernel the per-pair dispatch ran. Lock-free and
     /// allocation-free: called from verification worker threads.
     #[inline]
-    pub(crate) fn record_plan_pair(&self, arm: PlanPair) {
-        match arm {
-            PlanPair::ZhangShasha => self.plan_zs_pairs.inc(),
-            PlanPair::Bounded => self.plan_bounded_pairs.inc(),
-            PlanPair::Rted => self.plan_rted_pairs.inc(),
+    pub(crate) fn record_kernel(&self, kernel: Kernel) {
+        match kernel {
+            Kernel::ZhangShasha => self.plan_zs_pairs.inc(),
+            Kernel::Bounded => self.plan_bounded_pairs.inc(),
+            Kernel::Rted => self.plan_rted_pairs.inc(),
         }
     }
 
@@ -256,17 +255,6 @@ impl IndexTotals {
     }
 }
 
-/// Which verifier arm the planned dispatch sent a pair to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PlanPair {
-    /// Zhang–Shasha (small pair, strategy overhead dominates).
-    ZhangShasha,
-    /// The bounded-τ early-exit kernel (a finite budget exists).
-    Bounded,
-    /// Full RTED.
-    Rted,
-}
-
 /// Saturating nanoseconds of a duration (u64 holds ~584 years).
 #[inline]
 fn duration_ns(d: Duration) -> u64 {
@@ -282,7 +270,7 @@ pub struct TotalsSnapshot {
     pub topk_queries: u64,
     /// `join` queries answered.
     pub join_queries: u64,
-    /// Point-to-point `distance_in` calls.
+    /// Point-to-point `distance_within` calls.
     pub distance_calls: u64,
     /// Point-to-point `diff_in` (edit-script) calls.
     pub diff_calls: u64,
@@ -314,11 +302,11 @@ pub struct TotalsSnapshot {
     pub plan_metric: u64,
     /// Filter-stage reorders the planner applied.
     pub plan_reorders: u64,
-    /// Pairs the planned verifier sent to Zhang–Shasha.
+    /// Pairs the per-pair dispatch sent to Zhang–Shasha.
     pub plan_zs_pairs: u64,
-    /// Pairs the planned verifier sent to the bounded-τ kernel.
+    /// Pairs the per-pair dispatch sent to the bounded-τ kernel.
     pub plan_bounded_pairs: u64,
-    /// Pairs the planned verifier sent to full RTED.
+    /// Pairs the per-pair dispatch sent to full RTED.
     pub plan_rted_pairs: u64,
 }
 

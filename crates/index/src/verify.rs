@@ -1,18 +1,37 @@
 //! Exact verification of surviving candidate pairs.
 //!
 //! Filters only ever prune pairs that provably cannot match; every
-//! survivor is handed to a [`Verifier`] for an exact distance. The default
-//! verifier runs RTED under unit costs, but any [`Algorithm`] and any
-//! [`CostModel`] plug in — including borrowed cost models, since
+//! survivor is handed to a [`Verifier`] for an exact distance. The index
+//! verifies with [`TedVerifier`], which either pins one of the paper's
+//! algorithms or — the default — picks the cheapest exact kernel per
+//! pair. Any [`CostModel`] plugs in, including borrowed ones, since
 //! `CostModel` is implemented for references.
 
-use crate::totals::{IndexTotals, PlanPair};
-use rted_core::{
-    ted_at_most_run, Algorithm, BoundedResult, CostModel, RunStats, UnitCost, Workspace,
-};
+use crate::totals::IndexTotals;
+use crate::SearchStats;
+use rted_core::{ted_at_most_run, Algorithm, BoundedResult, CostModel, UnitCost, Workspace};
 use rted_tree::Tree;
+use std::time::Instant;
 
-/// Outcome of a budget-aware verification (see [`Verifier::verify_within`]).
+/// A pair is verified with Zhang–Shasha instead of RTED when the product
+/// of its tree sizes (an upper estimate of the DP cells one left-path
+/// decomposition computes) is at or below this — below it, RTED's
+/// strategy computation costs more than any subproblems it could save.
+pub const ZS_CELL_CUTOFF: u64 = 256;
+
+/// The exact kernel a [`TedVerifier`] without a pinned algorithm chose
+/// for one pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// Zhang–Shasha (small pair, strategy overhead dominates).
+    ZhangShasha,
+    /// The bounded-τ early-exit kernel (a finite budget exists).
+    Bounded,
+    /// Full RTED.
+    Rted,
+}
+
+/// Outcome of one verification (see [`Verifier::verify_within`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundedVerify {
     /// Exact distance (when within budget) or a certified lower bound.
@@ -22,152 +41,60 @@ pub struct BoundedVerify {
     /// `true` when the verifier stopped before completing the computation
     /// because the budget was provably blown.
     pub early_exit: bool,
+    /// The kernel the per-pair dispatch ran; `None` when the verifier
+    /// pins one algorithm.
+    pub kernel: Option<Kernel>,
 }
 
-/// Computes exact tree edit distances for candidate pairs.
+/// Computes tree edit distances for candidate pairs.
 ///
 /// Implementations must be thread-safe: the parallel executor calls
-/// `verify` concurrently from worker threads (each worker passes its own
-/// [`Workspace`] to [`Verifier::verify_in`]).
+/// `verify_within` concurrently from worker threads, each worker passing
+/// its own [`Workspace`].
 pub trait Verifier<L>: Send + Sync {
-    /// The exact distance computation for one pair, with run statistics.
-    fn verify(&self, f: &Tree<L>, g: &Tree<L>) -> RunStats;
-
-    /// [`Verifier::verify`] drawing scratch memory from a caller-provided
-    /// [`Workspace`] so batch verification stops allocating once the
-    /// workspace is warm. The default implementation ignores the
-    /// workspace and delegates to `verify`, so existing custom verifiers
-    /// keep working unchanged; results must be identical either way.
-    fn verify_in(&self, f: &Tree<L>, g: &Tree<L>, ws: &mut Workspace) -> RunStats {
-        let _ = ws;
-        self.verify(f, g)
-    }
-
     /// Budget-aware verification: the query only needs to know whether the
     /// pair is within distance `tau` (and the exact distance when it is),
     /// so the verifier may stop the moment the budget is provably blown.
+    /// `tau = ∞` asks for the exact distance.
     ///
-    /// The default implementation runs the exact [`Verifier::verify_in`]
-    /// and classifies its distance, so custom verifiers keep working
-    /// unchanged; implementations that exit early must return
-    /// [`BoundedResult::Exact`] values identical to the exact path
-    /// whenever the distance is ≤ `tau` — query results must not depend
-    /// on which path ran. A non-finite `tau` must behave exactly like
-    /// [`Verifier::verify_in`].
+    /// Whenever the distance is ≤ `tau` the result must be
+    /// [`BoundedResult::Exact`] with the same value an exact algorithm
+    /// computes — query results must not depend on which kernel ran.
     fn verify_within(
         &self,
         f: &Tree<L>,
         g: &Tree<L>,
         tau: f64,
         ws: &mut Workspace,
-    ) -> BoundedVerify {
-        let run = self.verify_in(f, g, ws);
-        let result = if run.distance <= tau {
-            BoundedResult::Exact(run.distance)
-        } else {
-            // The exact distance is the tightest possible lower bound.
-            BoundedResult::Exceeds(run.distance)
-        };
-        BoundedVerify {
-            result,
-            subproblems: run.subproblems,
-            early_exit: false,
-        }
-    }
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str {
-        "custom"
-    }
+    ) -> BoundedVerify;
 }
 
-/// A verifier running one of the paper's five algorithms under a cost
-/// model (RTED + unit costs by default).
-#[derive(Debug, Clone, Copy)]
-pub struct AlgorithmVerifier<C = UnitCost> {
-    /// The exact algorithm to run.
-    pub algorithm: Algorithm,
+/// The index's verifier, generic over the cost model.
+///
+/// With `algorithm: Some(a)` every pair runs the exact algorithm `a` (the
+/// oracle, and the paper's Table 1). With `None` — RTED's dynamic
+/// strategy selection lifted one level up — each pair runs the cheapest
+/// member of the exact family:
+///
+/// * **Zhang–Shasha** when `|f| · |g|` is at most [`ZS_CELL_CUTOFF`];
+/// * the **bounded-τ early-exit kernel** when `tau` is finite
+///   (abandonment makes "no" answers nearly free);
+/// * **full RTED** otherwise.
+///
+/// All arms compute the same exact distance (Zhang–Shasha is one fixed
+/// LRH strategy; the bounded kernel returns `Exact(d)` identical to RTED
+/// whenever `d ≤ τ`), so results never depend on the arm — only the work
+/// does.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TedVerifier<C = UnitCost> {
+    /// The pinned exact algorithm, or `None` for per-pair dispatch.
+    pub algorithm: Option<Algorithm>,
     /// The cost model (owned or borrowed — `CostModel` is implemented for
     /// references).
     pub cost_model: C,
 }
 
-impl AlgorithmVerifier<UnitCost> {
-    /// RTED under unit costs.
-    pub fn rted() -> Self {
-        AlgorithmVerifier {
-            algorithm: Algorithm::Rted,
-            cost_model: UnitCost,
-        }
-    }
-
-    /// Any algorithm under unit costs.
-    pub fn unit(algorithm: Algorithm) -> Self {
-        AlgorithmVerifier {
-            algorithm,
-            cost_model: UnitCost,
-        }
-    }
-}
-
-impl Default for AlgorithmVerifier<UnitCost> {
-    fn default() -> Self {
-        Self::rted()
-    }
-}
-
-impl<L, C: CostModel<L> + Send + Sync> Verifier<L> for AlgorithmVerifier<C> {
-    fn verify(&self, f: &Tree<L>, g: &Tree<L>) -> RunStats {
-        self.algorithm.run(f, g, &self.cost_model)
-    }
-
-    fn verify_in(&self, f: &Tree<L>, g: &Tree<L>, ws: &mut Workspace) -> RunStats {
-        self.algorithm.run_in(f, g, &self.cost_model, ws)
-    }
-
-    fn name(&self) -> &'static str {
-        self.algorithm.name()
-    }
-}
-
-/// The default budget-aware verifier: exact RTED when no budget applies
-/// (unbudgeted `verify`/`verify_in` calls, metric-tree routing, the
-/// τ = ∞ path), and the bounded early-exit kernel
-/// [`ted_at_most`](rted_core::ted_at_most) when a query supplies a finite
-/// budget. Within-budget distances are identical to the exact path, so
-/// query results do not depend on which kernel ran — the bounded kernel
-/// only makes "no" answers cheaper.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundedVerifier<C = UnitCost> {
-    /// The exact verifier behind the unbudgeted paths.
-    pub exact: AlgorithmVerifier<C>,
-}
-
-impl BoundedVerifier<UnitCost> {
-    /// Bounded verification over exact RTED under unit costs — the
-    /// index default.
-    pub fn rted() -> Self {
-        BoundedVerifier {
-            exact: AlgorithmVerifier::rted(),
-        }
-    }
-}
-
-impl Default for BoundedVerifier<UnitCost> {
-    fn default() -> Self {
-        Self::rted()
-    }
-}
-
-impl<L, C: CostModel<L> + Send + Sync> Verifier<L> for BoundedVerifier<C> {
-    fn verify(&self, f: &Tree<L>, g: &Tree<L>) -> RunStats {
-        self.exact.verify(f, g)
-    }
-
-    fn verify_in(&self, f: &Tree<L>, g: &Tree<L>, ws: &mut Workspace) -> RunStats {
-        self.exact.verify_in(f, g, ws)
-    }
-
+impl<L, C: CostModel<L> + Send + Sync> Verifier<L> for TedVerifier<C> {
     fn verify_within(
         &self,
         f: &Tree<L>,
@@ -175,118 +102,74 @@ impl<L, C: CostModel<L> + Send + Sync> Verifier<L> for BoundedVerifier<C> {
         tau: f64,
         ws: &mut Workspace,
     ) -> BoundedVerify {
-        if tau == f64::INFINITY {
-            // No budget to exploit: the exact kernel, verbatim.
-            let run = self.verify_in(f, g, ws);
-            return BoundedVerify {
-                result: BoundedResult::Exact(run.distance),
-                subproblems: run.subproblems,
-                early_exit: false,
-            };
-        }
-        let run = ted_at_most_run(f, g, &self.exact.cost_model, tau, ws);
+        let small = (f.len() as u64).saturating_mul(g.len() as u64) <= ZS_CELL_CUTOFF;
+        let (algorithm, kernel) = match self.algorithm {
+            Some(algorithm) => (algorithm, None),
+            None if small => (Algorithm::ZhangL, Some(Kernel::ZhangShasha)),
+            None if tau != f64::INFINITY => {
+                let run = ted_at_most_run(f, g, &self.cost_model, tau, ws);
+                return BoundedVerify {
+                    result: run.result,
+                    subproblems: run.subproblems,
+                    early_exit: run.early_exit,
+                    kernel: Some(Kernel::Bounded),
+                };
+            }
+            None => (Algorithm::Rted, Some(Kernel::Rted)),
+        };
+        let run = algorithm.run_in(f, g, &self.cost_model, ws);
         BoundedVerify {
-            result: run.result,
-            subproblems: run.subproblems,
-            early_exit: run.early_exit,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "bounded"
-    }
-}
-
-/// The planner's per-pair verifier portfolio — RTED's dynamic strategy
-/// selection lifted one level up. For each surviving candidate pair it
-/// picks the cheapest member of the exact **unit-cost** family:
-///
-/// * **Zhang–Shasha** (`Algorithm::ZhangL`) when the pair is small —
-///   `|f| · |g|` at or below the cutoff — so RTED's strategy
-///   computation would cost more than any subproblems it could save;
-/// * the **bounded-τ early-exit kernel** when the query supplies a
-///   finite budget (abandonment makes "no" answers nearly free);
-/// * **full RTED** otherwise.
-///
-/// All three arms compute the *same exact distance* under unit costs
-/// (Zhang–Shasha is one fixed LRH strategy; the bounded kernel returns
-/// `Exact(d)` identical to RTED whenever `d ≤ τ`), so query results are
-/// byte-identical to any fixed configuration — only the work changes.
-/// Because the arms are pinned to unit costs, the index only installs
-/// this dispatch over its *default* verifier; `with_verifier` /
-/// `with_algorithm` turn it off.
-///
-/// Each dispatch decision is counted into the owning index's
-/// `index_plan_{zs,bounded,rted}_pairs_total` metrics (lock-free — this
-/// runs on verification worker threads).
-#[derive(Clone, Copy)]
-pub(crate) struct PlannedVerifier<'a> {
-    zs_cell_cutoff: u64,
-    totals: &'a IndexTotals,
-}
-
-impl<'a> PlannedVerifier<'a> {
-    pub(crate) fn new(zs_cell_cutoff: u64, totals: &'a IndexTotals) -> Self {
-        PlannedVerifier {
-            zs_cell_cutoff,
-            totals,
-        }
-    }
-
-    fn small<L>(&self, f: &Tree<L>, g: &Tree<L>) -> bool {
-        (f.len() as u64).saturating_mul(g.len() as u64) <= self.zs_cell_cutoff
-    }
-}
-
-impl<'a, L: PartialEq + Send + Sync> Verifier<L> for PlannedVerifier<'a> {
-    fn verify(&self, f: &Tree<L>, g: &Tree<L>) -> RunStats {
-        self.verify_in(f, g, &mut Workspace::new())
-    }
-
-    fn verify_in(&self, f: &Tree<L>, g: &Tree<L>, ws: &mut Workspace) -> RunStats {
-        if self.small(f, g) {
-            self.totals.record_plan_pair(PlanPair::ZhangShasha);
-            Algorithm::ZhangL.run_in(f, g, &UnitCost, ws)
-        } else {
-            self.totals.record_plan_pair(PlanPair::Rted);
-            Algorithm::Rted.run_in(f, g, &UnitCost, ws)
-        }
-    }
-
-    fn verify_within(
-        &self,
-        f: &Tree<L>,
-        g: &Tree<L>,
-        tau: f64,
-        ws: &mut Workspace,
-    ) -> BoundedVerify {
-        if tau == f64::INFINITY || self.small(f, g) {
-            // No budget to exploit, or a pair so small that even the
-            // bounded kernel's band bookkeeping is overhead: run the
-            // chosen exact arm and classify — identical to the default
-            // `verify_within` contract.
-            let run = self.verify_in(f, g, ws);
-            let result = if run.distance <= tau {
+            result: if run.distance <= tau {
                 BoundedResult::Exact(run.distance)
             } else {
+                // The exact distance is the tightest possible lower bound.
                 BoundedResult::Exceeds(run.distance)
-            };
-            return BoundedVerify {
-                result,
-                subproblems: run.subproblems,
-                early_exit: false,
-            };
-        }
-        self.totals.record_plan_pair(PlanPair::Bounded);
-        let run = ted_at_most_run(f, g, &UnitCost, tau, ws);
-        BoundedVerify {
-            result: run.result,
+            },
             subproblems: run.subproblems,
-            early_exit: run.early_exit,
+            early_exit: false,
+            kernel,
         }
     }
+}
 
-    fn name(&self) -> &'static str {
-        "planned"
+/// A verifier paired with the index totals its kernel choices are
+/// counted into: the one per-pair verify-and-count step of every query
+/// path (linear, striped, metric leaves and vantage routing).
+pub(crate) struct CountedVerifier<'a, L> {
+    pub(crate) verifier: &'a dyn Verifier<L>,
+    pub(crate) totals: &'a IndexTotals,
+}
+
+impl<L> CountedVerifier<'_, L> {
+    /// Verifies one pair within `tau`, folding its counters into `stats`.
+    /// Returns `Some(d)` — the exact distance — iff `d ≤ tau`; `None`
+    /// means the pair provably exceeds the budget (and, since matching is
+    /// strict, can never match). With `tau = ∞` the result is always
+    /// `Some`.
+    pub(crate) fn pair(
+        &self,
+        f: &Tree<L>,
+        g: &Tree<L>,
+        tau: f64,
+        ws: &mut Workspace,
+        stats: &mut SearchStats,
+    ) -> Option<f64> {
+        let started = Instant::now();
+        let bv = self.verifier.verify_within(f, g, tau, ws);
+        let spent = started.elapsed();
+        stats.verified += 1;
+        stats.subproblems += bv.subproblems;
+        stats.ted_time += spent;
+        if tau != f64::INFINITY {
+            stats.bounded_time += spent;
+            stats.early_exits += usize::from(bv.early_exit);
+        }
+        if let Some(kernel) = bv.kernel {
+            self.totals.record_kernel(kernel);
+        }
+        match bv.result {
+            BoundedResult::Exact(d) => Some(d),
+            BoundedResult::Exceeds(_) => None,
+        }
     }
 }

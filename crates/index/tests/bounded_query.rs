@@ -1,14 +1,16 @@
 //! The budget-aware default verifier must be invisible in results: every
-//! query answered through [`BoundedVerifier`] (the `TreeIndex` default,
-//! which hands the query threshold to the band-limited early-exit kernel)
-//! is **byte-identical** to the same query through the pure exact-RTED
-//! verifier — on any corpus, any threshold, any k, linear and metric
-//! paths alike. Only the counters may differ: the bounded path may report
-//! early exits and bounded time, never different neighbors.
+//! query answered through the per-pair dispatching [`TedVerifier`] (the
+//! `TreeIndex` default, which hands the query threshold to the
+//! band-limited early-exit kernel) is **byte-identical** to the same
+//! query through the pure exact-RTED verifier — on any corpus, any
+//! threshold, any k, linear and metric paths alike. Only the counters may
+//! differ: the bounded path may report early exits and bounded time,
+//! never different neighbors.
 
 use proptest::prelude::*;
+use rted_core::{Algorithm, BoundedResult, PerLabelCost, Workspace};
 use rted_datasets::shapes::{perturb_labels, Shape, DEFAULT_ALPHABET};
-use rted_index::{AlgorithmVerifier, TreeIndex};
+use rted_index::{TedVerifier, TreeIndex, Verifier, ZS_CELL_CUTOFF};
 use rted_tree::Tree;
 
 fn arb_shape_tree(max: usize) -> impl Strategy<Value = Tree<u32>> {
@@ -25,11 +27,10 @@ fn arb_corpus(max_trees: usize, max_nodes: usize) -> impl Strategy<Value = Vec<T
     })
 }
 
-/// An index forced onto the pure exact path: `with_algorithm` installs a
-/// plain [`AlgorithmVerifier`], whose `verify_within` always completes
-/// the full computation.
+/// An index forced onto the pure exact path: `with_algorithm` pins RTED,
+/// whose `verify_within` always completes the full computation.
 fn exact_index(trees: &[Tree<u32>]) -> TreeIndex<u32> {
-    TreeIndex::build(trees.iter().cloned()).with_verifier(Box::new(AlgorithmVerifier::rted()))
+    TreeIndex::build(trees.iter().cloned()).with_algorithm(Algorithm::Rted)
 }
 
 proptest! {
@@ -104,6 +105,43 @@ proptest! {
         prop_assert_eq!(&metric.range(&q, tau).neighbors, &exact.range(&q, tau).neighbors);
         prop_assert_eq!(&metric.top_k(&q, 4).neighbors, &exact.top_k(&q, 4).neighbors);
     }
+
+    /// The per-pair dispatch is exact under a non-unit cost model too:
+    /// on pairs straddling the Zhang–Shasha cutoff, in both operand
+    /// orders, at budgets around the distance, a within-budget answer is
+    /// bit-identical to pinned RTED and an over-budget answer certifies a
+    /// lower bound.
+    #[test]
+    fn auto_dispatch_matches_rted_under_per_label_costs(
+        small in arb_shape_tree(12),
+        large in (0..Shape::ALL.len(), 17..=40usize, any::<u32>())
+            .prop_map(|(s, n, seed)| Shape::ALL[s].generate(n, seed as u64)),
+    ) {
+        let cm = PerLabelCost::new(1.5, 2.0, 0.75);
+        let auto = TedVerifier { algorithm: None, cost_model: cm };
+        let rted = TedVerifier { algorithm: Some(Algorithm::Rted), cost_model: cm };
+        let mut ws = Workspace::new();
+        for (f, g) in [(&small, &large), (&large, &small), (&small, &small), (&large, &large)] {
+            let d = rted.verify_within(f, g, f64::INFINITY, &mut ws).result.value();
+            for tau in [0.0, d - 1.0, d, d + 1.0, f64::INFINITY] {
+                let got = auto.verify_within(f, g, tau, &mut ws).result;
+                if d <= tau {
+                    prop_assert_eq!(
+                        got.value().to_bits(), d.to_bits(),
+                        "{}x{} cells, tau {}: {:?} vs exact {}",
+                        f.len(), g.len(), tau, got, d
+                    );
+                    prop_assert!(got.is_exact());
+                } else {
+                    prop_assert!(matches!(got, BoundedResult::Exceeds(b) if b <= d),
+                        "{}x{} cells, tau {}: {:?} vs exact {}", f.len(), g.len(), tau, got, d);
+                }
+            }
+        }
+        // The sampled sizes reach both sides of the cutoff.
+        prop_assert!((small.len() * small.len()) as u64 <= ZS_CELL_CUTOFF);
+        prop_assert!((large.len() * large.len()) as u64 > ZS_CELL_CUTOFF);
+    }
 }
 
 /// In a selective regime (tight threshold, far-apart trees that survive
@@ -120,7 +158,7 @@ fn selective_range_reports_early_exits_and_less_work() {
     let bounded = TreeIndex::build(trees.iter().cloned()).unfiltered();
     let exact = TreeIndex::build(trees.iter().cloned())
         .unfiltered()
-        .with_verifier(Box::new(AlgorithmVerifier::rted()));
+        .with_algorithm(Algorithm::Rted);
 
     let a = bounded.range(&q, 1.0);
     let b = exact.range(&q, 1.0);

@@ -1,6 +1,6 @@
 //! Property tests for the candidate-generation subsystem: the metric
-//! (vantage-point) tree must return **byte-identical** `range`/`top_k`/
-//! `join` results to the linear scan on any corpus — before and after
+//! (vantage-point) tree must return **byte-identical** `range`/`top_k`
+//! results to the linear scan on any corpus — before and after
 //! insert/remove churn, across the tombstone and overflow machinery and
 //! threshold rebuilds — and the pq-gram stage must be a sound lower
 //! bound against exact RTED.
@@ -104,27 +104,6 @@ proptest! {
         prop_assert_eq!(a.neighbors.len(), k.min(linear.corpus().len()));
     }
 
-    /// Metric-tree join ≡ linear join: same pairs, same distances, same
-    /// order.
-    #[test]
-    fn metric_join_identical_to_linear(
-        corpus in arb_corpus(7, 16),
-        ops in arb_churn(6, 12),
-        tau_int in 1..20usize,
-    ) {
-        let tau = tau_int as f64;
-        let mut linear = TreeIndex::build(corpus.iter().cloned());
-        let mut metric = TreeIndex::build(corpus.iter().cloned()).with_metric_tree(true);
-        let _ = metric.join(2.0);
-        apply_churn(&mut linear, &ops);
-        apply_churn(&mut metric, &ops);
-
-        let a = linear.join(tau);
-        let b = metric.join(tau);
-        prop_assert_eq!(&a.matches, &b.matches, "tau {}", tau);
-        prop_assert_eq!(a.stats.candidates, b.stats.candidates);
-    }
-
     /// An aggressive churn threshold (rebuild after every mutation) and a
     /// degenerate leaf size must not change any answer.
     #[test]
@@ -186,7 +165,7 @@ fn metric_edge_cases_match_linear() {
         assert!(metric.range(&q, tau).neighbors.is_empty());
     }
     assert!(metric.top_k(&q, 0).neighbors.is_empty());
-    // Unbounded join also falls back (and agrees).
+    // Joins always scan linearly (and agree).
     let (ja, jb) = (linear.join(f64::INFINITY), metric.join(f64::INFINITY));
     assert_eq!(ja.matches, jb.matches);
     assert_eq!(jb.stats.metric, rted_index::MetricStats::default());
@@ -240,7 +219,7 @@ fn verifier_swap_rebuilds_the_metric_tree() {
     assert_eq!(
         metric.metric_snapshot().built,
         0,
-        "with_verifier must drop the stale tree"
+        "with_algorithm must drop the stale tree"
     );
     let linear = TreeIndex::build(trees.iter().cloned()).with_algorithm(Algorithm::ZhangL);
     assert_eq!(

@@ -4,7 +4,7 @@
 
 use rted_core::{Algorithm, UnitCost};
 use rted_datasets::shapes::{perturb_labels, Shape, DEFAULT_ALPHABET};
-use rted_index::{AlgorithmVerifier, ExecPolicy, FilterPipeline, TreeIndex, Verifier};
+use rted_index::{ExecPolicy, FilterPipeline, TedVerifier, TreeIndex};
 use rted_tree::Tree;
 
 /// The acceptance corpus: all six shapes at mixed sizes plus perturbed
@@ -113,18 +113,17 @@ fn every_algorithm_verifier_agrees() {
 
 #[test]
 fn borrowed_cost_model_verifier() {
-    // The `*_with` APIs accept verifiers borrowing a caller's cost model.
+    // `join_with` accepts verifiers borrowing a caller's cost model.
     let corpus = shapes_mixed_corpus();
     let cm = UnitCost;
-    let verifier = AlgorithmVerifier {
-        algorithm: Algorithm::Rted,
+    let verifier = TedVerifier {
+        algorithm: Some(Algorithm::Rted),
         cost_model: &cm,
     };
     let index = TreeIndex::build(corpus.iter().cloned());
     let a = index.join_with(6.0, &verifier);
     let b = index.join(6.0);
     assert_eq!(a.matches, b.matches);
-    assert_eq!(Verifier::<u32>::name(&verifier), "RTED");
 }
 
 #[test]

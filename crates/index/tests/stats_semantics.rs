@@ -1,10 +1,8 @@
 //! Asserts the documented [`SearchStats`] counter semantics per query
 //! type (see the struct docs): on the linear paths the counters
 //! partition the candidate set exactly — `pruned + verified ==
-//! candidates` — while the metric join legitimately books *directed*
-//! examinations (work counters may exceed the unordered-pair candidate
-//! count) without ever double-reporting a match. Also checks that
-//! lifetime totals fold per-query stats faithfully.
+//! candidates`. Also checks that lifetime totals fold per-query stats
+//! faithfully.
 
 use rted_datasets::shapes::Shape;
 use rted_index::{QueryResult, SearchStats, TreeIndex};
@@ -58,32 +56,6 @@ fn linear_join_partitions_unordered_pairs() {
     }
 }
 
-/// The documented divergence: the metric join examines *directed* pairs
-/// (one metric range query per corpus tree, reporting restricted to
-/// larger ids), so its work counters are not a partition of
-/// `candidates` — but its *matches* are identical to the linear join's.
-#[test]
-fn metric_join_double_books_work_not_matches() {
-    let n = 18;
-    let trees = corpus(n);
-    let linear = TreeIndex::build(trees.clone());
-    let metric = TreeIndex::build(trees).with_metric_tree(true);
-    let tau = 4.0;
-    let lin = linear.join(tau);
-    let met = metric.join(tau);
-    assert_eq!(lin.matches, met.matches, "matches must agree across paths");
-    assert_eq!(met.stats.candidates, n * (n - 1) / 2);
-    // Directed examinations: every unordered pair can be pruned/verified
-    // from both sides, plus routing work — bounded by twice the directed
-    // pair count plus the routing TED spent on vantage points.
-    let booked = met.stats.filter.total_pruned() + met.stats.verified as u64;
-    let directed_pairs = (n * (n - 1)) as u64;
-    assert!(
-        booked <= directed_pairs + met.stats.metric.routing_ted as u64,
-        "metric join booked {booked} > directed bound"
-    );
-}
-
 /// Per-query stats fold into lifetime totals exactly.
 #[test]
 fn totals_fold_per_query_stats() {
@@ -124,11 +96,11 @@ fn totals_fold_per_query_stats() {
     assert!(t.ted_ns > 0);
     assert!(all.iter().any(|s| s.ted_time.as_nanos() > 0));
 
-    // distance_in records the distance-call counter, not `verified`.
+    // distance_within records the distance-call counter, not `verified`.
     let f = Shape::Mixed.generate(8, 1);
     let g = Shape::Random.generate(8, 2);
     let mut ws = rted_core::Workspace::new();
-    index.distance_in(&f, &g, &mut ws);
+    index.distance_within(&f, &g, f64::INFINITY, &mut ws);
     let t2 = index.totals();
     assert_eq!(t2.distance_calls, 1);
     assert_eq!(t2.verified, t.verified);

@@ -22,7 +22,7 @@
 //! same corpus, build one [`TreeIndex`] directly and reuse it.
 
 use rted_core::{Algorithm, CostModel};
-use rted_index::{AlgorithmVerifier, ExecPolicy, FilterPipeline, JoinOutcome, TreeIndex};
+use rted_index::{ExecPolicy, FilterPipeline, JoinOutcome, TedVerifier, TreeIndex};
 use rted_tree::Tree;
 use std::time::Duration;
 
@@ -119,8 +119,8 @@ where
     let index = TreeIndex::build(trees.iter().cloned())
         .with_pipeline(pipeline)
         .with_policy(ExecPolicy::serial());
-    let verifier = AlgorithmVerifier {
-        algorithm: config.algorithm,
+    let verifier = TedVerifier {
+        algorithm: Some(config.algorithm),
         cost_model: cm,
     };
     outcome_to_result(index.join_with(config.tau, &verifier))
@@ -160,8 +160,8 @@ where
 {
     // Serial for the same timing-comparability reason as `self_join`.
     let index = TreeIndex::build(trees.iter().cloned()).with_policy(ExecPolicy::serial());
-    let verifier = AlgorithmVerifier {
-        algorithm,
+    let verifier = TedVerifier {
+        algorithm: Some(algorithm),
         cost_model: cm,
     };
     outcome_to_result(index.join_with(tau, &verifier))

@@ -29,7 +29,8 @@
 //!
 //! This crate is dependency-free and holds the pure decision logic plus
 //! the lock-free observation accumulators; `rted-index` owns the
-//! integration (verifier dispatch, pipeline reordering, counters).
+//! integration (pipeline reordering, counters) and the per-pair verifier
+//! dispatch, which its `TedVerifier` runs on every query.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -52,30 +53,11 @@ impl CandidateGen {
     }
 }
 
-/// Planner tuning. Defaults are deliberately conservative: they only
-/// move work between *provably equivalent* plans, so the worst case of
-/// a bad constant is lost speed, never a wrong answer.
-#[derive(Debug, Clone, Copy)]
-pub struct PlannerConfig {
-    /// A pair is verified with Zhang–Shasha instead of RTED when the
-    /// product of its tree sizes (an upper-estimate of the DP cells a
-    /// single left-path decomposition computes) is at or below this —
-    /// below it, RTED's strategy computation costs more than any
-    /// subproblem count it could save.
-    pub zs_cell_cutoff: u64,
-    /// Observed queries required on an arm before its rate is trusted
-    /// for the stage-reorder decision (hysteresis against thrash).
-    pub reorder_after: u64,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            zs_cell_cutoff: 256,
-            reorder_after: 8,
-        }
-    }
-}
+/// Observed queries required before the measured stage ranking replaces
+/// the construction order (hysteresis against thrash). Planner constants
+/// only move work between *provably equivalent* plans, so the worst case
+/// of a bad value is lost speed, never a wrong answer.
+pub const REORDER_AFTER: u64 = 8;
 
 /// Lock-free accumulators for one candidate-generation arm.
 #[derive(Debug, Default)]

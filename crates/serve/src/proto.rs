@@ -16,7 +16,7 @@
 //! |------------|------------------------------------------|------------------------------------------------------------------------------|
 //! | `range`    | `tree` (string), `tau` (number, omit = unbounded) | `neighbors` (array of `{id, distance}`), `candidates`, `verified`    |
 //! | `topk`     | `tree` (string), `k` (number, default 5) | `neighbors` (array of `{id, distance}`), `candidates`, `verified`            |
-//! | `distance` | `left`, `right` (each: id number or tree string), `at_most` (number, omit = exact) | `distance` (number); with a finite `at_most` budget the answer may instead be `exceeds` (`true`) + `lower_bound` (number) when the distance provably exceeds the budget — the bounded kernel stops early instead of finishing the computation |
+//! | `distance` | `left`, `right` (each: id number or tree string), `at_most` (number, omit = exact) | `distance` (number); with a finite `at_most` budget the answer may instead be `exceeds` (`true`) + `lower_bound` (number) when the distance provably exceeds the budget — above the Zhang–Shasha cell cutoff the bounded kernel stops early instead of finishing the computation |
 //! | `diff`     | `left`, `right` (each: id number or tree string) | `distance`, `ops` (array of script steps: `{"op":"delete","node",` `"label"}`, `{"op":"insert","node","label"}`, `{"op":"rename","from","to","old","new"}`, `{"op":"keep","from","to","label"}`), `summary` (`{deletes, inserts, renames, keeps}`) |
 //! | `diff` (batched) | `pairs` (array of `[left_id, right_id]` pairs; excludes `left`/`right`) | `results` (array of `{distance, ops, summary}` objects, one per pair, in order) |
 //! | `join`     | `tau` (number, omit = unbounded)         | `matches` (array of `{left, right, distance}`, `left < right`), `candidates` (unordered pairs), `verified` |
@@ -90,9 +90,9 @@ pub enum Request {
     },
     /// Distance between two operands. With both operands given as ids
     /// this is the service's allocation-free fast path. A finite
-    /// `at_most` budget routes through the bounded early-exit kernel:
-    /// the exact distance comes back whenever it is ≤ the budget, a
-    /// certified lower bound otherwise.
+    /// `at_most` budget lets pairs above the Zhang–Shasha cell cutoff
+    /// run the bounded early-exit kernel: the exact distance comes back
+    /// whenever it is ≤ the budget, a certified lower bound otherwise.
     Distance {
         /// Left operand.
         left: TreeRef,

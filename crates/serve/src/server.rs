@@ -802,108 +802,18 @@ fn handle(shared: &Shared, ws: &mut Workspace, request: Request) -> Response {
             left,
             right,
             at_most,
-        } => {
-            // Route each id operand to its shard and pin at most two
-            // snapshots — `Arc::clone`s, so the warm id-to-id path
-            // stays allocation-free.
-            let lroute = route_ref(shared, &left);
-            let rroute = route_ref(shared, &right);
-            let lpin = lroute.map(|(s, _)| shared.pin(s));
-            let rpin = match (rroute, &lpin, lroute) {
-                (Some((s, _)), Some(pin), Some((ls, _))) if s == ls => Some(Arc::clone(pin)),
-                (Some((s, _)), _, _) => Some(shared.pin(s)),
-                (None, _, _) => None,
-            };
-            let left_tree: &Tree<String> = match (&left, &lpin, lroute) {
-                (TreeRef::Inline(t), _, _) => t,
-                (TreeRef::Id(id), Some(pin), Some((_, local))) => match pin.corpus().get(local) {
-                    Some(entry) => entry.tree(),
-                    None => return Response::Error(format!("no live tree with id {id}")),
-                },
-                _ => unreachable!("id operands always route"),
-            };
-            let right_tree: &Tree<String> = match (&right, &rpin, rroute) {
-                (TreeRef::Inline(t), _, _) => t,
-                (TreeRef::Id(id), Some(pin), Some((_, local))) => match pin.corpus().get(local) {
-                    Some(entry) => entry.tree(),
-                    None => return Response::Error(format!("no live tree with id {id}")),
-                },
-                _ => unreachable!("id operands always route"),
-            };
-            if let Some((s, _)) = lroute {
-                shared.metrics.shard(s).queries.inc();
+        } => with_operands(shared, &left, &right, |index, f, g| {
+            // τ = ∞ is the exact distance; a finite budget lets the
+            // bounded kernel stop the moment it is provably blown,
+            // answering with a certified lower bound instead.
+            match index.distance_within(f, g, at_most, ws).result {
+                rted_core::BoundedResult::Exact(d) => Response::Distance(d),
+                rted_core::BoundedResult::Exceeds(lb) => Response::DistanceExceeds(lb),
             }
-            if let Some((s, _)) = rroute {
-                if lroute.map_or(true, |(ls, _)| ls != s) {
-                    shared.metrics.shard(s).queries.inc();
-                }
-            }
-            let fallback;
-            let recorder: &TreeIndex<String> = match lpin.as_deref().or(rpin.as_deref()) {
-                Some(index) => index,
-                None => {
-                    fallback = shared.pin(0);
-                    &fallback
-                }
-            };
-            if at_most == f64::INFINITY {
-                let run = recorder.distance_in(left_tree, right_tree, ws);
-                Response::Distance(run.distance)
-            } else {
-                // Budgeted path: the bounded kernel may stop the moment
-                // the budget is provably blown, answering with a
-                // certified lower bound instead of the exact distance.
-                let bv = recorder.distance_within(left_tree, right_tree, at_most, ws);
-                match bv.result {
-                    rted_core::BoundedResult::Exact(d) => Response::Distance(d),
-                    rted_core::BoundedResult::Exceeds(lb) => Response::DistanceExceeds(lb),
-                }
-            }
-        }
-        Request::Diff { left, right } => {
-            let lroute = route_ref(shared, &left);
-            let rroute = route_ref(shared, &right);
-            let lpin = lroute.map(|(s, _)| shared.pin(s));
-            let rpin = match (rroute, &lpin, lroute) {
-                (Some((s, _)), Some(pin), Some((ls, _))) if s == ls => Some(Arc::clone(pin)),
-                (Some((s, _)), _, _) => Some(shared.pin(s)),
-                (None, _, _) => None,
-            };
-            let left_tree: &Tree<String> = match (&left, &lpin, lroute) {
-                (TreeRef::Inline(t), _, _) => t,
-                (TreeRef::Id(id), Some(pin), Some((_, local))) => match pin.corpus().get(local) {
-                    Some(entry) => entry.tree(),
-                    None => return Response::Error(format!("no live tree with id {id}")),
-                },
-                _ => unreachable!("id operands always route"),
-            };
-            let right_tree: &Tree<String> = match (&right, &rpin, rroute) {
-                (TreeRef::Inline(t), _, _) => t,
-                (TreeRef::Id(id), Some(pin), Some((_, local))) => match pin.corpus().get(local) {
-                    Some(entry) => entry.tree(),
-                    None => return Response::Error(format!("no live tree with id {id}")),
-                },
-                _ => unreachable!("id operands always route"),
-            };
-            if let Some((s, _)) = lroute {
-                shared.metrics.shard(s).queries.inc();
-            }
-            if let Some((s, _)) = rroute {
-                if lroute.map_or(true, |(ls, _)| ls != s) {
-                    shared.metrics.shard(s).queries.inc();
-                }
-            }
-            let fallback;
-            let recorder: &TreeIndex<String> = match lpin.as_deref().or(rpin.as_deref()) {
-                Some(index) => index,
-                None => {
-                    fallback = shared.pin(0);
-                    &fallback
-                }
-            };
-            let mapping = recorder.diff_in(left_tree, right_tree, ws);
-            Response::Diff(mapping.script(left_tree, right_tree))
-        }
+        }),
+        Request::Diff { left, right } => with_operands(shared, &left, &right, |index, f, g| {
+            Response::Diff(index.diff_in(f, g, ws).script(f, g))
+        }),
         Request::DiffBatch { pairs } => {
             let n = shared.nshards();
             // One pinned snapshot per touched shard, reused across the
@@ -1189,12 +1099,66 @@ fn handle(shared: &Shared, ws: &mut Workspace, request: Request) -> Response {
     }
 }
 
-/// Routes an id operand to `(shard, local id)`; inline trees don't
-/// route.
-fn route_ref(shared: &Shared, r: &TreeRef) -> Option<(usize, usize)> {
-    match r {
+/// Resolves the two operands of a point-to-point op (`distance`,
+/// `diff`) and runs `op` on them with the index that records the call.
+/// Each id operand is routed to its shard, and at most two snapshots are
+/// pinned — `Arc::clone`s, so the warm id-to-id path stays
+/// allocation-free. A dead id is answered with an error; the recording
+/// index is the left operand's shard, else the right's, else shard 0.
+fn with_operands(
+    shared: &Shared,
+    left: &TreeRef,
+    right: &TreeRef,
+    op: impl FnOnce(&TreeIndex<String>, &Tree<String>, &Tree<String>) -> Response,
+) -> Response {
+    let route = |r: &TreeRef| match r {
         TreeRef::Id(id) => Some(shared.route(*id)),
         TreeRef::Inline(_) => None,
+    };
+    let (lroute, rroute) = (route(left), route(right));
+    let lpin = lroute.map(|(s, _)| shared.pin(s));
+    let rpin = match (rroute, &lpin, lroute) {
+        (Some((s, _)), Some(pin), Some((ls, _))) if s == ls => Some(Arc::clone(pin)),
+        (Some((s, _)), _, _) => Some(shared.pin(s)),
+        (None, _, _) => None,
+    };
+    let (left_tree, right_tree) = match (
+        operand(left, lpin.as_deref(), lroute),
+        operand(right, rpin.as_deref(), rroute),
+    ) {
+        (Ok(f), Ok(g)) => (f, g),
+        (Err(id), _) | (_, Err(id)) => {
+            return Response::Error(format!("no live tree with id {id}"))
+        }
+    };
+    if let Some((s, _)) = lroute {
+        shared.metrics.shard(s).queries.inc();
+    }
+    if let Some((s, _)) = rroute {
+        if lroute.map_or(true, |(ls, _)| ls != s) {
+            shared.metrics.shard(s).queries.inc();
+        }
+    }
+    match lpin.as_deref().or(rpin.as_deref()) {
+        Some(index) => op(index, left_tree, right_tree),
+        None => op(&shared.pin(0), left_tree, right_tree),
+    }
+}
+
+/// The tree behind one operand: inline, or the live entry its route
+/// names in the pinned shard (`Err(id)` when that id is not live).
+fn operand<'a>(
+    r: &'a TreeRef,
+    pin: Option<&'a TreeIndex<String>>,
+    route: Option<(usize, usize)>,
+) -> Result<&'a Tree<String>, usize> {
+    match (r, pin, route) {
+        (TreeRef::Inline(t), _, _) => Ok(t),
+        (TreeRef::Id(id), Some(pin), Some((_, local))) => match pin.corpus().get(local) {
+            Some(entry) => Ok(entry.tree()),
+            None => Err(*id),
+        },
+        _ => unreachable!("id operands always route"),
     }
 }
 

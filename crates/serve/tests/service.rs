@@ -633,6 +633,18 @@ fn bounded_distance_answers_exact_or_certified_exceeds() {
         Response::DistanceExceeds(lb) => assert!(lb >= 0.5),
         other => panic!("{other:?}"),
     }
+    // Pairs that small verify with Zhang–Shasha; above its cell cutoff a
+    // budgeted request runs the bounded kernel, which abandons a blown
+    // budget early.
+    let chain = |n: usize| parse_bracket(&format!("{}{}", "{a".repeat(n), "}".repeat(n))).unwrap();
+    match client.call(Request::Distance {
+        left: TreeRef::Inline(chain(17)),
+        right: TreeRef::Inline(chain(40)),
+        at_most: 1.0,
+    }) {
+        Response::DistanceExceeds(lb) => assert!(lb >= 1.0),
+        other => panic!("{other:?}"),
+    }
 
     // The early-exit and bounded-time counters surface in metrics.
     match client.call(Request::Metrics {

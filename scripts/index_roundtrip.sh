@@ -61,23 +61,35 @@ done > "$WORK/b.trees"
 "$RTED" index info "$WORK/corpus.idx" > /dev/null
 
 # --- 2b. Metric-tree candidate generation must be invisible in results --
-"$RTED" search --index "$WORK/corpus.idx" "$QUERY" --tau 9 2>/dev/null > "$WORK/metric.out"
-"$RTED" search --index "$WORK/corpus.idx" "$QUERY" --tau 9 --no-metric-tree 2>/dev/null > "$WORK/linear.out"
-diff "$WORK/metric.out" "$WORK/linear.out" || fail "metric vs linear search"
-"$RTED" topk --index "$WORK/corpus.idx" "$QUERY" --k 5 2>/dev/null > "$WORK/metric.out"
-"$RTED" topk --index "$WORK/corpus.idx" "$QUERY" --k 5 --no-metric-tree 2>/dev/null > "$WORK/linear.out"
-diff "$WORK/metric.out" "$WORK/linear.out" || fail "metric vs linear topk"
-"$RTED" join --index "$WORK/corpus.idx" --tau 7 2>/dev/null > "$WORK/metric.out"
-"$RTED" join --index "$WORK/corpus.idx" --tau 7 --no-metric-tree 2>/dev/null > "$WORK/linear.out"
-diff "$WORK/metric.out" "$WORK/linear.out" || fail "metric vs linear join"
+# The default is the linear scan; --metric-tree (search/topk only) routes
+# through the vantage-point tree with byte-identical output.
+"$RTED" search --index "$WORK/corpus.idx" "$QUERY" --tau 9 2>/dev/null > "$WORK/default.out"
+"$RTED" search --index "$WORK/corpus.idx" "$QUERY" --tau 9 --metric-tree 2>/dev/null > "$WORK/metric.out"
+diff "$WORK/default.out" "$WORK/metric.out" || fail "metric vs linear search"
+"$RTED" topk --index "$WORK/corpus.idx" "$QUERY" --k 5 2>/dev/null > "$WORK/default.out"
+"$RTED" topk --index "$WORK/corpus.idx" "$QUERY" --k 5 --metric-tree 2>/dev/null > "$WORK/metric.out"
+diff "$WORK/default.out" "$WORK/metric.out" || fail "metric vs linear topk"
+# Joins have no metric flag, and --no-metric-tree is gone everywhere:
+# each must fail as an unknown flag.
+rejects() {
+    local flag=$1; shift
+    if "$RTED" "$@" "$flag" > /dev/null 2> "$WORK/err.out"; then
+        fail "$1 accepted $flag"
+    fi
+    grep -q "unknown flag $flag" "$WORK/err.out" || fail "$1 $flag: $(cat "$WORK/err.out")"
+}
+rejects --no-metric-tree search --index "$WORK/corpus.idx" "$QUERY" --tau 9
+rejects --no-metric-tree topk --index "$WORK/corpus.idx" "$QUERY" --k 5
+rejects --no-metric-tree join --index "$WORK/corpus.idx" --tau 7
+rejects --metric-tree join --index "$WORK/corpus.idx" --tau 7
 # --- 2c. The adaptive planner must be invisible in results --------------
-# Planner on (the default) vs --no-planner, and vs the fully fixed
-# configuration (--no-planner --no-metric-tree): byte-identical output.
+# Planner on (the default) vs --no-planner, and vs --no-planner with the
+# metric tree: byte-identical output.
 "$RTED" search --index "$WORK/corpus.idx" "$QUERY" --tau 9 2>/dev/null > "$WORK/plan.out"
 "$RTED" search --index "$WORK/corpus.idx" "$QUERY" --tau 9 --no-planner 2>/dev/null > "$WORK/fixed.out"
 diff "$WORK/plan.out" "$WORK/fixed.out" || fail "planner vs fixed search"
-"$RTED" search --index "$WORK/corpus.idx" "$QUERY" --tau 9 --no-planner --no-metric-tree 2>/dev/null \
-    | diff - "$WORK/plan.out" || fail "planner vs fixed-linear search"
+"$RTED" search --index "$WORK/corpus.idx" "$QUERY" --tau 9 --no-planner --metric-tree 2>/dev/null \
+    | diff - "$WORK/plan.out" || fail "planner vs fixed-metric search"
 "$RTED" topk --index "$WORK/corpus.idx" "$QUERY" --k 5 2>/dev/null > "$WORK/plan.out"
 "$RTED" topk --index "$WORK/corpus.idx" "$QUERY" --k 5 --no-planner 2>/dev/null > "$WORK/fixed.out"
 diff "$WORK/plan.out" "$WORK/fixed.out" || fail "planner vs fixed topk"
@@ -93,9 +105,8 @@ grep -q "verifier mix" "$WORK/stats.out" || fail "stats lost the verifier mix co
 grep -q "ns/subproblem" "$WORK/stats.out" || fail "stats lost the verifier cost model"
 
 # A --pq override re-profiles in memory; results must not change.
-"$RTED" search --index "$WORK/corpus.idx" "$QUERY" --tau 9 --pq 3,2 --no-metric-tree 2>/dev/null \
-    > "$WORK/pq.out"
-"$RTED" search --index "$WORK/corpus.idx" "$QUERY" --tau 9 --no-metric-tree 2>/dev/null \
+"$RTED" search --index "$WORK/corpus.idx" "$QUERY" --tau 9 --pq 3,2 2>/dev/null > "$WORK/pq.out"
+"$RTED" search --index "$WORK/corpus.idx" "$QUERY" --tau 9 2>/dev/null \
     | diff - "$WORK/pq.out" || fail "--pq override changed search results"
 
 # --- 3. Reload and diff against the in-memory path ----------------------

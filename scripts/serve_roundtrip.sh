@@ -171,12 +171,20 @@ echo '{"op":"diff","pairs":[[0,9999]]}' | q | grep -q '"ok":false.*no live tree 
 # --- 4b. Budget-aware distance: exact wire bytes over TCP ---------------
 # Same contract as over the Unix socket: a met budget answers the plain
 # exact distance line, a blown budget a certified exceeds/lower_bound
-# line — byte-for-byte, with client request ids echoed first.
+# line — byte-for-byte, with client request ids echoed first. Pairs of at
+# most 256 DP cells verify with Zhang–Shasha, whose certified bound is the
+# exact distance; larger pairs run the bounded kernel (two 17-node stars
+# with disjoint labels: 289 cells; a 17-node star and a 20-node chain:
+# 340 cells).
+STAR1='{a{b}{c}{d}{e}{f}{g}{h}{i}{j}{k}{l}{m}{n}{o}{p}{q}}'
+STAR2='{A{B}{C}{D}{E}{F}{G}{H}{I}{J}{K}{L}{M}{N}{O}{P}{Q}}'
+CHAIN20="$(printf '{a%.0s' {1..20})$(printf '}%.0s' {1..20})"
 {
     echo '{"op":"distance","left":"{a{b}{c}}","right":"{a{b}{x}}","at_most":5,"id":"b1"}'
-    echo '{"op":"distance","left":"{a{b}{c}}","right":"{x{y}{z}}","at_most":1,"id":"b2"}'
-    echo '{"op":"distance","left":"{a{b}{c}}","right":"{q{w{e{r{t{y}}}}}}","at_most":1,"id":"b3"}'
+    echo "{\"op\":\"distance\",\"left\":\"$STAR1\",\"right\":\"$STAR2\",\"at_most\":1,\"id\":\"b2\"}"
+    echo "{\"op\":\"distance\",\"left\":\"$STAR1\",\"right\":\"$CHAIN20\",\"at_most\":1,\"id\":\"b3\"}"
     echo '{"op":"distance","left":"{a{b}{c}}","right":"{x{y}{z}}","at_most":3,"id":"b4"}'
+    echo '{"op":"distance","left":"{a{b}{c}}","right":"{x{y}{z}}","at_most":1,"id":"b5"}'
 } | q > "$WORK/bounded.out"
 [[ "$(sed -n 1p "$WORK/bounded.out")" == '{"id":"b1","ok":true,"distance":1}' ]] \
     || fail "met budget must answer the exact distance: $(sed -n 1p "$WORK/bounded.out")"
@@ -186,6 +194,8 @@ echo '{"op":"diff","pairs":[[0,9999]]}' | q | grep -q '"ok":false.*no live tree 
     || fail "size pre-bound must be the certified bound: $(sed -n 3p "$WORK/bounded.out")"
 [[ "$(sed -n 4p "$WORK/bounded.out")" == '{"id":"b4","ok":true,"distance":3}' ]] \
     || fail "budget exactly at the distance must stay exact: $(sed -n 4p "$WORK/bounded.out")"
+[[ "$(sed -n 5p "$WORK/bounded.out")" == '{"id":"b5","ok":true,"exceeds":true,"lower_bound":3}' ]] \
+    || fail "small pair must certify its exact distance: $(sed -n 5p "$WORK/bounded.out")"
 
 # --- 5. Concurrent TCP clients, all answered without error --------------
 client_pids=()
@@ -225,7 +235,7 @@ grep -q '"removed":3' "$WORK/update.out" || fail "remove count wrong: $(cat "$WO
     echo '{"op":"distance","left":0,"right":11}'
     echo "{\"op\":\"distance\",\"left\":0,\"right\":\"$QUERY\"}"
     echo '{"op":"diff","pairs":[[0,11],[1,2]]}'
-    echo '{"op":"distance","left":"{a{b}{c}}","right":"{x{y}{z}}","at_most":1}'
+    echo "{\"op\":\"distance\",\"left\":\"$STAR1\",\"right\":\"$STAR2\",\"at_most\":1}"
 } > "$WORK/queries.ndjson"
 q < "$WORK/queries.ndjson" > "$WORK/ref.out"
 grep -q '"ok":false' "$WORK/ref.out" && fail "reference query errored: $(cat "$WORK/ref.out")"

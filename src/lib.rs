@@ -23,8 +23,8 @@
 //!   counters, gauges, log₂ latency histograms, Prometheus-style text
 //!   exposition ([`rted_obs`]);
 //! * [`plan`] — the adaptive query planner's decision core: observed
-//!   crossover between candidate generators, per-pair verifier choice,
-//!   selectivity-per-cost stage ordering ([`rted_plan`]);
+//!   crossover between candidate generators and selectivity-per-cost
+//!   stage ordering ([`rted_plan`]);
 //! * [`serve`] — the crash-safe, long-lived query service over a
 //!   persistent corpus: request queue + worker pool, torn-tail recovery
 //!   on startup, background compaction, scrape-able telemetry
