@@ -1096,22 +1096,57 @@ fn token_matches(given: &str, expected: &str) -> bool {
             == 0
 }
 
+/// The longest request line a front-end accepts, newline excluded.
+/// Without a cap, a client that sends bytes and never a newline grows
+/// the line buffer until the process runs out of memory. 16 MiB is
+/// thousands of times the longest line the bundled scripts and
+/// benchmark send (an insert batch of 16 inline trees: a few KiB).
+const MAX_REQUEST_BYTES: usize = 16 << 20;
+
 /// Drains one connection's request lines against its own service
 /// client; returns whether a `shutdown` request was answered (the
 /// caller then stops every listener). With `auth`, the first non-empty
 /// line must be the shared token — on mismatch the connection gets one
-/// error line and is dropped without touching the service.
+/// error line and is dropped without touching the service. A line longer
+/// than [`MAX_REQUEST_BYTES`] gets one error line and drops the
+/// connection too; a line that is not UTF-8 ends it silently.
 fn serve_connection(
     server: &rted_serve::Server,
     client: &mut rted_serve::Client,
-    reader: impl std::io::BufRead,
+    mut reader: impl std::io::BufRead,
     writer: &mut impl std::io::Write,
     slow: Option<std::time::Duration>,
     auth: Option<&str>,
 ) -> bool {
+    use std::io::{BufRead, Read};
+    let refuse = |writer: &mut dyn std::io::Write, msg: String| {
+        let line = rted_serve::render_response(&rted_serve::Response::Error(msg));
+        let _ = writeln!(writer, "{line}").and_then(|_| writer.flush());
+    };
     let mut authed = auth.is_none();
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_REQUEST_BYTES as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_REQUEST_BYTES {
+            refuse(
+                writer,
+                format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
+            );
+            return false;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -1120,13 +1155,10 @@ fn serve_connection(
                 authed = true;
                 continue;
             }
-            let denied = rted_serve::render_response(&rted_serve::Response::Error(
-                "authentication failed".into(),
-            ));
-            let _ = writeln!(writer, "{denied}").and_then(|_| writer.flush());
+            refuse(writer, "authentication failed".into());
             return false;
         }
-        let (response, is_shutdown) = respond(server, client, slow, &line);
+        let (response, is_shutdown) = respond(server, client, slow, line);
         if writeln!(writer, "{response}")
             .and_then(|_| writer.flush())
             .is_err()
@@ -1541,5 +1573,61 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    /// Runs `input` through one connection of an in-memory server and
+    /// returns the response lines.
+    fn converse(input: Vec<u8>) -> Vec<String> {
+        let tree = rted_tree::parse_bracket("{a{b}}").unwrap();
+        let server = rted_serve::Server::in_memory(vec![tree], Default::default());
+        let mut client = server.client();
+        let mut out = Vec::new();
+        serve_connection(
+            &server,
+            &mut client,
+            Cursor::new(input),
+            &mut out,
+            None,
+            None,
+        );
+        server.shutdown();
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn oversize_line_is_refused_after_earlier_lines_are_answered() {
+        let mut input = b"{\"op\":\"distance\",\"left\":0,\"right\":0}\n".to_vec();
+        input.resize(input.len() + MAX_REQUEST_BYTES + 1, b' ');
+        input.extend_from_slice(b"\n{\"op\":\"status\"}\n");
+        let lines = converse(input);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(lines[0], r#"{"ok":true,"distance":0}"#);
+        assert!(lines[1].starts_with(r#"{"ok":false,"error":"request line exceeds"#));
+    }
+
+    #[test]
+    fn line_at_the_limit_is_read() {
+        let request = b"{\"op\":\"distance\",\"left\":0,\"right\":0}";
+        let mut input = vec![b' '; MAX_REQUEST_BYTES - request.len()];
+        input.extend_from_slice(request);
+        input.push(b'\n');
+        assert_eq!(converse(input), [r#"{"ok":true,"distance":0}"#]);
+    }
+
+    #[test]
+    fn non_utf8_line_ends_the_connection_silently() {
+        let mut input = b"{\"op\":\"distance\",\"left\":0,\"right\":0}\n".to_vec();
+        input.extend_from_slice(b"\xff\xfe\n{\"op\":\"status\"}\n");
+        assert_eq!(converse(input), [r#"{"ok":true,"distance":0}"#]);
     }
 }

@@ -84,6 +84,7 @@ pub use exec::{map_chunks, map_chunks_with, ExecPolicy, PooledWorkspace, Workspa
 pub use filter::{FilterPipeline, FilterStats, StagePrune};
 pub use persist::{encode_corpus, salvage_corpus, CorpusFile, PersistError, RepairReport, Salvage};
 pub use store::{CorpusLog, CorpusStore, LogCounts, Recovery, WalObs};
+pub use striped::Stripes;
 pub use totals::{IndexTotals, QueryKind, TotalsSnapshot};
 pub use verify::{BoundedVerify, Kernel, TedVerifier, Verifier, ZS_CELL_CUTOFF};
 
@@ -188,10 +189,9 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Folds another run's counters into this one — the scatter-gather
-    /// merge for queries answered by several index shards. Work counters
-    /// sum; `time` takes the maximum (shard legs run concurrently, so the
-    /// slowest leg is the query's wall time).
+    /// Folds another run's counters into this one — e.g. a worker
+    /// chunk's into its query's. Work counters sum; `time` takes the
+    /// maximum (concurrent runs overlap, so the slowest is the wall time).
     pub fn merge(&mut self, other: &SearchStats) {
         self.candidates += other.candidates;
         self.filter.merge(&other.filter);
@@ -523,7 +523,8 @@ where
     /// [`candidates::metric`].
     ///
     /// Requires the index's verifier to compute a *metric* (true for
-    /// unit costs). Joins always take the linear path. Metric traversal
+    /// unit costs). Joins, and striped queries over several shards,
+    /// always take the linear path. Metric traversal
     /// runs on one workspace (sequential) —
     /// [`with_threads`](Self::with_threads) parallelism applies to the
     /// linear path only.
@@ -702,114 +703,39 @@ where
     /// instead of the linear size window — identical results, fewer
     /// candidates examined. With [`with_planner`](Self::with_planner) the
     /// generator and stage order are re-decided from observed costs
-    /// instead (still identical results).
+    /// instead (still identical results). This is the striped driver
+    /// ([`range_striped`](Self::range_striped)) over this one index.
     pub fn range(&self, query: &Tree<L>, tau: f64) -> QueryResult {
-        let metric_eligible =
-            self.metric_enabled && tau.is_finite() && tau > 0.0 && !self.corpus.is_empty();
-        let (gen, pipeline) = self.plan_query(metric_eligible);
-        match gen {
-            CandidateGen::Metric => self.range_metric(query, tau, &pipeline),
-            CandidateGen::Linear => self.range_linear(query, tau, &pipeline),
-        }
+        Self::range_striped(&[self], query, tau)
     }
 
-    /// The query's sketch, profiled with the **corpus's** pq-gram params:
-    /// profiles under different gram lengths are incomparable (zero
-    /// bound), so a re-profiled corpus — `recompute_profiles`, the CLI's
-    /// `--pq` — must have its queries profiled to match or the pqgram
-    /// stage would silently stop pruning.
-    fn query_sketch(&self, query: &Tree<L>) -> TreeSketch<L> {
-        let params = self
-            .corpus
+    /// The query's sketch, profiled with the **corpus's** pq-gram params
+    /// (the first live entry across `shards`): profiles under different
+    /// gram lengths are incomparable (zero bound), so a re-profiled
+    /// corpus — `recompute_profiles`, the CLI's `--pq` — must have its
+    /// queries profiled to match or the pqgram stage would silently stop
+    /// pruning.
+    fn query_sketch(shards: &[&TreeIndex<L>], query: &Tree<L>) -> TreeSketch<L> {
+        let params = shards
             .iter()
-            .next()
+            .find_map(|s| s.corpus.iter().next())
             .map(|(_, e)| e.sketch().pq.params())
             .unwrap_or_default();
         TreeSketch::with_pq(query, params, &mut rted_core::PqScratch::default())
     }
 
-    fn range_linear(&self, query: &Tree<L>, tau: f64, pipeline: &FilterPipeline<L>) -> QueryResult {
-        let start = Instant::now();
-        let qsketch = self.query_sketch(query);
-        let mut stats = zeroed_stats(self.corpus.len(), pipeline);
-
-        // The size-sorted window is the size stage, run as index arithmetic
-        // instead of a per-candidate check.
-        let size_stage = pipeline.leading_size_stage();
-        let window: &[u32] = if size_stage.is_some() {
-            self.corpus.size_window(qsketch.size, tau)
-        } else {
-            self.corpus.by_size()
-        };
-        if let Some(idx) = size_stage {
-            stats
-                .filter
-                .record(idx, (self.corpus.len() - window.len()) as u64);
-        }
-
-        // With `tau = ∞` no finite bound can reach the threshold: skip the
-        // per-candidate stage evaluation entirely.
-        let filters_active = tau != f64::INFINITY;
-        let verifier = self.counted();
-        let chunks = map_chunks_with(
-            window,
-            &self.policy,
-            || self.scratch.take(),
-            |ws, _, chunk| {
-                let mut out = zeroed_stats(0, pipeline);
-                let mut found = Vec::new();
-                for &id in chunk {
-                    let entry = self.corpus.entry(id as usize);
-                    if filters_active {
-                        if let Some(stage) = pipeline.prune_stage(&qsketch, entry.sketch(), tau) {
-                            out.filter.record(stage, 1);
-                            continue;
-                        }
-                    }
-                    // The verifier gets the query threshold: a pair whose
-                    // distance provably exceeds `tau` cannot match, so the
-                    // bounded kernel may stop early. Matching stays strict
-                    // (`d < tau`); `Some(d)` guarantees `d ≤ tau` exactly.
-                    if let Some(d) = verifier.pair(query, entry.tree(), tau, ws.get(), &mut out) {
-                        if d < tau {
-                            found.push(Neighbor {
-                                id: id as usize,
-                                distance: d,
-                            });
-                        }
-                    }
-                }
-                (out, found)
-            },
-        );
-
-        let mut neighbors = Vec::new();
-        for (out, found) in chunks {
-            stats.merge(&out);
-            neighbors.extend(found);
-        }
-        neighbors.sort_by_key(|n| n.id);
+    /// Stamps a query's wall time and records it once, into this
+    /// (driver) index's totals and the planner arm that answered it
+    /// (observed even while the planner is disabled — see
+    /// [`PlannerState`]).
+    fn record(&self, kind: QueryKind, arm: CandidateGen, start: Instant, stats: &mut SearchStats) {
         stats.time = start.elapsed();
-        self.observe_linear(&stats);
-        self.totals.record_query(QueryKind::Range, &stats);
-        QueryResult { neighbors, stats }
-    }
-
-    /// Feeds one linear-path query into the planner's linear arm (always
-    /// on — see [`PlannerState`]).
-    fn observe_linear(&self, stats: &SearchStats) {
-        self.plan
-            .obs
-            .linear
-            .observe(stats.candidates as u64, stats.verified as u64);
-    }
-
-    /// Feeds one metric-path query into the planner's metric arm.
-    fn observe_metric(&self, stats: &SearchStats) {
-        self.plan
-            .obs
-            .metric
-            .observe(stats.candidates as u64, stats.verified as u64);
+        let obs = match arm {
+            CandidateGen::Linear => &self.plan.obs.linear,
+            CandidateGen::Metric => &self.plan.obs.metric,
+        };
+        obs.observe(stats.candidates as u64, stats.verified as u64);
+        self.totals.record_query(kind, stats);
     }
 
     /// The `k` nearest corpus trees by exact distance (ties broken by id),
@@ -823,12 +749,7 @@ where
     /// candidate is verified. The linear path is the striped driver
     /// ([`top_k_striped`](Self::top_k_striped)) over this one index.
     pub fn top_k(&self, query: &Tree<L>, k: usize) -> QueryResult {
-        let metric_eligible = self.metric_enabled && k > 0 && !self.corpus.is_empty();
-        let (gen, pipeline) = self.plan_query(metric_eligible);
-        match gen {
-            CandidateGen::Metric => self.top_k_metric(query, k, &pipeline),
-            CandidateGen::Linear => Self::top_k_linear(&[self], query, k, &pipeline),
-        }
+        Self::top_k_striped(&[self], query, k)
     }
 
     /// The similarity self-join: every pair `(i, j)`, `i < j`, with
@@ -839,10 +760,10 @@ where
     /// verification run per surviving pair, parallelized over chunks of
     /// outer positions. Joins always take this linear path: a metric-tree
     /// join (one routed range query per tree) lost to it in every measured
-    /// regime.
+    /// regime. This is the striped driver
+    /// ([`join_striped`](Self::join_striped)) over this one index.
     pub fn join(&self, tau: f64) -> JoinOutcome {
-        let (_, pipeline) = self.plan_query(false);
-        self.join_linear(tau, &self.verifier, &pipeline)
+        Self::join_striped(&[self], tau)
     }
 
     /// [`join`](Self::join) with an explicit (possibly borrowed) verifier,
@@ -857,177 +778,7 @@ where
     /// [`unfiltered`](Self::unfiltered) or a custom pipeline whose stages
     /// are sound for that model.
     pub fn join_with(&self, tau: f64, verifier: &dyn Verifier<L>) -> JoinOutcome {
-        self.join_linear(tau, verifier, &self.pipeline)
-    }
-
-    fn join_linear(
-        &self,
-        tau: f64,
-        verifier: &dyn Verifier<L>,
-        pipeline: &FilterPipeline<L>,
-    ) -> JoinOutcome {
-        let start = Instant::now();
-        let n = self.corpus.len();
-        let mut stats = zeroed_stats(n.saturating_sub(1) * n / 2, pipeline);
-        let by_size = self.corpus.by_size();
-        let size_stage = pipeline.leading_size_stage();
-        // With `tau = ∞` no finite bound can reach the threshold: skip the
-        // per-pair stage evaluation entirely.
-        let filters_active = tau != f64::INFINITY;
-        let verifier = CountedVerifier {
-            verifier,
-            totals: &self.totals,
-        };
-
-        let chunks = map_chunks_with(
-            by_size,
-            &self.policy,
-            || self.scratch.take(),
-            |ws, chunk_start, chunk| {
-                let mut out = zeroed_stats(0, pipeline);
-                let mut found = Vec::new();
-                for (off, &i) in chunk.iter().enumerate() {
-                    let p = chunk_start + off;
-                    let si = self.corpus.sketch(i as usize);
-                    for (q, &j) in by_size.iter().enumerate().skip(p + 1) {
-                        let sj = self.corpus.sketch(j as usize);
-                        if let Some(idx) = size_stage {
-                            // Sizes ascend along `by_size`: once the size bound
-                            // prunes, it prunes the rest of the inner loop.
-                            if (sj.size as f64 - si.size as f64) >= tau {
-                                out.filter.record(idx, (n - q) as u64);
-                                break;
-                            }
-                        }
-                        if filters_active {
-                            if let Some(stage) = pipeline.prune_stage(si, sj, tau) {
-                                out.filter.record(stage, 1);
-                                continue;
-                            }
-                        }
-                        // Verify in original-id order: asymmetric verifiers
-                        // (e.g. Klein-H) count subproblems differently per
-                        // operand order, and the historical join ran (i, j)
-                        // with i < j.
-                        let (left, right) =
-                            ((i as usize).min(j as usize), (i as usize).max(j as usize));
-                        if let Some(d) = verifier.pair(
-                            self.corpus.tree(left),
-                            self.corpus.tree(right),
-                            tau,
-                            ws.get(),
-                            &mut out,
-                        ) {
-                            if d < tau {
-                                found.push(JoinPair {
-                                    left,
-                                    right,
-                                    distance: d,
-                                });
-                            }
-                        }
-                    }
-                }
-                (out, found)
-            },
-        );
-
-        let mut matches = Vec::new();
-        for (out, found) in chunks {
-            stats.merge(&out);
-            matches.extend(found);
-        }
-        matches.sort_by_key(|m| (m.left, m.right));
-        stats.time = start.elapsed();
-        self.observe_linear(&stats);
-        self.totals.record_query(QueryKind::Join, &stats);
-        JoinOutcome { matches, stats }
-    }
-
-    /// The bipartite half of a sharded similarity join: every pair of one
-    /// tree from `self` and one from `other` with `TED < tau`. Reported
-    /// ids are **local** to each side (`left` from `self`, `right` from
-    /// `other`, no ordering between them — the two corpora have
-    /// independent id spaces); the caller maps them into its own global
-    /// namespace and normalizes. A sharded self-join is the union of each
-    /// shard's own [`join`](Self::join) and `join_between` over every
-    /// unordered shard pair — per-pair prune and match decisions depend
-    /// only on the two sketches and `tau`, so the union is exactly the
-    /// unsharded join.
-    ///
-    /// `candidates` counts `self.len() × other.len()` pairs; the size
-    /// stage books `other`'s trees outside the size window of each `self`
-    /// tree, keeping the linear-path partition invariant
-    /// (`pruned + verified == candidates`).
-    pub fn join_between(&self, other: &TreeIndex<L>, tau: f64) -> JoinOutcome {
-        let start = Instant::now();
-        // The cross-shard half-join is inherently linear (the two sides
-        // have independent id spaces), but the planner's stage order
-        // still applies.
-        let pipeline = self.planned_pipeline();
-        let mut stats = zeroed_stats(self.corpus.len() * other.corpus.len(), &pipeline);
-        let size_stage = pipeline.leading_size_stage();
-        let filters_active = tau != f64::INFINITY;
-        let verifier = self.counted();
-        let pipeline = &pipeline;
-
-        let chunks = map_chunks_with(
-            self.corpus.by_size(),
-            &self.policy,
-            || self.scratch.take(),
-            |ws, _, chunk| {
-                let mut out = zeroed_stats(0, pipeline);
-                let mut found = Vec::new();
-                for &i in chunk {
-                    let si = self.corpus.sketch(i as usize);
-                    let window: &[u32] = if size_stage.is_some() {
-                        other.corpus.size_window(si.size, tau)
-                    } else {
-                        other.corpus.by_size()
-                    };
-                    if let Some(idx) = size_stage {
-                        out.filter
-                            .record(idx, (other.corpus.len() - window.len()) as u64);
-                    }
-                    for &j in window {
-                        let sj = other.corpus.sketch(j as usize);
-                        if filters_active {
-                            if let Some(stage) = pipeline.prune_stage(si, sj, tau) {
-                                out.filter.record(stage, 1);
-                                continue;
-                            }
-                        }
-                        if let Some(d) = verifier.pair(
-                            self.corpus.tree(i as usize),
-                            other.corpus.tree(j as usize),
-                            tau,
-                            ws.get(),
-                            &mut out,
-                        ) {
-                            if d < tau {
-                                found.push(JoinPair {
-                                    left: i as usize,
-                                    right: j as usize,
-                                    distance: d,
-                                });
-                            }
-                        }
-                    }
-                }
-                (out, found)
-            },
-        );
-
-        let mut matches = Vec::new();
-        for (out, found) in chunks {
-            stats.merge(&out);
-            matches.extend(found);
-        }
-        matches.sort_by_key(|m| (m.left, m.right));
-        stats.time = start.elapsed();
-        self.observe_linear(&stats);
-        self.totals.record_query(QueryKind::Join, &stats);
-        JoinOutcome { matches, stats }
+        Self::join_linear(&[self], tau, verifier, &self.pipeline)
     }
 
     /// Runs `f` against the metric tree, building it first if needed (the
@@ -1061,7 +812,7 @@ where
     /// [`range`](Self::range) through the vantage-point tree.
     fn range_metric(&self, query: &Tree<L>, tau: f64, pipeline: &FilterPipeline<L>) -> QueryResult {
         let start = Instant::now();
-        let qsketch = self.query_sketch(query);
+        let qsketch = Self::query_sketch(&[self], query);
         let mut stats = zeroed_stats(self.corpus.len(), pipeline);
         let mut neighbors = Vec::new();
         self.with_metric(|vp| {
@@ -1079,16 +830,14 @@ where
             );
         });
         neighbors.sort_by_key(|n| n.id);
-        stats.time = start.elapsed();
-        self.observe_metric(&stats);
-        self.totals.record_query(QueryKind::Range, &stats);
+        self.record(QueryKind::Range, CandidateGen::Metric, start, &mut stats);
         QueryResult { neighbors, stats }
     }
 
     /// [`top_k`](Self::top_k) through the vantage-point tree.
     fn top_k_metric(&self, query: &Tree<L>, k: usize, pipeline: &FilterPipeline<L>) -> QueryResult {
         let start = Instant::now();
-        let qsketch = self.query_sketch(query);
+        let qsketch = Self::query_sketch(&[self], query);
         let mut stats = zeroed_stats(self.corpus.len(), pipeline);
         let neighbors = self.with_metric(|vp| {
             let mut ws = self.scratch.take();
@@ -1103,9 +852,7 @@ where
                 &mut stats,
             )
         });
-        stats.time = start.elapsed();
-        self.observe_metric(&stats);
-        self.totals.record_query(QueryKind::TopK, &stats);
+        self.record(QueryKind::TopK, CandidateGen::Metric, start, &mut stats);
         QueryResult { neighbors, stats }
     }
 }

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rted_datasets::shapes::Shape;
-use rted_index::TreeIndex;
+use rted_index::{SearchStats, TreeIndex};
 use rted_plan::CandidateGen;
 use rted_tree::Tree;
 
@@ -234,11 +234,11 @@ fn stage_reorder_triggers_and_preserves_answers() {
     );
 }
 
-/// The striped top-k driver is counter-identical to one index holding
-/// the union corpus under global ids — the neighbour set *and* the work
-/// counters (`verified`, `early_exits`, `subproblems`) replay the same
-/// batch schedule, and the query is recorded once, into the driver
-/// shard.
+/// The striped drivers are counter-identical to one index holding the
+/// union corpus under global ids — for top-k the neighbour set *and* the
+/// work counters (`verified`, `early_exits`, `subproblems`) replay the
+/// same batch schedule; range and join match answers and every counter
+/// — and each query is recorded once, into the driver shard.
 #[test]
 fn striped_top_k_replays_the_union_schedule() {
     let n = 3;
@@ -272,6 +272,27 @@ fn striped_top_k_replays_the_union_schedule() {
     assert_eq!(shards[1].totals().topk_queries, 0);
     assert_eq!(shards[2].totals().topk_queries, 0);
 
+    // Range and join run the same central driver: the answers and every
+    // work counter equal the union index's, under global ids.
+    for tau in [0.5, 3.0, 6.0, f64::INFINITY] {
+        let a = union.range(&q, tau);
+        let b = TreeIndex::range_striped(&refs, &q, tau);
+        assert_eq!(a.neighbors, b.neighbors, "range tau {tau}");
+        assert_same_work(&a.stats, &b.stats, &format!("range tau {tau}"));
+    }
+    for tau in [2.0, 6.0, f64::INFINITY] {
+        let a = union.join(tau);
+        let b = TreeIndex::join_striped(&refs, tau);
+        assert_eq!(a.matches, b.matches, "join tau {tau}");
+        assert_same_work(&a.stats, &b.stats, &format!("join tau {tau}"));
+    }
+    assert_eq!(shards[0].totals().range_queries, 4);
+    assert_eq!(shards[0].totals().join_queries, 3);
+    for shard in &shards[1..] {
+        assert_eq!(shard.totals().range_queries, 0);
+        assert_eq!(shard.totals().join_queries, 0);
+    }
+
     // With every shard planner-steered the answers still match a
     // planner-steered union index.
     let union_p = TreeIndex::build(trees.iter().cloned()).with_planner(true);
@@ -281,4 +302,14 @@ fn striped_top_k_replays_the_union_schedule() {
     let b = TreeIndex::top_k_striped(&refs_p, &q, 5);
     assert_eq!(a.neighbors, b.neighbors);
     assert_eq!(a.stats.verified, b.stats.verified);
+}
+
+/// Asserts two runs did the same work: candidates, verifications, early
+/// exits, subproblems and every per-stage prune count.
+fn assert_same_work(a: &SearchStats, b: &SearchStats, what: &str) {
+    assert_eq!(a.candidates, b.candidates, "{what}");
+    assert_eq!(a.verified, b.verified, "{what}");
+    assert_eq!(a.early_exits, b.early_exits, "{what}");
+    assert_eq!(a.subproblems, b.subproblems, "{what}");
+    assert_eq!(a.filter, b.filter, "{what}");
 }

@@ -24,8 +24,8 @@
 //!   ([`ServerConfig::shards`]), each with its own log, epoch-based
 //!   copy-on-write snapshot, and compaction; queries pin a snapshot
 //!   (`Arc::clone`) and never wait on mutations or compaction, while
-//!   `range`/`top_k`/`join` scatter-gather across shards with answers
-//!   byte-identical to a 1-shard server.
+//!   `range`/`top_k`/`join` run one striped driver over all shards with
+//!   answers and counters byte-identical to a 1-shard server.
 //!
 //! Two surfaces expose it: the typed library API ([`Server::start`],
 //! [`Client::call`], graceful [`Server::shutdown`] draining in-flight

@@ -14,8 +14,8 @@
 //!
 //! A sharded server additionally carries one [`ShardMetrics`] block per
 //! shard (`serve_shard{K}_*` names) plus a `serve_scatter_fanout`
-//! histogram recording how many shards each scatter-capable query
-//! (`range`/`top_k`/`join`) fanned out to. The per-shard names are
+//! histogram recording how many shards each striped query
+//! (`range`/`top_k`/`join`) passed over. The per-shard names are
 //! minted once at startup (the registry wants `&'static str`, so they
 //! are leaked — a few dozen bytes per shard for the process lifetime).
 
@@ -53,17 +53,17 @@ pub(crate) fn ns_since(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Per-shard recording handles: every query leg that touches a shard
-/// (a scatter leg, or the single routed shard of `distance`/`diff`)
-/// bumps that shard's counters, so an operator can see skew between
-/// shards directly.
+/// Per-shard recording handles: every query that touches a shard (a
+/// striped query's one pass over all shards, or the routed shard of
+/// `distance`/`diff`) bumps that shard's counters, so an operator can
+/// see skew between shards directly.
 #[derive(Debug)]
 pub(crate) struct ShardMetrics {
-    /// Query legs answered by this shard.
+    /// Queries this shard took part in.
     pub queries: Arc<Counter>,
-    /// Wall time of scatter legs on this shard (ns).
+    /// Wall time of striped query passes over this shard (ns).
     pub scatter_ns: Arc<Histogram>,
-    /// Scatter legs currently executing on this shard.
+    /// Striped query passes currently executing over this shard.
     pub depth: Arc<Gauge>,
 }
 
@@ -103,8 +103,8 @@ pub(crate) struct ServeMetrics {
     pub core_subproblems: Arc<Counter>,
     /// High-water strategy-row pool size across all worker workspaces.
     pub core_rows_peak: Arc<Gauge>,
-    /// Shards each scatter-capable query fanned out to (1 on an
-    /// unsharded server).
+    /// Shards each striped query passed over (1 on an unsharded
+    /// server).
     pub scatter_fanout: Arc<Histogram>,
     /// Per-shard blocks, indexed by shard number.
     shards: Vec<ShardMetrics>,

@@ -120,7 +120,7 @@ pub enum Request {
         pairs: Vec<(usize, usize)>,
     },
     /// All corpus pairs with `TED < tau` (the similarity self-join over
-    /// the whole corpus; scatter-gathered across shards).
+    /// the whole corpus; one striped pass over all shards).
     Join {
         /// Strict threshold (`f64::INFINITY` = unbounded).
         tau: f64,

@@ -27,23 +27,23 @@
 //!   compaction** — the only contended wait left in the system is the
 //!   writer mutex between two mutations.
 //! * **Sharding.** The corpus is striped over N independent
-//!   [`TreeIndex`] shards: global id `g` lives on shard `g % N` as
-//!   local id `g / N`, so freshly assigned ids stay dense per shard and
-//!   the mapping needs no routing table. `range`/`join` scatter-gather
-//!   across every shard; `top_k` runs the centralized striped driver
-//!   ([`TreeIndex::top_k_striped`]) over pinned snapshots of all
-//!   shards, so its counters — not just its answers — are
-//!   deterministic; `distance`/`diff` and mutations route to exactly
-//!   the shards their ids live on. Answers are byte-identical to a
-//!   1-shard server: merges re-sort into the canonical order and every
-//!   per-pair filter decision is a pure function of the operands.
+//!   [`TreeIndex`] shards by the [`Stripes`] layout: global id `g`
+//!   lives on shard `g % N` as local id `g / N`, so freshly assigned ids
+//!   stay dense per shard and the mapping needs no routing table.
+//!   `range`, `topk` and `join` each run one centralized striped driver
+//!   ([`TreeIndex::range_striped`], [`TreeIndex::top_k_striped`],
+//!   [`TreeIndex::join_striped`]) over pinned snapshots of all shards,
+//!   with shard 0 driving, for any N including 1: answers and counters
+//!   are those of one index holding the union, reported under global
+//!   ids. `distance`/`diff` and mutations route to exactly the shards
+//!   their ids live on.
 //! * **Queries** (`range`, `topk`, `distance`, `diff`, `join`) run
 //!   concurrently across workers against pinned snapshots. Each worker
 //!   borrows one [`Workspace`] from the shared [`WorkspacePool`] for
 //!   its whole lifetime, so the id-to-id `distance` path performs
 //!   **zero heap allocations** per request once warm (enforced by a
-//!   counting-allocator test); scatter ops allocate only their merge
-//!   buffers and per-leg threads.
+//!   counting-allocator test); striped queries allocate only their
+//!   candidate lists and result buffers.
 //! * **Mutations** take the writer mutex, then every affected shard's
 //!   log lock in ascending shard order, append to each [`CorpusLog`]
 //!   **first** (fsynced segment, then header), and only then fork and
@@ -72,8 +72,8 @@ use crate::metrics::{ns_since, OpKind, ServeMetrics};
 use crate::proto::{MetricsFormat, Request, Response, StatusReport, TreeRef};
 use rted_core::{Workspace, WorkspaceStats};
 use rted_index::{
-    CorpusEntry, CorpusLog, CorpusStore, JoinPair, LogCounts, Neighbor, PersistError, Recovery,
-    RepairReport, TotalsSnapshot, TreeIndex, WorkspacePool,
+    CorpusEntry, CorpusLog, CorpusStore, LogCounts, PersistError, QueryResult, Recovery,
+    RepairReport, Stripes, TotalsSnapshot, TreeIndex, WorkspacePool,
 };
 use rted_tree::Tree;
 use std::collections::VecDeque;
@@ -100,10 +100,12 @@ pub struct ServerConfig {
     /// Pre-reserved request-queue slots: submissions beyond this still
     /// succeed but may grow the queue (one allocation).
     pub queue_capacity: usize,
-    /// Threads *within* one query (`TreeIndex` execution policy). The
-    /// default of 1 is right for a server: concurrency comes from the
-    /// worker pool and the shard fan-out, not from splitting individual
-    /// legs.
+    /// Threads *within* one query (`TreeIndex` execution policy). Used
+    /// by [`Server::open`] and [`Server::in_memory`] as
+    /// `max(query_threads, shards)`, so a striped query keeps an N-way
+    /// fan-out; the executor spawns only when a query has at least two
+    /// 64-candidate chunks. The default of 1 is right for a 1-shard
+    /// server: concurrency comes from the worker pool.
     pub query_threads: usize,
     /// Independent shards the corpus is striped over (clamped to ≥ 1).
     /// Used by [`Server::open`] and [`Server::in_memory`];
@@ -116,12 +118,14 @@ pub struct ServerConfig {
     /// How often the maintenance thread re-checks the trigger even
     /// without a mutation wake-up.
     pub maintenance_interval: Duration,
-    /// Route `range`/`topk` queries through each shard's vantage-point
-    /// tree (built lazily by the first eligible query, maintained
-    /// incrementally across inserts/removes). Results are identical to
-    /// the linear scan; only the work per query changes. Off by default —
-    /// the build spends O(n log n) exact distances, which only pays off
-    /// for query-heavy, selective workloads.
+    /// Route `range`/`topk` queries through the vantage-point tree
+    /// (built lazily by the first eligible query, maintained
+    /// incrementally across inserts/removes). Only 1-shard servers use
+    /// it: a striped query over N ≥ 2 shards always scans linearly.
+    /// Results are identical to the linear scan; only the work per query
+    /// changes. Off by default — the build spends O(n log n) exact
+    /// distances, which only pays off for query-heavy, selective
+    /// workloads.
     pub metric_tree: bool,
     /// Let the adaptive planner steer each query (candidate generator,
     /// per-pair verifier, filter-stage order) from the shards' lifetime
@@ -216,12 +220,7 @@ impl Shared {
 
     /// Global id → `(shard, local id)`.
     fn route(&self, global: usize) -> (usize, usize) {
-        (global % self.nshards(), global / self.nshards())
-    }
-
-    /// `(shard, local id)` → global id.
-    fn global_of(&self, shard: usize, local: usize) -> usize {
-        local * self.nshards() + shard
+        Stripes::new(self.nshards()).route(global)
     }
 
     /// Pins shard `s`'s current epoch: an `Arc::clone` under a
@@ -306,19 +305,16 @@ impl Server {
         let persistent = shards.iter().any(|(_, log)| log.is_some());
         let metrics = ServeMetrics::new(n);
         // Recover the global id cursor from the per-shard local bounds:
-        // local bound b on shard s means global (b-1)·N + s was
+        // local bound b on shard s means the global id of local b-1 was
         // assigned, so the cursor resumes past the max over shards —
         // crash holes in any one stripe never cause global id reuse.
+        let stripes = Stripes::new(n);
         let next_global = shards
             .iter()
             .enumerate()
-            .map(|(s, (index, _))| {
+            .filter_map(|(s, (index, _))| {
                 let bound = index.corpus().id_bound();
-                if bound == 0 {
-                    0
-                } else {
-                    ((bound - 1) * n + s + 1) as u64
-                }
+                (bound > 0).then(|| stripes.global(s, bound - 1) as u64 + 1)
             })
             .max()
             .unwrap_or(0);
@@ -417,11 +413,7 @@ impl Server {
                 CorpusStore::create(&shard_file, std::iter::empty())?
             };
             let (corpus, log) = store.into_parts();
-            let index = TreeIndex::from_corpus(corpus)
-                .with_threads(cfg.query_threads.max(1))
-                .with_metric_tree(cfg.metric_tree)
-                .with_planner(cfg.planner);
-            shards.push((index, Some(log)));
+            shards.push((shard_index(TreeIndex::from_corpus(corpus), &cfg), Some(log)));
         }
         let server = Server::start_shards(shards, cfg);
         merged.next_id = server.shared.next_global.load(Ordering::Relaxed);
@@ -434,19 +426,14 @@ impl Server {
     /// 1-shard build would assign.
     pub fn in_memory(trees: impl IntoIterator<Item = Tree<String>>, cfg: ServerConfig) -> Server {
         let n = cfg.shards.max(1);
+        let layout = Stripes::new(n);
         let mut stripes: Vec<Vec<Tree<String>>> = (0..n).map(|_| Vec::new()).collect();
         for (i, tree) in trees.into_iter().enumerate() {
-            stripes[i % n].push(tree);
+            stripes[layout.route(i).0].push(tree);
         }
         let shards = stripes
             .into_iter()
-            .map(|stripe| {
-                let index = TreeIndex::build(stripe)
-                    .with_threads(cfg.query_threads.max(1))
-                    .with_metric_tree(cfg.metric_tree)
-                    .with_planner(cfg.planner);
-                (index, None)
-            })
+            .map(|stripe| (shard_index(TreeIndex::build(stripe), &cfg), None))
             .collect();
         Server::start_shards(shards, cfg)
     }
@@ -525,6 +512,17 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+/// One shard of a `cfg.shards`-stripe layout, configured by `cfg`: the
+/// query fan-out is at least the shard count, and the vantage-point tree
+/// is enabled only on a 1-shard layout (striped queries over several
+/// shards always scan linearly, so it would never be used).
+fn shard_index(index: TreeIndex<String>, cfg: &ServerConfig) -> TreeIndex<String> {
+    index
+        .with_threads(cfg.query_threads.max(cfg.shards))
+        .with_metric_tree(cfg.metric_tree && cfg.shards <= 1)
+        .with_planner(cfg.planner)
 }
 
 /// Shard `k`'s backing file under a root path: the root itself for
@@ -626,176 +624,53 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Runs one scatter leg with its shard's telemetry around it.
-fn timed_leg<T>(m: &crate::metrics::ShardMetrics, f: impl FnOnce() -> T) -> T {
-    m.depth.add(1);
+/// Runs one striped query over pinned snapshots of every shard. The
+/// driver fans the work out over its own threads, so every shard takes
+/// part in the one pass and gets one query mark, one depth bump and the
+/// pass's wall time.
+fn striped<T>(shared: &Shared, query: impl FnOnce(&[&TreeIndex<String>]) -> T) -> T {
+    let n = shared.nshards();
+    shared.metrics.scatter_fanout.record(n as u64);
+    let pins: Vec<Arc<TreeIndex<String>>> = (0..n).map(|s| shared.pin(s)).collect();
+    let refs: Vec<&TreeIndex<String>> = pins.iter().map(Arc::as_ref).collect();
+    for s in 0..n {
+        shared.metrics.shard(s).depth.add(1);
+    }
     let started = Instant::now();
-    let out = f();
-    m.scatter_ns.record(ns_since(started));
-    m.queries.inc();
-    m.depth.add(-1);
+    let out = query(&refs);
+    let elapsed = ns_since(started);
+    for s in 0..n {
+        let m = shared.metrics.shard(s);
+        m.scatter_ns.record(elapsed);
+        m.queries.inc();
+        m.depth.add(-1);
+    }
     out
+}
+
+/// A `range`/`topk` answer on the wire.
+fn neighbors(res: QueryResult) -> Response {
+    Response::Neighbors {
+        neighbors: res.neighbors,
+        candidates: res.stats.candidates,
+        verified: res.stats.verified,
+    }
 }
 
 fn handle(shared: &Shared, ws: &mut Workspace, request: Request) -> Response {
     match request {
-        Request::Range { tree, tau } => {
-            let n = shared.nshards();
-            shared.metrics.scatter_fanout.record(n as u64);
-            if n == 1 {
-                let index = shared.pin(0);
-                let res = index.range(&tree, tau);
-                shared.metrics.shard(0).queries.inc();
-                return Response::Neighbors {
-                    neighbors: res.neighbors,
-                    candidates: res.stats.candidates,
-                    verified: res.stats.verified,
-                };
-            }
-            let pins: Vec<Arc<TreeIndex<String>>> = (0..n).map(|s| shared.pin(s)).collect();
-            let mut legs = Vec::with_capacity(n);
-            std::thread::scope(|scope| {
-                let tree = &tree;
-                let handles: Vec<_> = pins
-                    .iter()
-                    .enumerate()
-                    .map(|(s, pin)| {
-                        let m = shared.metrics.shard(s);
-                        scope.spawn(move || timed_leg(m, || pin.range(tree, tau)))
-                    })
-                    .collect();
-                for h in handles {
-                    legs.push(h.join().expect("scatter leg panicked"));
-                }
-            });
-            let mut neighbors = Vec::new();
-            let (mut candidates, mut verified) = (0, 0);
-            for (s, leg) in legs.into_iter().enumerate() {
-                candidates += leg.stats.candidates;
-                verified += leg.stats.verified;
-                neighbors.extend(leg.neighbors.into_iter().map(|nb| Neighbor {
-                    id: shared.global_of(s, nb.id),
-                    distance: nb.distance,
-                }));
-            }
-            // Canonical range order (ascending id) — byte-identical to
-            // the 1-shard answer.
-            neighbors.sort_by_key(|nb| nb.id);
-            Response::Neighbors {
-                neighbors,
-                candidates,
-                verified,
-            }
-        }
-        Request::TopK { tree, k } => {
-            let n = shared.nshards();
-            shared.metrics.scatter_fanout.record(n as u64);
-            if n == 1 {
-                let index = shared.pin(0);
-                let res = index.top_k(&tree, k);
-                shared.metrics.shard(0).queries.inc();
-                return Response::Neighbors {
-                    neighbors: res.neighbors,
-                    candidates: res.stats.candidates,
-                    verified: res.stats.verified,
-                };
-            }
-            let pins: Vec<Arc<TreeIndex<String>>> = (0..n).map(|s| shared.pin(s)).collect();
-            // One centralized driver over all pinned shards — the
-            // merged best-first walk answers (and counts) exactly like
-            // an unsharded index holding the union, deterministically.
-            // Every shard participates in the one pass, so each still
-            // gets a query-leg mark and the pass's wall time.
-            for s in 0..n {
-                shared.metrics.shard(s).depth.add(1);
-            }
-            let started = Instant::now();
-            let refs: Vec<&TreeIndex<String>> = pins.iter().map(Arc::as_ref).collect();
-            let res = TreeIndex::top_k_striped(&refs, &tree, k);
-            let elapsed = ns_since(started);
-            for s in 0..n {
-                let m = shared.metrics.shard(s);
-                m.scatter_ns.record(elapsed);
-                m.queries.inc();
-                m.depth.add(-1);
-            }
-            Response::Neighbors {
-                neighbors: res.neighbors,
-                candidates: res.stats.candidates,
-                verified: res.stats.verified,
-            }
-        }
+        Request::Range { tree, tau } => neighbors(striped(shared, |pins| {
+            TreeIndex::range_striped(pins, &tree, tau)
+        })),
+        Request::TopK { tree, k } => neighbors(striped(shared, |pins| {
+            TreeIndex::top_k_striped(pins, &tree, k)
+        })),
         Request::Join { tau } => {
-            let n = shared.nshards();
-            shared.metrics.scatter_fanout.record(n as u64);
-            if n == 1 {
-                let index = shared.pin(0);
-                let out = index.join(tau);
-                shared.metrics.shard(0).queries.inc();
-                return Response::Matches {
-                    matches: out.matches,
-                    candidates: out.stats.candidates,
-                    verified: out.stats.verified,
-                };
-            }
-            let pins: Vec<Arc<TreeIndex<String>>> = (0..n).map(|s| shared.pin(s)).collect();
-            let mut matches: Vec<JoinPair> = Vec::new();
-            let (mut candidates, mut verified) = (0, 0);
-            // N self-join legs plus N·(N-1)/2 bipartite legs cover every
-            // unordered pair exactly once: Σ nₛ(nₛ-1)/2 + Σ_{s<t} nₛ·nₜ
-            // = n(n-1)/2, so even the candidate count matches the
-            // 1-shard answer byte for byte.
-            std::thread::scope(|scope| {
-                let pins = &pins;
-                let self_handles: Vec<_> = (0..n)
-                    .map(|s| {
-                        let m = shared.metrics.shard(s);
-                        scope.spawn(move || timed_leg(m, || pins[s].join(tau)))
-                    })
-                    .collect();
-                let mut cross_handles = Vec::with_capacity(n * (n - 1) / 2);
-                for s in 0..n {
-                    for t in s + 1..n {
-                        let m = shared.metrics.shard(s);
-                        cross_handles.push((
-                            s,
-                            t,
-                            scope.spawn(move || {
-                                timed_leg(m, || pins[s].join_between(&pins[t], tau))
-                            }),
-                        ));
-                    }
-                }
-                for (s, h) in self_handles.into_iter().enumerate() {
-                    let out = h.join().expect("scatter leg panicked");
-                    candidates += out.stats.candidates;
-                    verified += out.stats.verified;
-                    matches.extend(out.matches.into_iter().map(|p| JoinPair {
-                        left: shared.global_of(s, p.left),
-                        right: shared.global_of(s, p.right),
-                        distance: p.distance,
-                    }));
-                }
-                for (s, t, h) in cross_handles {
-                    let out = h.join().expect("scatter leg panicked");
-                    candidates += out.stats.candidates;
-                    verified += out.stats.verified;
-                    matches.extend(out.matches.into_iter().map(|p| {
-                        let a = shared.global_of(s, p.left);
-                        let b = shared.global_of(t, p.right);
-                        JoinPair {
-                            left: a.min(b),
-                            right: a.max(b),
-                            distance: p.distance,
-                        }
-                    }));
-                }
-            });
-            matches.sort_by_key(|x| (x.left, x.right));
+            let out = striped(shared, |pins| TreeIndex::join_striped(pins, tau));
             Response::Matches {
-                matches,
-                candidates,
-                verified,
+                matches: out.matches,
+                candidates: out.stats.candidates,
+                verified: out.stats.verified,
             }
         }
         Request::Distance {
@@ -1088,9 +963,9 @@ fn handle(shared: &Shared, ws: &mut Workspace, request: Request) -> Response {
         }
         Request::Explain { tau } => {
             // All shards share one configuration and the same planner
-            // constants; shard 0 (the striped top-k driver) holds the
-            // observations that steer cross-shard queries, so its
-            // decision record is the service's.
+            // constants; shard 0 drives every striped query and holds
+            // the observations that steer them, so its decision record
+            // is the service's.
             Response::Plan(shared.pin(0).explain(tau != f64::INFINITY))
         }
         Request::Shutdown => {

@@ -4,13 +4,14 @@
 //! response lines — across random corpora, random insert/remove
 //! scripts, and random queries.
 //!
-//! Why bytes and not just values: the scatter-gather merge re-sorts
-//! into the canonical order and the per-pair filter decisions are pure
-//! functions of the operands, so nothing about the answer may depend on
-//! the stripe layout. That includes `topk`'s `verified` counter: the
-//! centralized striped driver replays the single-index batch schedule
-//! over the merged candidate view, so even the *work* counters are
-//! deterministic — no masking, every byte must match.
+//! Why bytes and not just values: `range`, `topk` and `join` each run
+//! one striped driver over all shards, which walks the merged candidate
+//! view of the union corpus under global ids, and the per-pair filter
+//! decisions are pure functions of the operands, so nothing about the
+//! answer may depend on the stripe layout. That includes the work
+//! counters (`candidates`, `verified`): the driver replays the
+//! single-index schedule and records each query once, so no masking —
+//! every byte and every service-wide `index_*` query total must match.
 
 use proptest::prelude::*;
 use rted_datasets::shapes::Shape;
@@ -102,6 +103,25 @@ proptest! {
         let a = render_response(&ref_client.call(request.clone()));
         let b = render_response(&sh_client.call(request));
         prop_assert_eq!(a, b);
+
+        // The service-wide query totals do not depend on the layout: a
+        // striped query is recorded once, however many shards it spans.
+        let metrics = |client: &mut rted_serve::Client| match client.call(Request::Metrics {
+            format: rted_serve::MetricsFormat::Json,
+        }) {
+            rted_serve::Response::Metrics(snap) => snap,
+            other => panic!("metrics answered {other:?}"),
+        };
+        let (a, b) = (metrics(&mut ref_client), metrics(&mut sh_client));
+        for name in [
+            "index_range_queries_total",
+            "index_topk_queries_total",
+            "index_join_queries_total",
+            "index_candidates_total",
+            "index_verified_total",
+        ] {
+            prop_assert_eq!(a.get(name), b.get(name), "{}", name);
+        }
 
         reference.shutdown();
         sharded.shutdown();

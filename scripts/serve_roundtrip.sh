@@ -8,8 +8,9 @@
 #   2. build the corpus over TCP inserts (global ids stripe across the
 #      shard files), then assert the shard layout through `status`;
 #   3. drive one exactly-counted query sequence and require the
-#      per-shard counters (`serve_shard{K}_queries_total`) and the
-#      `serve_scatter_fanout` histogram to match it to the count;
+#      per-shard counters (`serve_shard{K}_queries_total`), the
+#      `serve_scatter_fanout` histogram and the service-wide
+#      `index_*_queries_total` to match it to the count;
 #   4. check batched diff (`pairs`) answers the same scripts as the
 #      equivalent single diffs, one workspace amortized;
 #   5. hammer the service with concurrent TCP clients (range / topk /
@@ -107,14 +108,15 @@ echo "$status" | grep -q "\"tcp\":\"$ADDR\"" || fail "status must surface the TC
 echo "$status" | grep -q '"ops":\["range","topk","distance","insert","remove","status","compact","metrics","diff","join","explain","shutdown"\]' \
     || fail "status must list supported ops incl. join and explain: $status"
 
-# --- 3. Exactly-counted scatter traffic vs per-shard telemetry ----------
-# 2 range + 1 topk + 1 join = 4 scatter ops, every one fanning out to all
-# 3 shards (fanout histogram count 4). Per-shard legs: 4 scatter legs
-# each, plus the join's cross-shard legs recorded on the lower shard
-# (0-1, 0-2 -> shard0 +2; 1-2 -> shard1 +1), plus routed ops: distance
-# 0,1 (+1 on shards 0 and 1), diff 0,2 (+1 on shards 0 and 2), batched
-# diff [[0,1],[2,4]] (left shards: +1 on shards 0 and 2).
-# Totals: shard0 = 4+2+1+1+1 = 9, shard1 = 4+1+1 = 6, shard2 = 4+1+1 = 6.
+# --- 3. Exactly-counted striped traffic vs per-shard telemetry ---------
+# 2 range + 1 topk + 1 join = 4 striped queries, each one driver pass
+# over all 3 shards (fanout histogram count 4): +4 on every shard. Plus
+# routed ops: distance 0,1 (+1 on shards 0 and 1), diff 0,2 (+1 on
+# shards 0 and 2), batched diff [[0,1],[2,4]] (left shards: +1 on
+# shards 0 and 2).
+# Totals: shard0 = 4+1+1+1 = 7, shard1 = 4+1 = 5, shard2 = 4+1+1 = 6.
+# Each striped query is recorded once into the service-wide index
+# totals, whatever the shard count: 2 range, 1 topk, 1 join.
 QUERY=$("$RTED" generate mx 14 --seed 99)
 {
     echo "{\"op\":\"range\",\"tree\":\"$QUERY\",\"tau\":5}"
@@ -128,17 +130,23 @@ QUERY=$("$RTED" generate mx 14 --seed 99)
 grep -q '"ok":false' "$WORK/counted.out" && fail "counted sequence errored: $(grep -m1 '"ok":false' "$WORK/counted.out")"
 metrics=$(echo '{"op":"metrics","format":"json"}' | q)
 echo "$metrics" | grep -q '"serve_scatter_fanout":{"count":4,"sum":12,"p50":3,"p95":3,"p99":3,"max":3}' \
-    || fail "metrics: expected 4 scatter ops fanning out to 3 shards: $metrics"
-echo "$metrics" | grep -q '"serve_shard0_queries_total":9' || fail "metrics: shard0 legs wrong: $metrics"
-echo "$metrics" | grep -q '"serve_shard1_queries_total":6' || fail "metrics: shard1 legs wrong: $metrics"
-echo "$metrics" | grep -q '"serve_shard2_queries_total":6' || fail "metrics: shard2 legs wrong: $metrics"
+    || fail "metrics: expected 4 striped queries over 3 shards: $metrics"
+echo "$metrics" | grep -q '"serve_shard0_queries_total":7[,}]' || fail "metrics: shard0 count wrong: $metrics"
+echo "$metrics" | grep -q '"serve_shard1_queries_total":5[,}]' || fail "metrics: shard1 count wrong: $metrics"
+echo "$metrics" | grep -q '"serve_shard2_queries_total":6[,}]' || fail "metrics: shard2 count wrong: $metrics"
+echo "$metrics" | grep -q '"index_range_queries_total":2[,}]' || fail "metrics: expected 2 range queries: $metrics"
+echo "$metrics" | grep -q '"index_topk_queries_total":1[,}]' || fail "metrics: expected 1 topk query: $metrics"
+echo "$metrics" | grep -q '"index_join_queries_total":1[,}]' || fail "metrics: expected 1 join query: $metrics"
 echo "$metrics" | grep -q '"serve_latency_join_ns":{"count":1,' || fail "metrics: expected 1 join request: $metrics"
 echo "$metrics" | grep -q '"serve_latency_diff_ns":{"count":2,' || fail "metrics: expected 2 diff requests (single + batch): $metrics"
 # The batch counts each extracted pair in the index totals: 1 single + 2.
 echo "$metrics" | grep -q '"index_diff_calls_total":3' || fail "metrics: expected 3 extracted scripts: $metrics"
 # The scrape client renders the same counters as a Prometheus exposition.
 RTED_AUTH_TOKEN="$TOKEN" "$RTED" metrics --tcp "$ADDR" > "$WORK/metrics.prom"
-grep -q '^serve_shard0_queries_total 9$' "$WORK/metrics.prom" || fail "exposition shard0 count wrong: $(grep shard0 "$WORK/metrics.prom")"
+for expect in 0:7 1:5 2:6; do
+    grep -q "^serve_shard${expect%:*}_queries_total ${expect#*:}\$" "$WORK/metrics.prom" \
+        || fail "exposition shard${expect%:*} count wrong: $(grep "shard${expect%:*}" "$WORK/metrics.prom")"
+done
 grep -q '^serve_scatter_fanout_count 4$' "$WORK/metrics.prom" || fail "exposition fanout count wrong: $(grep fanout "$WORK/metrics.prom")"
 
 # --- 3b. Planner decision record over the wire --------------------------
