@@ -46,22 +46,27 @@
 //! newline-delimited JSON request per line over stdin/stdout, a Unix
 //! socket (`--socket`), and/or a TCP listener (`--tcp ADDR`, which may
 //! coexist with `--socket`; stdio is used only when neither is given) —
-//! `rted query` is the matching line-pipe client for both. TCP
-//! connections can be gated by a shared secret (`--auth-token`, or the
-//! `RTED_AUTH_TOKEN` environment variable): the first line of each
+//! `rted query` is the matching line-pipe client for both. This file
+//! only parses the arguments: the transports, the auth handshake, the
+//! slow-query log and the client half all live in `rted_serve::front`.
+//! TCP connections can be gated by a shared secret (`--auth-token`, or
+//! the `RTED_AUTH_TOKEN` environment variable): the first line of each
 //! connection must be the token, otherwise the connection is answered
 //! with one error line and dropped. `--timeout-ms` applies per-connection
 //! read/write timeouts so a stalled peer cannot pin a connection thread
-//! forever. `--shards N` stripes the corpus over N independent index
-//! shards (global id `g` lives on shard `g % N`): queries scatter-gather
-//! with answers byte-identical to 1-shard serving, and mutations,
-//! snapshots and compaction proceed per shard. With
-//! `--index` the service is durable and **recovers the corpus on
-//! startup** (shard `k > 0` lives at `INDEX.shard{k}`), repairing files
-//! torn by a crash mid-update (tail-scan salvage) unless `--strict`
-//! demands fully consistent files; what was recovered is reported on
-//! stderr. `rted index repair` performs the same salvage as a one-shot
-//! offline command.
+//! forever. A `shutdown` request is answered with `bye`, then every
+//! other connection is closed for reading (requests in flight still get
+//! their answer) and the process exits. `--socket PATH` replaces only a
+//! stale socket at PATH; any other file there is an error. `--shards N`
+//! stripes the corpus over N independent index shards (global id `g`
+//! lives on shard `g % N`): queries scatter-gather with answers
+//! byte-identical to 1-shard serving, and mutations, snapshots and
+//! compaction proceed per shard. With `--index` the service is durable
+//! and **recovers the corpus on startup** (shard `k > 0` lives at
+//! `INDEX.shard{k}`), repairing files torn by a crash mid-update
+//! (tail-scan salvage) unless `--strict` demands fully consistent files;
+//! what was recovered is reported on stderr. `rted index repair`
+//! performs the same salvage as a one-shot offline command.
 //!
 //! `rted metrics` scrapes a running service's telemetry (`metrics`
 //! request): Prometheus text exposition by default, the raw JSON
@@ -92,6 +97,7 @@ use rted_core::{Algorithm, PerLabelCost, UnitCost, Workspace};
 use rted_datasets::xml::parse_xml;
 use rted_datasets::Shape;
 use rted_index::{CorpusFile, CorpusStore, SearchStats, TreeIndex};
+use rted_serve::front;
 use rted_tree::{parse_bracket, to_bracket, Tree};
 use std::process::ExitCode;
 
@@ -912,8 +918,9 @@ fn cmd_index(opts: &Opts) -> Result<(), String> {
 }
 
 /// `rted serve` — the long-lived query service over stdin/stdout, a
-/// Unix socket, and/or an authenticated TCP listener. See the crate
-/// docs of `rted-serve` for the protocol.
+/// Unix socket, and/or an authenticated TCP listener, run by
+/// `rted_serve::front`. See the crate docs of `rted-serve` for the
+/// protocol.
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
     opts.expect_flags(
         "serve",
@@ -955,7 +962,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     // most this long per I/O operation. Off unless asked for (a local
     // interactive client may legitimately idle).
     let timeout = positive_flag::<u64>(opts, "timeout-ms")?.map(std::time::Duration::from_millis);
-    let auth = auth_token(opts);
 
     let server = match opts.flag("index") {
         Some(index_path) => {
@@ -1001,78 +1007,22 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         }
     };
 
-    // Bind the TCP listener before entering the accept loops so a bad
-    // address fails fast, and surface the bound address through
-    // `status` (`--tcp 127.0.0.1:0` picks a free port).
-    let tcp = match opts.flag("tcp") {
-        None => None,
-        Some(addr) => {
-            let listener = std::net::TcpListener::bind(addr)
-                .map_err(|e| format!("cannot bind tcp {addr}: {e}"))?;
-            let local = listener.local_addr().map_err(|e| e.to_string())?;
-            server.set_tcp_addr(local.to_string());
-            eprintln!(
-                "rted serve: listening on tcp {local}{}",
-                if auth.is_some() {
-                    " (auth required)"
-                } else {
-                    ""
-                }
-            );
-            Some((listener, local))
-        }
-    };
-
-    let fronts = FrontEnds {
-        stop: std::sync::atomic::AtomicBool::new(false),
-        socket_path: opts.flag("socket"),
-        tcp_addr: tcp.as_ref().map(|(_, local)| *local),
-    };
-    let result = std::thread::scope(|scope| {
-        if let Some((listener, _)) = &tcp {
-            let (server, fronts, auth) = (&server, &fronts, auth.as_deref());
-            scope.spawn(move || serve_tcp(server, listener, slow, auth, timeout, fronts));
-        }
-        match opts.flag("socket") {
-            Some(path) => serve_socket(&server, path, slow, &fronts),
-            // TCP-only mode: the accept loop above is the front-end;
-            // the scope join below blocks until a shutdown request
-            // stops it.
-            None if tcp.is_some() => Ok(()),
-            None => serve_stdio(&server, slow, &fronts),
-        }
+    // Bind the TCP listener here so a bad address fails fast
+    // (`--tcp 127.0.0.1:0` picks a free port; `front::run` reports it).
+    let tcp = opts.flag("tcp").map(|addr| {
+        std::net::TcpListener::bind(addr).map_err(|e| format!("cannot bind tcp {addr}: {e}"))
     });
+    let front = front::Front {
+        socket: opts.flag("socket").map(std::path::PathBuf::from),
+        tcp: tcp.transpose()?,
+        auth_token: auth_token(opts),
+        timeout,
+        slow,
+    };
+    let result = front::run(&server, front);
     // Graceful either way: drain whatever the front-ends accepted.
     server.shutdown();
     result
-}
-
-/// Shared stop switch for the serve front-ends: any connection's
-/// `shutdown` request flips it and self-connects to every listener so
-/// blocked `accept` calls observe it.
-struct FrontEnds<'a> {
-    stop: std::sync::atomic::AtomicBool,
-    socket_path: Option<&'a str>,
-    tcp_addr: Option<std::net::SocketAddr>,
-}
-
-impl FrontEnds<'_> {
-    fn stopped(&self) -> bool {
-        self.stop.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    fn request_stop(&self) {
-        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
-        if let Some(addr) = self.tcp_addr {
-            let _ = std::net::TcpStream::connect(addr);
-        }
-        #[cfg(unix)]
-        if let Some(path) = self.socket_path {
-            let _ = std::os::unix::net::UnixStream::connect(path);
-        }
-        #[cfg(not(unix))]
-        let _ = self.socket_path;
-    }
 }
 
 /// The shared secret gating TCP connections: the explicit flag wins
@@ -1085,345 +1035,17 @@ fn auth_token(opts: &Opts) -> Option<String> {
     })
 }
 
-/// Constant-work token comparison (no early exit on the first
-/// mismatching byte).
-fn token_matches(given: &str, expected: &str) -> bool {
-    given.len() == expected.len()
-        && given
-            .bytes()
-            .zip(expected.bytes())
-            .fold(0u8, |acc, (a, b)| acc | (a ^ b))
-            == 0
-}
-
-/// The longest request line a front-end accepts, newline excluded.
-/// Without a cap, a client that sends bytes and never a newline grows
-/// the line buffer until the process runs out of memory. 16 MiB is
-/// thousands of times the longest line the bundled scripts and
-/// benchmark send (an insert batch of 16 inline trees: a few KiB).
-const MAX_REQUEST_BYTES: usize = 16 << 20;
-
-/// Drains one connection's request lines against its own service
-/// client; returns whether a `shutdown` request was answered (the
-/// caller then stops every listener). With `auth`, the first non-empty
-/// line must be the shared token — on mismatch the connection gets one
-/// error line and is dropped without touching the service. A line longer
-/// than [`MAX_REQUEST_BYTES`] gets one error line and drops the
-/// connection too; a line that is not UTF-8 ends it silently.
-fn serve_connection(
-    server: &rted_serve::Server,
-    client: &mut rted_serve::Client,
-    mut reader: impl std::io::BufRead,
-    writer: &mut impl std::io::Write,
-    slow: Option<std::time::Duration>,
-    auth: Option<&str>,
-) -> bool {
-    use std::io::{BufRead, Read};
-    let refuse = |writer: &mut dyn std::io::Write, msg: String| {
-        let line = rted_serve::render_response(&rted_serve::Response::Error(msg));
-        let _ = writeln!(writer, "{line}").and_then(|_| writer.flush());
-    };
-    let mut authed = auth.is_none();
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        let limit = MAX_REQUEST_BYTES as u64 + 1;
-        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-        } else if buf.len() > MAX_REQUEST_BYTES {
-            refuse(
-                writer,
-                format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
-            );
-            return false;
-        }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            break;
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if !authed {
-            if token_matches(line.trim(), auth.unwrap_or_default()) {
-                authed = true;
-                continue;
-            }
-            refuse(writer, "authentication failed".into());
-            return false;
-        }
-        let (response, is_shutdown) = respond(server, client, slow, line);
-        if writeln!(writer, "{response}")
-            .and_then(|_| writer.flush())
-            .is_err()
-        {
-            break;
-        }
-        if is_shutdown {
-            return true;
-        }
-    }
-    false
-}
-
-/// TCP front-end: every accepted connection is an independent
-/// (optionally authenticated) client of the shared service, with the
-/// configured read/write timeouts applied before the first byte.
-fn serve_tcp(
-    server: &rted_serve::Server,
-    listener: &std::net::TcpListener,
-    slow: Option<std::time::Duration>,
-    auth: Option<&str>,
-    timeout: Option<std::time::Duration>,
-    fronts: &FrontEnds,
-) {
-    use std::io::BufReader;
-    std::thread::scope(|scope| {
-        for stream in listener.incoming() {
-            if fronts.stopped() {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            scope.spawn(move || {
-                let _ = stream.set_read_timeout(timeout);
-                let _ = stream.set_write_timeout(timeout);
-                let Ok(read_half) = stream.try_clone() else {
-                    return;
-                };
-                server.note_connection_opened();
-                let mut client = server.client();
-                let mut writer = stream;
-                let is_shutdown = serve_connection(
-                    server,
-                    &mut client,
-                    BufReader::new(read_half),
-                    &mut writer,
-                    slow,
-                    auth,
-                );
-                server.note_connection_closed();
-                if is_shutdown {
-                    fronts.request_stop();
-                }
-            });
-        }
-    });
-}
-
-/// Stdio front-end: one request line in, one response line out, until
-/// EOF or a `shutdown` request. Counts as one connection.
-fn serve_stdio(
-    server: &rted_serve::Server,
-    slow: Option<std::time::Duration>,
-    fronts: &FrontEnds,
-) -> Result<(), String> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    server.note_connection_opened();
-    let mut client = server.client();
-    let mut out = stdout.lock();
-    let is_shutdown = serve_connection(server, &mut client, stdin.lock(), &mut out, slow, None);
-    server.note_connection_closed();
-    if is_shutdown {
-        fronts.request_stop();
-    }
-    Ok(())
-}
-
-/// The wire name of a request, for the slow-query log.
-fn request_op_name(request: &rted_serve::Request) -> &'static str {
-    use rted_serve::Request;
-    match request {
-        Request::Range { .. } => "range",
-        Request::TopK { .. } => "topk",
-        Request::Distance { .. } => "distance",
-        Request::Diff { .. } | Request::DiffBatch { .. } => "diff",
-        Request::Join { .. } => "join",
-        Request::Insert { .. } => "insert",
-        Request::Remove { .. } => "remove",
-        Request::Status => "status",
-        Request::Compact => "compact",
-        Request::Metrics { .. } => "metrics",
-        Request::Explain { .. } => "explain",
-        Request::Shutdown => "shutdown",
-    }
-}
-
-/// Parses and executes one request line; returns the rendered response
-/// and whether it was a shutdown request (handled at the transport
-/// level: acknowledged with `bye`, then the front-end stops). A request
-/// `id`, when present, is echoed in the response — pipelined clients can
-/// keep many requests in flight and correlate answers.
-///
-/// With a slow threshold, a request whose wall time (queue wait
-/// included) crosses it is logged to stderr — op name and `id`, so the
-/// offending query can be found in the client's pipeline — and counted
-/// in `serve_slow_queries_total`.
-fn respond(
-    server: &rted_serve::Server,
-    client: &mut rted_serve::Client,
-    slow: Option<std::time::Duration>,
-    line: &str,
-) -> (String, bool) {
-    use rted_serve::{parse_request_line, render_response_with, Request, RequestId, Response};
-    let (id, parsed) = parse_request_line(line);
-    let id = id.as_ref();
-    match parsed {
-        Err(e) => (render_response_with(&Response::Error(e), id), false),
-        Ok(Request::Shutdown) => (render_response_with(&Response::Bye, id), true),
-        Ok(request) => {
-            let op = request_op_name(&request);
-            let started = std::time::Instant::now();
-            let response = client.call(request);
-            if let Some(threshold) = slow {
-                let took = started.elapsed();
-                if took >= threshold {
-                    server.note_slow_query();
-                    let id_part = match id {
-                        None => String::new(),
-                        Some(RequestId::Num(n)) => format!(" id={n}"),
-                        Some(RequestId::Str(s)) => format!(" id=\"{s}\""),
-                    };
-                    eprintln!(
-                        "rted serve: slow {op} request{id_part}: {took:?} (threshold {threshold:?})"
-                    );
-                }
-            }
-            (render_response_with(&response, id), false)
-        }
-    }
-}
-
-/// Unix-socket front-end: every connection is an independent client of
-/// the shared service; a `shutdown` request from any connection stops
-/// every listener (after answering `bye`) and drains the rest.
-#[cfg(unix)]
-fn serve_socket(
-    server: &rted_serve::Server,
-    path: &str,
-    slow: Option<std::time::Duration>,
-    fronts: &FrontEnds,
-) -> Result<(), String> {
-    use std::io::BufReader;
-    use std::os::unix::net::UnixListener;
-
-    let _ = std::fs::remove_file(path); // stale socket from a previous run
-    let listener = UnixListener::bind(path).map_err(|e| format!("cannot bind {path}: {e}"))?;
-    eprintln!("rted serve: listening on {path}");
-    std::thread::scope(|scope| {
-        for stream in listener.incoming() {
-            if fronts.stopped() {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            scope.spawn(move || {
-                let Ok(read_half) = stream.try_clone() else {
-                    return;
-                };
-                server.note_connection_opened();
-                let mut client = server.client();
-                let mut writer = stream;
-                let is_shutdown = serve_connection(
-                    server,
-                    &mut client,
-                    BufReader::new(read_half),
-                    &mut writer,
-                    slow,
-                    None,
-                );
-                server.note_connection_closed();
-                if is_shutdown {
-                    fronts.request_stop();
-                }
-            });
-        }
-    });
-    let _ = std::fs::remove_file(path);
-    Ok(())
-}
-
-#[cfg(not(unix))]
-fn serve_socket(
-    _server: &rted_serve::Server,
-    _path: &str,
-    _slow: Option<std::time::Duration>,
-    _fronts: &FrontEnds,
-) -> Result<(), String> {
-    Err("--socket requires a Unix platform; use --tcp or the stdin/stdout mode".into())
-}
-
-/// Connects to a serve front-end: `--socket PATH` (Unix socket, no
-/// auth) or `--tcp ADDR` (sending the shared-secret token line first
-/// when `--auth-token` / `RTED_AUTH_TOKEN` supplies one). Returns the
-/// write half and a buffered read half.
-#[allow(clippy::type_complexity)]
-fn connect_service(
-    opts: &Opts,
-    cmd: &str,
-) -> Result<(Box<dyn std::io::Write>, Box<dyn std::io::BufRead>), String> {
-    use std::io::{BufReader, Write};
-    match (opts.flag("socket"), opts.flag("tcp")) {
-        (Some(_), Some(_)) => Err(format!("{cmd}: --socket and --tcp are mutually exclusive")),
-        (None, None) => Err(format!("{cmd} needs --socket PATH or --tcp ADDR")),
-        (Some(path), None) => {
-            #[cfg(unix)]
-            {
-                let stream = std::os::unix::net::UnixStream::connect(path)
-                    .map_err(|e| format!("cannot connect to {path}: {e}"))?;
-                let writer = stream.try_clone().map_err(|e| e.to_string())?;
-                Ok((Box::new(writer), Box::new(BufReader::new(stream))))
-            }
-            #[cfg(not(unix))]
-            {
-                let _ = path;
-                Err(format!(
-                    "{cmd}: --socket requires a Unix platform; use --tcp"
-                ))
-            }
-        }
-        (None, Some(addr)) => {
-            let stream = std::net::TcpStream::connect(addr)
-                .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-            let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-            if let Some(token) = auth_token(opts) {
-                // The auth line precedes the first request; the server
-                // answers nothing on success.
-                writeln!(writer, "{token}")
-                    .and_then(|_| writer.flush())
-                    .map_err(|e| format!("tcp write: {e}"))?;
-            }
-            Ok((Box::new(writer), Box::new(BufReader::new(stream))))
-        }
-    }
-}
-
-/// Sends one request line to a connected service and reads the single
-/// response line (trailing newline stripped). The `query` and `metrics`
-/// clients — and the one-shot `query --explain` — all speak this
-/// one-in-one-out exchange.
-fn exchange_line(
-    writer: &mut dyn std::io::Write,
-    responses: &mut dyn std::io::BufRead,
-    request: &str,
-) -> Result<String, String> {
-    writeln!(writer, "{request}")
-        .and_then(|_| writer.flush())
-        .map_err(|e| format!("connection write: {e}"))?;
-    let mut line = String::new();
-    let n = responses
-        .read_line(&mut line)
-        .map_err(|e| format!("connection read: {e}"))?;
-    if n == 0 {
-        return Err("server closed the connection".into());
-    }
-    line.truncate(line.trim_end_matches('\n').len());
-    Ok(line)
+/// Connects `query`/`metrics` to a running service: `--socket PATH`,
+/// or `--tcp ADDR` sending the `--auth-token` / `RTED_AUTH_TOKEN` token
+/// first when one is given.
+fn connect(opts: &Opts, cmd: &str) -> Result<front::Connection, String> {
+    let token = auth_token(opts);
+    front::connect(match (opts.flag("socket"), opts.flag("tcp")) {
+        (Some(path), None) => front::Endpoint::Socket(path),
+        (None, Some(addr)) => front::Endpoint::Tcp(addr, token.as_deref()),
+        (Some(_), Some(_)) => Err(format!("{cmd}: --socket and --tcp are mutually exclusive"))?,
+        (None, None) => Err(format!("{cmd} needs --socket PATH or --tcp ADDR"))?,
+    })
 }
 
 /// `rted query` — the line-pipe client for a `rted serve` service over
@@ -1449,7 +1071,7 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
             "query --tau only modifies --explain; pipe requests via stdin otherwise".into(),
         );
     }
-    let (mut writer, mut responses) = connect_service(opts, "query")?;
+    let mut conn = connect(opts, "query")?;
     if opts.has("explain") {
         let request = match opts.flag("tau") {
             None => r#"{"op":"explain"}"#.to_string(),
@@ -1462,8 +1084,7 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
                 format!(r#"{{"op":"explain","tau":{tau}}}"#)
             }
         };
-        let response = exchange_line(&mut writer, &mut responses, &request)?;
-        println!("{response}");
+        println!("{}", conn.exchange(&request)?);
         return Ok(());
     }
     let stdin = std::io::stdin();
@@ -1472,8 +1093,7 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
         if line.trim().is_empty() {
             continue;
         }
-        let response = exchange_line(&mut writer, &mut responses, &line)?;
-        println!("{response}");
+        println!("{}", conn.exchange(&line)?);
     }
     Ok(())
 }
@@ -1488,14 +1108,14 @@ fn cmd_metrics(opts: &Opts) -> Result<(), String> {
     if !opts.positional.is_empty() {
         return Err("metrics takes no positional arguments".into());
     }
-    let (mut writer, mut responses) = connect_service(opts, "metrics")?;
+    let mut conn = connect(opts, "metrics")?;
     let json = opts.has("json");
     let request = if json {
         r#"{"op":"metrics","format":"json"}"#
     } else {
         r#"{"op":"metrics","format":"prometheus"}"#
     };
-    let line = exchange_line(&mut writer, &mut responses, request)?;
+    let line = conn.exchange(request)?;
     if json {
         println!("{line}");
         return Ok(());
@@ -1573,61 +1193,5 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::Cursor;
-
-    /// Runs `input` through one connection of an in-memory server and
-    /// returns the response lines.
-    fn converse(input: Vec<u8>) -> Vec<String> {
-        let tree = rted_tree::parse_bracket("{a{b}}").unwrap();
-        let server = rted_serve::Server::in_memory(vec![tree], Default::default());
-        let mut client = server.client();
-        let mut out = Vec::new();
-        serve_connection(
-            &server,
-            &mut client,
-            Cursor::new(input),
-            &mut out,
-            None,
-            None,
-        );
-        server.shutdown();
-        String::from_utf8(out)
-            .unwrap()
-            .lines()
-            .map(str::to_string)
-            .collect()
-    }
-
-    #[test]
-    fn oversize_line_is_refused_after_earlier_lines_are_answered() {
-        let mut input = b"{\"op\":\"distance\",\"left\":0,\"right\":0}\n".to_vec();
-        input.resize(input.len() + MAX_REQUEST_BYTES + 1, b' ');
-        input.extend_from_slice(b"\n{\"op\":\"status\"}\n");
-        let lines = converse(input);
-        assert_eq!(lines.len(), 2, "{lines:?}");
-        assert_eq!(lines[0], r#"{"ok":true,"distance":0}"#);
-        assert!(lines[1].starts_with(r#"{"ok":false,"error":"request line exceeds"#));
-    }
-
-    #[test]
-    fn line_at_the_limit_is_read() {
-        let request = b"{\"op\":\"distance\",\"left\":0,\"right\":0}";
-        let mut input = vec![b' '; MAX_REQUEST_BYTES - request.len()];
-        input.extend_from_slice(request);
-        input.push(b'\n');
-        assert_eq!(converse(input), [r#"{"ok":true,"distance":0}"#]);
-    }
-
-    #[test]
-    fn non_utf8_line_ends_the_connection_silently() {
-        let mut input = b"{\"op\":\"distance\",\"left\":0,\"right\":0}\n".to_vec();
-        input.extend_from_slice(b"\xff\xfe\n{\"op\":\"status\"}\n");
-        assert_eq!(converse(input), [r#"{"ok":true,"distance":0}"#]);
     }
 }

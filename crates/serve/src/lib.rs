@@ -29,10 +29,11 @@
 //!
 //! Two surfaces expose it: the typed library API ([`Server::start`],
 //! [`Client::call`], graceful [`Server::shutdown`] draining in-flight
-//! requests) and — via the `rted serve` CLI — a newline-delimited JSON
-//! protocol ([`proto`]) over stdin/stdout, a Unix socket, or an
-//! authenticated TCP listener, so many client processes (local or
-//! remote) can share one resident corpus.
+//! requests) and the line-protocol front-end ([`front`], which the
+//! `rted serve` CLI runs) — a newline-delimited JSON protocol
+//! ([`proto`]) over stdin/stdout, a Unix socket, or an authenticated TCP
+//! listener, so many client processes (local or remote) can share one
+//! resident corpus. [`front`] also holds the matching client half.
 //!
 //! # Example
 //!
@@ -59,6 +60,7 @@
 //! server.shutdown(); // drains in-flight requests, joins all threads
 //! ```
 
+pub mod front;
 pub mod json;
 mod metrics;
 pub mod proto;

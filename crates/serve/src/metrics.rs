@@ -89,10 +89,14 @@ pub(crate) struct ServeMetrics {
     pub wal_bytes_reclaimed: Arc<Counter>,
     /// Compactions performed (threshold-driven + explicit).
     pub compactions: Arc<Counter>,
-    /// Connections currently open on the socket front-end.
+    /// Connections currently open on the front-end.
     pub connections_open: Arc<Gauge>,
     /// Connections accepted since start.
     pub connections_total: Arc<Counter>,
+    /// Connections ended for a request line over `MAX_REQUEST_BYTES`.
+    pub oversize_lines: Arc<Counter>,
+    /// TCP connections ended for a wrong auth token.
+    pub auth_failures: Arc<Counter>,
     /// Requests whose wall time crossed the front-end's `--slow-ms`.
     pub slow_queries: Arc<Counter>,
     /// Requests answered with an error response.
@@ -146,6 +150,8 @@ impl ServeMetrics {
             compactions: r.counter("serve_compactions_total"),
             connections_open: r.gauge("serve_connections_open"),
             connections_total: r.counter("serve_connections_total"),
+            oversize_lines: r.counter("serve_oversize_lines_total"),
+            auth_failures: r.counter("serve_auth_failures_total"),
             slow_queries: r.counter("serve_slow_queries_total"),
             errors: r.counter("serve_errors_total"),
             core_ted_runs: r.counter("core_ted_runs_total"),

@@ -153,8 +153,9 @@ pub enum Request {
         /// Rendering requested by the client.
         format: MetricsFormat,
     },
-    /// Transport-level: drain and stop. The I/O front-end intercepts
-    /// this; submitting it to a worker queue answers with an error.
+    /// Transport-level: stop the front-end ([`crate::front`]), which
+    /// intercepts this; submitting it to a worker queue answers with an
+    /// error.
     Shutdown,
 }
 
@@ -294,7 +295,7 @@ pub enum Response {
     /// Answer to `metrics` with `format: "prometheus"`: the text
     /// exposition, shipped as a single JSON string member.
     MetricsText(String),
-    /// Acknowledgement of `shutdown`, sent by the I/O front-end.
+    /// Acknowledgement of `shutdown`, sent by [`crate::front`].
     Bye,
     /// Any failure. The service stays up; only this request failed.
     Error(String),

@@ -88,7 +88,7 @@ use std::time::{Duration, Instant};
 /// response (see `worker_loop`) and the shared structures it held are
 /// structurally valid Rust values — refusing to ever lock them again
 /// would escalate one failed request into a dead service.
-fn relock<T>(result: Result<T, PoisonError<T>>) -> T {
+pub(crate) fn relock<T>(result: Result<T, PoisonError<T>>) -> T {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -189,7 +189,7 @@ struct Shard {
     log: Mutex<Option<CorpusLog>>,
 }
 
-struct Shared {
+pub(crate) struct Shared {
     shards: Vec<Shard>,
     /// Serializes mutations (insert/remove) across all shards, so a
     /// batch spanning shards commits as one unit and `next_global`
@@ -198,7 +198,7 @@ struct Shared {
     /// Next global id to assign. Only mutated under `writer`.
     next_global: AtomicU64,
     /// The TCP front-end's bound address, surfaced through `status`.
-    tcp_addr: Mutex<Option<String>>,
+    pub(crate) tcp_addr: Mutex<Option<String>>,
     queue: Mutex<QueueState>,
     have_jobs: Condvar,
     /// Mutation wake-up flag for the maintenance thread.
@@ -210,7 +210,7 @@ struct Shared {
     requests: AtomicU64,
     /// Pre-registered telemetry handles; every record is a few relaxed
     /// atomic ops, so instrumenting the hot path costs no allocation.
-    metrics: ServeMetrics,
+    pub(crate) metrics: ServeMetrics,
 }
 
 impl Shared {
@@ -274,7 +274,7 @@ impl Client {
 /// The running service: worker pool + maintenance thread over N
 /// snapshot-isolated shards and (optionally) their durable logs.
 pub struct Server {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
     maintenance: Option<JoinHandle<()>>,
 }
@@ -457,30 +457,6 @@ impl Server {
         self.shared.nshards()
     }
 
-    /// Front-end hook: the TCP listener is up on `addr` (surfaced in
-    /// `status` for capability probing).
-    pub fn set_tcp_addr(&self, addr: String) {
-        *relock(self.shared.tcp_addr.lock()) = Some(addr);
-    }
-
-    /// Front-end hook: a request's wall time crossed the configured
-    /// slow-query threshold (bumps `serve_slow_queries_total`).
-    pub fn note_slow_query(&self) {
-        self.shared.metrics.slow_queries.inc();
-    }
-
-    /// Front-end hook: a connection was accepted (bumps
-    /// `serve_connections_total` and the open-connections gauge).
-    pub fn note_connection_opened(&self) {
-        self.shared.metrics.connections_total.inc();
-        self.shared.metrics.connections_open.add(1);
-    }
-
-    /// Front-end hook: a connection ended.
-    pub fn note_connection_closed(&self) {
-        self.shared.metrics.connections_open.add(-1);
-    }
-
     /// Graceful shutdown: stops accepting, drains every already-queued
     /// request (their clients still get responses), then joins all
     /// threads. Dropping the server does the same.
@@ -540,7 +516,7 @@ fn shard_path(path: &Path, k: usize) -> PathBuf {
 /// The telemetry slot for one request, or `None` for the transport-level
 /// `shutdown` (which only reaches a worker by mistake). Batched diff
 /// shares the `diff` slot.
-fn op_kind(request: &Request) -> Option<OpKind> {
+pub(crate) fn op_kind(request: &Request) -> Option<OpKind> {
     match request {
         Request::Range { .. } => Some(OpKind::Range),
         Request::TopK { .. } => Some(OpKind::TopK),

@@ -177,7 +177,7 @@ echo '{"op":"diff","pairs":[[0,9999]]}' | q | grep -q '"ok":false.*no live tree 
     || fail "batched diff with a dead id must fail whole-request"
 
 # --- 4b. Budget-aware distance: exact wire bytes over TCP ---------------
-# Same contract as over the Unix socket: a met budget answers the plain
+# Same contract as through the library: a met budget answers the plain
 # exact distance line, a blown budget a certified exceeds/lower_bound
 # line — byte-for-byte, with client request ids echoed first. Pairs of at
 # most 256 DP cells verify with Zhang–Shasha, whose certified bound is the
