@@ -7,11 +7,11 @@
 //! rted diff      --index INDEX <ID1> <ID2> [--format text|json]
 //! rted generate  <SHAPE> <N> [--seed S]
 //! rted join      <FILE> [--tau T] [--algorithm NAME] [--threads N] [--no-filter]
-//!                [--pq P,Q] [--no-planner]
+//!                [--pq P,Q]
 //! rted search    <FILE> <QUERY> [--tau T] [--algorithm NAME] [--threads N] [--no-filter]
-//!                [--pq P,Q] [--metric-tree] [--no-planner]
+//!                [--pq P,Q] [--metric-tree]
 //! rted topk      <FILE> <QUERY> [--k K] [--algorithm NAME] [--threads N] [--no-filter]
-//!                [--pq P,Q] [--metric-tree] [--no-planner]
+//!                [--pq P,Q] [--metric-tree]
 //! rted index build   <INDEX> <FILE> [--format-version 1|2]
 //! rted index update  <INDEX> [--add FILE] [--remove IDS]... [--compact]
 //! rted index compact <INDEX>
@@ -21,7 +21,7 @@
 //! rted serve   [--index INDEX | FILE] [--socket PATH] [--tcp ADDR]
 //!              [--auth-token TOKEN] [--shards N] [--timeout-ms MS]
 //!              [--workers N] [--threads N] [--compact-frac F] [--strict]
-//!              [--metric-tree] [--slow-ms MS] [--no-planner]
+//!              [--metric-tree] [--slow-ms MS]
 //! rted query   (--socket PATH | --tcp ADDR) [--auth-token TOKEN]
 //!              [--explain [--tau T]]
 //! rted metrics (--socket PATH | --tcp ADDR) [--auth-token TOKEN] [--json]
@@ -74,14 +74,13 @@
 //! logs every request whose wall time (queue wait included) crosses the
 //! threshold to stderr, carrying the request's `id` when one was given.
 //!
-//! The adaptive query planner (`rted-plan`) steers candidate generation
-//! and filter-stage order per query; it is answer-invariant and **on by
-//! default** for the query commands and `rted serve` — `--no-planner`
-//! pins the fixed configuration instead. Metric-tree (vantage-point)
-//! candidate generation is **off by default**, as in `rted serve`:
-//! `--metric-tree` turns it on for `search` and `topk` (joins always scan
-//! linearly). Verification picks the cheapest exact kernel per pair
-//! unless `--algorithm` pins one.
+//! The adaptive query planner (`rted-plan`) is always on for the query
+//! commands and `rted serve`. It picks the candidate generator per query
+//! and is answer-invariant; filter stages run in their construction
+//! order. Metric-tree (vantage-point) candidate generation is **off by
+//! default**, as in `rted serve`: `--metric-tree` makes it available to
+//! `search` and `topk` (joins always scan linearly). Verification picks
+//! the cheapest exact kernel per pair unless `--algorithm` pins one.
 //! `rted query --explain` asks a running service what it would plan
 //! (`{"op":"explain"}`, `--tau T` for a budgeted query), and `rted
 //! index info --stats` prints the planner's decision report and the
@@ -122,14 +121,12 @@ fn usage() -> ExitCode {
          rted serve    [--index INDEX | FILE] [--socket PATH] [--tcp ADDR]\n  \
          \x20             [--auth-token TOKEN] [--shards N] [--timeout-ms MS]\n  \
          \x20             [--workers N] [--threads N] [--compact-frac F] [--strict]\n  \
-         \x20             [--metric-tree] [--slow-ms MS] [--no-planner]\n  \
+         \x20             [--metric-tree] [--slow-ms MS]\n  \
          rted query    (--socket PATH | --tcp ADDR) [--auth-token TOKEN]\n  \
          \x20             [--explain [--tau T]]\n  \
          rted metrics  (--socket PATH | --tcp ADDR) [--auth-token TOKEN] [--json]\n\n\
          join/search/topk also accept --index <INDEX> in place of <FILE>, plus\n\
-         --pq P,Q (re-profile with those gram lengths) and --no-planner\n\
-         (fixed candidate generator / stage order instead of the adaptive\n\
-         query planner; answers are identical). search/topk also accept\n\
+         --pq P,Q (re-profile with those gram lengths). search/topk also accept\n\
          --metric-tree (vantage-point tree instead of the linear size-window\n\
          scan; answers are identical).\n\
          serve/query speak one JSON request per line (see README); ops: range |\n\
@@ -479,14 +476,7 @@ fn cmd_generate(opts: &Opts) -> Result<(), String> {
 /// Shared flags of the three query commands. `--xml` is *not* here — it
 /// affects only the inline QUERY argument, so `join` (which has none)
 /// must reject it rather than accept it inertly.
-const QUERY_FLAGS: &[&str] = &[
-    "algorithm",
-    "threads",
-    "no-filter",
-    "index",
-    "pq",
-    "no-planner",
-];
+const QUERY_FLAGS: &[&str] = &["algorithm", "threads", "no-filter", "index", "pq"];
 
 fn cmd_join(opts: &Opts) -> Result<(), String> {
     opts.expect_flags("join", &[QUERY_FLAGS, &["tau"]].concat())?;
@@ -518,14 +508,14 @@ fn parse_pq(spec: &str) -> Result<rted_core::PqParams, String> {
 /// Loads the corpus for a query command — either the positional flat file
 /// or a persistent `--index` file (read-only, via [`CorpusFile`], so a
 /// query never touches the file) — honoring the shared `--algorithm`,
-/// `--threads`, `--no-filter`, `--pq`, `--no-planner` and (search/topk)
-/// `--metric-tree` flags. `extra` is how many positional arguments follow
-/// the corpus (the query, for search/topk).
+/// `--threads`, `--no-filter`, `--pq` and (search/topk) `--metric-tree`
+/// flags. `extra` is how many positional arguments follow the corpus
+/// (the query, for search/topk).
 ///
-/// The adaptive query planner is **on** by default and disabled by
-/// `--no-planner`; metric-tree candidate generation is **off** by default
-/// and enabled by `--metric-tree`. Results are identical either way;
-/// stderr counters show the difference.
+/// The adaptive query planner is always **on**; metric-tree candidate
+/// generation is **off** by default and enabled by `--metric-tree`.
+/// Results are identical either way; stderr counters show the
+/// difference.
 fn load_query_index(opts: &Opts, cmd: &str, extra: usize) -> Result<TreeIndex<String>, String> {
     let mut corpus = match opts.flag("index") {
         Some(path) => {
@@ -552,7 +542,7 @@ fn load_query_index(opts: &Opts, cmd: &str, extra: usize) -> Result<TreeIndex<St
     }
     let mut index = TreeIndex::from_corpus(corpus)
         .with_metric_tree(opts.has("metric-tree"))
-        .with_planner(!opts.has("no-planner"));
+        .with_planner(true);
     if let Some(name) = opts.flag("algorithm") {
         let alg = algorithm_by_name(name).ok_or(format!("unknown algorithm {name}"))?;
         index = index.with_algorithm(alg);
@@ -937,7 +927,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
             "strict",
             "metric-tree",
             "slow-ms",
-            "no-planner",
         ],
     )?;
     let mut config = rted_serve::ServerConfig::default();
@@ -952,7 +941,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     // A non-positive fraction disables background compaction.
     config.compact_fraction = (frac > 0.0).then_some(frac);
     config.metric_tree = opts.has("metric-tree");
-    config.planner = !opts.has("no-planner");
     // Slow-query threshold: off unless asked for. Measured at the
     // front-end around the whole call, so queue wait counts — that is
     // what the client experienced.
@@ -1059,7 +1047,7 @@ fn connect(opts: &Opts, cmd: &str) -> Result<front::Connection, String> {
 /// `--explain` skips stdin entirely: it sends one `{"op":"explain"}`
 /// request (with the query budget `--tau T` when given) and prints the
 /// service's current plan — candidate generator, verifier cutoffs,
-/// stage order, and the observed selectivity rates steering them.
+/// stage order, and the observed per-arm rates steering the generator.
 fn cmd_query(opts: &Opts) -> Result<(), String> {
     use std::io::BufRead;
     opts.expect_flags("query", &["socket", "tcp", "auth-token", "explain", "tau"])?;

@@ -25,9 +25,9 @@
 //!   scoped threads; results are bit-identical for any thread count;
 //! * an optional **adaptive planner** ([`TreeIndex::with_planner`], the
 //!   `rted-plan` crate) re-decides, per query, the candidate generator
-//!   (linear vs. metric-tree) and the filter-stage order, from the same
-//!   lifetime counters the metrics surface exports. Every planned choice is answer-invariant by construction
-//!   — see [`TreeIndex::explain`] for the decision record.
+//!   (linear vs. metric-tree) from observed per-arm costs. Every planned
+//!   choice is answer-invariant by construction — see
+//!   [`TreeIndex::explain`] for the decision record.
 //!
 //! Three query APIs cover the common workloads: [`TreeIndex::range`]
 //! (all trees within a distance threshold), [`TreeIndex::top_k`]
@@ -89,7 +89,7 @@ pub use totals::{IndexTotals, QueryKind, TotalsSnapshot};
 pub use verify::{BoundedVerify, Kernel, TedVerifier, Verifier, ZS_CELL_CUTOFF};
 
 use crate::verify::CountedVerifier;
-use rted_core::bounds::{standard_bounds, TreeSketch};
+use rted_core::bounds::TreeSketch;
 use rted_core::Algorithm;
 use rted_plan::CandidateGen;
 use rted_tree::Tree;
@@ -251,46 +251,15 @@ pub struct TreeIndex<L> {
     /// Lifetime query totals (lock-free; recorded by every query; shared
     /// across snapshot forks so a swap never resets counters).
     totals: Arc<IndexTotals>,
-    /// Planner decision state (observations are fed by every query even
-    /// while the planner is disabled, so [`explain`](Self::explain) and
-    /// a later [`with_planner(true)`](Self::with_planner) start informed).
-    plan: Arc<PlannerState<L>>,
+    /// Planner observations, shared across snapshot forks like the
+    /// totals so what the planner has learned survives an epoch swap.
+    /// Fed by every query even while the planner is disabled, so
+    /// [`explain`](Self::explain) and a later
+    /// [`with_planner(true)`](Self::with_planner) start informed.
+    plan: Arc<rted_plan::Observations>,
     /// Whether queries go through the adaptive planner (off by default;
     /// the CLI and serving layers opt in).
     planner_enabled: bool,
-}
-
-/// Adaptive-planner state, shared across snapshot forks like
-/// [`IndexTotals`] so what the planner has learned survives an epoch
-/// swap: the lock-free per-arm observation accumulators and the cached
-/// stage-reordered pipeline.
-struct PlannerState<L> {
-    obs: rted_plan::Observations,
-    /// The planner's current stage-order rebuild. `None` until the first
-    /// reorder; reads are the per-query fast path, the write lock is
-    /// taken only to publish a new order.
-    reordered: RwLock<Option<Arc<FilterPipeline<L>>>>,
-    /// Whether the base pipeline is the standard stage set — the only
-    /// pipeline the planner knows how to rebuild in a different order.
-    /// Custom pipelines always run in their construction order.
-    reorderable: bool,
-}
-
-impl<L> PlannerState<L> {
-    fn for_pipeline(pipeline: &FilterPipeline<L>) -> Self {
-        const STANDARD: [&str; 6] = ["size", "depth", "leaf", "degree", "histogram", "pqgram"];
-        let reorderable = pipeline.stages().len() == STANDARD.len()
-            && pipeline
-                .stages()
-                .iter()
-                .zip(STANDARD)
-                .all(|(stage, name)| stage.name() == name);
-        PlannerState {
-            obs: rted_plan::Observations::default(),
-            reordered: RwLock::new(None),
-            reorderable,
-        }
-    }
 }
 
 /// Recovers the guard from a poisoned lock: a panicking query left the
@@ -327,7 +296,6 @@ where
     pub fn from_corpus(corpus: TreeCorpus<L>) -> Self {
         let pipeline = FilterPipeline::standard();
         let totals = Arc::new(IndexTotals::for_pipeline(&pipeline));
-        let plan = Arc::new(PlannerState::for_pipeline(&pipeline));
         TreeIndex {
             corpus,
             pipeline: Arc::new(pipeline),
@@ -338,7 +306,7 @@ where
             metric_config: MetricConfig::default(),
             metric: RwLock::new(None),
             totals,
-            plan,
+            plan: Arc::default(),
             planner_enabled: false,
         }
     }
@@ -490,10 +458,10 @@ where
     }
 
     /// Replaces the filter pipeline. Lifetime per-stage totals and
-    /// planner observations are reset to match the new stage order.
+    /// planner observations are reset to match the new stages.
     pub fn with_pipeline(mut self, pipeline: FilterPipeline<L>) -> Self {
         self.totals = Arc::new(IndexTotals::for_pipeline(&pipeline));
-        self.plan = Arc::new(PlannerState::for_pipeline(&pipeline));
+        self.plan = Arc::default();
         self.pipeline = Arc::new(pipeline);
         self
     }
@@ -542,15 +510,12 @@ where
 
     /// Enables (or disables) the adaptive query planner.
     ///
-    /// With the planner on, each `range`/`top_k`/`join` query re-decides
-    /// two things from the index's lifetime counters:
-    ///
-    /// * the **candidate generator** — linear size-window scan vs.
-    ///   metric-tree routing (when [`with_metric_tree`](Self::with_metric_tree)
-    ///   made the metric path available), by observed exact-TED
-    ///   computations per candidate on each arm;
-    /// * the **filter-stage order** — measured selectivity-per-cost,
-    ///   descending, with `size` pinned first (standard pipeline only).
+    /// With the planner on, each `range`/`top_k` query re-decides its
+    /// **candidate generator** — linear size-window scan vs. metric-tree
+    /// routing (when [`with_metric_tree`](Self::with_metric_tree) made
+    /// the metric path available) — by observed exact-TED computations
+    /// per candidate on each arm. Filter stages always run in the
+    /// pipeline's construction order.
     ///
     /// Every choice is answer-invariant: results are byte-identical to
     /// any fixed configuration, only the work changes. Observations are
@@ -568,77 +533,36 @@ where
 
     /// The decision record for a hypothetical next query: which candidate
     /// generator the planner would pick (`budgeted` says whether the
-    /// query would carry a finite `tau`), the active stage order, the
+    /// query would carry a finite `tau`), the pipeline's stage order, the
     /// verifier dispatch constants, and the observed per-arm rates that
     /// drove the choice. Records the probed decision into the
     /// `index_plan_*` counters like a real planned query.
     pub fn explain(&self, budgeted: bool) -> rted_plan::PlanReport {
         let metric_eligible = self.metric_enabled && budgeted && !self.corpus.is_empty();
-        let (gen, pipeline) = self.plan_query(metric_eligible);
         rted_plan::PlanReport {
-            candidate_gen: gen,
-            stage_order: pipeline.stages().iter().map(|s| s.name()).collect(),
+            candidate_gen: self.plan_query(metric_eligible),
+            stage_order: self.pipeline.stages().iter().map(|s| s.name()).collect(),
             zs_cell_cutoff: ZS_CELL_CUTOFF,
-            budgeted: budgeted && self.planner_enabled && self.verifier.algorithm.is_none(),
-            linear_rate: self.plan.obs.linear.rate(),
-            metric_rate: self.plan.obs.metric.rate(),
-            observed_queries: self.plan.obs.linear.queries() + self.plan.obs.metric.queries(),
+            budgeted: budgeted && self.verifier.algorithm.is_none(),
+            linear_rate: self.plan.linear.rate(),
+            metric_rate: self.plan.metric.rate(),
+            observed_queries: self.plan.linear.queries() + self.plan.metric.queries(),
         }
     }
 
-    /// One query's plan: the candidate generator and the pipeline to run.
-    /// With the planner disabled this is exactly the historical fixed
-    /// behavior (the configured generator, the construction stage order).
-    fn plan_query(&self, metric_eligible: bool) -> (CandidateGen, Arc<FilterPipeline<L>>) {
+    /// One query's candidate generator. With the planner disabled this is
+    /// exactly the historical fixed behavior (the configured generator).
+    fn plan_query(&self, metric_eligible: bool) -> CandidateGen {
         if !self.planner_enabled {
-            let gen = if metric_eligible {
+            return if metric_eligible {
                 CandidateGen::Metric
             } else {
                 CandidateGen::Linear
             };
-            return (gen, Arc::clone(&self.pipeline));
         }
-        let gen = self.plan.obs.choose(metric_eligible);
+        let gen = self.plan.choose(metric_eligible);
         self.totals.record_plan(gen);
-        (gen, self.planned_pipeline())
-    }
-
-    /// The stage order the planner wants right now: the base pipeline
-    /// until enough queries have been observed (or when it is not the
-    /// standard stage set), then the standard stages re-sorted by
-    /// measured selectivity-per-cost, rebuilt and cached whenever the
-    /// ranking moves. Reordering never changes answers — a pair is
-    /// pruned iff *any* stage bound reaches the threshold — it only
-    /// moves cheap-and-selective stages ahead so pruned pairs cost less.
-    /// With the planner disabled this is always the base pipeline.
-    fn planned_pipeline(&self) -> Arc<FilterPipeline<L>> {
-        if !self.planner_enabled || !self.plan.reorderable {
-            return Arc::clone(&self.pipeline);
-        }
-        let obs = &self.plan.obs;
-        if obs.linear.queries() + obs.metric.queries() < rted_plan::REORDER_AFTER {
-            return Arc::clone(&self.pipeline);
-        }
-        let target = rted_plan::order_stages(&self.totals.stage_prune_counts());
-        let active = relock(self.plan.reordered.read())
-            .clone()
-            .unwrap_or_else(|| Arc::clone(&self.pipeline));
-        if active
-            .stages()
-            .iter()
-            .map(|s| s.name())
-            .eq(target.iter().copied())
-        {
-            return active;
-        }
-        // The ranking moved: publish the new order. Concurrent queries
-        // racing here at worst rebuild the same order twice.
-        let mut stages = standard_bounds::<L>();
-        stages.sort_by_key(|s| target.iter().position(|&n| n == s.name()));
-        let rebuilt = Arc::new(FilterPipeline::from_stages(stages));
-        *relock(self.plan.reordered.write()) = Some(Arc::clone(&rebuilt));
-        self.totals.record_plan_reorder();
-        rebuilt
+        gen
     }
 
     /// This index's verifier, counting its kernel choices into the
@@ -702,8 +626,8 @@ where
     /// finite positive `tau`, candidates come from the vantage-point tree
     /// instead of the linear size window — identical results, fewer
     /// candidates examined. With [`with_planner`](Self::with_planner) the
-    /// generator and stage order are re-decided from observed costs
-    /// instead (still identical results). This is the striped driver
+    /// generator is re-decided from observed costs instead (still
+    /// identical results). This is the striped driver
     /// ([`range_striped`](Self::range_striped)) over this one index.
     pub fn range(&self, query: &Tree<L>, tau: f64) -> QueryResult {
         Self::range_striped(&[self], query, tau)
@@ -726,13 +650,12 @@ where
 
     /// Stamps a query's wall time and records it once, into this
     /// (driver) index's totals and the planner arm that answered it
-    /// (observed even while the planner is disabled — see
-    /// [`PlannerState`]).
+    /// (observed even while the planner is disabled).
     fn record(&self, kind: QueryKind, arm: CandidateGen, start: Instant, stats: &mut SearchStats) {
         stats.time = start.elapsed();
         let obs = match arm {
-            CandidateGen::Linear => &self.plan.obs.linear,
-            CandidateGen::Metric => &self.plan.obs.metric,
+            CandidateGen::Linear => &self.plan.linear,
+            CandidateGen::Metric => &self.plan.metric,
         };
         obs.observe(stats.candidates as u64, stats.verified as u64);
         self.totals.record_query(kind, stats);
@@ -766,9 +689,9 @@ where
         Self::join_striped(&[self], tau)
     }
 
-    /// [`join`](Self::join) with an explicit (possibly borrowed) verifier,
-    /// in the construction stage order — e.g. a [`TedVerifier`] pinning one
-    /// algorithm under a caller's cost model.
+    /// [`join`](Self::join) with an explicit (possibly borrowed) verifier
+    /// — e.g. a [`TedVerifier`] pinning one algorithm under a caller's
+    /// cost model.
     ///
     /// **Soundness:** the filter stages assume the verifier's cost model
     /// charges ≥ 1 per delete/insert and ≥ 1 per rename of distinct
@@ -778,7 +701,7 @@ where
     /// [`unfiltered`](Self::unfiltered) or a custom pipeline whose stages
     /// are sound for that model.
     pub fn join_with(&self, tau: f64, verifier: &dyn Verifier<L>) -> JoinOutcome {
-        Self::join_linear(&[self], tau, verifier, &self.pipeline)
+        Self::join_linear(&[self], tau, verifier)
     }
 
     /// Runs `f` against the metric tree, building it first if needed (the
@@ -810,10 +733,10 @@ where
     }
 
     /// [`range`](Self::range) through the vantage-point tree.
-    fn range_metric(&self, query: &Tree<L>, tau: f64, pipeline: &FilterPipeline<L>) -> QueryResult {
+    fn range_metric(&self, query: &Tree<L>, tau: f64) -> QueryResult {
         let start = Instant::now();
         let qsketch = Self::query_sketch(&[self], query);
-        let mut stats = zeroed_stats(self.corpus.len(), pipeline);
+        let mut stats = zeroed_stats(self.corpus.len(), &self.pipeline);
         let mut neighbors = Vec::new();
         self.with_metric(|vp| {
             let mut ws = self.scratch.take();
@@ -822,7 +745,7 @@ where
                 query,
                 &qsketch,
                 tau,
-                pipeline,
+                &self.pipeline,
                 &self.counted(),
                 ws.get(),
                 &mut neighbors,
@@ -835,10 +758,10 @@ where
     }
 
     /// [`top_k`](Self::top_k) through the vantage-point tree.
-    fn top_k_metric(&self, query: &Tree<L>, k: usize, pipeline: &FilterPipeline<L>) -> QueryResult {
+    fn top_k_metric(&self, query: &Tree<L>, k: usize) -> QueryResult {
         let start = Instant::now();
         let qsketch = Self::query_sketch(&[self], query);
-        let mut stats = zeroed_stats(self.corpus.len(), pipeline);
+        let mut stats = zeroed_stats(self.corpus.len(), &self.pipeline);
         let neighbors = self.with_metric(|vp| {
             let mut ws = self.scratch.take();
             vp.top_k(
@@ -846,7 +769,7 @@ where
                 query,
                 &qsketch,
                 k,
-                pipeline,
+                &self.pipeline,
                 &self.counted(),
                 ws.get(),
                 &mut stats,

@@ -17,7 +17,7 @@
 //! Answers are reported under global ids, and the neighbour or match
 //! set **and every counter** are byte-identical to an unsharded index
 //! holding the union, for any shard count and thread count. `shards[0]`
-//! is the driver of every query: its planned filter pipeline, verifier,
+//! is the driver of every query: its filter pipeline, verifier,
 //! execution policy, workspace pool and lifetime totals serve the whole
 //! query, which is recorded once, into the driver's totals (the shards
 //! of one service share one configuration). The single-index
@@ -26,7 +26,6 @@
 
 use crate::corpus::CorpusEntry;
 use crate::exec::map_chunks_with;
-use crate::filter::FilterPipeline;
 use crate::totals::QueryKind;
 use crate::verify::{CountedVerifier, Verifier};
 use crate::{
@@ -134,10 +133,9 @@ where
             && tau.is_finite()
             && tau > 0.0
             && !driver.corpus.is_empty();
-        let (gen, pipeline) = driver.plan_query(metric_eligible);
-        match gen {
-            CandidateGen::Metric => driver.range_metric(query, tau, &pipeline),
-            CandidateGen::Linear => Self::range_linear(shards, query, tau, &pipeline),
+        match driver.plan_query(metric_eligible) {
+            CandidateGen::Metric => driver.range_metric(query, tau),
+            CandidateGen::Linear => Self::range_linear(shards, query, tau),
         }
     }
 
@@ -154,10 +152,9 @@ where
         let driver = driver(shards);
         let metric_eligible =
             shards.len() == 1 && driver.metric_enabled && k > 0 && !driver.corpus.is_empty();
-        let (gen, pipeline) = driver.plan_query(metric_eligible);
-        match gen {
-            CandidateGen::Metric => driver.top_k_metric(query, k, &pipeline),
-            CandidateGen::Linear => Self::top_k_linear(shards, query, k, &pipeline),
+        match driver.plan_query(metric_eligible) {
+            CandidateGen::Metric => driver.top_k_metric(query, k),
+            CandidateGen::Linear => Self::top_k_linear(shards, query, k),
         }
     }
 
@@ -171,17 +168,14 @@ where
     /// Panics if `shards` is empty.
     pub fn join_striped(shards: &[&TreeIndex<L>], tau: f64) -> JoinOutcome {
         let driver = driver(shards);
-        let (_, pipeline) = driver.plan_query(false);
-        Self::join_linear(shards, tau, &driver.verifier, &pipeline)
+        // Joins always scan linearly; planning only records the decision.
+        driver.plan_query(false);
+        Self::join_linear(shards, tau, &driver.verifier)
     }
 
-    fn range_linear(
-        shards: &[&TreeIndex<L>],
-        query: &Tree<L>,
-        tau: f64,
-        pipeline: &FilterPipeline<L>,
-    ) -> QueryResult {
+    fn range_linear(shards: &[&TreeIndex<L>], query: &Tree<L>, tau: f64) -> QueryResult {
         let driver = driver(shards);
+        let pipeline = &*driver.pipeline;
         let start = Instant::now();
         let qsketch = Self::query_sketch(shards, query);
         let mut stats = zeroed_stats(shards.iter().map(|s| s.corpus.len()).sum(), pipeline);
@@ -246,13 +240,9 @@ where
     }
 
     /// The best-first batch driver behind every linear top-k.
-    fn top_k_linear(
-        shards: &[&TreeIndex<L>],
-        query: &Tree<L>,
-        k: usize,
-        pipeline: &FilterPipeline<L>,
-    ) -> QueryResult {
+    fn top_k_linear(shards: &[&TreeIndex<L>], query: &Tree<L>, k: usize) -> QueryResult {
         let driver = driver(shards);
+        let pipeline = &*driver.pipeline;
         let start = Instant::now();
         let qsketch = Self::query_sketch(shards, query);
         let candidates = shards.iter().map(|s| s.corpus.len()).sum();
@@ -377,9 +367,9 @@ where
         shards: &[&TreeIndex<L>],
         tau: f64,
         verifier: &dyn Verifier<L>,
-        pipeline: &FilterPipeline<L>,
     ) -> JoinOutcome {
         let driver = driver(shards);
+        let pipeline = &*driver.pipeline;
         let start = Instant::now();
         let by_size = merged_by_size(shards);
         let n = by_size.len();

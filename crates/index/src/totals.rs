@@ -74,8 +74,6 @@ pub struct IndexTotals {
     plan_linear: Counter,
     /// Planner decisions that selected the metric-tree generator.
     plan_metric: Counter,
-    /// Times the planner changed the filter-stage execution order.
-    plan_reorders: Counter,
     /// Pairs the per-pair dispatch sent to Zhang–Shasha.
     plan_zs_pairs: Counter,
     /// Pairs the per-pair dispatch sent to the bounded-τ kernel.
@@ -107,7 +105,6 @@ impl IndexTotals {
             metric_routing_ted: Counter::new(),
             plan_linear: Counter::new(),
             plan_metric: Counter::new(),
-            plan_reorders: Counter::new(),
             plan_zs_pairs: Counter::new(),
             plan_bounded_pairs: Counter::new(),
             plan_rted_pairs: Counter::new(),
@@ -123,19 +120,10 @@ impl IndexTotals {
         }
         self.query_ns.add(duration_ns(stats.time));
         self.candidates.add(stats.candidates as u64);
-        // Stage credit is matched by *name*, not position: a planned query
-        // may have run a reordered pipeline, and its per-stage counters
-        // must land on the lifetime counter of the same stage. The common
-        // aligned case short-circuits on the first comparison.
-        for (pos, stage) in stats.filter.stages.iter().enumerate() {
-            let slot = if self.stage_names.get(pos) == Some(&stage.stage) {
-                Some(pos)
-            } else {
-                self.stage_names.iter().position(|n| *n == stage.stage)
-            };
-            if let Some(i) = slot {
-                self.stage_prunes[i].add(stage.pruned);
-            }
+        // Every query runs the pipeline these totals were built for, so
+        // per-stage credit lines up by position.
+        for (counter, stage) in self.stage_prunes.iter().zip(&stats.filter.stages) {
+            counter.add(stage.pruned);
         }
         self.verified.add(stats.verified as u64);
         self.subproblems.add(stats.subproblems);
@@ -192,12 +180,6 @@ impl IndexTotals {
         }
     }
 
-    /// Notes one applied filter-stage reorder.
-    #[inline]
-    pub fn record_plan_reorder(&self) {
-        self.plan_reorders.inc();
-    }
-
     /// Notes the kernel the per-pair dispatch ran. Lock-free and
     /// allocation-free: called from verification worker threads.
     #[inline]
@@ -207,16 +189,6 @@ impl IndexTotals {
             Kernel::Bounded => self.plan_bounded_pairs.inc(),
             Kernel::Rted => self.plan_rted_pairs.inc(),
         }
-    }
-
-    /// Per-stage lifetime prune counts in construction order — the
-    /// planner's stage-reorder signal.
-    pub(crate) fn stage_prune_counts(&self) -> Vec<(&'static str, u64)> {
-        self.stage_names
-            .iter()
-            .zip(&self.stage_prunes)
-            .map(|(&name, counter)| (name, counter.get()))
-            .collect()
     }
 
     /// A point-in-time copy of every total.
@@ -247,7 +219,7 @@ impl IndexTotals {
             metric_routing_ted: self.metric_routing_ted.get(),
             plan_linear: self.plan_linear.get(),
             plan_metric: self.plan_metric.get(),
-            plan_reorders: self.plan_reorders.get(),
+            plan_reorders: 0,
             plan_zs_pairs: self.plan_zs_pairs.get(),
             plan_bounded_pairs: self.plan_bounded_pairs.get(),
             plan_rted_pairs: self.plan_rted_pairs.get(),
@@ -300,7 +272,8 @@ pub struct TotalsSnapshot {
     pub plan_linear: u64,
     /// Planner decisions for the metric-tree generator.
     pub plan_metric: u64,
-    /// Filter-stage reorders the planner applied.
+    /// Always 0: filter stages run in construction order. Kept only
+    /// because the benchmark harness still reads it.
     pub plan_reorders: u64,
     /// Pairs the per-pair dispatch sent to Zhang–Shasha.
     pub plan_zs_pairs: u64,
@@ -343,7 +316,6 @@ impl TotalsSnapshot {
         self.metric_routing_ted += other.metric_routing_ted;
         self.plan_linear += other.plan_linear;
         self.plan_metric += other.plan_metric;
-        self.plan_reorders += other.plan_reorders;
         self.plan_zs_pairs += other.plan_zs_pairs;
         self.plan_bounded_pairs += other.plan_bounded_pairs;
         self.plan_rted_pairs += other.plan_rted_pairs;
@@ -379,7 +351,6 @@ impl TotalsSnapshot {
         snap.push("index_metric_routing_ted_total", C(self.metric_routing_ted));
         snap.push("index_plan_linear_total", C(self.plan_linear));
         snap.push("index_plan_metric_total", C(self.plan_metric));
-        snap.push("index_plan_reorders_total", C(self.plan_reorders));
         snap.push("index_plan_zs_pairs_total", C(self.plan_zs_pairs));
         snap.push("index_plan_bounded_pairs_total", C(self.plan_bounded_pairs));
         snap.push("index_plan_rted_pairs_total", C(self.plan_rted_pairs));

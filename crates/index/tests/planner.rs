@@ -8,6 +8,7 @@
 //! counter.
 
 use proptest::prelude::*;
+use rted_core::Algorithm;
 use rted_datasets::shapes::Shape;
 use rted_index::{SearchStats, TreeIndex};
 use rted_plan::CandidateGen;
@@ -39,8 +40,7 @@ proptest! {
     /// Planner-on answers ≡ all-linear answers ≡ all-metric answers,
     /// for range, top-k and join, after a warm-up history long enough to
     /// cross the cold-start, baseline-probe and exploit phases of the
-    /// generator crossover (and the stage-reorder threshold), and after
-    /// churn on top.
+    /// generator crossover, and after churn on top.
     #[test]
     fn planned_queries_identical_to_both_fixed_configs(
         corpus in proptest::collection::vec(arb_shape_tree(16), 2..=8),
@@ -57,8 +57,7 @@ proptest! {
             .with_planner(true);
 
         // Warm the planner past its decision thresholds: both arms get
-        // sampled and the reorder hysteresis (8 observed queries) is
-        // crossed, so the comparison below exercises *steered* plans,
+        // sampled, so the comparison below exercises *steered* plans,
         // not the cold-start passthrough.
         for (i, (_, entry)) in planned.corpus().iter().take(9).enumerate().collect::<Vec<_>>() {
             let probe = entry.tree().clone();
@@ -147,9 +146,7 @@ fn mixed_verifier_dispatch_partitions_the_totals() {
 
 /// `explain` is gated exactly like a real query: with the planner off it
 /// reports the fixed plan and records nothing; with it on it records a
-/// decision, honours the configured generator on cold start, and only
-/// reports a budgeted verifier plan when the budget would actually be
-/// exploited.
+/// decision and honours the configured generator on cold start.
 #[test]
 fn explain_reports_and_records_like_a_query() {
     let trees: Vec<Tree<u32>> = (0..10)
@@ -158,10 +155,6 @@ fn explain_reports_and_records_like_a_query() {
 
     let fixed = TreeIndex::build(trees.iter().cloned());
     let report = fixed.explain(true);
-    assert!(
-        !report.budgeted,
-        "planner off: no bounded dispatch to report"
-    );
     assert_eq!(report.stage_order.first().copied(), Some("size"));
     let t = fixed.totals();
     assert_eq!(
@@ -190,48 +183,69 @@ fn explain_reports_and_records_like_a_query() {
     assert_eq!((t.plan_metric, t.plan_linear), (1, 1));
 }
 
-/// Enough observed queries with a lopsided prune profile reorder the
-/// stages by measured selectivity-per-cost — and the reorder is
-/// answer-invariant against the fixed construction order.
+/// `budgeted` reports what the verifier runs under a finite τ: the
+/// bounded kernel whenever the per-pair dispatch is in charge, with or
+/// without the planner, and never once an algorithm is pinned.
 #[test]
-fn stage_reorder_triggers_and_preserves_answers() {
+fn explain_budgeted_follows_the_verifier() {
+    let trees: Vec<Tree<u32>> = (0..10)
+        .map(|i| Shape::ALL[i % Shape::ALL.len()].generate(6 + i, i as u64))
+        .collect();
+    let index = TreeIndex::build(trees.iter().cloned());
+    assert!(
+        index.explain(true).budgeted,
+        "the dispatch runs the bounded kernel under a finite tau"
+    );
+    let pinned = index.with_algorithm(Algorithm::Rted);
+    assert!(
+        !pinned.explain(true).budgeted,
+        "a pinned algorithm never runs the bounded kernel"
+    );
+}
+
+/// Filter stages always run in construction order: after many queries
+/// with a lopsided prune profile the planner still reports the
+/// construction order, applies no reorder, and every lifetime stage
+/// counter is the positional sum of the queries' per-stage counts.
+#[test]
+fn stage_order_is_fixed() {
     let trees: Vec<Tree<u32>> = (0..12)
         .map(|i| Shape::Mixed.generate(10 + i, i as u64))
         .collect();
     let fixed = TreeIndex::build(trees.iter().cloned());
     let planned = TreeIndex::build(trees.iter().cloned()).with_planner(true);
+    let construction: Vec<&str> = planned
+        .pipeline()
+        .stages()
+        .iter()
+        .map(|s| s.name())
+        .collect();
 
-    // Mixed-shape trees at a tight threshold give the non-trivial
-    // stages real prune counts; past the hysteresis the measured
-    // ranking replaces the construction order.
+    // Mixed-shape trees at a tight and a loose threshold give the
+    // non-trivial stages lopsided prune counts.
+    let mut summed = vec![0u64; construction.len()];
     for (i, (_, entry)) in fixed.corpus().iter().enumerate().collect::<Vec<_>>() {
         let probe = entry.tree().clone();
         for tau in [2.0, 8.0] {
+            let res = planned.range(&probe, tau);
             assert_eq!(
-                planned.range(&probe, tau).neighbors,
+                res.neighbors,
                 fixed.range(&probe, tau).neighbors,
                 "probe {i} diverged at tau {tau}"
             );
+            for (sum, stage) in summed.iter_mut().zip(&res.stats.filter.stages) {
+                *sum += stage.pruned;
+            }
         }
     }
-    let t = planned.totals();
-    assert!(
-        t.plan_reorders >= 1,
-        "24 lopsided queries must trigger a reorder"
-    );
     let report = planned.explain(true);
-    assert_eq!(
-        report.stage_order.first().copied(),
-        Some("size"),
-        "size stays pinned"
-    );
-    assert_eq!(report.stage_order.len(), 6, "reorder keeps every stage");
-    // The reordered pipeline still answers identically.
-    let q = Shape::Random.generate(14, 99);
-    assert_eq!(
-        planned.range(&q, 6.0).neighbors,
-        fixed.range(&q, 6.0).neighbors
-    );
+    assert_eq!(report.stage_order, construction);
+    let t = planned.totals();
+    assert_eq!(t.plan_reorders, 0);
+    let names: Vec<&str> = t.stages.iter().map(|s| s.stage).collect();
+    assert_eq!(names, construction);
+    let lifetime: Vec<u64> = t.stages.iter().map(|s| s.pruned).collect();
+    assert_eq!(lifetime, summed, "stage credit lines up by position");
 }
 
 /// The striped drivers are counter-identical to one index holding the

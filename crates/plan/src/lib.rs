@@ -4,8 +4,8 @@
 //! input, the decomposition strategy with the fewest subproblems instead
 //! of committing to one algorithm shape (Pawlik & Augsten, PVLDB 2011,
 //! §5). This crate lifts the same idea from one distance computation to
-//! the whole query pipeline. A query has three analogous degrees of
-//! freedom, all of which the index historically fixed at construction
+//! the whole query pipeline. A query has two analogous degrees of
+//! freedom, both of which the index historically fixed at construction
 //! time:
 //!
 //! 1. **Candidate generation** — linear size-window scan vs.
@@ -13,24 +13,19 @@
 //! 2. **Verification** — Zhang–Shasha for pairs small enough that
 //!    RTED's strategy-computation overhead dominates, the bounded-τ
 //!    early-exit kernel when the query supplies a budget, full RTED
-//!    otherwise;
-//! 3. **Filter-stage order** — cheapest-first is only optimal when every
-//!    stage prunes equally; the measured ranking is
-//!    selectivity-per-cost.
+//!    otherwise.
 //!
 //! Every choice is *answer-invariant* by construction: all verifier
-//! arms compute the same exact distance, both candidate generators
-//! return the same neighbour set, and reordering keep-all-stages
-//! pipelines only changes which stage gets prune *credit* (a pair is
-//! pruned iff **any** stage bound reaches the threshold — a property of
-//! the set of stages, not their order). The planner can therefore never
+//! arms compute the same exact distance and both candidate generators
+//! return the same neighbour set. The planner can therefore never
 //! change a result, only the work done to produce it; `rted-index`
-//! proptests byte-equality against both fixed configurations.
+//! proptests byte-equality against both fixed configurations. Filter
+//! stages always run in the pipeline's construction order.
 //!
 //! This crate is dependency-free and holds the pure decision logic plus
 //! the lock-free observation accumulators; `rted-index` owns the
-//! integration (pipeline reordering, counters) and the per-pair verifier
-//! dispatch, which its `TedVerifier` runs on every query.
+//! integration (counters) and the per-pair verifier dispatch, which its
+//! `TedVerifier` runs on every query.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -52,12 +47,6 @@ impl CandidateGen {
         }
     }
 }
-
-/// Observed queries required before the measured stage ranking replaces
-/// the construction order (hysteresis against thrash). Planner constants
-/// only move work between *provably equivalent* plans, so the worst case
-/// of a bad value is lost speed, never a wrong answer.
-pub const REORDER_AFTER: u64 = 8;
 
 /// Lock-free accumulators for one candidate-generation arm.
 #[derive(Debug, Default)]
@@ -140,55 +129,6 @@ impl Observations {
             }
         }
     }
-}
-
-/// Static per-stage evaluation cost, in rough "sketch-comparison units"
-/// (size compare = 1). Only the *ratios* matter: they weight observed
-/// prune counts into selectivity-per-cost. Unknown stages are priced
-/// like the most expensive known one, so a custom stage is never
-/// promoted ahead of measured cheap ones by default.
-pub fn stage_cost(name: &str) -> u64 {
-    match name {
-        "size" => 1,
-        "depth" => 1,
-        "leaf" => 1,
-        "degree" => 4,
-        "histogram" => 16,
-        "pqgram" => 64,
-        _ => 64,
-    }
-}
-
-/// Orders filter stages by measured selectivity-per-cost, descending —
-/// the keep-all-stages reorder. Two sound constraints:
-///
-/// * **every stage stays** — the surviving-candidate set is determined
-///   by the set of stages, so answers cannot change;
-/// * **`size` stays first** when present — the sorted-size
-///   window/early-break optimization is only a faithful stand-in for
-///   the stage when nothing precedes it.
-///
-/// The sort is stable, so unmeasured stages (all-zero prune counts)
-/// keep their cheapest-first construction order.
-pub fn order_stages(observed: &[(&'static str, u64)]) -> Vec<&'static str> {
-    let mut rest: Vec<(&'static str, u64)> = Vec::new();
-    let mut out: Vec<&'static str> = Vec::new();
-    for &(name, pruned) in observed {
-        if name == "size" && out.is_empty() {
-            out.push(name);
-        } else {
-            rest.push((name, pruned));
-        }
-    }
-    // Selectivity-per-cost as a cross-multiplied integer comparison:
-    // pruned_a / cost_a > pruned_b / cost_b  ⇔  pruned_a·cost_b > pruned_b·cost_a.
-    rest.sort_by(|a, b| {
-        let lhs = (a.1 as u128) * stage_cost(b.0) as u128;
-        let rhs = (b.1 as u128) * stage_cost(a.0) as u128;
-        rhs.cmp(&lhs)
-    });
-    out.extend(rest.into_iter().map(|(name, _)| name));
-    out
 }
 
 /// The decision record for one query (or one `explain` probe): what ran
@@ -281,42 +221,6 @@ mod tests {
         obs.linear.observe(100, 30);
         obs.metric.observe(100, 30);
         assert_eq!(obs.choose(true), CandidateGen::Linear);
-    }
-
-    #[test]
-    fn order_pins_size_first_and_ranks_by_selectivity_per_cost() {
-        let observed = [
-            ("size", 5u64),
-            ("depth", 0),
-            ("leaf", 40),
-            ("degree", 40),
-            ("histogram", 600),
-            ("pqgram", 10),
-        ];
-        let order = order_stages(&observed);
-        assert_eq!(order[0], "size");
-        // leaf (40/1) beats histogram (600/16 = 37.5) beats degree (40/4)
-        // beats depth (0) — and pqgram's 10/64 lands between.
-        assert_eq!(
-            order,
-            vec!["size", "leaf", "histogram", "degree", "pqgram", "depth"]
-        );
-    }
-
-    #[test]
-    fn order_without_observations_is_construction_order() {
-        let observed = [
-            ("size", 0u64),
-            ("depth", 0),
-            ("leaf", 0),
-            ("degree", 0),
-            ("histogram", 0),
-            ("pqgram", 0),
-        ];
-        assert_eq!(
-            order_stages(&observed),
-            vec!["size", "depth", "leaf", "degree", "histogram", "pqgram"]
-        );
     }
 
     #[test]

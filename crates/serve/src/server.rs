@@ -127,14 +127,6 @@ pub struct ServerConfig {
     /// distances, which only pays off for query-heavy, selective
     /// workloads.
     pub metric_tree: bool,
-    /// Let the adaptive planner steer each query (candidate generator,
-    /// per-pair verifier, filter-stage order) from the shards' lifetime
-    /// counters. Answer-invariant — results are byte-identical either
-    /// way — so it is on by default; turn it off to pin the fixed
-    /// configuration (the CLI's `--no-planner`). Used by
-    /// [`Server::open`] and [`Server::in_memory`]; [`Server::start`]
-    /// serves the index it is given as configured.
-    pub planner: bool,
 }
 
 impl Default for ServerConfig {
@@ -150,7 +142,6 @@ impl Default for ServerConfig {
             compact_fraction: Some(0.25),
             maintenance_interval: Duration::from_millis(100),
             metric_tree: false,
-            planner: true,
         }
     }
 }
@@ -491,14 +482,16 @@ impl Drop for Server {
 }
 
 /// One shard of a `cfg.shards`-stripe layout, configured by `cfg`: the
-/// query fan-out is at least the shard count, and the vantage-point tree
-/// is enabled only on a 1-shard layout (striped queries over several
-/// shards always scan linearly, so it would never be used).
+/// adaptive planner picks each query's candidate generator (answers are
+/// byte-identical to any fixed choice), the query fan-out is at least
+/// the shard count, and the vantage-point tree is enabled only on a
+/// 1-shard layout (striped queries over several shards always scan
+/// linearly, so it would never be used).
 fn shard_index(index: TreeIndex<String>, cfg: &ServerConfig) -> TreeIndex<String> {
     index
         .with_threads(cfg.query_threads.max(cfg.shards))
         .with_metric_tree(cfg.metric_tree && cfg.shards <= 1)
-        .with_planner(cfg.planner)
+        .with_planner(true)
 }
 
 /// Shard `k`'s backing file under a root path: the root itself for

@@ -668,8 +668,7 @@ fn bounded_distance_answers_exact_or_certified_exceeds() {
 }
 
 /// The `explain` op surfaces the planner's decision record, and planned
-/// queries feed the `index_plan_*` counters — while `--no-planner`
-/// (config `planner: false`) pins the fixed configuration.
+/// queries feed the `index_plan_*` counters.
 #[test]
 fn explain_reports_planner_decisions() {
     use rted_serve::MetricsFormat;
@@ -721,23 +720,4 @@ fn explain_reports_planner_decisions() {
         other => panic!("{other:?}"),
     }
     server.shutdown();
-
-    // planner: false serves the historical fixed configuration and
-    // reports it as such.
-    let fixed = Server::in_memory(
-        gen_trees(6, 910),
-        ServerConfig {
-            workers: 1,
-            planner: false,
-            ..ServerConfig::default()
-        },
-    );
-    match fixed.call(Request::Explain { tau: 2.0 }) {
-        Response::Plan(report) => {
-            assert_eq!(report.candidate_gen.name(), "linear");
-            assert!(!report.budgeted, "planner off never plans the bounded arm");
-        }
-        other => panic!("{other:?}"),
-    }
-    fixed.shutdown();
 }

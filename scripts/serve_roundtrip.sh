@@ -150,7 +150,7 @@ done
 grep -q '^serve_scatter_fanout_count 4$' "$WORK/metrics.prom" || fail "exposition fanout count wrong: $(grep fanout "$WORK/metrics.prom")"
 
 # --- 3b. Planner decision record over the wire --------------------------
-# The adaptive planner is on by default; `explain` answers its decision
+# The adaptive planner is always on; `explain` answers its decision
 # record for a hypothetical query (tau present = budgeted) and the
 # plan counters surface what it chose for the traffic above.
 plan=$(echo '{"op":"explain","tau":6}' | q)
