@@ -260,6 +260,18 @@ impl<L> TreeCorpus<L> {
         self.entries.get(id).and_then(|slot| slot.as_deref())
     }
 
+    /// The ids of `ids` that are live here, each once, in first-occurrence
+    /// order — the removal rule of every durable remove. Dead, unassigned
+    /// and repeated ids are dropped, so a batch never tombstones an id
+    /// twice (the loader rejects tombstones for non-live ids).
+    pub fn live_unique(&self, ids: &[usize]) -> Vec<usize> {
+        let mut seen = std::collections::HashSet::new();
+        ids.iter()
+            .copied()
+            .filter(|&id| self.get(id).is_some() && seen.insert(id))
+            .collect()
+    }
+
     /// The shared handle to entry `id`, or `None` if it was removed or
     /// never assigned. Lets callers pin an entry beyond the corpus borrow
     /// (e.g. serving a tree out of a snapshot that may be superseded).
@@ -387,6 +399,14 @@ mod tests {
         c.remove(0);
         let ids: Vec<usize> = c.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![1, 2]);
+    }
+
+    #[test]
+    fn live_unique_keeps_first_live_occurrences() {
+        let mut c = TreeCorpus::build(vec![t("{a}"), t("{b}"), t("{c}"), t("{d}")]);
+        c.remove(1);
+        assert_eq!(c.live_unique(&[3, 1, 0, 3, 99, 0, 2]), vec![3, 0, 2]);
+        assert!(c.live_unique(&[1, 4]).is_empty());
     }
 
     #[test]

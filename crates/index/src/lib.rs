@@ -83,7 +83,7 @@ pub use corpus::{CorpusEntry, TreeCorpus};
 pub use exec::{map_chunks, map_chunks_with, ExecPolicy, PooledWorkspace, WorkspacePool};
 pub use filter::{FilterPipeline, FilterStats, StagePrune};
 pub use persist::{encode_corpus, salvage_corpus, CorpusFile, PersistError, RepairReport, Salvage};
-pub use store::{CorpusLog, CorpusStore, LogCounts, Recovery, WalObs};
+pub use store::{CorpusLog, CorpusStore, Recovery, WalObs};
 pub use striped::Stripes;
 pub use totals::{IndexTotals, QueryKind, TotalsSnapshot};
 pub use verify::{BoundedVerify, Kernel, TedVerifier, Verifier, ZS_CELL_CUTOFF};

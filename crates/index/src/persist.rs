@@ -123,7 +123,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// file — the loader never silently mis-reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistError {
-    /// Underlying I/O failure (message includes the path).
+    /// Underlying I/O failure, or a set of files that cannot be opened as
+    /// asked, such as a shard layout under another shard count (message
+    /// includes the path).
     Io(String),
     /// The file does not start with [`MAGIC`] — not a corpus file.
     BadMagic,
@@ -341,7 +343,7 @@ pub(crate) fn segment_bytes(kind: u32, payload: &[u8]) -> Vec<u8> {
 
 /// Encodes a version-2 trees segment (records carry pq-gram profiles) —
 /// see [`trees_segment_with`].
-pub(crate) fn trees_segment(entries: &[(u64, &CorpusEntry<String>)]) -> Vec<u8> {
+pub(crate) fn trees_segment(entries: &[(usize, &CorpusEntry<String>)]) -> Vec<u8> {
     trees_segment_with(entries, true)
 }
 
@@ -350,7 +352,7 @@ pub(crate) fn trees_segment(entries: &[(u64, &CorpusEntry<String>)]) -> Vec<u8> 
 /// false the record layout is the version-1 one (no pq-gram data) — the
 /// legacy writer kept for fixtures and compatibility tests.
 pub(crate) fn trees_segment_with<'a>(
-    entries: &[(u64, &'a CorpusEntry<String>)],
+    entries: &[(usize, &'a CorpusEntry<String>)],
     profiles: bool,
 ) -> Vec<u8> {
     // Intern labels in first-occurrence order (trees in id order, nodes in
@@ -379,7 +381,7 @@ pub(crate) fn trees_segment_with<'a>(
     for &(id, entry) in entries {
         let tree = entry.tree();
         let sketch = entry.sketch();
-        put_u64(&mut payload, id);
+        put_u64(&mut payload, id as u64);
         put_u32(&mut payload, tree.len() as u32);
         for v in tree.nodes() {
             put_u32(&mut payload, label_ids[tree.label(v).as_str()]);
@@ -421,11 +423,11 @@ pub(crate) fn trees_segment_with<'a>(
 }
 
 /// Encodes a tombstones segment for the given removed ids.
-pub(crate) fn tombstones_segment(ids: &[u64]) -> Vec<u8> {
+pub(crate) fn tombstones_segment(ids: &[usize]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(4 + 8 * ids.len());
     put_u32(&mut payload, ids.len() as u32);
     for &id in ids {
-        put_u64(&mut payload, id);
+        put_u64(&mut payload, id as u64);
     }
     segment_bytes(SEG_TOMBSTONES, &payload)
 }
@@ -456,10 +458,7 @@ fn encode_corpus_with(corpus: &TreeCorpus<String>, version: u32) -> Vec<u8> {
     };
     let mut out = header.encode().to_vec();
     if !corpus.is_empty() {
-        let entries: Vec<_> = corpus
-            .iter()
-            .map(|(id, entry)| (id as u64, entry))
-            .collect();
+        let entries: Vec<_> = corpus.iter().collect();
         out.extend_from_slice(&trees_segment_with(&entries, profiles));
     }
     out

@@ -6,8 +6,8 @@
 //! * [`CorpusLog`] — the file half alone: it tracks the backing file and
 //!   appends segments / rewrites it, but does **not** own a corpus. A
 //!   long-lived service that already owns the corpus (inside its query
-//!   index) uses the log directly, so the trees exist in memory exactly
-//!   once — see the `rted-serve` crate.
+//!   index) keeps only the log, so the trees exist in memory exactly
+//!   once.
 //! * [`CorpusStore`] — the convenient pairing of a log with its own
 //!   in-memory corpus, for batch tools (the `rted index` CLI) and tests.
 //!
@@ -90,16 +90,13 @@ pub enum Recovery {
 /// the pre- and post-mutation counts so the log can both commit the new
 /// header and roll back to the old one on failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LogCounts {
-    /// The id the next inserted tree will receive.
-    pub next_id: u64,
-    /// Live tree count.
-    pub live: u64,
+struct LogCounts {
+    next_id: u64,
+    live: u64,
 }
 
 impl LogCounts {
-    /// The counts describing `corpus` right now.
-    pub fn of<L>(corpus: &TreeCorpus<L>) -> Self {
+    fn of<L>(corpus: &TreeCorpus<L>) -> Self {
         LogCounts {
             next_id: corpus.id_bound() as u64,
             live: corpus.len() as u64,
@@ -124,9 +121,10 @@ impl LogCounts {
 ///
 /// The caller owns the corpus and keeps it consistent with the log by
 /// appending **before** applying the same mutation in memory (so an I/O
-/// failure leaves both sides on the old state). [`CorpusStore`] packages
-/// that discipline; `rted-serve` drives the log directly under its index
-/// lock.
+/// failure leaves both sides on the old state). Each append takes the
+/// corpus as it stands *before* the mutation and derives the header's
+/// old and new counts from it, so callers never compute counts
+/// themselves. [`CorpusStore`] packages the whole discipline.
 #[derive(Debug)]
 pub struct CorpusLog {
     path: PathBuf,
@@ -182,27 +180,40 @@ impl CorpusLog {
         self.tombstones
     }
 
-    /// Appends one trees segment for `entries` (which carry their assigned
-    /// ids), committing the `new` counts. On failure the file is rolled
-    /// back to `old` and nothing is durable.
+    /// Appends one trees segment for `entries` — `(id, entry)` pairs, ids
+    /// ascending and not live in `before`, the corpus this insert
+    /// mutates. The committed header advances `next_id` past the largest
+    /// id (skipped ids become permanent holes). On failure the file is
+    /// rolled back and nothing is durable; an empty batch appends nothing.
     pub fn append_trees(
         &mut self,
-        entries: &[(u64, &CorpusEntry<String>)],
-        old: LogCounts,
-        new: LogCounts,
+        before: &TreeCorpus<String>,
+        entries: &[(usize, &CorpusEntry<String>)],
     ) -> Result<(), PersistError> {
+        let old = LogCounts::of(before);
+        let new = LogCounts {
+            next_id: entries
+                .iter()
+                .fold(old.next_id, |b, &(id, _)| b.max(id as u64 + 1)),
+            live: old.live + entries.len() as u64,
+        };
         self.append(&trees_segment(entries), old, new)
     }
 
-    /// Appends one tombstones segment for `ids` (which must all be live),
-    /// committing the `new` counts. On failure the file is rolled back to
-    /// `old` and nothing is durable.
+    /// Appends one tombstones segment for `ids`, which must be live and
+    /// distinct in `before` (see [`TreeCorpus::live_unique`]). On failure
+    /// the file is rolled back and nothing is durable; an empty batch
+    /// appends nothing.
     pub fn append_tombstones(
         &mut self,
-        ids: &[u64],
-        old: LogCounts,
-        new: LogCounts,
+        before: &TreeCorpus<String>,
+        ids: &[usize],
     ) -> Result<(), PersistError> {
+        let old = LogCounts::of(before);
+        let new = LogCounts {
+            next_id: old.next_id,
+            live: old.live - ids.len() as u64,
+        };
         self.append(&tombstones_segment(ids), old, new)?;
         self.tombstones += ids.len();
         Ok(())
@@ -235,13 +246,17 @@ impl CorpusLog {
     /// pre-append header restored (a failed sync can leave the new header
     /// in place even though the segment was dropped) — so a retried
     /// update neither stacks a duplicate segment onto an orphan nor
-    /// strands a readable corpus behind a mismatched header.
+    /// strands a readable corpus behind a mismatched header. Unchanged
+    /// counts mean an empty batch: nothing is written.
     fn append(
         &mut self,
         segment: &[u8],
         old: LogCounts,
         new: LogCounts,
     ) -> Result<(), PersistError> {
+        if old == new {
+            return Ok(());
+        }
         let io = |e: std::io::Error| {
             PersistError::Io(format!("cannot update {}: {e}", self.path.display()))
         };
@@ -357,7 +372,7 @@ impl CorpusStore {
         let path = path.into();
         let file = CorpusFile::read(&path)?;
         let stored_version = file.header().version;
-        let mut opened = match file.corpus_owned_with_stats() {
+        let (corpus, segments, tombstones, mut report) = match file.corpus_owned_with_stats() {
             Ok((corpus, stats)) => {
                 let report = RepairReport {
                     segments_recovered: stats.segments,
@@ -367,18 +382,7 @@ impl CorpusStore {
                     next_id: corpus.id_bound() as u64,
                     upgraded_from: None,
                 };
-                (
-                    CorpusStore {
-                        log: CorpusLog {
-                            path,
-                            segments: stats.segments,
-                            tombstones: stats.tombstones,
-                            obs: None,
-                        },
-                        corpus,
-                    },
-                    report,
-                )
+                (corpus, stats.segments, stats.tombstones, report)
             }
             Err(err) if recovery == Recovery::Strict => return Err(err),
             Err(_) => {
@@ -387,29 +391,26 @@ impl CorpusStore {
                 // stamp the recomputed header, so the next strict open
                 // (and every subsequent append) starts from a clean file.
                 repair_file(&path, salvage.keep_len, &salvage.header)?;
-                (
-                    CorpusStore {
-                        log: CorpusLog {
-                            path,
-                            segments: salvage.report.segments_recovered,
-                            tombstones: salvage.tombstones,
-                            obs: None,
-                        },
-                        corpus: salvage.corpus,
-                    },
-                    salvage.report,
-                )
+                let segments = salvage.report.segments_recovered;
+                (salvage.corpus, segments, salvage.tombstones, salvage.report)
             }
         };
+        let log = CorpusLog {
+            path,
+            segments,
+            tombstones,
+            obs: None,
+        };
+        let mut store = CorpusStore { log, corpus };
         if stored_version < FORMAT_VERSION {
             // The atomic rewrite doubles as a compaction; failure leaves
             // the old file intact and fails the open — a store must never
             // proceed to append current-version segments onto an
             // old-format file.
-            opened.0.log.rewrite(&opened.0.corpus)?;
-            opened.1.upgraded_from = Some(stored_version);
+            store.log.rewrite(&store.corpus)?;
+            report.upgraded_from = Some(stored_version);
         }
-        Ok(opened)
+        Ok((store, report))
     }
 
     /// The live in-memory corpus (always consistent with the file).
@@ -448,24 +449,9 @@ impl CorpusStore {
         trees: impl IntoIterator<Item = Tree<String>>,
     ) -> Result<Vec<usize>, PersistError> {
         let new: Vec<CorpusEntry<String>> = trees.into_iter().map(CorpusEntry::analyze).collect();
-        if new.is_empty() {
-            return Ok(Vec::new());
-        }
         let base = self.corpus.id_bound();
-        let pairs: Vec<_> = new
-            .iter()
-            .enumerate()
-            .map(|(i, entry)| ((base + i) as u64, entry))
-            .collect();
-        let old = LogCounts::of(&self.corpus);
-        self.log.append_trees(
-            &pairs,
-            old,
-            LogCounts {
-                next_id: (base + new.len()) as u64,
-                live: old.live + new.len() as u64,
-            },
-        )?;
+        let pairs: Vec<_> = new.iter().enumerate().map(|(i, e)| (base + i, e)).collect();
+        self.log.append_trees(&self.corpus, &pairs)?;
         Ok(new
             .into_iter()
             .map(|entry| self.corpus.insert_entry(entry))
@@ -474,33 +460,15 @@ impl CorpusStore {
 
     /// Removes the given ids, appending a single tombstones segment.
     /// Ids that are not live (never assigned, already removed, or repeated
-    /// in `ids`) are skipped; returns how many trees were actually
-    /// removed. Like [`insert_all`](Self::insert_all), the disk write
-    /// happens first — on error nothing was removed.
+    /// in `ids`) are skipped ([`TreeCorpus::live_unique`]); returns how
+    /// many trees were actually removed. Like
+    /// [`insert_all`](Self::insert_all), the disk write happens first — on
+    /// error nothing was removed.
     pub fn remove_all(&mut self, ids: &[usize]) -> Result<usize, PersistError> {
-        // Validate and dedup against the live set without mutating it yet:
-        // a duplicated id must not produce a double tombstone (the loader
-        // rejects tombstones for non-live ids).
-        let mut seen = std::collections::HashSet::new();
-        let removed: Vec<u64> = ids
-            .iter()
-            .filter(|&&id| self.corpus.get(id).is_some() && seen.insert(id))
-            .map(|&id| id as u64)
-            .collect();
-        if removed.is_empty() {
-            return Ok(0);
-        }
-        let old = LogCounts::of(&self.corpus);
-        self.log.append_tombstones(
-            &removed,
-            old,
-            LogCounts {
-                next_id: old.next_id,
-                live: old.live - removed.len() as u64,
-            },
-        )?;
+        let removed = self.corpus.live_unique(ids);
+        self.log.append_tombstones(&self.corpus, &removed)?;
         for &id in &removed {
-            self.corpus.remove(id as usize);
+            self.corpus.remove(id);
         }
         Ok(removed.len())
     }
@@ -635,6 +603,30 @@ mod tests {
         assert_eq!(store.insert_all(Vec::new()).unwrap(), Vec::<usize>::new());
         assert_eq!(store.remove_all(&[1]).unwrap(), 0);
         assert_eq!(store.segment_count(), 3);
+    }
+
+    /// The write-first promise: a failed append (here the backing file
+    /// is gone, so its open fails) returns `Err` and leaves the corpus
+    /// untouched, and once `compact` has recreated the file the retries
+    /// re-assign the same ids.
+    #[test]
+    fn failed_appends_change_nothing_and_retries_reuse_ids() {
+        let path = scratch("failed-append.idx");
+        let trees = vec![t("{a}"), t("{b{c}}"), t("{d}"), t("{e{f}}")];
+        let mut store = CorpusStore::create(&path, trees).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(store.insert_all(vec![t("{x{y}}")]).is_err());
+        assert!(store.remove_all(&[0, 2]).is_err());
+        assert_eq!((store.corpus().len(), store.corpus().id_bound()), (4, 4));
+        assert!(store.corpus().get(0).is_some() && store.corpus().get(2).is_some());
+        assert_eq!((store.segment_count(), store.file_tombstones()), (1, 0));
+
+        store.compact().unwrap();
+        assert_eq!(store.insert_all(vec![t("{x{y}}")]).unwrap(), vec![4]);
+        assert_eq!(store.remove_all(&[0, 2]).unwrap(), 2);
+        let reopened = CorpusStore::open(&path).unwrap();
+        let ids: Vec<usize> = reopened.corpus().iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![1, 3, 4]);
     }
 
     #[test]

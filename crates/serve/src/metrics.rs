@@ -87,7 +87,8 @@ pub(crate) struct ServeMetrics {
     pub wal_fsync_ns: Arc<Histogram>,
     /// Bytes reclaimed by store rewrites (compactions).
     pub wal_bytes_reclaimed: Arc<Counter>,
-    /// Compactions performed (threshold-driven + explicit).
+    /// Shard-file compaction rewrites (threshold-driven + explicit; a
+    /// `compact` request on N durable shards counts N).
     pub compactions: Arc<Counter>,
     /// Connections currently open on the front-end.
     pub connections_open: Arc<Gauge>,

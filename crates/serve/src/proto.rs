@@ -219,7 +219,8 @@ pub struct StatusReport {
     pub tcp: Option<String>,
     /// Requests served since start.
     pub requests: u64,
-    /// Compactions performed since start (threshold-driven + explicit).
+    /// Shard-file compaction rewrites since start (threshold-driven +
+    /// explicit; one per rewritten file).
     pub compactions: u64,
     /// Whether metric-tree candidate generation is enabled.
     pub metric_tree: bool,

@@ -44,21 +44,27 @@
 //!   **zero heap allocations** per request once warm (enforced by a
 //!   counting-allocator test); striped queries allocate only their
 //!   candidate lists and result buffers.
-//! * **Mutations** take the writer mutex, then every affected shard's
-//!   log lock in ascending shard order, append to each [`CorpusLog`]
-//!   **first** (fsynced segment, then header), and only then fork and
-//!   publish the affected snapshots — the log locks are held across
-//!   the swap so compaction can never rewrite an epoch that is about
-//!   to be superseded. An I/O failure answers that request with an
-//!   error and publishes nothing; WAL segments already appended to
-//!   *other* shards in the same batch are unacknowledged residue,
-//!   exactly as if the process had crashed mid-batch, and are
-//!   reconciled by the next restart's recovery pass.
-//! * **Compaction** runs on a dedicated maintenance thread, woken by
-//!   mutations and a timer: when a shard file's tombstone backlog
-//!   exceeds `compact_fraction × live` it takes that shard's log lock,
-//!   pins the current epoch, and rewrites the file — queries and other
-//!   shards keep flowing; only mutations touching that shard wait.
+//! * **Mutations** take the writer mutex and build one batch per shard:
+//!   `insert` assigns global ids and stripes the trees, `remove` keeps
+//!   the ids [`TreeCorpus::live_unique`] finds on each shard. One
+//!   `commit` routine then locks every affected shard's log in ascending
+//!   shard order, pins their snapshots, appends every batch to its
+//!   [`CorpusLog`] **first** (fsynced segment, then header), and only
+//!   after every append succeeded forks, applies and publishes each
+//!   shard — the log locks are held across the swap so compaction can
+//!   never rewrite an epoch that is about to be superseded. An I/O
+//!   failure answers the request with an error and publishes nothing;
+//!   WAL segments already appended to *other* shards in the same batch
+//!   are unacknowledged residue, exactly as if the process had crashed
+//!   mid-batch, which a compaction of those shards drops.
+//! * **Compaction** is one per-shard routine, `compact_shard`: it takes
+//!   that shard's log lock, pins the current epoch and rewrites the
+//!   file, so queries and other shards keep flowing and only mutations
+//!   touching that shard wait. A dedicated maintenance thread, woken by
+//!   mutations and a timer, runs it on every shard with the
+//!   `compact_fraction × live` tombstone-backlog trigger; the `compact`
+//!   request runs it unconditionally. `serve_compactions_total` counts
+//!   file rewrites, one per shard file.
 //! * **Shutdown** ([`Server::shutdown`], also on drop) closes the
 //!   queue, lets the workers drain every already-accepted request,
 //!   then joins all threads.
@@ -72,8 +78,8 @@ use crate::metrics::{ns_since, OpKind, ServeMetrics};
 use crate::proto::{MetricsFormat, Request, Response, StatusReport, TreeRef};
 use rted_core::{Workspace, WorkspaceStats};
 use rted_index::{
-    CorpusEntry, CorpusLog, CorpusStore, LogCounts, PersistError, QueryResult, Recovery,
-    RepairReport, Stripes, TotalsSnapshot, TreeIndex, WorkspacePool,
+    CorpusEntry, CorpusFile, CorpusLog, CorpusStore, PersistError, QueryResult, Recovery,
+    RepairReport, Stripes, TotalsSnapshot, TreeCorpus, TreeIndex, WorkspacePool,
 };
 use rted_tree::Tree;
 use std::collections::VecDeque;
@@ -365,13 +371,16 @@ impl Server {
     /// Opens (and if torn, recovers) the corpus files for a
     /// `cfg.shards`-stripe layout rooted at `path` and starts a durable
     /// service over them. Shard 0 lives at `path` itself; shard `k > 0`
-    /// at `path.shard{k}`, created empty when missing (so an existing
-    /// 1-shard file can be widened in place). The returned report sums
-    /// recovery over every stripe.
+    /// at `path.shard{k}`. The returned report sums recovery over every
+    /// stripe.
     ///
-    /// Shard files store *local* ids: a file's meaning depends on the
-    /// shard count it is opened under (global = local × N + shard).
-    /// Reopen a layout with the same `--shards` it was written with.
+    /// Shard files store *local* ids (global = local × N + shard), so a
+    /// layout is only readable under the shard count it was written
+    /// with. The open checks it: missing stripe files are created empty
+    /// only while shard 0 has never assigned an id (a fresh layout), and
+    /// a [`PersistError`] naming both counts refuses a stripe file
+    /// missing beside a non-empty shard 0, or a `path.shard{N}` file
+    /// beyond the requested `N`. A refused open modifies no stripe file.
     pub fn open(
         path: impl AsRef<Path>,
         recovery: Recovery,
@@ -379,6 +388,16 @@ impl Server {
     ) -> Result<(Server, RepairReport), PersistError> {
         let path = path.as_ref();
         let n = cfg.shards.max(1);
+        // Checked before any file is opened, so a refusal repairs nothing.
+        let missing = (1..n).any(|k| !shard_path(path, k).exists());
+        if shard_path(path, n).exists() || (missing && CorpusFile::read(path)?.header().next_id > 0)
+        {
+            let found = 1 + (1..).take_while(|&k| shard_path(path, k).exists()).count();
+            return Err(PersistError::Io(format!(
+                "{} is a {found}-shard layout and cannot be served with {n} shard(s)",
+                path.display()
+            )));
+        }
         let mut shards = Vec::with_capacity(n);
         let mut merged = RepairReport {
             segments_recovered: 0,
@@ -696,147 +715,70 @@ fn handle(shared: &Shared, ws: &mut Workspace, request: Request) -> Response {
             Response::DiffBatch(scripts)
         }
         Request::Insert { trees } => {
-            if trees.is_empty() {
-                return Response::Inserted(Vec::new());
-            }
             // Analyze outside every lock — the expensive part.
             let entries: Vec<Arc<CorpusEntry<String>>> = trees
                 .into_iter()
                 .map(|tree| Arc::new(CorpusEntry::analyze(tree)))
                 .collect();
-            let n = shared.nshards();
-            let response = {
-                let _writer = relock(shared.writer.lock());
-                let base = shared.next_global.load(Ordering::Relaxed) as usize;
-                let count = entries.len();
-                let ids: Vec<usize> = (base..base + count).collect();
-                let mut stripes: Vec<Vec<(usize, Arc<CorpusEntry<String>>)>> =
-                    (0..n).map(|_| Vec::new()).collect();
-                for (i, entry) in entries.into_iter().enumerate() {
-                    let (s, local) = shared.route(base + i);
-                    stripes[s].push((local, entry));
-                }
-                let affected: Vec<usize> = (0..n).filter(|&s| !stripes[s].is_empty()).collect();
-                // Every affected WAL locked in ascending shard order and
-                // held across the snapshot publish below, so compaction
-                // can never pin an epoch between append and swap.
-                let mut log_guards: Vec<_> = affected
-                    .iter()
-                    .map(|&s| relock(shared.shards[s].log.lock()))
-                    .collect();
-                let pins: Vec<Arc<TreeIndex<String>>> =
-                    affected.iter().map(|&s| shared.pin(s)).collect();
-                // Durable appends FIRST, all shards, before any publish:
-                // on failure nothing is visible in memory. Segments
-                // already appended to earlier shards in the batch are
-                // unacknowledged crash-like residue for restart recovery.
-                let mut failed = None;
-                for ((guard, &s), pin) in log_guards.iter_mut().zip(&affected).zip(&pins) {
-                    if let Some(log) = guard.as_mut() {
-                        let stripe = &stripes[s];
-                        let pairs: Vec<(u64, &CorpusEntry<String>)> = stripe
-                            .iter()
-                            .map(|(local, entry)| (*local as u64, entry.as_ref()))
-                            .collect();
-                        let old = LogCounts::of(pin.corpus());
-                        let last_local = stripe.last().expect("affected stripes are non-empty").0;
-                        let new = LogCounts {
-                            next_id: old.next_id.max(last_local as u64 + 1),
-                            live: old.live + stripe.len() as u64,
-                        };
-                        if let Err(e) = log.append_trees(&pairs, old, new) {
-                            failed =
-                                Some(format!("insert not applied (durable append failed): {e}"));
-                            break;
-                        }
-                    }
-                }
-                match failed {
-                    Some(msg) => Response::Error(msg),
-                    None => {
-                        for (&s, pin) in affected.iter().zip(&pins) {
-                            let mut next = pin.fork();
-                            for (local, entry) in stripes[s].drain(..) {
-                                next.insert_entry_at(local, entry);
-                            }
-                            *relock(shared.shards[s].snapshot.write()) = Arc::new(next);
-                        }
-                        shared
-                            .next_global
-                            .store((base + count) as u64, Ordering::Relaxed);
-                        Response::Inserted(ids)
-                    }
-                }
-            };
-            if matches!(response, Response::Inserted(_)) {
-                shared.wake_maintenance();
+            let _writer = relock(shared.writer.lock());
+            let base = shared.next_global.load(Ordering::Relaxed) as usize;
+            let ids: Vec<usize> = (base..base + entries.len()).collect();
+            let mut stripes: Vec<Vec<_>> = vec![Vec::new(); shared.nshards()];
+            for (&id, entry) in ids.iter().zip(entries) {
+                let (s, local) = shared.route(id);
+                stripes[s].push((local, entry));
             }
-            response
+            let appended = commit(
+                shared,
+                "insert",
+                &stripes,
+                |log, before, batch| {
+                    let entries: Vec<_> = batch.iter().map(|(l, e)| (*l, e.as_ref())).collect();
+                    log.append_trees(before, &entries)
+                },
+                |next, batch| {
+                    for (local, entry) in batch {
+                        next.insert_entry_at(*local, Arc::clone(entry));
+                    }
+                },
+            );
+            match appended {
+                Ok(()) => {
+                    shared
+                        .next_global
+                        .store((base + ids.len()) as u64, Ordering::Relaxed);
+                    Response::Inserted(ids)
+                }
+                Err(msg) => Response::Error(msg),
+            }
         }
         Request::Remove { ids } => {
-            let n = shared.nshards();
-            let response = {
-                let _writer = relock(shared.writer.lock());
-                // Pinned under the writer mutex, these snapshots are the
-                // current epochs — no concurrent mutation can invalidate
-                // the liveness check below.
-                let pins: Vec<Arc<TreeIndex<String>>> = (0..n).map(|s| shared.pin(s)).collect();
-                // Dedup against the live set, as the store does: a
-                // repeated or dead id is skipped, not an error.
-                let mut seen = std::collections::HashSet::new();
-                let mut stripes: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
-                let mut removed = 0usize;
-                for &id in &ids {
-                    let (s, local) = shared.route(id);
-                    if pins[s].corpus().get(local).is_some() && seen.insert(id) {
-                        stripes[s].push(local);
-                        removed += 1;
-                    }
-                }
-                if removed == 0 {
-                    Response::Removed(0)
-                } else {
-                    let affected: Vec<usize> = (0..n).filter(|&s| !stripes[s].is_empty()).collect();
-                    let mut log_guards: Vec<_> = affected
-                        .iter()
-                        .map(|&s| relock(shared.shards[s].log.lock()))
-                        .collect();
-                    let mut failed = None;
-                    for (guard, &s) in log_guards.iter_mut().zip(&affected) {
-                        if let Some(log) = guard.as_mut() {
-                            let locals: Vec<u64> = stripes[s].iter().map(|&l| l as u64).collect();
-                            let old = LogCounts::of(pins[s].corpus());
-                            let new = LogCounts {
-                                next_id: old.next_id,
-                                live: old.live - locals.len() as u64,
-                            };
-                            if let Err(e) = log.append_tombstones(&locals, old, new) {
-                                failed = Some(format!(
-                                    "remove not applied (durable append failed): {e}"
-                                ));
-                                break;
-                            }
-                        }
-                    }
-                    match failed {
-                        Some(msg) => Response::Error(msg),
-                        None => {
-                            for &s in &affected {
-                                let mut next = pins[s].fork();
-                                for &local in &stripes[s] {
-                                    next.remove(local);
-                                }
-                                *relock(shared.shards[s].snapshot.write()) = Arc::new(next);
-                            }
-                            Response::Removed(removed)
-                        }
-                    }
-                }
-            };
-            if matches!(response, Response::Removed(r) if r > 0) {
-                shared.wake_maintenance();
+            let _writer = relock(shared.writer.lock());
+            let mut stripes = vec![Vec::new(); shared.nshards()];
+            for &id in &ids {
+                let (s, local) = shared.route(id);
+                stripes[s].push(local);
             }
-            response
+            // Pinned under the writer mutex, these snapshots are the
+            // epochs `commit` will mutate, so the liveness check holds.
+            let batches: Vec<Vec<usize>> = (stripes.iter().enumerate())
+                .map(|(s, locals)| shared.pin(s).corpus().live_unique(locals))
+                .collect();
+            let appended = commit(
+                shared,
+                "remove",
+                &batches,
+                |log, before, ids| log.append_tombstones(before, ids),
+                |next, ids| {
+                    for &local in ids {
+                        next.remove(local);
+                    }
+                },
+            );
+            match appended {
+                Ok(()) => Response::Removed(batches.iter().map(Vec::len).sum()),
+                Err(msg) => Response::Error(msg),
+            }
         }
         Request::Status => {
             let n = shared.nshards();
@@ -889,28 +831,18 @@ fn handle(shared: &Shared, ws: &mut Workspace, request: Request) -> Response {
             })
         }
         Request::Compact => {
-            let mut any_persistent = false;
-            let mut reclaimable = false;
-            for shard in &shared.shards {
-                let mut log_guard = relock(shard.log.lock());
-                let Some(log) = log_guard.as_mut() else {
-                    continue;
-                };
-                any_persistent = true;
-                // Pin under the log lock: mutations hold the log lock
-                // across their publish, so this epoch is the one the
-                // file must converge to.
-                let pin = Arc::clone(&*relock(shard.snapshot.read()));
-                reclaimable |= log.tombstone_count() > 0 || log.segment_count() > 1;
-                if let Err(e) = log.rewrite(pin.corpus()) {
-                    return Response::Error(format!("compaction failed: {e}"));
+            let mut reclaimable = None;
+            for s in 0..shared.nshards() {
+                match compact_shard(shared, s, None) {
+                    Ok(None) => {}
+                    Ok(Some(r)) => reclaimable = Some(r | reclaimable.unwrap_or(false)),
+                    Err(e) => return Response::Error(format!("compaction failed: {e}")),
                 }
             }
-            if !any_persistent {
-                return Response::Error("service is not persistent (nothing to compact)".into());
+            match reclaimable {
+                Some(r) => Response::Compacted(r),
+                None => Response::Error("service is not persistent (nothing to compact)".into()),
             }
-            shared.metrics.compactions.inc();
-            Response::Compacted(reclaimable)
         }
         Request::Metrics { format } => {
             // The service registry plus every shard's lifetime totals,
@@ -1006,6 +938,86 @@ fn operand<'a>(
     }
 }
 
+/// Commits one `op` mutation, given as one batch per shard in shard order
+/// (empty batches are skipped); the caller holds the writer mutex. Every
+/// affected shard's log is locked in ascending shard order and its
+/// snapshot pinned; `append` writes every batch to its log **first**
+/// (fsynced segment, then header); only once every append has succeeded
+/// is each shard forked, mutated by `apply` and published, and the
+/// maintenance thread woken. On an append failure nothing is published
+/// and the error is the request's answer. Segments already appended to
+/// earlier shards stay in their files unacknowledged, exactly as if the
+/// process had crashed mid-batch: compacting those shards drops them,
+/// and until then a retried batch (or, for an insert, any next insert,
+/// which reuses the ids) appends the same local ids to them a second
+/// time, which strict open rejects. The log locks are held across the publish, so compaction never
+/// rewrites an epoch that is about to be superseded.
+fn commit<T>(
+    shared: &Shared,
+    op: &str,
+    batches: &[Vec<T>],
+    append: impl Fn(&mut CorpusLog, &TreeCorpus<String>, &[T]) -> Result<(), PersistError>,
+    apply: impl Fn(&mut TreeIndex<String>, &[T]),
+) -> Result<(), String> {
+    let affected: Vec<usize> = (0..batches.len())
+        .filter(|&s| !batches[s].is_empty())
+        .collect();
+    let mut logs: Vec<_> = (affected.iter())
+        .map(|&s| relock(shared.shards[s].log.lock()))
+        .collect();
+    let pins: Vec<_> = affected.iter().map(|&s| shared.pin(s)).collect();
+    for ((log, pin), &s) in logs.iter_mut().zip(&pins).zip(&affected) {
+        if let Some(log) = log.as_mut() {
+            append(log, pin.corpus(), &batches[s])
+                .map_err(|e| format!("{op} not applied (durable append failed): {e}"))?;
+        }
+    }
+    for (&s, pin) in affected.iter().zip(&pins) {
+        let mut next = pin.fork();
+        apply(&mut next, &batches[s]);
+        *relock(shared.shards[s].snapshot.write()) = Arc::new(next);
+    }
+    drop(logs);
+    shared.wake_maintenance();
+    Ok(())
+}
+
+/// Rewrites one shard's file from its current epoch — compaction. With
+/// a `trigger` fraction the rewrite runs only when the file's tombstone
+/// backlog exceeds `trigger × max(live, 1)` (the background pass: no
+/// division, no firing on an empty store, no perpetual re-firing on the
+/// corpus's permanent id holes); `None` rewrites unconditionally (the
+/// `compact` request). Holds only this shard's log lock: queries run
+/// against pinned snapshots and never notice, mutations touching other
+/// shards flow freely. Every successful rewrite counts once in
+/// `serve_compactions_total`. Returns `Ok(None)` when the shard is not
+/// durable or the trigger does not fire, else whether the rewritten file
+/// had anything to reclaim. A failed rewrite leaves the old file intact
+/// (temp file + rename).
+fn compact_shard(
+    shared: &Shared,
+    s: usize,
+    trigger: Option<f64>,
+) -> Result<Option<bool>, PersistError> {
+    let mut log = relock(shared.shards[s].log.lock());
+    let Some(log) = log.as_mut() else {
+        return Ok(None);
+    };
+    // Pin under the log lock: mutations hold it across their publish, so
+    // this epoch is the one the file must converge to.
+    let pin = shared.pin(s);
+    let backlog = log.tombstone_count();
+    if trigger
+        .is_some_and(|f| backlog == 0 || backlog as f64 <= f * pin.corpus().len().max(1) as f64)
+    {
+        return Ok(None);
+    }
+    let reclaimable = backlog > 0 || log.segment_count() > 1;
+    log.rewrite(pin.corpus())?;
+    shared.metrics.compactions.inc();
+    Ok(Some(reclaimable))
+}
+
 fn maintenance_loop(shared: &Shared, fraction: f64, interval: Duration) {
     loop {
         {
@@ -1022,37 +1034,10 @@ fn maintenance_loop(shared: &Shared, fraction: f64, interval: Duration) {
         if relock(shared.queue.lock()).closed {
             break;
         }
-        maybe_compact(shared, fraction);
-    }
-}
-
-/// The threshold-driven compaction pass, per shard. Holds only that
-/// shard's log lock for the rewrite — queries run against pinned
-/// snapshots and never notice; mutations touching *other* shards flow
-/// freely; only a mutation on the compacting shard waits. The trigger
-/// compares the file's reclaimable tombstone backlog (which resets on
-/// compact) against the shard's live count in multiplicative form —
-/// no division, no firing on an empty store, no perpetual re-firing on
-/// the corpus's permanent id holes.
-fn maybe_compact(shared: &Shared, fraction: f64) {
-    for shard in &shared.shards {
-        let mut log_guard = relock(shard.log.lock());
-        let Some(log) = log_guard.as_mut() else {
-            continue;
-        };
-        let backlog = log.tombstone_count();
-        // Pin under the log lock (see `Compact`): this epoch is final
-        // for the file until the lock is released.
-        let pin = Arc::clone(&*relock(shard.snapshot.read()));
-        if backlog == 0 || (backlog as f64) <= fraction * (pin.corpus().len().max(1) as f64) {
-            continue;
+        for s in 0..shared.nshards() {
+            // A failed rewrite keeps its backlog; the next pass retries.
+            let _ = compact_shard(shared, s, Some(fraction));
         }
-        if log.rewrite(pin.corpus()).is_ok() {
-            shared.metrics.compactions.inc();
-        }
-        // On rewrite failure: leave the backlog as is; the next pass
-        // retries. Queries and updates are unaffected (the old file is
-        // still intact — rewrite goes through a temp file + rename).
     }
 }
 

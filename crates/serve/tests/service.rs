@@ -721,3 +721,213 @@ fn explain_reports_planner_decisions() {
     }
     server.shutdown();
 }
+
+/// `path.shard{k}` — where `Server::open` keeps stripe `k > 0`.
+fn stripe_file(path: &std::path::Path, k: usize) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(format!(".shard{k}"));
+    PathBuf::from(os)
+}
+
+fn status(client: &mut rted_serve::Client) -> rted_serve::StatusReport {
+    match client.call(Request::Status) {
+        Response::Status(s) => s,
+        other => panic!("{other:?}"),
+    }
+}
+
+fn sharded(shards: usize) -> ServerConfig {
+    ServerConfig { shards, ..cfg(1) }
+}
+
+/// Shard files store local ids, so a layout read under another shard
+/// count would renumber ids or hide acknowledged writes. `open` refuses
+/// both directions — narrowing and widening — with an error naming both
+/// counts, and leaves every file as it was; a fresh layout still opens
+/// under any count.
+#[test]
+fn open_refuses_a_layout_written_under_another_shard_count() {
+    // Shard 0 and stripes 1..4, `None` where a file does not exist.
+    let images = |path: &PathBuf| -> Vec<Option<Vec<u8>>> {
+        let stripes = (1..4).map(|k| stripe_file(path, k));
+        std::iter::once(path.clone())
+            .chain(stripes)
+            .map(|f| std::fs::read(f).ok())
+            .collect()
+    };
+    let refused = |path: &PathBuf, shards: usize, found: usize| {
+        let before = images(path);
+        match Server::open(path, Recovery::Repair, sharded(shards)) {
+            Err(e) => {
+                let msg = e.to_string();
+                assert!(msg.contains(&format!("{found}-shard layout")), "{msg}");
+                assert!(msg.contains(&format!("with {shards} shard")), "{msg}");
+            }
+            Ok(_) => panic!("a {found}-shard layout opened with {shards} shards"),
+        }
+        assert!(
+            before == images(path),
+            "a refused open changed the layout's files"
+        );
+    };
+
+    // Widening: a built 1-shard file must not be read as 2 stripes
+    // (every local id would be reported as 2·l).
+    let one = scratch("layout-1.idx");
+    let _ = std::fs::remove_file(stripe_file(&one, 1));
+    CorpusStore::create(&one, gen_trees(4, 4000)).unwrap();
+    refused(&one, 2, 1);
+    let (server, _) = Server::open(&one, Recovery::Strict, sharded(1)).unwrap();
+    let s = status(&mut server.client());
+    assert_eq!((s.live, s.id_bound), (4, 4));
+    server.shutdown();
+
+    // Narrowing: a 2-shard layout with ids must not drop its stripe
+    // (acknowledged writes on shard 1 would vanish); widening it to 3
+    // must not invent an empty stripe either.
+    let two = scratch("layout-2.idx");
+    for k in 1..4 {
+        let _ = std::fs::remove_file(stripe_file(&two, k));
+    }
+    CorpusStore::create(&two, Vec::<Tree<String>>::new()).unwrap();
+    let (server, _) = Server::open(&two, Recovery::Strict, sharded(2)).unwrap();
+    match server.call(Request::Insert {
+        trees: gen_trees(4, 4100),
+    }) {
+        Response::Inserted(ids) => assert_eq!(ids, vec![0, 1, 2, 3]),
+        other => panic!("{other:?}"),
+    }
+    server.shutdown();
+    refused(&two, 1, 2);
+    refused(&two, 3, 2);
+    let (server, _) = Server::open(&two, Recovery::Strict, sharded(2)).unwrap();
+    let s = status(&mut server.client());
+    assert_eq!((s.live, s.id_bound, s.shard_live), (4, 4, vec![2, 2]));
+    server.shutdown();
+}
+
+/// `serve_compactions_total` counts file rewrites: a manual `compact`
+/// on a durable 2-shard server rewrites two files and counts two.
+#[test]
+fn manual_compact_counts_one_per_rewritten_shard_file() {
+    let path = scratch("compact-count.idx");
+    let _ = std::fs::remove_file(stripe_file(&path, 1));
+    CorpusStore::create(&path, Vec::<Tree<String>>::new()).unwrap();
+    let (server, _) = Server::open(&path, Recovery::Strict, sharded(2)).unwrap();
+    let mut client = server.client();
+    match client.call(Request::Insert {
+        trees: gen_trees(4, 4200),
+    }) {
+        Response::Inserted(ids) => assert_eq!(ids, vec![0, 1, 2, 3]),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(status(&mut client).compactions, 0);
+    match client.call(Request::Compact) {
+        Response::Compacted(_) => {}
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(status(&mut client).compactions, 2);
+    match client.call(Request::Metrics {
+        format: rted_serve::MetricsFormat::Json,
+    }) {
+        Response::Metrics(snap) => match snap.get("serve_compactions_total") {
+            Some(rted_obs::MetricValue::Counter(v)) => assert_eq!(*v, 2),
+            other => panic!("{other:?}"),
+        },
+        other => panic!("{other:?}"),
+    }
+    server.shutdown();
+}
+
+/// A durable append that fails answers `… not applied (durable append
+/// failed)` and publishes nothing, on one shard or across two; once
+/// `compact` has recreated the lost file (dropping any segment the
+/// batch left on the other shard), the retry gets the same ids.
+#[test]
+fn failed_durable_append_publishes_nothing_and_retry_reuses_ids() {
+    for shards in [1, 2] {
+        let path = scratch(&format!("append-fails-{shards}.idx"));
+        let _ = std::fs::remove_file(stripe_file(&path, 1));
+        CorpusStore::create(&path, Vec::<Tree<String>>::new()).unwrap();
+        let (server, _) = Server::open(&path, Recovery::Strict, sharded(shards)).unwrap();
+        let mut client = server.client();
+        match client.call(Request::Insert {
+            trees: gen_trees(4, 4300),
+        }) {
+            Response::Inserted(ids) => assert_eq!(ids, vec![0, 1, 2, 3]),
+            other => panic!("{other:?}"),
+        }
+        // The append's open fails on a deleted file: the only stripe of
+        // a 1-shard layout, or only shard 1 of a 2-shard one.
+        let victim = if shards == 1 {
+            path.clone()
+        } else {
+            stripe_file(&path, 1)
+        };
+        std::fs::remove_file(&victim).unwrap();
+        // Ids 4 and 5 span both stripes of the 2-shard layout.
+        let fresh = vec![
+            parse_bracket("{fresh{a}{b}}").unwrap(),
+            parse_bracket("{fresh{c}{d}}").unwrap(),
+        ];
+        let insert = Request::Insert {
+            trees: fresh.clone(),
+        };
+        match client.call(insert.clone()) {
+            Response::Error(msg) => assert!(
+                msg.starts_with("insert not applied (durable append failed): "),
+                "{msg}"
+            ),
+            other => panic!("{other:?}"),
+        }
+        let remove = Request::Remove { ids: vec![0, 1] };
+        match client.call(remove.clone()) {
+            Response::Error(msg) => assert!(
+                msg.starts_with("remove not applied (durable append failed): "),
+                "{msg}"
+            ),
+            other => panic!("{other:?}"),
+        }
+        let s = status(&mut client);
+        assert_eq!((s.live, s.id_bound, s.holes), (4, 4, 0), "{shards} shards");
+        match client.call(Request::Range {
+            tree: fresh[0].clone(),
+            tau: 0.5,
+        }) {
+            Response::Neighbors { neighbors, .. } => assert!(neighbors.is_empty()),
+            other => panic!("{other:?}"),
+        }
+
+        match client.call(Request::Compact) {
+            Response::Compacted(_) => {}
+            other => panic!("{other:?}"),
+        }
+        assert!(victim.exists(), "compact must recreate the lost file");
+        match client.call(insert) {
+            Response::Inserted(ids) => assert_eq!(ids, vec![4, 5], "{shards} shards"),
+            other => panic!("{other:?}"),
+        }
+        match client.call(remove) {
+            Response::Removed(n) => assert_eq!(n, 2),
+            other => panic!("{other:?}"),
+        }
+        server.shutdown();
+
+        // The files hold exactly the acknowledged state.
+        let (server, _) = Server::open(&path, Recovery::Strict, sharded(shards)).unwrap();
+        let mut client = server.client();
+        let s = status(&mut client);
+        assert_eq!((s.live, s.id_bound), (4, 6), "{shards} shards");
+        match client.call(Request::Range {
+            tree: fresh[0].clone(),
+            tau: 0.5,
+        }) {
+            Response::Neighbors { neighbors, .. } => {
+                let ids: Vec<usize> = neighbors.iter().map(|n| n.id).collect();
+                assert_eq!(ids, vec![4]);
+            }
+            other => panic!("{other:?}"),
+        }
+        server.shutdown();
+    }
+}

@@ -23,7 +23,10 @@
 #      clearing the partially-applied crash-window inserts — answer the
 #      reference queries byte-identically over TCP;
 #   8. threshold-driven background compaction must clear every shard's
-#      tombstone backlog (3 files -> 3 single-segment files).
+#      tombstone backlog (3 files -> 3 single-segment files);
+#   9. the layout is checked on open: `--shards 1` and `--shards 4` must
+#      each exit non-zero with the layout error and leave every stripe
+#      file byte-identical.
 #
 # Usage: scripts/serve_roundtrip.sh [path-to-rted-binary]
 set -euo pipefail
@@ -320,4 +323,20 @@ for f in "$WORK/corpus.idx" "$WORK/corpus.idx.shard1" "$WORK/corpus.idx.shard2";
     grep -q "already clean" "$WORK/repair.err" || fail "$f not clean after drill: $(cat "$WORK/repair.err")"
 done
 
-echo "serve-roundtrip OK: 3-shard TCP service with auth, even striping, exact per-shard telemetry, planner explain + plan counters, batched diff == single diffs, concurrent clients served, kill -9 mid-update + torn tails repaired on restart (answers byte-identical), strict mode refuses damage, per-shard compaction reclaims"
+# --- 9. Another shard count is refused, files untouched -----------------
+STRIPES=(corpus.idx corpus.idx.shard1 corpus.idx.shard2)
+for f in "${STRIPES[@]}"; do cp "$WORK/$f" "$WORK/$f.before"; done
+for n in 1 4; do
+    if "$RTED" serve --index "$WORK/corpus.idx" --shards "$n" < /dev/null \
+        2> "$WORK/layout.err"; then
+        fail "a 3-shard layout was served with --shards $n"
+    fi
+    grep -q "3-shard layout and cannot be served with $n shard" "$WORK/layout.err" \
+        || fail "unclear layout error for --shards $n: $(cat "$WORK/layout.err")"
+    [[ ! -e "$WORK/corpus.idx.shard3" ]] || fail "--shards $n created a stripe file"
+    for f in "${STRIPES[@]}"; do
+        cmp -s "$WORK/$f" "$WORK/$f.before" || fail "--shards $n changed $f"
+    done
+done
+
+echo "serve-roundtrip OK: 3-shard TCP service with auth, even striping, exact per-shard telemetry, planner explain + plan counters, batched diff == single diffs, concurrent clients served, kill -9 mid-update + torn tails repaired on restart (answers byte-identical), strict mode refuses damage, per-shard compaction reclaims, other shard counts refused"
