@@ -14,7 +14,7 @@
 use rted_bench::{human_count, print_table, Args};
 use rted_core::{Algorithm, UnitCost};
 use rted_datasets::Shape;
-use rted_join::{self_join, JoinConfig};
+use rted_index::{ExecPolicy, FilterPipeline, TedVerifier, TreeIndex};
 
 fn main() {
     let args = Args::capture();
@@ -39,18 +39,22 @@ fn main() {
         .iter()
         .map(|s| s.to_string())
         .collect();
+    // No filter and one thread: every pair is computed exactly, and the
+    // times stay comparable to the paper's single-threaded measurements.
+    let index = TreeIndex::build(trees)
+        .with_pipeline(FilterPipeline::none())
+        .with_policy(ExecPolicy::serial());
     let mut rows = Vec::new();
     for alg in Algorithm::ALL {
-        let cfg = JoinConfig {
-            tau,
-            algorithm: alg,
-            size_prune: false,
+        let verifier = TedVerifier {
+            algorithm: Some(alg),
+            cost_model: UnitCost,
         };
-        let res = self_join(&trees, &UnitCost, &cfg);
+        let res = index.join_with(tau, &verifier);
         rows.push(vec![
             alg.name().to_string(),
-            format!("{:.2}", res.time.as_secs_f64()),
-            human_count(res.subproblems),
+            format!("{:.2}", res.stats.time.as_secs_f64()),
+            human_count(res.stats.subproblems),
             res.matches.len().to_string(),
         ]);
     }

@@ -114,4 +114,104 @@ mod tests {
         assert_eq!(size_series(1000, 250), vec![250, 500, 750, 1000]);
         assert_eq!(size_series(100, 40), vec![40, 80]);
     }
+
+    // Table 1's self-join, run the way `table1` runs it: serial, one
+    // algorithm pinned, through `TreeIndex::join_with`.
+
+    use rted_core::{Algorithm, UnitCost};
+    use rted_datasets::shapes::{perturb_labels, Shape, DEFAULT_ALPHABET};
+    use rted_index::{ExecPolicy, FilterPipeline, JoinOutcome, TedVerifier, TreeIndex};
+    use rted_tree::Tree;
+
+    /// Trees of different shapes and sizes; tree 1 is a near-duplicate of
+    /// tree 0.
+    fn sample_trees() -> Vec<Tree<u32>> {
+        let base = Shape::Random.generate(40, 1);
+        vec![
+            base.clone(),
+            perturb_labels(&base, 2, DEFAULT_ALPHABET, 7),
+            Shape::LeftBranch.generate(40, 2),
+            Shape::RightBranch.generate(40, 3),
+            Shape::FullBinary.generate(15, 4),
+        ]
+    }
+
+    fn pinned_join(
+        trees: &[Tree<u32>],
+        pipeline: FilterPipeline<u32>,
+        tau: f64,
+        algorithm: Algorithm,
+    ) -> JoinOutcome {
+        let index = TreeIndex::build(trees.iter().cloned())
+            .with_pipeline(pipeline)
+            .with_policy(ExecPolicy::serial());
+        let verifier = TedVerifier {
+            algorithm: Some(algorithm),
+            cost_model: UnitCost,
+        };
+        index.join_with(tau, &verifier)
+    }
+
+    #[test]
+    fn join_finds_close_pairs() {
+        let trees = sample_trees();
+        let res = pinned_join(&trees, FilterPipeline::none(), 4.0, Algorithm::Rted);
+        assert_eq!(res.stats.verified, 10);
+        // The perturbed copy must match its base.
+        assert!(res.matches.iter().any(|m| m.left == 0 && m.right == 1));
+        // The small FB tree is far from everything of size 40.
+        assert!(!res
+            .matches
+            .iter()
+            .any(|m| m.right == 4 && m.distance >= 4.0));
+    }
+
+    #[test]
+    fn all_algorithms_same_matches() {
+        let trees = sample_trees();
+        let base = pinned_join(&trees, FilterPipeline::none(), 10.0, Algorithm::ZhangL);
+        for alg in Algorithm::ALL {
+            let res = pinned_join(&trees, FilterPipeline::none(), 10.0, alg);
+            assert_eq!(res.matches, base.matches, "{alg}");
+        }
+    }
+
+    #[test]
+    fn size_pruning_preserves_matches() {
+        let trees = sample_trees();
+        let full = pinned_join(&trees, FilterPipeline::none(), 5.0, Algorithm::Rted);
+        let pruned = pinned_join(&trees, FilterPipeline::size_only(), 5.0, Algorithm::Rted);
+        assert_eq!(full.matches, pruned.matches);
+        let pairs_pruned = pruned.stats.filter.total_pruned();
+        assert!(pairs_pruned > 0);
+        assert_eq!(pruned.stats.verified as u64 + pairs_pruned, 10);
+    }
+
+    #[test]
+    fn histogram_pruned_join_preserves_matches() {
+        let trees = sample_trees();
+        let full = pinned_join(&trees, FilterPipeline::none(), 6.0, Algorithm::Rted);
+        let pruned = pinned_join(&trees, FilterPipeline::standard(), 6.0, Algorithm::Rted);
+        assert_eq!(full.matches, pruned.matches);
+        // The histogram bound dominates the size bound, so it prunes at
+        // least as many pairs.
+        let size_only = pinned_join(&trees, FilterPipeline::size_only(), 6.0, Algorithm::Rted);
+        assert!(pruned.stats.filter.total_pruned() >= size_only.stats.filter.total_pruned());
+    }
+
+    #[test]
+    fn measured_subproblems_match_predicted() {
+        let trees = sample_trees();
+        let mut ws = rted_core::Workspace::new();
+        for alg in Algorithm::ALL {
+            let res = pinned_join(&trees, FilterPipeline::none(), 1.0, alg);
+            let mut predicted = 0;
+            for i in 0..trees.len() {
+                for j in i + 1..trees.len() {
+                    predicted += alg.predicted_subproblems_in(&trees[i], &trees[j], &mut ws);
+                }
+            }
+            assert_eq!(res.stats.subproblems, predicted, "{alg}");
+        }
+    }
 }

@@ -12,7 +12,7 @@
 //!                [--pq P,Q] [--metric-tree]
 //! rted topk      <FILE> <QUERY> [--k K] [--algorithm NAME] [--threads N] [--no-filter]
 //!                [--pq P,Q] [--metric-tree]
-//! rted index build   <INDEX> <FILE> [--format-version 1|2]
+//! rted index build   <INDEX> <FILE>
 //! rted index update  <INDEX> [--add FILE] [--remove IDS]... [--compact]
 //! rted index compact <INDEX>
 //! rted index repair  <INDEX>
@@ -41,6 +41,9 @@
 //! `--index <INDEX>` loads a persistent corpus built with `rted index
 //! build` (then `join` takes no positional argument and `search`/`topk`
 //! take only the query). `<SHAPE>` is one of `lb rb fb zz mx random`.
+//! Index files have one on-disk format, version 2; a file in any other
+//! version is refused, and the way forward is to rebuild it from its
+//! source trees with `rted index build`.
 //!
 //! `rted serve` runs the long-lived query service (`rted-serve`): one
 //! newline-delimited JSON request per line over stdin/stdout, a Unix
@@ -112,7 +115,7 @@ fn usage() -> ExitCode {
          rted join     <FILE> [--tau T] [--algorithm NAME] [--threads N] [--no-filter]\n  \
          rted search   <FILE> <QUERY> [--tau T] [--algorithm NAME] [--threads N] [--no-filter]\n  \
          rted topk     <FILE> <QUERY> [--k K] [--algorithm NAME] [--threads N] [--no-filter]\n  \
-         rted index build   <INDEX> <FILE> [--format-version 1|2]\n  \
+         rted index build   <INDEX> <FILE>\n  \
          rted index update  <INDEX> [--add FILE] [--remove IDS]... [--compact]\n  \
          rted index compact <INDEX>\n  \
          rted index repair  <INDEX>\n  \
@@ -151,7 +154,7 @@ fn usage() -> ExitCode {
          SHAPE: lb | rb | fb | zz | mx | random\n\
          TREE/QUERY: inline bracket notation or a file path\n\
          FILE: one bracket tree per line (an indexed corpus)\n\
-         INDEX: a persistent corpus file (`rted index build`)\n\
+         INDEX: a persistent corpus file (`rted index build`; format version 2 only)\n\
          IDS: comma-separated tree ids, e.g. --remove 3,17"
     );
     ExitCode::from(2)
@@ -172,7 +175,6 @@ const VALUE_FLAGS: &[&str] = &[
     "workers",
     "compact-frac",
     "pq",
-    "format-version",
     "slow-ms",
     "format",
     "at-most",
@@ -745,39 +747,17 @@ fn cmd_index(opts: &Opts) -> Result<(), String> {
     let rest = &opts.positional[1..];
     match sub.as_str() {
         "build" => {
-            opts.expect_flags("index build", &["format-version"])?;
+            opts.expect_flags("index build", &[])?;
             let [index_path, file] = rest else {
                 return Err("index build needs INDEX and FILE".into());
             };
-            let version: u32 = parsed_flag(opts, "format-version", 2)?;
             let trees = load_tree_file(file)?;
-            let live = match version {
-                2 => {
-                    let store =
-                        CorpusStore::create(index_path, trees).map_err(|e| e.to_string())?;
-                    store.corpus().len()
-                }
-                1 => {
-                    // The legacy writer: a PR 2-era file (no stored
-                    // pq-gram profiles), kept so compatibility fixtures
-                    // can be fabricated forever. Opening it with any
-                    // mutating tool upgrades it to the current version.
-                    let corpus = rted_index::TreeCorpus::build(trees);
-                    let bytes = rted_index::persist::encode_corpus_v1(&corpus);
-                    std::fs::write(index_path, bytes)
-                        .map_err(|e| format!("cannot write {index_path}: {e}"))?;
-                    corpus.len()
-                }
-                other => {
-                    return Err(format!(
-                        "--format-version {other} is not writable (1 = legacy, 2 = current)"
-                    ))
-                }
-            };
+            let store = CorpusStore::create(index_path, trees).map_err(|e| e.to_string())?;
             eprintln!(
-                "built {index_path}: {} trees, {} bytes (format version {version})",
-                live,
-                std::fs::metadata(index_path).map(|m| m.len()).unwrap_or(0)
+                "built {index_path}: {} trees, {} bytes (format version {})",
+                store.corpus().len(),
+                std::fs::metadata(index_path).map(|m| m.len()).unwrap_or(0),
+                rted_index::persist::FORMAT_VERSION
             );
             Ok(())
         }
@@ -857,32 +837,22 @@ fn cmd_index(opts: &Opts) -> Result<(), String> {
             let file = CorpusFile::read(index_path).map_err(|e| e.to_string())?;
             let header = file.header();
             // Full validation (checksums + structure), not just the header.
-            let corpus = file.corpus().map_err(|e| e.to_string())?;
+            let (corpus, stats) = file.corpus_owned_with_stats().map_err(|e| e.to_string())?;
             println!("path            {index_path}");
             println!("format version  {}", header.version);
             println!("feature flags   {:#010x}", header.flags);
             match rted_index::candidates::pqgram::profile_params(&corpus) {
                 None => println!("pq profile      none (empty corpus)"),
-                Some(params) => println!(
-                    "pq profile      p={} q={} ({})",
-                    params.p,
-                    params.q,
-                    if header.has_pq_profiles() {
-                        "stored"
-                    } else {
-                        "recomputed on load"
-                    }
-                ),
+                Some(params) => println!("pq profile      p={} q={}", params.p, params.q),
             }
             println!("live trees      {}", corpus.len());
             println!("next id         {}", header.next_id);
-            println!("segments        {}", file.segment_count());
+            println!("segments        {}", stats.segments);
             println!("file bytes      {}", file.bytes().len());
             let nodes: usize = corpus.iter().map(|(_, e)| e.tree().len()).sum();
             println!("total nodes     {nodes}");
             if opts.has("stats") {
-                let owned = file.corpus_owned().map_err(|e| e.to_string())?;
-                print_pipeline_stats(owned);
+                print_pipeline_stats(corpus);
             }
             Ok(())
         }

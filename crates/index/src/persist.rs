@@ -24,8 +24,7 @@
 //!   the RTED-native encoding (every decomposition strategy in the paper
 //!   operates on postorder/left-path arrays) — plus its precomputed
 //!   [`TreeSketch`] (max depth, leaf count, histogram as `(label_id,
-//!   count)` pairs sorted by id, and — when the header's
-//!   [`FLAG_PQ_PROFILES`] bit is set — the serialized pq-gram profile:
+//!   count)` pairs sorted by id, then the serialized pq-gram profile:
 //!   `p`, `q`, then the two sorted gram-hash arrays), so loading **skips
 //!   the O(n) per-tree analysis** entirely.
 //! * **tombstones** ([`SEG_TOMBSTONES`]) — ids removed since the previous
@@ -35,14 +34,15 @@
 //!
 //! # Versions and feature flags
 //!
-//! This build writes format version 2 and still reads version 1 (the
-//! PR 2-era layout): v1 records carry no pq-gram data, so their profiles
-//! are recomputed during decode and the corpus opens at full filter
-//! strength. The header's `flags` word is a **feature-flags** field:
-//! each bit declares a record-layout extension (bit 0 =
-//! [`FLAG_PQ_PROFILES`]), so future sketch additions claim a fresh bit
-//! instead of a version bump, and a reader that meets an unknown bit
-//! rejects the file with a clear error instead of mis-framing records.
+//! There is one record layout: format version 2 with stored pq-gram
+//! profiles, and [`Header`] alone decides it. Any other version is
+//! refused with [`PersistError::UnsupportedVersion`]; version-1 files
+//! are rebuilt from their source trees (`rted index build`). The header's
+//! `flags` word is a **feature-flags** field: each bit declares a
+//! record-layout extension, so future sketch additions claim a fresh bit
+//! instead of a version bump. Bit 0 ([`FLAG_PQ_PROFILES`]) is required,
+//! and a reader that meets a missing or unknown bit rejects the file with
+//! a clear error instead of mis-framing records.
 //!
 //! Encoding is canonical: for a given corpus state, [`encode_corpus`]
 //! always produces the same bytes (string table in first-occurrence order,
@@ -69,24 +69,19 @@
 
 use crate::corpus::{CorpusEntry, TreeCorpus};
 use rted_core::bounds::{LabelHistogram, TreeSketch};
-use rted_core::pqgram::{PqGramProfile, PqParams, PqScratch};
+use rted_core::pqgram::{PqGramProfile, PqParams};
 use rted_tree::Tree;
 use std::collections::HashMap;
 
 /// First eight bytes of every corpus file.
 pub const MAGIC: [u8; 8] = *b"RTEDIDX\0";
-/// The format version this build writes. Version 2 added the feature-flags
-/// discipline and per-tree pq-gram profiles (gated by
-/// [`FLAG_PQ_PROFILES`]); version-1 files are still read, with profiles
-/// recomputed on load — see [`MIN_FORMAT_VERSION`].
+/// The one format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 2;
-/// The oldest format version this build still reads.
-pub const MIN_FORMAT_VERSION: u32 = 1;
-/// Header feature flag: tree records carry serialized pq-gram profiles
-/// (p, q, and the two sorted gram-hash arrays) after their histogram.
-/// Feature bits describe *record layout extensions*, so future sketch
-/// additions claim a new bit instead of a new version; readers reject
-/// unknown bits rather than mis-framing records.
+/// Header feature flag, required: tree records carry serialized pq-gram
+/// profiles (p, q, and the two sorted gram-hash arrays) after their
+/// histogram. Feature bits describe *record layout extensions*, so future
+/// sketch additions claim a new bit instead of a new version; readers
+/// reject unknown bits rather than mis-framing records.
 pub const FLAG_PQ_PROFILES: u32 = 1 << 0;
 /// Every feature flag this build understands.
 pub const KNOWN_FLAGS: u32 = FLAG_PQ_PROFILES;
@@ -162,8 +157,7 @@ impl std::fmt::Display for PersistError {
             PersistError::BadMagic => write!(f, "not a corpus file (bad magic)"),
             PersistError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported corpus format version {found} (this build reads versions \
-                 {MIN_FORMAT_VERSION}..={supported})"
+                "unsupported corpus format version {found} (this build reads version {supported})"
             ),
             PersistError::ChecksumMismatch {
                 what,
@@ -190,9 +184,9 @@ fn corrupt<T>(msg: impl Into<String>) -> Result<T, PersistError> {
 /// The decoded fixed file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
-    /// Format version ([`MIN_FORMAT_VERSION`]..=[`FORMAT_VERSION`]).
+    /// Format version (always [`FORMAT_VERSION`]).
     pub version: u32,
-    /// Feature flags (always 0 in version 1; see [`FLAG_PQ_PROFILES`]).
+    /// Feature flags ([`FLAG_PQ_PROFILES`] set, no unknown bits).
     pub flags: u32,
     /// The id the next inserted tree will receive (ids are never reused).
     pub next_id: u64,
@@ -201,6 +195,16 @@ pub struct Header {
 }
 
 impl Header {
+    /// The current-format header for a file with the given counts.
+    pub fn new(next_id: u64, live: u64) -> Header {
+        Header {
+            version: FORMAT_VERSION,
+            flags: FLAG_PQ_PROFILES,
+            next_id,
+            live,
+        }
+    }
+
     /// Serializes the header, computing its checksum.
     pub fn encode(&self) -> [u8; HEADER_LEN] {
         let mut buf = [0u8; HEADER_LEN];
@@ -236,7 +240,7 @@ impl Header {
             });
         }
         let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -244,28 +248,25 @@ impl Header {
         }
         let flags = u32::from_le_bytes(buf[12..16].try_into().unwrap());
         // Unknown feature bits mean the record layout has extensions this
-        // build cannot frame: reject explicitly instead of mis-reading.
-        // Version-1 writers always stamped 0, so any v1 flag is corruption.
-        let known = if version == 1 { 0 } else { KNOWN_FLAGS };
-        if flags & !known != 0 {
+        // build cannot frame, and a missing bit 0 means records without
+        // the profiles it expects: reject either instead of mis-reading.
+        if flags & !KNOWN_FLAGS != 0 {
             return corrupt(format!(
                 "unknown feature flag bits {:#010x} for format version {version} \
                  (file written by a newer build?)",
-                flags & !known
+                flags & !KNOWN_FLAGS
             ));
         }
-        Ok(Header {
-            version,
-            flags,
-            next_id: u64::from_le_bytes(buf[16..24].try_into().unwrap()),
-            live: u64::from_le_bytes(buf[24..32].try_into().unwrap()),
-        })
-    }
-
-    /// Whether tree records in this file carry serialized pq-gram
-    /// profiles ([`FLAG_PQ_PROFILES`]).
-    pub fn has_pq_profiles(&self) -> bool {
-        self.flags & FLAG_PQ_PROFILES != 0
+        if flags & FLAG_PQ_PROFILES == 0 {
+            return corrupt(format!(
+                "required feature flag bits {FLAG_PQ_PROFILES:#010x} (pq-gram profiles) \
+                 missing for format version {version}"
+            ));
+        }
+        Ok(Header::new(
+            u64::from_le_bytes(buf[16..24].try_into().unwrap()),
+            u64::from_le_bytes(buf[24..32].try_into().unwrap()),
+        ))
     }
 }
 
@@ -341,20 +342,9 @@ pub(crate) fn segment_bytes(kind: u32, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Encodes a version-2 trees segment (records carry pq-gram profiles) —
-/// see [`trees_segment_with`].
-pub(crate) fn trees_segment(entries: &[(usize, &CorpusEntry<String>)]) -> Vec<u8> {
-    trees_segment_with(entries, true)
-}
-
 /// Encodes a trees segment (string table + records) for `entries`, which
-/// must be in ascending id order for canonical output. With `profiles`
-/// false the record layout is the version-1 one (no pq-gram data) — the
-/// legacy writer kept for fixtures and compatibility tests.
-pub(crate) fn trees_segment_with<'a>(
-    entries: &[(usize, &'a CorpusEntry<String>)],
-    profiles: bool,
-) -> Vec<u8> {
+/// must be in ascending id order for canonical output.
+pub(crate) fn trees_segment<'a>(entries: &[(usize, &'a CorpusEntry<String>)]) -> Vec<u8> {
     // Intern labels in first-occurrence order (trees in id order, nodes in
     // postorder) — deterministic for a given corpus state.
     let mut table: Vec<&'a str> = Vec::new();
@@ -404,19 +394,17 @@ pub(crate) fn trees_segment_with<'a>(
             put_u32(&mut payload, label_id);
             put_u32(&mut payload, count);
         }
-        if profiles {
-            // pq-gram profile: params, then the two sorted gram arrays.
-            // Lengths are not stored — they are determined by the node
-            // count and the params (n + p − 1 / n + q − 1).
-            let pq = &sketch.pq;
-            put_u32(&mut payload, pq.params().p);
-            put_u32(&mut payload, pq.params().q);
-            for &g in pq.pre_grams() {
-                put_u64(&mut payload, g);
-            }
-            for &g in pq.post_grams() {
-                put_u64(&mut payload, g);
-            }
+        // pq-gram profile: params, then the two sorted gram arrays.
+        // Lengths are not stored — they are determined by the node count
+        // and the params (n + p − 1 / n + q − 1).
+        let pq = &sketch.pq;
+        put_u32(&mut payload, pq.params().p);
+        put_u32(&mut payload, pq.params().q);
+        for &g in pq.pre_grams() {
+            put_u64(&mut payload, g);
+        }
+        for &g in pq.post_grams() {
+            put_u64(&mut payload, g);
         }
     }
     segment_bytes(SEG_TREES, &payload)
@@ -435,31 +423,12 @@ pub(crate) fn tombstones_segment(ids: &[usize]) -> Vec<u8> {
 /// Serializes a corpus as a complete file image: header plus a single
 /// trees segment holding every live entry. This is the canonical (compact)
 /// encoding — re-encoding a loaded corpus reproduces it byte for byte.
-/// Writes the current [`FORMAT_VERSION`] with [`FLAG_PQ_PROFILES`] set.
 pub fn encode_corpus(corpus: &TreeCorpus<String>) -> Vec<u8> {
-    encode_corpus_with(corpus, FORMAT_VERSION)
-}
-
-/// [`encode_corpus`] in the legacy version-1 layout (no feature flags, no
-/// stored pq-gram profiles — loaders recompute them). Kept so tests and
-/// the roundtrip CI script can fabricate PR 2-era files and prove the
-/// v1 → v2 upgrade path forever.
-pub fn encode_corpus_v1(corpus: &TreeCorpus<String>) -> Vec<u8> {
-    encode_corpus_with(corpus, 1)
-}
-
-fn encode_corpus_with(corpus: &TreeCorpus<String>, version: u32) -> Vec<u8> {
-    let profiles = version >= 2;
-    let header = Header {
-        version,
-        flags: if profiles { FLAG_PQ_PROFILES } else { 0 },
-        next_id: corpus.id_bound() as u64,
-        live: corpus.len() as u64,
-    };
+    let header = Header::new(corpus.id_bound() as u64, corpus.len() as u64);
     let mut out = header.encode().to_vec();
     if !corpus.is_empty() {
         let entries: Vec<_> = corpus.iter().collect();
-        out.extend_from_slice(&trees_segment_with(&entries, profiles));
+        out.extend_from_slice(&trees_segment(&entries));
     }
     out
 }
@@ -535,15 +504,11 @@ fn decode_trees_payload<'a, L, F>(
     payload: &'a [u8],
     make: &F,
     slots: &mut SlotTable<L>,
-    profiles: bool,
 ) -> Result<(), PersistError>
 where
     L: Eq + std::hash::Hash + Clone,
     F: Fn(&'a str) -> L,
 {
-    // Scratch for recomputing pq-gram profiles of version-1 records (one
-    // arena reused across every tree of the segment).
-    let mut pq_scratch = PqScratch::default();
     let mut r = Reader::new(payload, "trees segment");
     let table_len = r.u32()? as usize;
     // Each table entry occupies ≥ 4 payload bytes (its length prefix), so
@@ -623,40 +588,34 @@ where
                 histogram.size()
             ));
         }
-        let pq = if profiles {
-            let p = r.u32()?;
-            let q = r.u32()?;
-            if p == 0 || q == 0 {
-                return corrupt(format!(
-                    "tree {id}: pq-gram params must be >= 1, got ({p},{q})"
-                ));
-            }
-            let pre_len = n + p as usize - 1;
-            let post_len = n + q as usize - 1;
-            // Each gram occupies 8 payload bytes: reject counts the
-            // remaining payload cannot hold before any allocation, so a
-            // crafted p/q cannot force an abort.
-            if pre_len.saturating_add(post_len) > r.remaining() / 8 {
-                return corrupt(format!(
-                    "tree {id} claims {} pq-grams but only {} payload bytes remain",
-                    pre_len + post_len,
-                    r.remaining()
-                ));
-            }
-            let mut pre: Vec<u64> = Vec::with_capacity(pre_len);
-            for _ in 0..pre_len {
-                pre.push(r.u64()?);
-            }
-            let mut post: Vec<u64> = Vec::with_capacity(post_len);
-            for _ in 0..post_len {
-                post.push(r.u64()?);
-            }
-            PqGramProfile::from_parts(PqParams::new(p, q), pre, post)
-        } else {
-            // Version-1 record: no stored profile — recompute it, so every
-            // existing corpus file opens with full filter power.
-            PqGramProfile::compute_in(&tree, PqParams::default(), &mut pq_scratch)
-        };
+        let p = r.u32()?;
+        let q = r.u32()?;
+        if p == 0 || q == 0 {
+            return corrupt(format!(
+                "tree {id}: pq-gram params must be >= 1, got ({p},{q})"
+            ));
+        }
+        let pre_len = n + p as usize - 1;
+        let post_len = n + q as usize - 1;
+        // Each gram occupies 8 payload bytes: reject counts the remaining
+        // payload cannot hold before any allocation, so a crafted p/q
+        // cannot force an abort.
+        if pre_len.saturating_add(post_len) > r.remaining() / 8 {
+            return corrupt(format!(
+                "tree {id} claims {} pq-grams but only {} payload bytes remain",
+                pre_len + post_len,
+                r.remaining()
+            ));
+        }
+        let mut pre: Vec<u64> = Vec::with_capacity(pre_len);
+        for _ in 0..pre_len {
+            pre.push(r.u64()?);
+        }
+        let mut post: Vec<u64> = Vec::with_capacity(post_len);
+        for _ in 0..post_len {
+            post.push(r.u64()?);
+        }
+        let pq = PqGramProfile::from_parts(PqParams::new(p, q), pre, post);
         let sketch = TreeSketch::from_parts(n, max_depth, leaves, histogram, pq);
 
         slots.check_tree_id(id)?;
@@ -725,7 +684,6 @@ fn decode_segment<'a, L, F>(
     pos: usize,
     make: &F,
     slots: &mut SlotTable<L>,
-    profiles: bool,
 ) -> Result<SegmentInfo, PersistError>
 where
     L: Eq + std::hash::Hash + Clone,
@@ -757,7 +715,7 @@ where
     }
     let tombstones = match kind {
         SEG_TREES => {
-            decode_trees_payload(payload, make, slots, profiles)?;
+            decode_trees_payload(payload, make, slots)?;
             0
         }
         SEG_TOMBSTONES => decode_tombstones_payload(payload, slots)?,
@@ -801,7 +759,7 @@ where
     };
     let mut pos = HEADER_LEN;
     while pos < buf.len() {
-        let info = decode_segment(buf, pos, &make, &mut slots, header.has_pq_profiles())?;
+        let info = decode_segment(buf, pos, &make, &mut slots)?;
         stats.segments += 1;
         stats.tombstones += info.tombstones;
         pos = info.end;
@@ -836,11 +794,6 @@ pub struct RepairReport {
     /// Recovered id bound (never below the stored header's `next_id`, so
     /// ids that may exist in application references are never reissued).
     pub next_id: u64,
-    /// When the store transparently rewrote an old-format file in the
-    /// current [`FORMAT_VERSION`] on open, the version it came from.
-    /// `None` for files that were already current (or for pure salvage,
-    /// which never changes a file's format).
-    pub upgraded_from: Option<u32>,
 }
 
 /// The outcome of [`salvage_corpus`]: the recovered corpus plus what a
@@ -887,7 +840,7 @@ pub fn salvage_corpus(buf: &[u8]) -> Result<Salvage, PersistError> {
     let mut segments = 0;
     let mut tombstones = 0;
     while keep_len < buf.len() {
-        match decode_segment(buf, keep_len, &make, &mut slots, header.has_pq_profiles()) {
+        match decode_segment(buf, keep_len, &make, &mut slots) {
             Ok(info) => {
                 segments += 1;
                 tombstones += info.tombstones;
@@ -900,23 +853,13 @@ pub fn salvage_corpus(buf: &[u8]) -> Result<Salvage, PersistError> {
     }
     let live = slots.slots.iter().filter(|s| s.is_some()).count() as u64;
     let next_id = slots.slots.len() as u64;
-    // The recovered header keeps the file's own version and flags: the
-    // surviving segments are still laid out in that version's record
-    // format, and stamping a newer version over them would mis-frame
-    // every record on the next load.
-    let recovered = Header {
-        version: header.version,
-        flags: header.flags,
-        next_id,
-        live,
-    };
+    let recovered = Header::new(next_id, live);
     let report = RepairReport {
         segments_recovered: segments,
         bytes_dropped: (buf.len() - keep_len) as u64,
         header_rewritten: recovered != header,
         live,
         next_id,
-        upgraded_from: None,
     };
     Ok(Salvage {
         corpus: TreeCorpus::from_raw_parts(slots.slots),
@@ -961,22 +904,6 @@ impl CorpusFile {
         &self.buf
     }
 
-    /// Number of segments in the file (walks segment headers; does not
-    /// validate payloads).
-    pub fn segment_count(&self) -> usize {
-        let mut count = 0;
-        let mut pos = HEADER_LEN;
-        while pos + SEGMENT_HEADER_LEN <= self.buf.len() {
-            let len = u64::from_le_bytes(self.buf[pos + 4..pos + 12].try_into().unwrap()) as usize;
-            pos = match pos.checked_add(SEGMENT_HEADER_LEN + len) {
-                Some(next) if next <= self.buf.len() => next,
-                _ => break,
-            };
-            count += 1;
-        }
-        count
-    }
-
     /// Decodes the zero-copy corpus: labels are `&str` slices **borrowing
     /// from this file's buffer** — no label bytes are copied.
     pub fn corpus(&self) -> Result<TreeCorpus<&str>, PersistError> {
@@ -994,10 +921,5 @@ impl CorpusFile {
     /// needs to decide when compaction is worth it.
     pub fn corpus_owned_with_stats(&self) -> Result<(TreeCorpus<String>, FileStats), PersistError> {
         decode_corpus_full(&self.buf, |s| s.to_string())
-    }
-
-    /// Tail-scan salvage of this file image — see [`salvage_corpus`].
-    pub fn salvage(&self) -> Result<Salvage, PersistError> {
-        salvage_corpus(&self.buf)
     }
 }

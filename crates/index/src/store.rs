@@ -40,7 +40,7 @@
 use crate::corpus::{CorpusEntry, TreeCorpus};
 use crate::persist::{
     encode_corpus, salvage_corpus, tombstones_segment, trees_segment, CorpusFile, Header,
-    PersistError, RepairReport, FLAG_PQ_PROFILES, FORMAT_VERSION, HEADER_LEN,
+    PersistError, RepairReport, HEADER_LEN,
 };
 use rted_tree::Tree;
 use std::io::{Seek, SeekFrom, Write};
@@ -104,15 +104,7 @@ impl LogCounts {
     }
 
     fn header(self) -> Header {
-        // Appends always run against a current-version file (old formats
-        // are upgraded when the store opens), whose records carry pq-gram
-        // profiles.
-        Header {
-            version: FORMAT_VERSION,
-            flags: FLAG_PQ_PROFILES,
-            next_id: self.next_id,
-            live: self.live,
-        }
+        Header::new(self.next_id, self.live)
     }
 }
 
@@ -355,24 +347,16 @@ impl CorpusStore {
     }
 
     /// Opens an existing corpus file under the given [`Recovery`] mode.
-    /// In `Strict` mode the report is the trivial clean report.
-    ///
-    /// A readable file in an older format version is **upgraded in
-    /// place**: the store rewrites it atomically in the current
-    /// [`FORMAT_VERSION`] (recomputed pq-gram profiles included) before
-    /// returning, because appends always write current-version segments
-    /// and mixing record layouts within one file would be unreadable.
-    /// `report.upgraded_from` records the original version. Read-only
-    /// consumers that must not touch the file (`rted index info`/`dump`,
-    /// CLI queries) load through [`CorpusFile`] instead.
+    /// In `Strict` mode the report is the trivial clean report. A file
+    /// whose header is unusable (another format version, say) is refused
+    /// in either mode and left untouched.
     pub fn open_with(
         path: impl Into<PathBuf>,
         recovery: Recovery,
     ) -> Result<(Self, RepairReport), PersistError> {
         let path = path.into();
         let file = CorpusFile::read(&path)?;
-        let stored_version = file.header().version;
-        let (corpus, segments, tombstones, mut report) = match file.corpus_owned_with_stats() {
+        let (corpus, segments, tombstones, report) = match file.corpus_owned_with_stats() {
             Ok((corpus, stats)) => {
                 let report = RepairReport {
                     segments_recovered: stats.segments,
@@ -380,7 +364,6 @@ impl CorpusStore {
                     header_rewritten: false,
                     live: corpus.len() as u64,
                     next_id: corpus.id_bound() as u64,
-                    upgraded_from: None,
                 };
                 (corpus, stats.segments, stats.tombstones, report)
             }
@@ -401,16 +384,7 @@ impl CorpusStore {
             tombstones,
             obs: None,
         };
-        let mut store = CorpusStore { log, corpus };
-        if stored_version < FORMAT_VERSION {
-            // The atomic rewrite doubles as a compaction; failure leaves
-            // the old file intact and fails the open — a store must never
-            // proceed to append current-version segments onto an
-            // old-format file.
-            store.log.rewrite(&store.corpus)?;
-            report.upgraded_from = Some(stored_version);
-        }
-        Ok((store, report))
+        Ok((CorpusStore { log, corpus }, report))
     }
 
     /// The live in-memory corpus (always consistent with the file).
@@ -704,56 +678,6 @@ mod tests {
         assert_eq!(store.corpus().len(), 2);
         assert_eq!(rted_tree::to_bracket(store.corpus().tree(1)), "{x{y}{z}}");
         assert_eq!(std::fs::read(&path).unwrap(), new_image);
-    }
-
-    #[test]
-    fn v1_file_upgrades_on_open_and_keeps_appending() {
-        let path = scratch("upgrade.idx");
-        let trees = vec![t("{a{b}{c}}"), t("{x{y}}"), t("{z}")];
-        let mut corpus = TreeCorpus::build(trees);
-        corpus.remove(1);
-        std::fs::write(&path, crate::persist::encode_corpus_v1(&corpus)).unwrap();
-
-        let (mut store, report) = CorpusStore::open_with(&path, Recovery::Strict).unwrap();
-        assert_eq!(report.upgraded_from, Some(1));
-        assert_eq!(store.corpus().len(), 2);
-        assert_eq!(store.corpus().id_bound(), 3);
-        // The file on disk is now canonical v2: strict reopen, current
-        // version, profile flag set, byte-identical to a fresh encode.
-        let file = CorpusFile::read(&path).unwrap();
-        assert_eq!(file.header().version, FORMAT_VERSION);
-        assert!(file.header().has_pq_profiles());
-        assert_eq!(file.bytes(), encode_corpus(store.corpus()).as_slice());
-
-        // Appends land on the upgraded file and reopen cleanly.
-        assert_eq!(store.insert_all(vec![t("{w{v}}")]).unwrap(), vec![3]);
-        let (reopened, report) = CorpusStore::open_with(&path, Recovery::Strict).unwrap();
-        assert_eq!(report.upgraded_from, None);
-        assert_eq!(reopened.corpus().len(), 3);
-        assert_eq!(rted_tree::to_bracket(reopened.corpus().tree(3)), "{w{v}}");
-    }
-
-    #[test]
-    fn torn_v1_file_repairs_in_v1_then_upgrades() {
-        let path = scratch("upgrade-torn.idx");
-        let corpus = TreeCorpus::build(vec![t("{a{b}}"), t("{c{d}{e}}")]);
-        let mut image = crate::persist::encode_corpus_v1(&corpus);
-        let tail: Vec<u8> = image[HEADER_LEN..HEADER_LEN + 9].to_vec();
-        image.extend_from_slice(&tail); // torn partial segment
-        std::fs::write(&path, &image).unwrap();
-
-        assert!(CorpusStore::open(&path).is_err());
-        let (store, report) = CorpusStore::open_repair(&path).unwrap();
-        assert_eq!(report.bytes_dropped, 9);
-        assert_eq!(report.upgraded_from, Some(1));
-        assert_eq!(store.corpus().len(), 2);
-        // Salvage + upgrade are both durable: strict open sees clean v2.
-        let clean = CorpusStore::open(&path).unwrap();
-        assert_eq!(clean.corpus().len(), 2);
-        assert_eq!(
-            CorpusFile::read(&path).unwrap().header().version,
-            FORMAT_VERSION
-        );
     }
 
     #[test]

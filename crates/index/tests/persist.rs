@@ -10,7 +10,10 @@
 
 use proptest::prelude::*;
 use rted_datasets::shapes::Shape;
-use rted_index::{encode_corpus, CorpusFile, TreeCorpus, TreeIndex};
+use rted_index::{
+    encode_corpus, salvage_corpus, CorpusFile, CorpusStore, PersistError, Recovery, TreeCorpus,
+    TreeIndex,
+};
 use rted_tree::{to_bracket, Tree};
 
 fn arb_shape_tree(max: usize) -> impl Strategy<Value = Tree<String>> {
@@ -158,39 +161,6 @@ proptest! {
         prop_assert!(result.is_err(), "accepted a {cut}-byte prefix of {} bytes", bytes.len());
     }
 
-    /// A version-1 image (the PR 2-era layout, no stored profiles) decodes
-    /// to the same corpus — profiles recomputed on load — and re-encoding
-    /// it produces exactly the canonical version-2 bytes of the original.
-    /// v1 → v2 is a lossless upgrade, byte-for-byte.
-    #[test]
-    fn v1_files_open_and_upgrade_byte_identically(corpus in arb_mutated_corpus(6, 16)) {
-        let v1 = rted_index::persist::encode_corpus_v1(&corpus);
-        let v2 = encode_corpus(&corpus);
-        prop_assert_ne!(&v1, &v2, "v1 and v2 encodings must differ");
-        let file = CorpusFile::from_bytes(v1).expect("v1 header");
-        prop_assert_eq!(file.header().version, 1);
-        prop_assert!(!file.header().has_pq_profiles());
-        let loaded = file.corpus_owned().expect("v1 decode");
-        assert_corpus_eq(&corpus, &loaded);
-        prop_assert_eq!(encode_corpus(&loaded), v2);
-    }
-
-    /// v1 truncation/corruption rejection: the legacy read path is held to
-    /// the same no-silent-misread bar as the current one.
-    #[test]
-    fn damaged_v1_files_are_rejected(
-        corpus in arb_mutated_corpus(4, 10),
-        pos_seed in any::<u32>(),
-        delta in 1..255u8,
-    ) {
-        let mut bytes = rted_index::persist::encode_corpus_v1(&corpus);
-        let pos = pos_seed as usize % bytes.len();
-        bytes[pos] ^= delta;
-        let result = CorpusFile::from_bytes(bytes)
-            .and_then(|f| f.corpus_owned().map(|c| c.len()));
-        prop_assert!(result.is_err(), "accepted a v1 flip of byte {pos}");
-    }
-
     /// Every single-byte corruption is rejected: each FNV-1a step is
     /// bijective, so one flipped byte always changes a digest, and every
     /// byte of the file is covered by the header or a segment checksum.
@@ -247,33 +217,37 @@ fn hostile_next_id_is_rejected() {
     // and re-stamp the header checksum so only the decoder's own sanity
     // check can catch it.
     bytes[16..24].copy_from_slice(&(u64::from(u32::MAX) + 5).to_le_bytes());
-    let checksum = rted_index::persist::fnv1a(&bytes[..40]);
-    bytes[40..48].copy_from_slice(&checksum.to_le_bytes());
+    restamp(&mut bytes);
     match CorpusFile::from_bytes(bytes).unwrap().corpus_owned().err() {
-        Some(rted_index::PersistError::Corrupt(msg)) => {
+        Some(PersistError::Corrupt(msg)) => {
             assert!(msg.contains("id space"), "unexpected message: {msg}")
         }
         other => panic!("expected Corrupt, got {other:?}"),
     }
 }
 
-/// Wrong-version files are reported as such, not as garbage.
+/// Wrong-version files — a newer build's, or the retired version 1 —
+/// are reported as such, not as garbage.
 #[test]
 fn future_version_is_rejected_with_version_error() {
     let corpus: TreeCorpus<String> = TreeCorpus::build(vec![rted_tree::parse_bracket("{a}")
         .unwrap()
         .map_labels(|l| l.to_string())]);
-    let mut bytes = encode_corpus(&corpus);
-    // Bump the version field past this build and fix up the checksum.
-    bytes[8] = 3;
-    let checksum = rted_index::persist::fnv1a(&bytes[..40]);
-    bytes[40..48].copy_from_slice(&checksum.to_le_bytes());
-    match CorpusFile::from_bytes(bytes).err() {
-        Some(rted_index::PersistError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 3);
-            assert_eq!(supported, 2);
+    for version in [3u8, 1] {
+        let mut bytes = encode_corpus(&corpus);
+        bytes[8] = version;
+        restamp(&mut bytes);
+        match CorpusFile::from_bytes(bytes).err() {
+            Some(err @ PersistError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, u32::from(version));
+                assert_eq!(supported, 2);
+                assert!(
+                    err.to_string().contains("this build reads version 2"),
+                    "{err}"
+                );
+            }
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 
@@ -289,18 +263,65 @@ fn unknown_flag_bits_are_rejected() {
     // Set an undefined flag bit (flags live at header bytes 12..16) and
     // re-stamp the checksum so only the flag validation can reject it.
     bytes[12] |= 0x04;
-    let checksum = rted_index::persist::fnv1a(&bytes[..40]);
-    bytes[40..48].copy_from_slice(&checksum.to_le_bytes());
+    restamp(&mut bytes);
     match CorpusFile::from_bytes(bytes).err() {
-        Some(rted_index::PersistError::Corrupt(msg)) => {
+        Some(PersistError::Corrupt(msg)) => {
             assert!(msg.contains("feature flag"), "unexpected message: {msg}")
         }
         other => panic!("expected Corrupt (unknown flags), got {other:?}"),
     }
-    // A version-1 file may carry no flags at all.
-    let mut v1 = rted_index::persist::encode_corpus_v1(&corpus);
-    v1[12] |= 0x01;
-    let checksum = rted_index::persist::fnv1a(&v1[..40]);
-    v1[40..48].copy_from_slice(&checksum.to_le_bytes());
-    assert!(CorpusFile::from_bytes(v1).is_err());
+}
+
+/// The header alone decides the record layout, so a header without the
+/// required profile flag is refused by the loader and by a repairing
+/// open — which must leave the file as it found it, not truncate every
+/// record as if it were a torn tail.
+#[test]
+fn cleared_profile_flag_is_refused_and_never_repaired() {
+    let trees = ["{a{b}{c}}", "{x{y}}", "{z}"].map(|s| {
+        rted_tree::parse_bracket(s)
+            .unwrap()
+            .map_labels(|l| l.to_string())
+    });
+    let mut bytes = encode_corpus(&TreeCorpus::build(trees));
+    bytes[12] &= !0x01;
+    restamp(&mut bytes);
+    match CorpusFile::from_bytes(bytes.clone()).err() {
+        Some(PersistError::Corrupt(msg)) => {
+            assert!(msg.contains("feature flag"), "unexpected message: {msg}")
+        }
+        other => panic!("expected Corrupt (missing flag), got {other:?}"),
+    }
+    let path = std::env::temp_dir().join(format!("rted-persist-flag-{}.idx", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(CorpusStore::open_with(&path, Recovery::Repair).is_err());
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A segment header whose length runs past the end of the address space
+/// is a truncated file, not an overflow panic.
+#[test]
+fn overflowing_segment_length_is_rejected() {
+    let mut bytes = encode_corpus(&TreeCorpus::build(Vec::new()));
+    bytes.extend_from_slice(&rted_index::persist::SEG_TREES.to_le_bytes());
+    bytes.extend_from_slice(&(u64::MAX - 5).to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes()); // segment checksum
+    let file = CorpusFile::from_bytes(bytes).unwrap();
+    assert_eq!(
+        file.corpus_owned_with_stats().err(),
+        Some(PersistError::Truncated {
+            context: "segment payload"
+        })
+    );
+    // Salvage keeps the valid header and drops the bogus segment.
+    let salvage = salvage_corpus(file.bytes()).unwrap();
+    assert_eq!(salvage.keep_len, rted_index::persist::HEADER_LEN);
+}
+
+/// Re-stamps the header checksum after a test edits header bytes, so only
+/// the decoder's own validation can reject the edit.
+fn restamp(bytes: &mut [u8]) {
+    let checksum = rted_index::persist::fnv1a(&bytes[..40]);
+    bytes[40..48].copy_from_slice(&checksum.to_le_bytes());
 }

@@ -405,7 +405,6 @@ impl Server {
             header_rewritten: false,
             live: 0,
             next_id: 0,
-            upgraded_from: None,
         };
         for k in 0..n {
             let shard_file = shard_path(path, k);
@@ -415,9 +414,6 @@ impl Server {
                 merged.bytes_dropped += report.bytes_dropped;
                 merged.header_rewritten |= report.header_rewritten;
                 merged.live += report.live;
-                if merged.upgraded_from.is_none() {
-                    merged.upgraded_from = report.upgraded_from;
-                }
                 store
             } else {
                 CorpusStore::create(&shard_file, std::iter::empty())?

@@ -931,3 +931,18 @@ fn failed_durable_append_publishes_nothing_and_retry_reuses_ids() {
         server.shutdown();
     }
 }
+
+/// A header without the required profile flag is refused at startup even
+/// in repair mode, and the file is left byte for byte as it was.
+#[test]
+fn repair_open_refuses_a_header_without_the_profile_flag() {
+    let path = scratch("flagless.idx");
+    CorpusStore::create(&path, gen_trees(3, 900)).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[12] &= !0x01;
+    let checksum = rted_index::persist::fnv1a(&bytes[..40]);
+    bytes[40..48].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(Server::open(&path, Recovery::Repair, cfg(1)).is_err());
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+}

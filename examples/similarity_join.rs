@@ -8,7 +8,7 @@
 
 use rted::core::{Algorithm, UnitCost};
 use rted::datasets::shapes::{perturb_labels, Shape, DEFAULT_ALPHABET};
-use rted::join::{self_join, JoinConfig};
+use rted::index::{ExecPolicy, FilterPipeline, TedVerifier, TreeIndex};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,16 +31,22 @@ fn main() {
         "self-join over {} trees of ~{size} nodes, tau = {tau} (RTED, size-bound pruning on)",
         trees.len()
     );
-    let cfg = JoinConfig {
-        tau,
-        algorithm: Algorithm::Rted,
-        size_prune: true,
+    let index = TreeIndex::build(trees)
+        .with_pipeline(FilterPipeline::size_only())
+        .with_policy(ExecPolicy::serial());
+    let verifier = TedVerifier {
+        algorithm: Some(Algorithm::Rted),
+        cost_model: UnitCost,
     };
-    let res = self_join(&trees, &UnitCost, &cfg);
+    let res = index.join_with(tau, &verifier);
 
+    let stats = &res.stats;
     println!(
         "computed {} pairs ({} pruned) in {:?}, {} subproblems",
-        res.pairs_computed, res.pairs_pruned, res.time, res.subproblems
+        stats.verified,
+        stats.filter.total_pruned(),
+        stats.time,
+        stats.subproblems
     );
     println!("\nmatches (distance < {tau}):");
     for m in &res.matches {

@@ -180,33 +180,36 @@ if "$RTED" search --index "$WORK/flipped.idx" "$QUERY" --tau 2 2> "$WORK/err.txt
 fi
 grep -qiE "checksum|corrupt" "$WORK/err.txt" || fail "unclear corruption error: $(cat "$WORK/err.txt")"
 
-# --- 5. Legacy v1 format: opens read-only, upgrades on first mutation ----
-"$RTED" index build "$WORK/v1.idx" "$WORK/live.trees" --format-version 1 2>/dev/null
+# --- 5. One on-disk format: version 2 with stored pq-gram profiles ------
 "$RTED" index build "$WORK/v2.idx" "$WORK/live.trees" 2>/dev/null
-"$RTED" index info "$WORK/v1.idx" > "$WORK/v1.info"
-grep -q "format version  1" "$WORK/v1.info" || fail "v1 fixture not reported as version 1"
-grep -q "recomputed on load" "$WORK/v1.info" || fail "v1 info must say profiles are recomputed"
 # (info output goes through a file: `grep -q` would close the pipe early
 # and kill the CLI with SIGPIPE on larger outputs)
 "$RTED" index info "$WORK/v2.idx" > "$WORK/v2.info"
-grep -q "format version  2" "$WORK/v2.info" || fail "v2 build not version 2"
+grep -q "format version  2" "$WORK/v2.info" || fail "index build did not write version 2"
+grep -q "feature flags   0x00000001" "$WORK/v2.info" || fail "index build did not set the profile flag"
 
-# Same trees, both versions: identical answers (v1 profiles recomputed).
-for tau in 5 9; do
-    "$RTED" search --index "$WORK/v1.idx" "$QUERY" --tau "$tau" 2>/dev/null > "$WORK/v1.out"
-    "$RTED" search --index "$WORK/v2.idx" "$QUERY" --tau "$tau" 2>/dev/null > "$WORK/v2.out"
-    diff "$WORK/v1.out" "$WORK/v2.out" || fail "v1 vs v2 search tau=$tau"
-done
-# Queries are read-only: the legacy file is untouched, still version 1.
-"$RTED" index info "$WORK/v1.idx" > "$WORK/v1.again"
-grep -q "format version  1" "$WORK/v1.again" || fail "query modified the v1 file"
+# There is no writer for any other version: the flag is refused and no
+# file is created.
+if "$RTED" index build "$WORK/v1.idx" "$WORK/live.trees" --format-version 1 2>/dev/null; then
+    fail "index build accepted a version flag"
+fi
+[[ ! -e "$WORK/v1.idx" ]] || fail "a refused index build created a file"
 
-# The first mutating open upgrades the file in place to version 2 with
-# stored profiles; the data survives and strict tools accept it.
-"$RTED" index update "$WORK/v1.idx" --remove 0 2>/dev/null
-"$RTED" index info "$WORK/v1.idx" > "$WORK/v1up.info"
-grep -q "format version  2" "$WORK/v1up.info" || fail "v1 file not upgraded by update"
-grep -q "(stored)" "$WORK/v1up.info" || fail "upgraded file must store profiles"
-[[ $(("$("$RTED" index dump "$WORK/v1.idx" | wc -l)")) -eq 36 ]] || fail "upgrade lost trees"
+# Mutating tools refuse a damaged header (here the flags byte, flipped
+# as in stage 4) and leave the file byte for byte as it was: a repair
+# must never truncate what it cannot read.
+cp "$WORK/corpus.idx" "$WORK/headflip.idx"
+orig=$(od -An -tu1 -j12 -N1 "$WORK/headflip.idx" | tr -d ' ')
+printf "$(printf '\\x%02x' $((orig ^ 0xff)))" \
+    | dd of="$WORK/headflip.idx" bs=1 seek=12 count=1 conv=notrunc 2>/dev/null
+cp "$WORK/headflip.idx" "$WORK/headflip.orig"
+if "$RTED" index update "$WORK/headflip.idx" --add "$WORK/live.trees" 2>/dev/null; then
+    fail "index update accepted a damaged header"
+fi
+cmp -s "$WORK/headflip.idx" "$WORK/headflip.orig" || fail "index update modified a damaged file"
+if "$RTED" index repair "$WORK/headflip.idx" 2>/dev/null; then
+    fail "index repair accepted a damaged header"
+fi
+cmp -s "$WORK/headflip.idx" "$WORK/headflip.orig" || fail "index repair modified a damaged file"
 
-echo "index-roundtrip OK: persistent and in-memory paths agree (search/topk/join, metric and linear, construction stage order), damage rejected, v1 opens and upgrades"
+echo "index-roundtrip OK: persistent and in-memory paths agree (search/topk/join, metric and linear, construction stage order), damage rejected, one format version written and damaged headers left untouched"

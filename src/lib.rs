@@ -13,7 +13,6 @@
 //! * [`core`] — cost models, algorithms, strategies ([`rted_core`]);
 //! * [`datasets`] — synthetic shapes and dataset simulators
 //!   ([`rted_datasets`]);
-//! * [`join`] — TED similarity joins ([`rted_join`]);
 //! * [`index`] — the indexed, parallel similarity-search engine over tree
 //!   corpora: threshold (`range`), k-nearest-neighbour (`top_k`) and
 //!   self-join queries behind staged lower-bound filters (including the
@@ -67,7 +66,6 @@
 pub use rted_core as core;
 pub use rted_datasets as datasets;
 pub use rted_index as index;
-pub use rted_join as join;
 pub use rted_obs as obs;
 pub use rted_plan as plan;
 pub use rted_serve as serve;
