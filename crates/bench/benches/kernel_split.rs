@@ -10,6 +10,18 @@
 //!   functions `∆L` / `∆R` (public [`Executor`] + [`PathChoice`]);
 //! * `RTED` — Algorithm 2's strategy, then GTED with `∆L`/`∆R`/`∆I`.
 //!
+//! Three more rows per pair measure the kernel-choice rule:
+//!
+//! * `best-fixed` — the fastest of ZS-L, ZS-R and RTED on this machine,
+//!   picked by a quick probe (the minimum of two runs each), as the
+//!   `planner` bench picks its best fixed plan;
+//! * `best-fixed+auto` — [`Algorithm::cheapest_exact`] and the kernel it
+//!   picks, timed together (the rule's counting pass is the strategy
+//!   time); CI gates its geometric-mean ratio to `best-fixed` with
+//!   `bench_diff --suffix-gate "+auto"`;
+//! * `diff` — [`edit_mapping_in`]: the rule's kernel plus the backtrace,
+//!   with the cells both add to the workspace's counter.
+//!
 //! Each figure is the minimum over the samples (up to 10, at least 3 —
 //! see [`BUDGET`] — or 2 with `RTED_BENCH_QUICK`); `ns_per_cell` is the minimum DP time over the DP
 //! cells. With `RTED_BENCH_JSON_DIR` set the rows are also written to
@@ -23,20 +35,39 @@
 //! cargo bench -p rted-bench --bench kernel_split
 //! ```
 
-use rted_core::{Algorithm, Executor, PathChoice, RunStats, Side, UnitCost, Workspace};
+use rted_core::{
+    edit_mapping_in, Algorithm, Executor, PathChoice, RunStats, Side, UnitCost, Workspace,
+};
 use rted_datasets::Shape;
 use rted_tree::{PathKind, Tree};
 use std::time::{Duration, Instant};
 
-const ALGORITHMS: [&str; 5] = ["ZS-L", "ZS-R", "GTED-L", "GTED-R", "RTED"];
+const ROWS: [&str; 8] = [
+    "ZS-L",
+    "ZS-R",
+    "GTED-L",
+    "GTED-R",
+    "RTED",
+    "best-fixed",
+    "best-fixed+auto",
+    "diff",
+];
+
+/// The exact kernels `best-fixed` chooses from, by row name.
+const FIXED: [(&str, Algorithm); 3] = [
+    ("ZS-L", Algorithm::ZhangL),
+    ("ZS-R", Algorithm::ZhangR),
+    ("RTED", Algorithm::Rted),
+];
 
 /// Sampling stops early once a row has used this much time and has at
 /// least three samples (the half-billion-cell rows take seconds per run).
 const BUDGET: Duration = Duration::from_secs(3);
 
-/// One timed run: `(strategy, dp, cells)`.
+/// One timed run of a row other than `best-fixed`: `(strategy, dp,
+/// cells)`.
 fn run_once(
-    alg: &str,
+    row: &str,
     f: &Tree<u32>,
     g: &Tree<u32>,
     ws: &mut Workspace,
@@ -51,14 +82,46 @@ fn run_once(
         }));
         (Duration::ZERO, start.elapsed(), exec.stats.subproblems)
     };
-    match alg {
-        "ZS-L" => split(Algorithm::ZhangL.run_in(f, g, &UnitCost, ws)),
-        "ZS-R" => split(Algorithm::ZhangR.run_in(f, g, &UnitCost, ws)),
+    match row {
         "GTED-L" => gted(PathKind::Left, ws),
         "GTED-R" => gted(PathKind::Right, ws),
-        "RTED" => split(Algorithm::Rted.run_in(f, g, &UnitCost, ws)),
-        _ => unreachable!("unknown algorithm {alg}"),
+        "best-fixed+auto" => {
+            let start = Instant::now();
+            let alg = Algorithm::cheapest_exact(f, g);
+            let rule = start.elapsed();
+            let (strategy, dp, cells) = split(alg.run_in(f, g, &UnitCost, ws));
+            (rule + strategy, dp, cells)
+        }
+        "diff" => {
+            let before = ws.lifetime_stats().subproblems;
+            let start = Instant::now();
+            std::hint::black_box(edit_mapping_in(f, g, &UnitCost, ws));
+            let spent = start.elapsed();
+            (
+                Duration::ZERO,
+                spent,
+                ws.lifetime_stats().subproblems - before,
+            )
+        }
+        _ => {
+            let (_, alg) = FIXED.into_iter().find(|&(name, _)| name == row).unwrap();
+            split(alg.run_in(f, g, &UnitCost, ws))
+        }
     }
+}
+
+/// The fastest of [`FIXED`] on `(f, g)`: the minimum of two runs each.
+fn fastest_fixed(f: &Tree<u32>, g: &Tree<u32>, ws: &mut Workspace) -> &'static str {
+    let time = |name: &str, ws: &mut Workspace| {
+        let (strategy, dp, _) = run_once(name, f, g, ws);
+        strategy + dp
+    };
+    FIXED
+        .into_iter()
+        .map(|(name, _)| (time(name, ws).min(time(name, ws)), name))
+        .min()
+        .map(|(_, name)| name)
+        .unwrap()
 }
 
 struct Row {
@@ -70,6 +133,7 @@ struct Row {
     dp_ns: u128,
     cells: u64,
     samples: usize,
+    kernel: Option<&'static str>,
 }
 
 impl Row {
@@ -78,10 +142,14 @@ impl Row {
     }
 
     fn json(&self) -> String {
+        let kernel = self
+            .kernel
+            .map(|k| format!(", \"kernel\": \"{k}\""))
+            .unwrap_or_default();
         format!(
             "{{\"group\": \"kernel_split\", \"bench\": \"{}\", \"mean_ns\": {}, \"min_ns\": {}, \
              \"max_ns\": {}, \"samples\": {}, \"strategy_ns\": {}, \"dp_ns\": {}, \"cells\": {}, \
-             \"ns_per_cell\": {:.3}}}",
+             \"ns_per_cell\": {:.3}{kernel}}}",
             self.label,
             self.mean_ns,
             self.min_ns,
@@ -114,17 +182,32 @@ fn main() {
         for n in [100usize, 300] {
             let f = shape.generate(n, 7);
             let g = shape.generate(n, 8);
-            for alg in ALGORITHMS {
-                let label = format!("{}/{n}/{alg}", shape.name());
+            for name in ROWS {
+                let label = format!("{}/{n}/{name}", shape.name());
                 if !format!("kernel_split/{label}").contains(&filter) {
                     continue;
                 }
+                // The kernel the row picks, if it picks one; `best-fixed`
+                // then runs as that kernel's row.
+                let kernel = match name {
+                    "best-fixed" => Some(fastest_fixed(&f, &g, &mut ws)),
+                    "best-fixed+auto" | "diff" => {
+                        let rule = Algorithm::cheapest_exact(&f, &g);
+                        FIXED.into_iter().find(|&(_, a)| a == rule).map(|k| k.0)
+                    }
+                    _ => None,
+                };
+                let runs_as = if name == "best-fixed" {
+                    kernel.unwrap()
+                } else {
+                    name
+                };
                 // Warm-up: buffers grow to this pair's sizes.
-                let (_, _, cells) = run_once(alg, &f, &g, &mut ws);
+                let (_, _, cells) = run_once(runs_as, &f, &g, &mut ws);
                 let started = Instant::now();
                 let mut runs = Vec::new();
                 while runs.len() < samples && (runs.len() < 3 || started.elapsed() < BUDGET) {
-                    runs.push(run_once(alg, &f, &g, &mut ws));
+                    runs.push(run_once(runs_as, &f, &g, &mut ws));
                 }
                 let samples = runs.len();
                 let totals: Vec<u128> = runs.iter().map(|r| (r.0 + r.1).as_nanos()).collect();
@@ -137,14 +220,16 @@ fn main() {
                     dp_ns: runs.iter().map(|r| r.1.as_nanos()).min().unwrap(),
                     cells,
                     samples,
+                    kernel,
                 };
                 println!(
-                    "{:<28} {:>12} {:>12} {:>12} {:>8.2}",
+                    "{:<28} {:>12} {:>12} {:>12} {:>8.2} {}",
                     row.label,
                     row.strategy_ns,
                     row.dp_ns,
                     row.cells,
-                    row.ns_per_cell()
+                    row.ns_per_cell(),
+                    row.kernel.unwrap_or_default()
                 );
                 rows.push(row);
             }

@@ -1016,7 +1016,7 @@ fn connect(opts: &Opts, cmd: &str) -> Result<front::Connection, String> {
 ///
 /// `--explain` skips stdin entirely: it sends one `{"op":"explain"}`
 /// request (with the query budget `--tau T` when given) and prints the
-/// service's current plan — candidate generator, verifier cutoffs,
+/// service's current plan — candidate generator, verifier arm,
 /// stage order, and the observed per-arm rates steering the generator.
 fn cmd_query(opts: &Opts) -> Result<(), String> {
     use std::io::BufRead;

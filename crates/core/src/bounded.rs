@@ -5,14 +5,16 @@
 //! range/join, the current radius for top-k), so the verifier can stop the
 //! moment the budget is provably blown. Following the bounded-TED
 //! literature (Jin 2021; Nogler–Saha–Xu 2024), [`ted_at_most`] runs
-//! Zhang–Shasha's keyroot-pair loop over the shared keyroot sheet, with
-//! three budget devices stacked on the exact recurrence:
+//! Zhang–Shasha's keyroot-pair loop over the shared keyroot sheet, on the
+//! side (left or right paths) with fewer cells by Lemma 3's root counts,
+//! with three budget devices stacked on the exact recurrence:
 //!
 //! 1. **Size pre-bound.** `|n_F − n_G|` surplus nodes must be deleted (or
 //!    inserted), each costing at least the cheapest per-node delete
 //!    (insert) cost, so pairs whose size gap alone exceeds τ are rejected
 //!    in O(n) without touching the DP.
-//! 2. **Banding.** In sheet-local coordinates `x' = x − l_i + 1`,
+//! 2. **Banding.** In sheet-local coordinates (mirror postorder ranks on
+//!    the right side; the argument is the same in either order) `x' = x − l_i + 1`,
 //!    `y' = y − l_j + 1`, the exact forest distance of the prefix pair
 //!    `(x', y')` is at least `(x' − y')⁺ · min_del` and
 //!    `(y' − x')⁺ · min_ins`: the surplus prefix nodes have no possible
@@ -49,7 +51,7 @@
 use crate::cost::CostModel;
 use crate::keyroot::Band;
 use crate::workspace::Workspace;
-use crate::zs::{keyroot_pairs, zhang_shasha_in};
+use crate::zs::{cheaper_side, keyroot_pairs, zhang_shasha_in};
 use rted_tree::Tree;
 
 /// Outcome of a budgeted distance computation.
@@ -102,7 +104,8 @@ pub struct BoundedRun {
 /// Returns [`BoundedResult::Exact`] with the true distance when it is
 /// ≤ `tau`, and [`BoundedResult::Exceeds`] with a lower bound `b ≤
 /// ted(f, g)` otherwise. A non-finite `tau` (`+∞`) degenerates to the
-/// exact Zhang–Shasha kernel. `tau` must not be NaN.
+/// exact Zhang–Shasha kernel. Either way the DP runs on the Zhang–Shasha
+/// side with fewer cells (left on ties). `tau` must not be NaN.
 pub fn ted_at_most<L, C: CostModel<L>>(
     f: &Tree<L>,
     g: &Tree<L>,
@@ -124,7 +127,8 @@ pub fn ted_at_most_run<L, C: CostModel<L>>(
     assert!(!tau.is_nan(), "distance budget must not be NaN");
     if tau == f64::INFINITY {
         // No budget: the exact kernel, verbatim.
-        let (d, subproblems) = zhang_shasha_in(f, g, cm, false, ws);
+        let (right, _) = cheaper_side(f, g);
+        let (d, subproblems) = zhang_shasha_in(f, g, cm, right, ws);
         return finish(ws, BoundedResult::Exact(d), subproblems, false);
     }
     if tau < 0.0 {
@@ -158,15 +162,16 @@ pub fn ted_at_most_run<L, C: CostModel<L>>(
         ins: half_width(min_ins),
     };
 
-    // The frontier check on the root sheet (whose local ranks are global):
-    // a row with no cell of `fd + comp ≤ τ` certifies `ted > τ`.
+    // The frontier check on the root sheet (whose local ranks are the
+    // view's): a row with no cell of `fd + comp ≤ τ` certifies `ted > τ`.
     let frontier = |x: u32, row: &[f64], lo: usize, hi: usize| {
         let pot = (lo..=hi)
             .map(|y| row[y] + completion(nf - x, ng - y as u32, min_del, min_ins))
             .fold(f64::INFINITY, f64::min);
         pot <= tau
     };
-    let (corner, subproblems, completed) = keyroot_pairs(f, g, cm, false, Some(band), ws, frontier);
+    let (right, _) = cheaper_side(f, g);
+    let (corner, subproblems, completed) = keyroot_pairs(f, g, cm, right, Some(band), ws, frontier);
     let result = if completed && corner <= tau {
         // In-budget cells are exact (see the module docs).
         BoundedResult::Exact(corner)

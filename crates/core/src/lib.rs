@@ -23,7 +23,9 @@
 //!   canonical forest encoding);
 //! * [`rted`] — the RTED facade: optimal strategy + GTED, with run
 //!   statistics, and the [`Algorithm`] enum running all five algorithms of
-//!   the paper's evaluation uniformly.
+//!   the paper's evaluation uniformly; [`Algorithm::cheapest_exact`] picks
+//!   the cheapest of Zhang-L, Zhang-R and RTED per pair from Lemma 3's
+//!   root counts.
 //!
 //! # Example
 //!
@@ -67,7 +69,7 @@ pub use cost::{CostModel, PerLabelCost, UnitCost};
 pub use gted::{ExecStats, Executor};
 pub use mapping::{edit_mapping, edit_mapping_in, EditMapping, EditOp, EditScript, ScriptOp};
 pub use pqgram::{PqGramProfile, PqParams, PqScratch};
-pub use rted::{ted, ted_with, Algorithm, Rted, RunStats};
+pub use rted::{ted, ted_with, Algorithm, Rted, RunStats, RTED_CELL_RATIO};
 pub use strategy::{
     compute_strategy_in, optimal_strategy, strategy_cost, Chooser, DemaineChooser, FixedChooser,
     OptimalChooser, PathChoice, Side, Strategy, StrategyProvider, SubsetChooser,

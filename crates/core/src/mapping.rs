@@ -3,11 +3,16 @@
 //! The distance algorithms report only the cost; applications (XML diff,
 //! change detection — the paper's §1 motivation) need the *edit script*:
 //! which nodes were deleted, inserted, or mapped (kept/renamed). This
-//! module recovers an optimal mapping along the optimal trace: Zhang–Shasha
-//! gives all subtree distances, then a backtrace refills the forest DP of
-//! each subtree pair it visits with the shared keyroot sheet routine
-//! (reading those distances, writing none back) and walks it from the top
-//! cell, descending into matched subtree pairs.
+//! module recovers an optimal mapping along the optimal trace in two
+//! phases. The distance phase runs the cheapest exact kernel
+//! ([`Algorithm::cheapest_exact`]): each of Zhang-L, Zhang-R and RTED
+//! leaves the distance of every subtree pair behind. The backtrace then
+//! refills the forest DP of each subtree pair it visits with the shared
+//! keyroot sheet routine (reading those distances, writing none back) and
+//! walks it from the top cell, descending into matched subtree pairs.
+//! Subtree distances do not depend on the kernel that computed them, and
+//! the backtrace's tie-breaking reads only sheet values, so the script is
+//! the same whichever kernel ran.
 //!
 //! Two entry points produce an [`EditMapping`]:
 //!
@@ -32,8 +37,9 @@
 
 use crate::cost::CostModel;
 use crate::keyroot::{self, Ranks, SheetHooks};
+use crate::rted::Algorithm;
+use crate::view::SubtreeView;
 use crate::workspace::Workspace;
-use crate::zs::zhang_shasha_in;
 use rted_tree::{NodeId, Tree};
 
 /// One edit operation of a script.
@@ -310,23 +316,26 @@ pub(crate) struct TraceFrame {
     b: u32,
 }
 
-/// The read-only DP inputs of the backtrace, all left in the workspace by
-/// [`zhang_shasha_in`]: the subtree-distance matrix and the per-rank
-/// leftmost leaves and delete/insert costs.
+/// The read-only inputs of the backtrace, left in the workspace by the
+/// distance phase: the subtree-distance matrix and the per-rank leftmost
+/// leaves and delete/insert costs of both trees' left views (ranks are
+/// postorder + 1).
 struct TraceCtx<'a, L, C> {
     f: &'a Tree<L>,
     g: &'a Tree<L>,
     cm: &'a C,
+    /// The subtree distances: δ(x, y) at `x · stride + y − skip`.
     td: &'a [f64],
+    stride: usize,
+    skip: usize,
     a: &'a Ranks,
     b: &'a Ranks,
-    ng: u32,
 }
 
 impl<L, C: CostModel<L>> TraceCtx<'_, L, C> {
     #[inline]
     fn td_at(&self, x: u32, y: u32) -> f64 {
-        self.td[(x * (self.ng + 1) + y) as usize]
+        self.td[x as usize * self.stride + y as usize - self.skip]
     }
 }
 
@@ -341,7 +350,7 @@ impl<L, C: CostModel<L>> SheetHooks for TraceCtx<'_, L, C> {
 
     #[inline]
     fn td_row<'s>(&'s self, x: u32, lj: u32, _j: u32, _buf: &'s mut Vec<f64>) -> &'s [f64] {
-        &self.td[(x * (self.ng + 1) + lj) as usize..]
+        &self.td[x as usize * self.stride + lj as usize - self.skip..]
     }
 
     #[inline]
@@ -393,7 +402,7 @@ fn backtrace<L, C: CostModel<L>>(
     ops: &mut Vec<EditOp>,
 ) -> u64 {
     frames.clear();
-    let (nf, ng) = (cx.f.len() as u32, cx.ng);
+    let (nf, ng) = (cx.f.len() as u32, cx.g.len() as u32);
     let mut cells = push_frame(cx, sheets, frames, rows, nf, ng);
     'frames: while let Some(fi) = frames.len().checked_sub(1) {
         let TraceFrame {
@@ -461,31 +470,74 @@ fn backtrace<L, C: CostModel<L>>(
 }
 
 /// Computes an optimal edit mapping, drawing **all** scratch — the
-/// Zhang–Shasha keyroot DP, the backtrace's forest-DP sheets, and the
-/// frame stack — from `ws`. A warm call (same or smaller pair through the
-/// same workspace) allocates only the returned script's ops vector; this
-/// is the serving layer's `diff` hot path. Results are identical to
-/// [`edit_mapping`].
+/// distance kernel's DP, the backtrace's forest-DP sheets, and the frame
+/// stack — from `ws`. The distance phase runs
+/// [`Algorithm::cheapest_exact`]. A warm call (same or smaller pair
+/// through the same workspace) allocates only the returned script's ops
+/// vector; this is the serving layer's `diff` hot path. Results are
+/// identical to [`edit_mapping`].
 pub fn edit_mapping_in<L, C: CostModel<L>>(
     f: &Tree<L>,
     g: &Tree<L>,
     cm: &C,
     ws: &mut Workspace,
 ) -> EditMapping {
-    let (distance, dp_cells) = zhang_shasha_in(f, g, cm, false, ws);
-    let mut ops = Vec::with_capacity(f.len() + g.len());
-    // Disjoint field borrows: the DP products `zhang_shasha_in` left in
-    // the workspace are read-only inputs; the sheets, frames and sheet
-    // rows are the only mutable scratch.
+    edit_mapping_with(f, g, cm, Algorithm::cheapest_exact(f, g), ws)
+}
+
+/// [`edit_mapping_in`] with the distance phase run by `kernel`. Every
+/// exact algorithm leaves all subtree distances behind, so the mapping
+/// does not depend on `kernel`; only the work does.
+pub(crate) fn edit_mapping_with<L, C: CostModel<L>>(
+    f: &Tree<L>,
+    g: &Tree<L>,
+    cm: &C,
+    kernel: Algorithm,
+    ws: &mut Workspace,
+) -> EditMapping {
+    let run = kernel.compute_in(f, g, cm, ws);
+    let (nf, ng) = (f.len(), g.len());
     let kr = &mut ws.keyroot;
+    if kernel != Algorithm::ZhangL {
+        // Only Zhang-L leaves the left views' ranks loaded.
+        let (ftab, gtab) = (&ws.ftab, &ws.gtab);
+        kr.a.load(&SubtreeView::new(f, f.root(), false), |v| ftab.del[v.idx()]);
+        kr.b.load(&SubtreeView::new(g, g.root(), false), |w| gtab.ins[w.idx()]);
+    }
+    // Where the kernel left δ(x, y), as (matrix, stride, skip).
+    let (td, stride, skip): (&[f64], usize, usize) = match kernel {
+        Algorithm::ZhangL => (&ws.d, ng + 1, 0),
+        Algorithm::ZhangR => {
+            // Zhang-R's `td` is indexed by mirror ranks. Reorder it into
+            // left ranks once, in the buffer of its root pair's sheet,
+            // which the run left (|F| + 1) · (|G| + 1) long and done with.
+            let w = ng + 1;
+            kr.fd.resize(kr.fd.len().max((nf + 1) * w), 0.0);
+            for x in 1..=nf {
+                let xr = f.rpost(NodeId(x as u32 - 1)) as usize + 1;
+                let src = &ws.d[xr * w..(xr + 1) * w];
+                for (y, cell) in kr.fd[x * w + 1..(x + 1) * w].iter_mut().enumerate() {
+                    *cell = src[g.rpost(NodeId(y as u32)) as usize + 1];
+                }
+            }
+            (&kr.fd, w, 0)
+        }
+        // GTED's `D`, row-major `[v][w]` by postorder id = rank − 1.
+        _ => (&ws.d, ng, ng + 1),
+    };
+    let mut ops = Vec::with_capacity(nf + ng);
+    // Disjoint field borrows: the DP products the kernel left in the
+    // workspace are read-only inputs; the sheets, frames and sheet rows
+    // are the only mutable scratch.
     let mut cx = TraceCtx {
         f,
         g,
         cm,
-        td: &ws.d,
+        td,
+        stride,
+        skip,
         a: &kr.a,
         b: &kr.b,
-        ng: g.len() as u32,
     };
     let trace_cells = backtrace(
         &mut cx,
@@ -495,18 +547,19 @@ pub fn edit_mapping_in<L, C: CostModel<L>>(
         &mut ops,
     );
     ops.reverse(); // backtrace emits from the right; present left-to-right
-    ws.note_run(dp_cells + trace_cells);
+    ws.note_run(run.subproblems + trace_cells);
     EditMapping {
         ops,
-        cost: distance,
+        cost: run.distance,
     }
 }
 
 /// Computes an optimal edit mapping (and its cost, the tree edit distance).
 ///
-/// Runs Zhang–Shasha once for the subtree distances, then backtraces. For
-/// integer-valued cost models (including [`crate::UnitCost`]) the result is
-/// exact; for general `f64` costs the backtrace uses a small tolerance.
+/// Runs the cheapest exact kernel once for the subtree distances, then
+/// backtraces. For integer-valued cost models (including
+/// [`crate::UnitCost`]) the result is exact; for general `f64` costs the
+/// backtrace uses a small tolerance.
 ///
 /// This is a thin wrapper over [`edit_mapping_in`] with a throwaway
 /// [`Workspace`]; callers extracting many mappings should hold a
@@ -731,6 +784,82 @@ mod tests {
                 s.deletes, s.inserts, s.renames, s.keeps
             )
         );
+    }
+
+    /// A tree of `labels.len()` nodes: node `i ≥ 1` hangs under one of
+    /// the `reach` nodes inserted just before it (`reach = 1` is a chain,
+    /// a large `reach` uniform random attachment).
+    fn reach_tree(labels: &[u8], picks: &[u32], reach: u32) -> Tree<u8> {
+        let parents: Vec<u32> = (1..labels.len() as u32)
+            .map(|i| i - 1 - picks[i as usize - 1] % reach.min(i))
+            .collect();
+        let mut children: Vec<Vec<u32>> = vec![Vec::new(); labels.len()];
+        for (i, &p) in parents.iter().enumerate() {
+            children[p as usize].push(i as u32 + 1);
+        }
+        // Postorder: children before parents, siblings left to right.
+        let mut order = Vec::with_capacity(labels.len());
+        let mut stack = vec![(0u32, 0usize)];
+        while let Some((v, k)) = stack.pop() {
+            if let Some(&c) = children[v as usize].get(k) {
+                stack.push((v, k + 1));
+                stack.push((c, 0));
+            } else {
+                order.push(v);
+            }
+        }
+        let mut post_of = vec![0u32; labels.len()];
+        for (rank, &v) in order.iter().enumerate() {
+            post_of[v as usize] = rank as u32;
+        }
+        Tree::from_postorder(
+            order.iter().map(|&v| labels[v as usize]).collect(),
+            order
+                .iter()
+                .map(|&v| {
+                    children[v as usize]
+                        .iter()
+                        .map(|&c| post_of[c as usize])
+                        .collect()
+                })
+                .collect(),
+        )
+    }
+
+    fn arb_shape(max: usize) -> impl proptest::strategy::Strategy<Value = Tree<u8>> {
+        use proptest::prelude::*;
+        (2..=max, 1..=max as u32).prop_flat_map(|(n, reach)| {
+            (
+                proptest::collection::vec(0u8..3, n),
+                proptest::collection::vec(any::<u32>(), n - 1),
+            )
+                .prop_map(move |(labels, picks)| reach_tree(&labels, &picks, reach))
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The distance phase's kernel changes only the work: every exact
+        /// algorithm's subtree distances give the same ops as Zhang-L's,
+        /// and the rule's pick gives the same as all of them.
+        #[test]
+        fn ops_do_not_depend_on_the_distance_kernel(f in arb_shape(36), g in arb_shape(36)) {
+            let asym = PerLabelCost::new(1.5, 2.0, 0.75);
+            let mut ws = Workspace::new();
+            for (a, b) in [(&f, &g), (&g, &f)] {
+                let want = edit_mapping_with(a, b, &UnitCost, Algorithm::ZhangL, &mut ws);
+                let want_asym = edit_mapping_with(a, b, &asym, Algorithm::ZhangL, &mut ws);
+                for kernel in Algorithm::ALL {
+                    let got = edit_mapping_with(a, b, &UnitCost, kernel, &mut ws);
+                    proptest::prop_assert_eq!(&got, &want, "{} (unit)", kernel);
+                    let got = edit_mapping_with(a, b, &asym, kernel, &mut ws);
+                    proptest::prop_assert_eq!(&got, &want_asym, "{} (asym)", kernel);
+                }
+                proptest::prop_assert_eq!(&edit_mapping_in(a, b, &UnitCost, &mut ws), &want);
+                proptest::prop_assert_eq!(&edit_mapping_in(a, b, &asym, &mut ws), &want_asym);
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::strategy::{
     Side,
 };
 use crate::workspace::Workspace;
-use crate::zs::zhang_shasha_in;
+use crate::zs::{cheaper_side, zhang_shasha_in};
 use rted_tree::{PathKind, Tree};
 use std::time::{Duration, Instant};
 
@@ -32,6 +32,22 @@ pub struct RunStats {
     /// Executor counters (zeroed for the standalone Zhang–Shasha runs).
     pub exec: ExecStats,
 }
+
+/// How many Zhang–Shasha cells one RTED `|F| · |G|` unit is worth: the
+/// exact kernel rule [`Algorithm::cheapest_exact`] runs the cheaper
+/// Zhang–Shasha side unless its cells exceed `RTED_CELL_RATIO · |F| · |G|`.
+///
+/// RTED's strategy computation alone is O(|F| · |G|), and its GTED run
+/// (heavy paths, transposed reads) costs more per cell than the keyroot
+/// loop. On 120 pairs of 100–500-node trees of every Fig. 7 shape (the
+/// end-to-end `pairs` workload's sizes; release, minimum of 3 runs),
+/// RTED took 235 ns per `|F| · |G|` and Zhang–Shasha 7.7 ns per cell: a
+/// ratio of 30. The mean time per pair was 2.1% above picking the
+/// fastest kernel per pair at 30, within 2.4% anywhere from 25 to 40,
+/// 25% above at 4.4 and 30% above with RTED everywhere. On every
+/// `kernel_split` shape (FB, LB, Random, ZZ at 100 and 300 nodes) the
+/// rule picks the fastest of the three kernels.
+pub const RTED_CELL_RATIO: u64 = 30;
 
 /// The five algorithms evaluated in §8 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,6 +95,37 @@ impl Algorithm {
         self.run_in(f, g, cm, &mut Workspace::new())
     }
 
+    /// The cheapest exact kernel for `(f, g)` among Zhang-L, Zhang-R and
+    /// RTED. Lemma 3's root counts give each Zhang–Shasha side's exact
+    /// cell count in one allocation-free O(|F| + |G|) pass; the cheaper
+    /// side (left on ties) runs unless its cells exceed
+    /// [`RTED_CELL_RATIO`]` · |F| · |G|`, and RTED runs otherwise. All
+    /// three compute the same distance, so the choice changes only the
+    /// work.
+    ///
+    /// ```
+    /// use rted_core::Algorithm;
+    /// use rted_tree::parse_bracket;
+    ///
+    /// // Left paths split this left-leaning tree into fewer subforests
+    /// // (7 against 9), and its mirror image the other way round.
+    /// let f = parse_bracket("{a{b{c}{d}}{e}}").unwrap();
+    /// let g = parse_bracket("{a{e}{b{d}{c}}}").unwrap();
+    /// assert_eq!(Algorithm::cheapest_exact(&f, &f), Algorithm::ZhangL);
+    /// assert_eq!(Algorithm::cheapest_exact(&g, &g), Algorithm::ZhangR);
+    /// ```
+    pub fn cheapest_exact<L>(f: &Tree<L>, g: &Tree<L>) -> Algorithm {
+        let (right, cells) = cheaper_side(f, g);
+        let product = (f.len() as u64).saturating_mul(g.len() as u64);
+        if cells > RTED_CELL_RATIO.saturating_mul(product) {
+            Algorithm::Rted
+        } else if right {
+            Algorithm::ZhangR
+        } else {
+            Algorithm::ZhangL
+        }
+    }
+
     /// [`Algorithm::run`] drawing every buffer — distance matrix, cost
     /// tables, strategy rows and single-path-function scratch — from `ws`.
     ///
@@ -92,7 +139,28 @@ impl Algorithm {
         cm: &C,
         ws: &mut Workspace,
     ) -> RunStats {
-        let stats = match self {
+        let stats = self.compute_in(f, g, cm, ws);
+        ws.note_run(stats.subproblems);
+        let spent = stats.strategy_time + stats.distance_time;
+        ws.note_algorithm(
+            self.portfolio_index(),
+            stats.subproblems,
+            u64::try_from(spent.as_nanos()).unwrap_or(u64::MAX),
+        );
+        stats
+    }
+
+    /// [`Algorithm::run_in`] without folding the run into the workspace's
+    /// counters. Leaves the subtree distances in the workspace: Zhang–
+    /// Shasha's view-local `td` or GTED's `D` (see `mapping.rs`).
+    pub(crate) fn compute_in<L, C: CostModel<L>>(
+        self,
+        f: &Tree<L>,
+        g: &Tree<L>,
+        cm: &C,
+        ws: &mut Workspace,
+    ) -> RunStats {
+        match self {
             Algorithm::ZhangL | Algorithm::ZhangR => {
                 let start = Instant::now();
                 let (distance, subproblems) =
@@ -126,15 +194,7 @@ impl Algorithm {
                 ws.recycle(strategy);
                 stats
             }
-        };
-        ws.note_run(stats.subproblems);
-        let spent = stats.strategy_time + stats.distance_time;
-        ws.note_algorithm(
-            self.portfolio_index(),
-            stats.subproblems,
-            u64::try_from(spent.as_nanos()).unwrap_or(u64::MAX),
-        );
-        stats
+        }
     }
 
     /// This algorithm's position in [`Algorithm::ALL`] — the slot its

@@ -97,7 +97,7 @@ pub struct Workspace {
     pub(crate) path: Vec<NodeId>,
 
     // ---- keyroot sheet scratch (Zhang–Shasha, `∆L`/`∆R`, bounded; the
-    // mapping backtrace reads the per-rank rows Zhang–Shasha left here).
+    // mapping backtrace reads both trees' left-view per-rank rows here).
     pub(crate) keyroot: crate::keyroot::Scratch,
 
     // ---- `∆I` scratch.

@@ -38,6 +38,36 @@ impl ZsResult {
     }
 }
 
+/// The exact number of cells Zhang–Shasha computes on `(f, g)` with left
+/// (`right = false`) or right paths: `|F(F, Γ)| · |F(G, Γ)|`, from the
+/// root counts of Lemma 3 in one allocation-free O(|F| + |G|) pass.
+pub fn keyroot_cells<L>(f: &Tree<L>, g: &Tree<L>, right: bool) -> u64 {
+    relevant_forests(f, right).saturating_mul(relevant_forests(g, right))
+}
+
+/// The Zhang–Shasha side with fewer cells on `(f, g)` — `true` for right
+/// paths, left on ties — and its cell count.
+pub(crate) fn cheaper_side<L>(f: &Tree<L>, g: &Tree<L>) -> (bool, u64) {
+    let left = keyroot_cells(f, g, false);
+    let right = keyroot_cells(f, g, true);
+    if right < left {
+        (true, right)
+    } else {
+        (false, left)
+    }
+}
+
+/// `|F(T, Γ_L)|` (`Γ_R` when `right`): the sizes of the keyroot subtrees
+/// summed, i.e. of the root and of every node whose leftmost (rightmost)
+/// leaf differs from its parent's.
+fn relevant_forests<L>(t: &Tree<L>, right: bool) -> u64 {
+    let leaf = |v| if right { t.rld(v) } else { t.lld(v) };
+    t.nodes()
+        .filter(|&v| t.parent(v).map_or(true, |p| leaf(v) != leaf(p)))
+        .map(|v| u64::from(t.size(v)))
+        .sum()
+}
+
 /// Runs Zhang–Shasha with left paths (`right = false`, the classic
 /// algorithm) or right paths (`right = true`, its mirror).
 pub fn zhang_shasha<L, C: CostModel<L>>(f: &Tree<L>, g: &Tree<L>, cm: &C, right: bool) -> ZsResult {

@@ -206,6 +206,59 @@ fn warm_diff_allocates_only_the_output_script() {
     }
 }
 
+/// A caterpillar of `n ≥ 1` nodes whose spine continues through the last
+/// child (`zigzag = false`, right-branch) or alternately through the last
+/// and the first child (`zigzag = true`); every spine node has one leaf.
+fn caterpillar(n: usize, zigzag: bool) -> Tree<String> {
+    let mut s = String::new();
+    let mut closes = String::new();
+    for i in 0..(n - 1) / 2 {
+        if zigzag && i % 2 == 1 {
+            // Spine first, the leaf after it (closed by `closes`).
+            s.push_str(&format!("{{s{}", i % 3));
+            closes.insert_str(0, &format!("{{l{}}}}}", i % 2));
+        } else {
+            s.push_str(&format!("{{s{}{{l{}}}", i % 3, i % 2));
+            closes.insert(0, '}');
+        }
+    }
+    s.push_str(if n % 2 == 0 { "{t{u}}" } else { "{t}" });
+    parse_bracket(&(s + &closes)).unwrap()
+}
+
+#[test]
+fn warm_diff_is_allocation_free_on_every_distance_kernel() {
+    // The rule may fill the subtree distances with Zhang-R or RTED
+    // instead of Zhang-L; the backtrace then reloads the left-view rows
+    // and reads the other matrix, still inside the workspace.
+    use rted_core::edit_mapping_in;
+    let pairs = [
+        (
+            caterpillar(41, false),
+            caterpillar(38, false),
+            Algorithm::ZhangR,
+        ),
+        (
+            caterpillar(61, true),
+            caterpillar(57, true),
+            Algorithm::Rted,
+        ),
+    ];
+    let mut ws = Workspace::new();
+    for (f, g, kernel) in &pairs {
+        assert_eq!(Algorithm::cheapest_exact(f, g), *kernel);
+        let warm = edit_mapping_in(f, g, &UnitCost, &mut ws);
+        let before = allocations();
+        let again = edit_mapping_in(f, g, &UnitCost, &mut ws);
+        let delta = allocations() - before;
+        assert!(
+            delta <= 1,
+            "{kernel}: warm diff performed {delta} allocations"
+        );
+        assert_eq!(again, warm, "{kernel}: warm diff changed the mapping");
+    }
+}
+
 #[test]
 fn strategy_computation_is_allocation_free_when_warm() {
     use rted_core::{compute_strategy_in, OptimalChooser};

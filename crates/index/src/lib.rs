@@ -13,9 +13,11 @@
 //!   stages (size → depth → leaf → degree → histogram) prunes candidate
 //!   pairs before any exact computation, recording per-stage counters;
 //! * surviving candidates go to the [`TedVerifier`], which runs the
-//!   cheapest exact unit-cost kernel per pair — Zhang–Shasha for tiny
-//!   pairs, a band-limited early-exit kernel under a finite budget, RTED
-//!   otherwise — or one pinned [`rted_core::Algorithm`]
+//!   cheapest exact unit-cost kernel per pair — a band-limited
+//!   early-exit kernel under a finite budget (above 256 cells), otherwise
+//!   the cheapest of Zhang-L, Zhang-R and RTED by the pair's exact cell
+//!   counts ([`rted_core::Algorithm::cheapest_exact`]) — or one pinned
+//!   [`rted_core::Algorithm`]
 //!   ([`TreeIndex::with_algorithm`]). Queries hand the verifier their
 //!   threshold (`tau` for `range`/`join`, the current radius for `top_k`)
 //!   through [`Verifier::verify_within`], so it may abandon a pair the
@@ -86,7 +88,7 @@ pub use persist::{encode_corpus, salvage_corpus, CorpusFile, PersistError, Repai
 pub use store::{CorpusLog, CorpusStore, Recovery, WalObs};
 pub use striped::Stripes;
 pub use totals::{IndexTotals, QueryKind, TotalsSnapshot};
-pub use verify::{BoundedVerify, Kernel, TedVerifier, Verifier, ZS_CELL_CUTOFF};
+pub use verify::{BoundedVerify, Kernel, TedVerifier, Verifier};
 
 use crate::verify::CountedVerifier;
 use rted_core::bounds::TreeSketch;
@@ -533,8 +535,9 @@ where
 
     /// The decision record for a hypothetical next query: which candidate
     /// generator the planner would pick (`budgeted` says whether the
-    /// query would carry a finite `tau`), the pipeline's stage order, the
-    /// verifier dispatch constants, and the observed per-arm rates that
+    /// query would carry a finite `tau`, and so run the bounded verifier
+    /// on pairs above 256 cells),
+    /// the pipeline's stage order, and the observed per-arm rates that
     /// drove the choice. Records the probed decision into the
     /// `index_plan_*` counters like a real planned query.
     pub fn explain(&self, budgeted: bool) -> rted_plan::PlanReport {
@@ -542,7 +545,6 @@ where
         rted_plan::PlanReport {
             candidate_gen: self.plan_query(metric_eligible),
             stage_order: self.pipeline.stages().iter().map(|s| s.name()).collect(),
-            zs_cell_cutoff: ZS_CELL_CUTOFF,
             budgeted: budgeted && self.verifier.algorithm.is_none(),
             linear_rate: self.plan.linear.rate(),
             metric_rate: self.plan.metric.rate(),

@@ -160,7 +160,7 @@ impl IndexTotals {
     }
 
     /// Folds one edit-script extraction in (the serving layer's `diff`
-    /// request). `subproblems` counts the Zhang–Shasha DP plus the
+    /// request). `subproblems` counts the distance kernel's DP plus the
     /// backtrace's re-run forest sheets; `ted_time` is wall time inside
     /// the extraction.
     #[inline]

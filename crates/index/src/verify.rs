@@ -3,9 +3,11 @@
 //! Filters only ever prune pairs that provably cannot match; every
 //! survivor is handed to a [`Verifier`] for an exact distance. The index
 //! verifies with [`TedVerifier`], which either pins one of the paper's
-//! algorithms or — the default — picks the cheapest exact kernel per
-//! pair. Any [`CostModel`] plugs in, including borrowed ones, since
-//! `CostModel` is implemented for references.
+//! algorithms or — the default — picks the cheapest kernel per pair: the
+//! bounded early-exit kernel under a finite budget (pairs of at most 256
+//! cells excepted), otherwise the one rule `distance` and `diff` share,
+//! [`Algorithm::cheapest_exact`]. Any [`CostModel`] plugs in, including
+//! borrowed ones, since `CostModel` is implemented for references.
 
 use crate::totals::IndexTotals;
 use crate::SearchStats;
@@ -13,21 +15,24 @@ use rted_core::{ted_at_most_run, Algorithm, BoundedResult, CostModel, UnitCost, 
 use rted_tree::Tree;
 use std::time::Instant;
 
-/// A pair is verified with Zhang–Shasha instead of RTED when the product
-/// of its tree sizes (an upper estimate of the DP cells one left-path
-/// decomposition computes) is at or below this — below it, RTED's
-/// strategy computation costs more than any subproblems it could save.
-pub const ZS_CELL_CUTOFF: u64 = 256;
+/// A budgeted pair whose size product `|f| · |g|` is at most this skips
+/// the bounded kernel and runs [`Algorithm::cheapest_exact`]'s pick, so
+/// when it blows the budget its certified lower bound is its exact
+/// distance, not the budget. The serve `distance … at_most` answer for
+/// such pairs depends on it (`scripts/serve_roundtrip.sh` stage 4b).
+const SMALL_PAIR_CELLS: u64 = 256;
 
 /// The exact kernel a [`TedVerifier`] without a pinned algorithm chose
 /// for one pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Zhang–Shasha (small pair, strategy overhead dominates).
+    /// Zhang–Shasha, left or right paths ([`Algorithm::cheapest_exact`]
+    /// found one side cheaper than RTED).
     ZhangShasha,
     /// The bounded-τ early-exit kernel (a finite budget exists).
     Bounded,
-    /// Full RTED.
+    /// Full RTED ([`Algorithm::cheapest_exact`] found both Zhang–Shasha
+    /// sides too expensive).
     Rted,
 }
 
@@ -76,10 +81,13 @@ pub trait Verifier<L>: Send + Sync {
 /// strategy selection lifted one level up — each pair runs the cheapest
 /// member of the exact family:
 ///
-/// * **Zhang–Shasha** when `|f| · |g|` is at most [`ZS_CELL_CUTOFF`];
 /// * the **bounded-τ early-exit kernel** when `tau` is finite
-///   (abandonment makes "no" answers nearly free);
-/// * **full RTED** otherwise.
+///   (abandonment makes "no" answers nearly free), on the Zhang–Shasha
+///   side with fewer cells, unless `|f| · |g|` is at most 256 cells;
+/// * otherwise the kernel [`Algorithm::cheapest_exact`] picks from Lemma
+///   3's root counts: **Zhang–Shasha** (left or right paths) unless its
+///   cells exceed [`RTED_CELL_RATIO`](rted_core::RTED_CELL_RATIO) times
+///   `|f| · |g|`, **full RTED** then.
 ///
 /// All arms compute the same exact distance (Zhang–Shasha is one fixed
 /// LRH strategy; the bounded kernel returns `Exact(d)` identical to RTED
@@ -102,11 +110,10 @@ impl<L, C: CostModel<L> + Send + Sync> Verifier<L> for TedVerifier<C> {
         tau: f64,
         ws: &mut Workspace,
     ) -> BoundedVerify {
-        let small = (f.len() as u64).saturating_mul(g.len() as u64) <= ZS_CELL_CUTOFF;
+        let small = (f.len() as u64).saturating_mul(g.len() as u64) <= SMALL_PAIR_CELLS;
         let (algorithm, kernel) = match self.algorithm {
             Some(algorithm) => (algorithm, None),
-            None if small => (Algorithm::ZhangL, Some(Kernel::ZhangShasha)),
-            None if tau != f64::INFINITY => {
+            None if tau != f64::INFINITY && !small => {
                 let run = ted_at_most_run(f, g, &self.cost_model, tau, ws);
                 return BoundedVerify {
                     result: run.result,
@@ -115,7 +122,10 @@ impl<L, C: CostModel<L> + Send + Sync> Verifier<L> for TedVerifier<C> {
                     kernel: Some(Kernel::Bounded),
                 };
             }
-            None => (Algorithm::Rted, Some(Kernel::Rted)),
+            None => match Algorithm::cheapest_exact(f, g) {
+                Algorithm::Rted => (Algorithm::Rted, Some(Kernel::Rted)),
+                zs => (zs, Some(Kernel::ZhangShasha)),
+            },
         };
         let run = algorithm.run_in(f, g, &self.cost_model, ws);
         BoundedVerify {

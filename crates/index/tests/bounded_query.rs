@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use rted_core::{Algorithm, BoundedResult, PerLabelCost, Workspace};
 use rted_datasets::shapes::{perturb_labels, Shape, DEFAULT_ALPHABET};
-use rted_index::{TedVerifier, TreeIndex, Verifier, ZS_CELL_CUTOFF};
+use rted_index::{Kernel, TedVerifier, TreeIndex, Verifier};
 use rted_tree::Tree;
 
 fn arb_shape_tree(max: usize) -> impl Strategy<Value = Tree<u32>> {
@@ -107,7 +107,7 @@ proptest! {
     }
 
     /// The per-pair dispatch is exact under a non-unit cost model too:
-    /// on pairs straddling the Zhang–Shasha cutoff, in both operand
+    /// on pairs that take both exact arms of the rule, in both operand
     /// orders, at budgets around the distance, a within-budget answer is
     /// bit-identical to pinned RTED and an over-budget answer certifies a
     /// lower bound.
@@ -116,15 +116,30 @@ proptest! {
         small in arb_shape_tree(12),
         large in (0..Shape::ALL.len(), 17..=40usize, any::<u32>())
             .prop_map(|(s, n, seed)| Shape::ALL[s].generate(n, seed as u64)),
+        zigzag in (40..=44usize, any::<u32>())
+            .prop_map(|(n, seed)| Shape::ZigZag.generate(n, seed as u64)),
     ) {
         let cm = PerLabelCost::new(1.5, 2.0, 0.75);
         let auto = TedVerifier { algorithm: None, cost_model: cm };
         let rted = TedVerifier { algorithm: Some(Algorithm::Rted), cost_model: cm };
         let mut ws = Workspace::new();
-        for (f, g) in [(&small, &large), (&large, &small), (&small, &small), (&large, &large)] {
+        let mut arms = Vec::new();
+        for (f, g) in [
+            (&small, &large),
+            (&large, &small),
+            (&small, &small),
+            (&large, &large),
+            (&small, &zigzag),
+            (&zigzag, &large),
+            (&zigzag, &zigzag),
+        ] {
             let d = rted.verify_within(f, g, f64::INFINITY, &mut ws).result.value();
             for tau in [0.0, d - 1.0, d, d + 1.0, f64::INFINITY] {
-                let got = auto.verify_within(f, g, tau, &mut ws).result;
+                let run = auto.verify_within(f, g, tau, &mut ws);
+                if tau == f64::INFINITY {
+                    arms.push(run.kernel);
+                }
+                let got = run.result;
                 if d <= tau {
                     prop_assert_eq!(
                         got.value().to_bits(), d.to_bits(),
@@ -138,9 +153,9 @@ proptest! {
                 }
             }
         }
-        // The sampled sizes reach both sides of the cutoff.
-        prop_assert!((small.len() * small.len()) as u64 <= ZS_CELL_CUTOFF);
-        prop_assert!((large.len() * large.len()) as u64 > ZS_CELL_CUTOFF);
+        // The sampled pairs take both exact arms of the rule.
+        prop_assert!(arms.contains(&Some(Kernel::ZhangShasha)), "{:?}", arms);
+        prop_assert!(arms.contains(&Some(Kernel::Rted)), "{:?}", arms);
     }
 }
 

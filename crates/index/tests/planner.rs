@@ -82,26 +82,34 @@ proptest! {
     }
 }
 
-/// One budgeted query over a corpus mixing tiny trees (size product at
-/// or below the Zhang–Shasha cutoff) with large ones must split its
-/// verifications across dispatch arms — and every counter family must
-/// partition exactly: candidates into per-stage prunes plus verified,
-/// verified into the three `plan_*_pairs` arms, early exits within the
-/// bounded arm, bounded wall time within total TED time.
+/// Budgeted and unbudgeted queries over a corpus mixing small trees with
+/// zig-zag ones must split their verifications across dispatch arms —
+/// and every counter family must partition exactly: candidates into
+/// per-stage prunes plus verified, verified into the three
+/// `plan_*_pairs` arms, early exits within the bounded arm, bounded wall
+/// time within total TED time.
 #[test]
 fn mixed_verifier_dispatch_partitions_the_totals() {
+    let q = Shape::Mixed.generate(16, 9);
     let mut trees: Vec<Tree<u32>> = Vec::new();
     for i in 0..6u64 {
-        // 4·16 = 64 cells → Zhang–Shasha; 26·16 = 416 → bounded kernel
-        // under a finite budget, full RTED without one.
+        // 4·16 = 64 cells → the exact rule (Zhang–Shasha) under any
+        // budget; 26·16 = 416 → bounded kernel under a finite budget.
+        // Without one, the rule runs Zhang–Shasha on the 4- and 26-node
+        // trees and RTED on the zig-zag ones, whose Zhang–Shasha cells
+        // exceed 30 · |q| · |ZZ|.
         trees.push(Shape::ALL[i as usize % Shape::ALL.len()].generate(4, i));
         trees.push(Shape::ALL[i as usize % Shape::ALL.len()].generate(26, 100 + i));
     }
+    for i in 0..2u64 {
+        let zigzag = Shape::ZigZag.generate(130, 200 + i);
+        assert_eq!(Algorithm::cheapest_exact(&q, &zigzag), Algorithm::Rted);
+        trees.push(zigzag);
+    }
     let index = TreeIndex::build(trees.iter().cloned()).with_planner(true);
-    let q = Shape::Mixed.generate(16, 9);
 
-    // τ wide enough that the size stage keeps both size groups in play,
-    // finite so verification above the cutoff is budget-aware.
+    // τ wide enough that the size stage keeps both small size groups in
+    // play, finite so verification above 256 cells is budget-aware.
     let res = index.range(&q, 40.0);
     let t = index.totals();
     assert!(t.plan_zs_pairs > 0, "no pair took the Zhang–Shasha arm");
@@ -128,14 +136,20 @@ fn mixed_verifier_dispatch_partitions_the_totals() {
     );
     assert!(t.verify_early_exits <= t.plan_bounded_pairs);
 
-    // An unbudgeted query sends the same large pairs to full RTED
-    // instead; the bounded-arm counter must not move.
-    let bounded_before = t.plan_bounded_pairs;
+    // An unbudgeted query sends each pair to the kernel the rule picks:
+    // Zhang–Shasha for the small trees, full RTED for the zig-zag ones;
+    // the bounded-arm counter must not move.
+    let (bounded_before, zs_before, rted_before) =
+        (t.plan_bounded_pairs, t.plan_zs_pairs, t.plan_rted_pairs);
     let _ = index.range(&q, f64::INFINITY);
     let t = index.totals();
     assert!(
-        t.plan_rted_pairs > 0,
-        "unbudgeted large pairs must take full RTED"
+        t.plan_zs_pairs > zs_before,
+        "unbudgeted small pairs must take Zhang–Shasha"
+    );
+    assert!(
+        t.plan_rted_pairs > rted_before,
+        "unbudgeted zig-zag pairs must take full RTED"
     );
     assert_eq!(t.plan_bounded_pairs, bounded_before);
     assert_eq!(

@@ -10,10 +10,10 @@
 //!
 //! 1. **Candidate generation** — linear size-window scan vs.
 //!    metric-tree (vantage-point) routing;
-//! 2. **Verification** — Zhang–Shasha for pairs small enough that
-//!    RTED's strategy-computation overhead dominates, the bounded-τ
-//!    early-exit kernel when the query supplies a budget, full RTED
-//!    otherwise.
+//! 2. **Verification** — the bounded-τ early-exit kernel when the query
+//!    supplies a budget and the pair has more than 256 cells, otherwise
+//!    the cheapest of Zhang-L, Zhang-R and RTED by the pair's exact cell
+//!    counts (`rted_core`'s `Algorithm::cheapest_exact`).
 //!
 //! Every choice is *answer-invariant* by construction: all verifier
 //! arms compute the same exact distance and both candidate generators
@@ -139,10 +139,10 @@ pub struct PlanReport {
     pub candidate_gen: CandidateGen,
     /// Filter stages in execution order.
     pub stage_order: Vec<&'static str>,
-    /// Pairs at or below this size product verify via Zhang–Shasha.
-    pub zs_cell_cutoff: u64,
-    /// Whether verification runs the bounded-τ early-exit kernel
-    /// (a finite budget exists) above the Zhang–Shasha cutoff.
+    /// Whether verification runs the bounded-τ early-exit kernel (a
+    /// finite budget exists) instead of the cheapest exact kernel of
+    /// each pair; pairs of at most 256 cells run the exact kernel either
+    /// way.
     pub budgeted: bool,
     /// Observed linear-arm cost (exact TEDs per candidate), if sampled.
     pub linear_rate: Option<f64>,
@@ -168,12 +168,11 @@ impl PlanReport {
                 self.observed_queries,
             ),
             format!(
-                "verifier zhang-shasha <= {} cells, then {}",
-                self.zs_cell_cutoff,
+                "verifier {}",
                 if self.budgeted {
                     "bounded-tau kernel"
                 } else {
-                    "full rted"
+                    "cheapest of zhang-l, zhang-r, rted"
                 },
             ),
             format!("stage_order {}", self.stage_order.join(",")),
@@ -228,7 +227,6 @@ mod tests {
         let report = PlanReport {
             candidate_gen: CandidateGen::Metric,
             stage_order: vec!["size", "leaf"],
-            zs_cell_cutoff: 256,
             budgeted: true,
             linear_rate: Some(0.5),
             metric_rate: Some(0.125),
@@ -236,8 +234,12 @@ mod tests {
         };
         let lines = report.summary_lines();
         assert!(lines[0].contains("candidate_gen metric"));
-        assert!(lines[1].contains("256 cells"));
         assert!(lines[1].contains("bounded-tau"));
+        let exact = PlanReport {
+            budgeted: false,
+            ..report
+        };
+        assert!(exact.summary_lines()[1].contains("cheapest of zhang-l, zhang-r, rted"));
         assert!(lines[2].contains("size,leaf"));
     }
 }

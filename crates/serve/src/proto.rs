@@ -16,7 +16,7 @@
 //! |------------|------------------------------------------|------------------------------------------------------------------------------|
 //! | `range`    | `tree` (string), `tau` (number, omit = unbounded) | `neighbors` (array of `{id, distance}`), `candidates`, `verified`    |
 //! | `topk`     | `tree` (string), `k` (number, default 5) | `neighbors` (array of `{id, distance}`), `candidates`, `verified`            |
-//! | `distance` | `left`, `right` (each: id number or tree string), `at_most` (number, omit = exact) | `distance` (number); with a finite `at_most` budget the answer may instead be `exceeds` (`true`) + `lower_bound` (number) when the distance provably exceeds the budget — above the Zhang–Shasha cell cutoff the bounded kernel stops early instead of finishing the computation |
+//! | `distance` | `left`, `right` (each: id number or tree string), `at_most` (number, omit = exact) | `distance` (number); with a finite `at_most` budget the answer may instead be `exceeds` (`true`) + `lower_bound` (number) when the distance provably exceeds the budget — above 256 cells the bounded kernel stops early instead of finishing the computation |
 //! | `diff`     | `left`, `right` (each: id number or tree string) | `distance`, `ops` (array of script steps: `{"op":"delete","node",` `"label"}`, `{"op":"insert","node","label"}`, `{"op":"rename","from","to","old","new"}`, `{"op":"keep","from","to","label"}`), `summary` (`{deletes, inserts, renames, keeps}`) |
 //! | `diff` (batched) | `pairs` (array of `[left_id, right_id]` pairs; excludes `left`/`right`) | `results` (array of `{distance, ops, summary}` objects, one per pair, in order) |
 //! | `join`     | `tau` (number, omit = unbounded)         | `matches` (array of `{left, right, distance}`, `left < right`), `candidates` (unordered pairs), `verified` |
@@ -24,7 +24,7 @@
 //! | `remove`   | `ids` (array of id numbers)              | `removed` (count actually live)                                              |
 //! | `status`   | —                                        | `status` object: `uptime_secs`, `live`, `id_bound`, `holes`, `segments`, `file_tombstones`, `workers`, `shards`, `requests`, `compactions`, `metric_built`, `metric_pending`, `metric_tombstones`, `requests_by_type` (per-op counts), `ops` (supported op names, for feature detection), `shard_live` / `shard_tombstones` (per-shard arrays), `tcp` (bound TCP address, present only when the TCP front-end is up), `metric_tree`, `persistent` |
 //! | `compact`  | —                                        | `compacted` (bool: anything reclaimed)                                       |
-//! | `explain`  | `tau` (number, omit = unbudgeted)        | `plan` object: `candidate_gen`, `stage_order` (array), `zs_cell_cutoff`, `budgeted`, `linear_rate` / `metric_rate` (number or `null` while unsampled), `observed_queries` — the planner's decision record for a hypothetical query with this `tau` |
+//! | `explain`  | `tau` (number, omit = unbudgeted)        | `plan` object: `candidate_gen`, `stage_order` (array), `budgeted`, `linear_rate` / `metric_rate` (number or `null` while unsampled), `observed_queries` — the planner's decision record for a hypothetical query with this `tau` |
 //! | `metrics`  | `format` (`"json"` \| `"prometheus"`)    | `metrics` object (name → value or histogram summary) / `exposition` (string) |
 //! | `shutdown` | —                                        | `bye` (then the stream ends)                                                 |
 //!
@@ -90,9 +90,9 @@ pub enum Request {
     },
     /// Distance between two operands. With both operands given as ids
     /// this is the service's allocation-free fast path. A finite
-    /// `at_most` budget lets pairs above the Zhang–Shasha cell cutoff
-    /// run the bounded early-exit kernel: the exact distance comes back
-    /// whenever it is ≤ the budget, a certified lower bound otherwise.
+    /// `at_most` budget lets pairs above 256 cells run the bounded
+    /// early-exit kernel: the exact distance comes back whenever it is ≤
+    /// the budget, a certified lower bound otherwise.
     Distance {
         /// Left operand.
         left: TreeRef,
@@ -745,9 +745,7 @@ pub fn render_response_with(response: &Response, id: Option<&RequestId>) -> Stri
                 }
                 write_escaped(name, &mut out);
             }
-            out.push_str("],\"zs_cell_cutoff\":");
-            write_number(report.zs_cell_cutoff as f64, &mut out);
-            out.push_str(",\"budgeted\":");
+            out.push_str("],\"budgeted\":");
             out.push_str(if report.budgeted { "true" } else { "false" });
             for (key, rate) in [
                 ("linear_rate", report.linear_rate),
@@ -1118,7 +1116,6 @@ mod tests {
             Response::Plan(rted_plan::PlanReport {
                 candidate_gen: rted_plan::CandidateGen::Linear,
                 stage_order: vec!["size", "depth"],
-                zs_cell_cutoff: 256,
                 budgeted: true,
                 linear_rate: Some(0.25),
                 metric_rate: None,
@@ -1212,7 +1209,6 @@ mod tests {
         let line = render_response(&Response::Plan(rted_plan::PlanReport {
             candidate_gen: rted_plan::CandidateGen::Metric,
             stage_order: vec!["size", "leaf", "depth"],
-            zs_cell_cutoff: 256,
             budgeted: false,
             linear_rate: Some(0.5),
             metric_rate: None,
@@ -1220,7 +1216,7 @@ mod tests {
         }));
         assert_eq!(
             line,
-            r#"{"ok":true,"plan":{"candidate_gen":"metric","stage_order":["size","leaf","depth"],"zs_cell_cutoff":256,"budgeted":false,"linear_rate":0.5,"metric_rate":null,"observed_queries":12}}"#
+            r#"{"ok":true,"plan":{"candidate_gen":"metric","stage_order":["size","leaf","depth"],"budgeted":false,"linear_rate":0.5,"metric_rate":null,"observed_queries":12}}"#
         );
         crate::json::parse(&line).unwrap();
     }

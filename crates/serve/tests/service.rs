@@ -633,9 +633,9 @@ fn bounded_distance_answers_exact_or_certified_exceeds() {
         Response::DistanceExceeds(lb) => assert!(lb >= 0.5),
         other => panic!("{other:?}"),
     }
-    // Pairs that small verify with Zhang–Shasha; above its cell cutoff a
-    // budgeted request runs the bounded kernel, which abandons a blown
-    // budget early.
+    // Pairs that small verify exactly; above 256 cells a budgeted
+    // request runs the bounded kernel, which abandons a blown budget
+    // early (here on the size pre-bound).
     let chain = |n: usize| parse_bracket(&format!("{}{}", "{a".repeat(n), "}".repeat(n))).unwrap();
     match client.call(Request::Distance {
         left: TreeRef::Inline(chain(17)),
@@ -692,7 +692,7 @@ fn explain_reports_planner_decisions() {
         }
         other => panic!("{other:?}"),
     }
-    // An unbudgeted probe plans the exact arm above the ZS cutoff.
+    // An unbudgeted probe plans the cheapest exact kernel per pair.
     match client.call(Request::Explain { tau: f64::INFINITY }) {
         Response::Plan(report) => assert!(!report.budgeted),
         other => panic!("{other:?}"),

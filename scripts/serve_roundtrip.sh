@@ -183,8 +183,8 @@ echo '{"op":"diff","pairs":[[0,9999]]}' | q | grep -q '"ok":false.*no live tree 
 # Same contract as through the library: a met budget answers the plain
 # exact distance line, a blown budget a certified exceeds/lower_bound
 # line — byte-for-byte, with client request ids echoed first. Pairs of at
-# most 256 DP cells verify with Zhang–Shasha, whose certified bound is the
-# exact distance; larger pairs run the bounded kernel (two 17-node stars
+# most 256 DP cells verify with an exact kernel, whose certified bound is
+# the exact distance; larger pairs run the bounded kernel (two 17-node stars
 # with disjoint labels: 289 cells; a 17-node star and a 20-node chain:
 # 340 cells).
 STAR1='{a{b}{c}{d}{e}{f}{g}{h}{i}{j}{k}{l}{m}{n}{o}{p}{q}}'

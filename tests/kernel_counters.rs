@@ -4,14 +4,17 @@
 //! `core.*` metrics all read these counters, so they are pinned to exact
 //! values here rather than only bounded: the relevant-subproblem count of
 //! every algorithm, the in-band cells, outcome and early-exit flag of the
-//! bounded verifier at four budgets under two cost models, and the cells
-//! an edit-mapping backtrace adds to the workspace's lifetime counter.
+//! bounded verifier at four budgets under two cost models, the cells an
+//! edit-mapping extraction adds to the workspace's lifetime counter, and
+//! the kernel [`Algorithm::cheapest_exact`] picks. Lemma 3's root counts
+//! must reproduce both Zhang–Shasha cell counts exactly.
 //!
 //! Klein-H runs only the heavy-path function `∆I`, which shares no code
 //! with the keyroot sheet behind Zhang–Shasha, `∆L`/`∆R`, the bounded
 //! verifier and the backtrace, so its distances check that sheet
 //! independently on trees too large for the recursive reference.
 
+use rted::core::zs::keyroot_cells;
 use rted::core::{
     edit_mapping_in, ted_at_most_run, Algorithm, BoundedResult, CostModel, PerLabelCost, UnitCost,
     Workspace,
@@ -28,7 +31,8 @@ struct PerCost {
     distance: f64,
     /// Bounded runs at τ = 0.5, d/2, d and d + 1.
     bounded: [Bounded; 4],
-    /// Cells `edit_mapping_in` adds to the lifetime subproblem count.
+    /// Cells `edit_mapping_in` adds to the lifetime subproblem count:
+    /// its distance kernel's plus the backtrace's.
     mapping_cells: u64,
 }
 
@@ -39,6 +43,8 @@ struct Golden {
     /// `run_in(..).subproblems` in `Algorithm::ALL` order (the same under
     /// both cost models).
     subproblems: [u64; 5],
+    /// The exact kernel `distance` and `diff` run on this pair.
+    rule: Algorithm,
     unit: PerCost,
     asym: PerCost,
 }
@@ -118,9 +124,18 @@ fn measure() -> Vec<Golden> {
                 asym_subproblems, subproblems,
                 "{pair}: cells depend on costs"
             );
+            let zhang = [Algorithm::ZhangL, Algorithm::ZhangR];
+            for (right, alg) in [false, true].into_iter().zip(zhang) {
+                assert_eq!(
+                    keyroot_cells(&f, &g, right),
+                    subproblems[alg.portfolio_index()],
+                    "{pair}: root counts disagree with {alg}"
+                );
+            }
             Golden {
                 pair,
                 subproblems,
+                rule: Algorithm::cheapest_exact(&f, &g),
                 unit,
                 asym,
             }
@@ -134,6 +149,7 @@ const GOLDEN: &[Golden] = &[
     Golden {
         pair: "Mixed/60x55",
         subproblems: [34825, 37698, 179248, 99354, 24427],
+        rule: Algorithm::ZhangL,
         unit: PerCost {
             distance: 50.0,
             bounded: [
@@ -158,6 +174,7 @@ const GOLDEN: &[Golden] = &[
     Golden {
         pair: "Mixed/25x70",
         subproblems: [14136, 15660, 111748, 28852, 9990],
+        rule: Algorithm::ZhangL,
         unit: PerCost {
             distance: 61.0,
             bounded: [
@@ -182,6 +199,7 @@ const GOLDEN: &[Golden] = &[
     Golden {
         pair: "FullBinary/200",
         subproblems: [540225, 667489, 13926045, 5858791, 540225],
+        rule: Algorithm::ZhangL,
         unit: PerCost {
             distance: 170.0,
             bounded: [
@@ -206,6 +224,7 @@ const GOLDEN: &[Golden] = &[
     Golden {
         pair: "ZigZag/200",
         subproblems: [26522500, 27552001, 3019900, 2049601, 2049601],
+        rule: Algorithm::Rted,
         unit: PerCost {
             distance: 165.0,
             bounded: [
@@ -214,7 +233,7 @@ const GOLDEN: &[Golden] = &[
                 (true, 165.0, 26311672, false),
                 (true, 165.0, 26327956, false),
             ],
-            mapping_cells: 27253205,
+            mapping_cells: 2780306,
         },
         asym: PerCost {
             distance: 127.5,
@@ -224,12 +243,13 @@ const GOLDEN: &[Golden] = &[
                 (true, 127.5, 18843166, false),
                 (true, 127.5, 18937686, false),
             ],
-            mapping_cells: 27209350,
+            mapping_cells: 2736451,
         },
     },
     Golden {
         pair: "Random/200",
         subproblems: [367965, 951393, 10317240, 4614089, 345837],
+        rule: Algorithm::ZhangL,
         unit: PerCost {
             distance: 221.0,
             bounded: [
