@@ -12,9 +12,9 @@
 //! The paper uses ~1000-node trees; `--size 1000` reproduces that scale.
 
 use rted_bench::{human_count, print_table, Args};
-use rted_core::{Algorithm, UnitCost};
+use rted_core::Algorithm;
 use rted_datasets::Shape;
-use rted_index::{ExecPolicy, FilterPipeline, TedVerifier, TreeIndex};
+use rted_index::{ExecPolicy, FilterPipeline, TreeIndex};
 
 fn main() {
     let args = Args::capture();
@@ -46,11 +46,7 @@ fn main() {
         .with_policy(ExecPolicy::serial());
     let mut rows = Vec::new();
     for alg in Algorithm::ALL {
-        let verifier = TedVerifier {
-            algorithm: Some(alg),
-            cost_model: UnitCost,
-        };
-        let res = index.join_with(tau, &verifier);
+        let res = index.fork().with_algorithm(alg).join(tau);
         rows.push(vec![
             alg.name().to_string(),
             format!("{:.2}", res.stats.time.as_secs_f64()),

@@ -116,11 +116,11 @@ mod tests {
     }
 
     // Table 1's self-join, run the way `table1` runs it: serial, one
-    // algorithm pinned, through `TreeIndex::join_with`.
+    // algorithm pinned on a fork of the index.
 
-    use rted_core::{Algorithm, UnitCost};
+    use rted_core::Algorithm;
     use rted_datasets::shapes::{perturb_labels, Shape, DEFAULT_ALPHABET};
-    use rted_index::{ExecPolicy, FilterPipeline, JoinOutcome, TedVerifier, TreeIndex};
+    use rted_index::{ExecPolicy, FilterPipeline, JoinOutcome, TreeIndex};
     use rted_tree::Tree;
 
     /// Trees of different shapes and sizes; tree 1 is a near-duplicate of
@@ -145,11 +145,7 @@ mod tests {
         let index = TreeIndex::build(trees.iter().cloned())
             .with_pipeline(pipeline)
             .with_policy(ExecPolicy::serial());
-        let verifier = TedVerifier {
-            algorithm: Some(algorithm),
-            cost_model: UnitCost,
-        };
-        index.join_with(tau, &verifier)
+        index.fork().with_algorithm(algorithm).join(tau)
     }
 
     #[test]

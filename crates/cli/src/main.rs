@@ -147,9 +147,12 @@ fn usage() -> ExitCode {
          {{\"op\":\"explain\"}} round-trip; --tau T plans a budgeted query).\n\
          index info --stats probes the filter pipeline and prints per-stage\n\
          prune counts, hit rates, and the planner's decision report.\n\
-         distance --at-most T runs the band-limited kernel: prints the\n\
-         exact distance when it is <= T, else `exceeds B` with a certified\n\
-         lower bound B, usually long before the full computation.\n\
+         distance --at-most T prints the exact distance when it is <= T,\n\
+         else `exceeds B` with a certified lower bound B: pairs above 256\n\
+         cells run the band-limited kernel, which usually stops long before\n\
+         the full computation; smaller pairs run an exact kernel, whose\n\
+         bound B is the exact distance. The same call answers serve's\n\
+         `distance` op, so both print the same bound.\n\
          NAME: rted (default) | zhang-l | zhang-r | klein-h | demaine-h\n\
          SHAPE: lb | rb | fb | zz | mx | random\n\
          TREE/QUERY: inline bracket notation or a file path\n\
@@ -337,17 +340,17 @@ fn cmd_distance(opts: &Opts) -> Result<(), String> {
     };
     let cm = cost_model(opts)?;
     if let Some(spec) = opts.flag("at-most") {
-        // The budget path answers "is d <= T?" with the band-limited
-        // kernel; the strategy choice does not apply there.
+        // The budget path picks its kernel per pair (`ted_within`, as
+        // serve's `distance` does); the strategy choice does not apply.
         if opts.has("algorithm") {
-            return Err("--at-most uses the band-limited kernel; drop --algorithm".into());
+            return Err("--at-most picks its own kernel; drop --algorithm".into());
         }
         let tau: f64 = spec
             .parse::<f64>()
             .ok()
             .filter(|t| !t.is_nan())
             .ok_or(format!("bad --at-most {spec}"))?;
-        let run = rted_core::ted_at_most_run(&f, &g, &cm, tau, &mut Workspace::new());
+        let run = rted_core::ted_within(&f, &g, &cm, tau, None, &mut Workspace::new());
         match run.result {
             rted_core::BoundedResult::Exact(d) => println!("{d}"),
             rted_core::BoundedResult::Exceeds(lb) => println!("exceeds {lb}"),
@@ -622,19 +625,12 @@ fn report_stats(stats: &SearchStats, what: &str) {
 /// counters the index keeps for its lifetime — stage order, prune
 /// counts, and each stage's hit rate over the candidates that actually
 /// reached it — followed by the adaptive planner's decision report for
-/// the probed workload and the per-algorithm cost model (observed
-/// ns/subproblem) that steers the verifier crossover.
+/// the probed workload.
 fn print_pipeline_stats(corpus: rted_index::TreeCorpus<String>) {
     let index = TreeIndex::from_corpus(corpus).with_planner(true);
-    let queries: Vec<Tree<String>> = index
-        .corpus()
-        .iter()
-        .take(16)
-        .map(|(_, e)| e.tree().clone())
-        .collect();
-    for query in &queries {
+    for (_, entry) in index.corpus().iter().take(16) {
         for tau in [2.0, 8.0] {
-            index.range(query, tau);
+            index.range(entry.tree(), tau);
         }
     }
     let totals = index.totals();
@@ -675,27 +671,6 @@ fn print_pipeline_stats(corpus: rted_index::TreeCorpus<String>) {
     println!("\nplanner report  (for a budgeted query, after the probe)");
     for line in index.explain(true).summary_lines() {
         println!("  {line}");
-    }
-    // The verifier crossover calibrates against observed ns/subproblem;
-    // run both verifier arms over a few probe pairs through a local
-    // workspace so the report shows real measurements, not placeholders.
-    if queries.len() >= 2 {
-        let mut ws = Workspace::new();
-        for pair in queries.windows(2).take(8) {
-            for alg in [Algorithm::ZhangL, Algorithm::Rted] {
-                alg.run_in(&pair[0], &pair[1], &UnitCost, &mut ws);
-            }
-        }
-        println!("\nverifier cost model (local probe)");
-        for (alg, cost) in Algorithm::ALL.iter().zip(ws.algorithm_costs()) {
-            if let Some(ns) = cost.ns_per_subproblem() {
-                println!(
-                    "  {:<10} {ns:>8.1} ns/subproblem over {} run(s)",
-                    alg.name(),
-                    cost.runs
-                );
-            }
-        }
     }
 }
 

@@ -47,12 +47,41 @@
 //! module keeps only the pre-bound, the band widths and the frontier
 //! check; the sheet routine fills the band. All scratch comes from the
 //! [`Workspace`], so warm calls stay allocation-free.
+//!
+//! [`ted_within`] is the one budgeted-distance call every caller goes
+//! through (index verification, vantage-point routing, the served and the
+//! command-line `distance`). It picks the kernel per pair: the bounded
+//! kernel under a finite budget on pairs above 256 cells, otherwise
+//! [`Algorithm::cheapest_exact`]'s pick, and it reports the pick as
+//! [`BoundedRun::kernel`].
 
 use crate::cost::CostModel;
 use crate::keyroot::Band;
+use crate::rted::Algorithm;
 use crate::workspace::Workspace;
-use crate::zs::{cheaper_side, keyroot_pairs, zhang_shasha_in};
+use crate::zs::{cheaper_side, keyroot_pairs};
 use rted_tree::Tree;
+
+/// A budgeted pair whose size product `|f| · |g|` is at most this skips
+/// the bounded kernel in [`ted_within`] and runs
+/// [`Algorithm::cheapest_exact`]'s pick, so when it blows the budget its
+/// certified lower bound is its exact distance, not the budget. The
+/// served and command-line `distance … at_most` answers for such pairs
+/// depend on it (`scripts/serve_roundtrip.sh` stage 4b).
+const SMALL_PAIR_CELLS: u64 = 256;
+
+/// The kernel [`ted_within`] ran for one pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// Zhang–Shasha, left or right paths ([`Algorithm::cheapest_exact`]
+    /// found one side cheaper than RTED).
+    ZhangShasha,
+    /// The bounded-τ early-exit kernel ([`ted_at_most_run`]).
+    Bounded,
+    /// Full RTED ([`Algorithm::cheapest_exact`] found both Zhang–Shasha
+    /// sides too expensive).
+    Rted,
+}
 
 /// Outcome of a budgeted distance computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,6 +125,8 @@ pub struct BoundedRun {
     /// frontier certified `ted > τ` mid-DP. A completed DP whose corner
     /// merely lands above τ is not an early exit.
     pub early_exit: bool,
+    /// The kernel that ran; `None` when the caller pinned an algorithm.
+    pub kernel: Option<Kernel>,
 }
 
 /// Decides whether `ted(f, g) ≤ tau` under cost model `cm`, drawing all
@@ -103,9 +134,10 @@ pub struct BoundedRun {
 ///
 /// Returns [`BoundedResult::Exact`] with the true distance when it is
 /// ≤ `tau`, and [`BoundedResult::Exceeds`] with a lower bound `b ≤
-/// ted(f, g)` otherwise. A non-finite `tau` (`+∞`) degenerates to the
-/// exact Zhang–Shasha kernel. Either way the DP runs on the Zhang–Shasha
-/// side with fewer cells (left on ties). `tau` must not be NaN.
+/// ted(f, g)` otherwise. A non-finite `tau` (`+∞`) widens the band past
+/// every sheet: the exact Zhang–Shasha DP. Either way the DP runs on the
+/// Zhang–Shasha side with fewer cells (left on ties). `tau` must not be
+/// NaN.
 pub fn ted_at_most<L, C: CostModel<L>>(
     f: &Tree<L>,
     g: &Tree<L>,
@@ -116,7 +148,64 @@ pub fn ted_at_most<L, C: CostModel<L>>(
     ted_at_most_run(f, g, cm, tau, ws).result
 }
 
-/// [`ted_at_most`] with work counters, for verifiers and benchmarks.
+/// The budgeted distance of `(f, g)` under `cm`, through the cheapest
+/// kernel for the pair: the one call behind every budgeted and exact
+/// distance the index, the server and the command line answer.
+///
+/// The kernel is chosen in this order:
+///
+/// 1. a `pinned` algorithm runs as given ([`BoundedRun::kernel`] is
+///    `None`);
+/// 2. a pair of at most 256 cells (`|f| · |g|`), or any pair at
+///    `tau = ∞`, runs [`Algorithm::cheapest_exact`]'s kernel;
+/// 3. every other pair runs the bounded kernel ([`ted_at_most_run`]).
+///
+/// An exact kernel answers `Exceeds(d)` with the exact distance `d` when
+/// `d > tau`, the tightest bound there is. Every kernel returns the same
+/// `Exact(d)` whenever `d ≤ tau`, so the choice changes only the work.
+///
+/// ```
+/// use rted_core::{ted_within, BoundedResult, Kernel, UnitCost, Workspace};
+/// use rted_tree::parse_bracket;
+///
+/// let f = parse_bracket("{a{b}{c}}").unwrap();
+/// let g = parse_bracket("{x{y}{z}}").unwrap();
+/// let run = ted_within(&f, &g, &UnitCost, 1.0, None, &mut Workspace::new());
+/// assert_eq!(run.result, BoundedResult::Exceeds(3.0));
+/// assert_eq!(run.kernel, Some(Kernel::ZhangShasha));
+/// ```
+pub fn ted_within<L, C: CostModel<L>>(
+    f: &Tree<L>,
+    g: &Tree<L>,
+    cm: &C,
+    tau: f64,
+    pinned: Option<Algorithm>,
+    ws: &mut Workspace,
+) -> BoundedRun {
+    let small = (f.len() as u64).saturating_mul(g.len() as u64) <= SMALL_PAIR_CELLS;
+    let (algorithm, kernel) = match pinned {
+        Some(algorithm) => (algorithm, None),
+        None if tau != f64::INFINITY && !small => return ted_at_most_run(f, g, cm, tau, ws),
+        None => match Algorithm::cheapest_exact(f, g) {
+            Algorithm::Rted => (Algorithm::Rted, Some(Kernel::Rted)),
+            zs => (zs, Some(Kernel::ZhangShasha)),
+        },
+    };
+    let run = algorithm.run_in(f, g, cm, ws);
+    BoundedRun {
+        result: if run.distance <= tau {
+            BoundedResult::Exact(run.distance)
+        } else {
+            BoundedResult::Exceeds(run.distance)
+        },
+        subproblems: run.subproblems,
+        early_exit: false,
+        kernel,
+    }
+}
+
+/// [`ted_at_most`] with work counters: the bounded kernel alone, for
+/// [`ted_within`] and benchmarks.
 pub fn ted_at_most_run<L, C: CostModel<L>>(
     f: &Tree<L>,
     g: &Tree<L>,
@@ -125,12 +214,6 @@ pub fn ted_at_most_run<L, C: CostModel<L>>(
     ws: &mut Workspace,
 ) -> BoundedRun {
     assert!(!tau.is_nan(), "distance budget must not be NaN");
-    if tau == f64::INFINITY {
-        // No budget: the exact kernel, verbatim.
-        let (right, _) = cheaper_side(f, g);
-        let (d, subproblems) = zhang_shasha_in(f, g, cm, right, ws);
-        return finish(ws, BoundedResult::Exact(d), subproblems, false);
-    }
     if tau < 0.0 {
         // Distances are non-negative, so nothing fits a negative budget.
         return finish(ws, BoundedResult::Exceeds(0.0), 0, true);
@@ -155,7 +238,8 @@ pub fn ted_at_most_run<L, C: CostModel<L>>(
     // Band half-widths: a prefix pair carrying more than ⌊τ/min_del⌋
     // surplus F-nodes (⌊τ/min_ins⌋ surplus G-nodes) already costs more
     // than τ. A zero min cost (`τ/0` is `+∞` or NaN, which `min` drops)
-    // makes the band wider than any sheet: a plain, still exact, DP.
+    // or `τ = ∞` makes the band wider than any sheet: a plain, still
+    // exact, DP.
     let half_width = |unit: f64| (tau / unit).min(Band::WIDE as f64).floor() as i64;
     let band = Band {
         del: half_width(min_del),
@@ -188,6 +272,7 @@ fn finish(ws: &mut Workspace, result: BoundedResult, subproblems: u64, early: bo
         result,
         subproblems,
         early_exit: early,
+        kernel: Some(Kernel::Bounded),
     }
 }
 
@@ -315,6 +400,39 @@ mod tests {
             run.subproblems,
             full.subproblems
         );
+    }
+
+    #[test]
+    fn ted_within_picks_the_kernel_by_the_rule() {
+        use rted_datasets::shapes::Shape;
+        let mut ws = Workspace::new();
+        // A 3×3 pair is small: the exact rule runs and certifies the
+        // exact distance, not the budget.
+        let f = parse_bracket("{a{b}{c}}").unwrap();
+        let g = parse_bracket("{x{y}{z}}").unwrap();
+        let run = ted_within(&f, &g, &UnitCost, 1.0, None, &mut ws);
+        assert_eq!(run.kernel, Some(Kernel::ZhangShasha));
+        assert_eq!(run.result, BoundedResult::Exceeds(3.0));
+
+        let zz = (
+            Shape::ZigZag.generate(200, 7),
+            Shape::ZigZag.generate(200, 8),
+        );
+        let run = ted_within(&zz.0, &zz.1, &UnitCost, f64::INFINITY, None, &mut ws);
+        assert_eq!(run.kernel, Some(Kernel::Rted));
+        assert!(run.result.is_exact());
+
+        let rnd = (
+            Shape::Random.generate(200, 7),
+            Shape::Random.generate(200, 8),
+        );
+        let run = ted_within(&rnd.0, &rnd.1, &UnitCost, 2.0, None, &mut ws);
+        assert_eq!(run.kernel, Some(Kernel::Bounded));
+
+        let pinned = Some(Algorithm::KleinH);
+        let run = ted_within(&rnd.0, &rnd.1, &UnitCost, 2.0, pinned, &mut ws);
+        assert_eq!(run.kernel, None);
+        assert!(!run.early_exit);
     }
 
     #[test]

@@ -25,7 +25,11 @@
 //!   statistics, and the [`Algorithm`] enum running all five algorithms of
 //!   the paper's evaluation uniformly; [`Algorithm::cheapest_exact`] picks
 //!   the cheapest of Zhang-L, Zhang-R and RTED per pair from Lemma 3's
-//!   root counts.
+//!   root counts;
+//! * [`bounded`] — the budgeted question "is `ted ≤ τ`, and what is it?":
+//!   the band-limited early-exit kernel, and [`ted_within`], the one call
+//!   that answers it per pair with the cheapest kernel (the bounded one
+//!   under a finite budget, otherwise [`Algorithm::cheapest_exact`]'s).
 //!
 //! # Example
 //!
@@ -63,7 +67,7 @@ mod keyroot;
 mod spf_i;
 mod spf_lr;
 
-pub use bounded::{ted_at_most, ted_at_most_run, BoundedResult, BoundedRun};
+pub use bounded::{ted_at_most, ted_at_most_run, ted_within, BoundedResult, BoundedRun, Kernel};
 pub use bounds::{LowerBound, TreeSketch};
 pub use cost::{CostModel, PerLabelCost, UnitCost};
 pub use gted::{ExecStats, Executor};
@@ -74,4 +78,4 @@ pub use strategy::{
     compute_strategy_in, optimal_strategy, strategy_cost, Chooser, DemaineChooser, FixedChooser,
     OptimalChooser, PathChoice, Side, Strategy, StrategyProvider, SubsetChooser,
 };
-pub use workspace::{AlgorithmCost, Workspace, WorkspaceStats};
+pub use workspace::{Workspace, WorkspaceStats};

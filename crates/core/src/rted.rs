@@ -141,12 +141,6 @@ impl Algorithm {
     ) -> RunStats {
         let stats = self.compute_in(f, g, cm, ws);
         ws.note_run(stats.subproblems);
-        let spent = stats.strategy_time + stats.distance_time;
-        ws.note_algorithm(
-            self.portfolio_index(),
-            stats.subproblems,
-            u64::try_from(spent.as_nanos()).unwrap_or(u64::MAX),
-        );
         stats
     }
 
@@ -194,19 +188,6 @@ impl Algorithm {
                 ws.recycle(strategy);
                 stats
             }
-        }
-    }
-
-    /// This algorithm's position in [`Algorithm::ALL`] — the slot its
-    /// observed costs accumulate under in
-    /// [`Workspace::algorithm_costs`](crate::Workspace::algorithm_costs).
-    pub fn portfolio_index(self) -> usize {
-        match self {
-            Algorithm::ZhangL => 0,
-            Algorithm::ZhangR => 1,
-            Algorithm::KleinH => 2,
-            Algorithm::DemaineH => 3,
-            Algorithm::Rted => 4,
         }
     }
 

@@ -163,13 +163,6 @@ pub struct Workspace {
     pub(crate) ted_runs: u64,
     /// Relevant subproblems computed across all runs.
     pub(crate) subproblems_total: u64,
-    /// Per-algorithm cost accounting, indexed by the algorithm's position
-    /// in [`Algorithm::ALL`](crate::rted::Algorithm::ALL): runs,
-    /// subproblems, and wall nanoseconds. Fixed-size arrays — recording
-    /// is plain integer adds, inside the zero-allocation contract.
-    pub(crate) alg_runs: [u64; 5],
-    pub(crate) alg_subproblems: [u64; 5],
-    pub(crate) alg_ns: [u64; 5],
 }
 
 /// Lifetime counters of one [`Workspace`], for observability.
@@ -232,50 +225,5 @@ impl Workspace {
     pub(crate) fn note_run(&mut self, subproblems: u64) {
         self.ted_runs += 1;
         self.subproblems_total += subproblems;
-    }
-
-    /// Folds one run's cost into the per-algorithm estimator slot
-    /// `alg_index` (the algorithm's position in
-    /// [`Algorithm::ALL`](crate::rted::Algorithm::ALL)).
-    #[inline]
-    pub(crate) fn note_algorithm(&mut self, alg_index: usize, subproblems: u64, ns: u64) {
-        self.alg_runs[alg_index] += 1;
-        self.alg_subproblems[alg_index] += subproblems;
-        self.alg_ns[alg_index] += ns;
-    }
-
-    /// Observed per-algorithm cost over this workspace's lifetime, in
-    /// [`Algorithm::ALL`](crate::rted::Algorithm::ALL) order — the raw
-    /// material for the query planner's cost estimators: ns/subproblem
-    /// calibrates the verifier crossover against the machine actually
-    /// running, instead of a hard-coded constant.
-    pub fn algorithm_costs(&self) -> [AlgorithmCost; 5] {
-        let mut out = [AlgorithmCost::default(); 5];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = AlgorithmCost {
-                runs: self.alg_runs[i],
-                subproblems: self.alg_subproblems[i],
-                ns: self.alg_ns[i],
-            };
-        }
-        out
-    }
-}
-
-/// Observed cost of one algorithm across a workspace's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AlgorithmCost {
-    /// Runs served.
-    pub runs: u64,
-    /// Relevant subproblems computed, summed.
-    pub subproblems: u64,
-    /// Wall nanoseconds (strategy + distance phases), summed.
-    pub ns: u64,
-}
-
-impl AlgorithmCost {
-    /// Observed nanoseconds per subproblem, `None` until sampled.
-    pub fn ns_per_subproblem(&self) -> Option<f64> {
-        (self.subproblems > 0).then(|| self.ns as f64 / self.subproblems as f64)
     }
 }

@@ -3,12 +3,15 @@
 //! the true distance whenever `d ≤ τ`, and `Exceeds(b)` with a lower bound
 //! `b ≤ d` whenever `d > τ` — under the unit model and an asymmetric
 //! per-label model, in both operand orders, through one shared workspace
-//! (so the warm-buffer path is what gets exercised).
+//! (so the warm-buffer path is what gets exercised). The per-pair kernel
+//! choice of `ted_within` must be as exact as the kernels it picks from.
 
 use proptest::prelude::*;
 use rted_core::{
-    ted_at_most_run, Algorithm, BoundedResult, CostModel, PerLabelCost, UnitCost, Workspace,
+    ted_at_most_run, ted_within, Algorithm, BoundedResult, CostModel, Kernel, PerLabelCost,
+    UnitCost, Workspace,
 };
+use rted_datasets::shapes::Shape;
 use rted_tree::Tree;
 
 /// Builds a tree from random-attachment choices: node `i` (insertion
@@ -122,5 +125,65 @@ proptest! {
                 full.subproblems
             );
         }
+    }
+}
+
+fn arb_shape_tree(max: usize) -> impl Strategy<Value = Tree<u32>> {
+    (0..Shape::ALL.len(), 1..=max, any::<u32>())
+        .prop_map(|(s, n, seed)| Shape::ALL[s].generate(n, seed as u64))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `ted_within` is exact under a non-unit cost model too: on pairs
+    /// that take both exact arms of the rule, in both operand orders, at
+    /// budgets around the distance, a within-budget answer is
+    /// bit-identical to pinned RTED and an over-budget answer certifies a
+    /// lower bound.
+    #[test]
+    fn ted_within_matches_rted_under_per_label_costs(
+        small in arb_shape_tree(12),
+        large in (0..Shape::ALL.len(), 17..=40usize, any::<u32>())
+            .prop_map(|(s, n, seed)| Shape::ALL[s].generate(n, seed as u64)),
+        zigzag in (40..=44usize, any::<u32>())
+            .prop_map(|(n, seed)| Shape::ZigZag.generate(n, seed as u64)),
+    ) {
+        let cm = PerLabelCost::new(1.5, 2.0, 0.75);
+        let rted = Some(Algorithm::Rted);
+        let mut ws = Workspace::new();
+        let mut arms = Vec::new();
+        for (f, g) in [
+            (&small, &large),
+            (&large, &small),
+            (&small, &small),
+            (&large, &large),
+            (&small, &zigzag),
+            (&zigzag, &large),
+            (&zigzag, &zigzag),
+        ] {
+            let d = ted_within(f, g, &cm, f64::INFINITY, rted, &mut ws).result.value();
+            for tau in [0.0, d - 1.0, d, d + 1.0, f64::INFINITY] {
+                let run = ted_within(f, g, &cm, tau, None, &mut ws);
+                if tau == f64::INFINITY {
+                    arms.push(run.kernel);
+                }
+                let got = run.result;
+                if d <= tau {
+                    prop_assert_eq!(
+                        got.value().to_bits(), d.to_bits(),
+                        "{}x{} cells, tau {}: {:?} vs exact {}",
+                        f.len(), g.len(), tau, got, d
+                    );
+                    prop_assert!(got.is_exact());
+                } else {
+                    prop_assert!(matches!(got, BoundedResult::Exceeds(b) if b <= d),
+                        "{}x{} cells, tau {}: {:?} vs exact {}", f.len(), g.len(), tau, got, d);
+                }
+            }
+        }
+        // The sampled pairs take both exact arms of the rule.
+        prop_assert!(arms.contains(&Some(Kernel::ZhangShasha)), "{:?}", arms);
+        prop_assert!(arms.contains(&Some(Kernel::Rted)), "{:?}", arms);
     }
 }

@@ -48,16 +48,15 @@
 //! **byte-identical** to the linear scan — property-tested in
 //! `crates/index/tests/candidates.rs` — while the number of trees even
 //! looked at falls with the query's selectivity. Routing distances are
-//! computed by the index's configured verifier; the guarantee assumes it
-//! is a metric (true for the default unit-cost verifiers; a custom
-//! non-metric cost model must keep the linear scan).
+//! unit-cost tree edit distances from [`rted_core::ted_within`] (under the
+//! index's pinned algorithm, if any), which form a metric.
 
 use crate::corpus::{CorpusEntry, TreeCorpus};
 use crate::filter::FilterPipeline;
-use crate::verify::{CountedVerifier, Verifier};
+use crate::verify::CountedVerifier;
 use crate::{candidates::MetricStats, Neighbor, OrdF64, SearchStats};
 use rted_core::bounds::TreeSketch;
-use rted_core::Workspace;
+use rted_core::{ted_within, Algorithm, UnitCost, Workspace};
 use rted_tree::Tree;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -134,12 +133,13 @@ pub struct VpTree<L> {
 
 impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
     /// Builds the tree over every live id of `corpus`, spending
-    /// O(n log n) exact distances through `verifier`/`ws`. Deterministic:
+    /// O(n log n) exact unit-cost distances through [`ted_within`] (under
+    /// `algorithm` when pinned) and `ws`. Deterministic:
     /// subsets are kept id-sorted and the vantage is always the smallest
     /// id, so the same corpus always produces the same tree.
     pub fn build(
         corpus: &TreeCorpus<L>,
-        verifier: &dyn Verifier<L>,
+        algorithm: Option<Algorithm>,
         ws: &mut Workspace,
         config: &MetricConfig,
     ) -> VpTree<L> {
@@ -155,7 +155,7 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
             build_ted: 0,
         };
         let leaf = config.leaf_size.max(1);
-        tree.root = tree.split(ids, corpus, verifier, ws, leaf);
+        tree.root = tree.split(ids, corpus, algorithm, ws, leaf);
         tree
     }
 
@@ -163,7 +163,7 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
         &mut self,
         subset: Vec<u32>,
         corpus: &TreeCorpus<L>,
-        verifier: &dyn Verifier<L>,
+        algorithm: Option<Algorithm>,
         ws: &mut Workspace,
         leaf: usize,
     ) -> u32 {
@@ -183,9 +183,10 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
         let mut dists: Vec<(f64, u32)> = subset[1..]
             .iter()
             .map(|&id| {
-                let bv = verifier.verify_within(vtree, corpus.tree(id as usize), f64::INFINITY, ws);
+                let tree = corpus.tree(id as usize);
+                let run = ted_within(vtree, tree, &UnitCost, f64::INFINITY, algorithm, ws);
                 self.build_ted += 1;
-                (bv.result.value(), id)
+                (run.result.value(), id)
             })
             .collect();
         dists.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -211,8 +212,8 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
             left: NONE_IDX,
             right: NONE_IDX,
         });
-        let left = self.split(inside, corpus, verifier, ws, leaf);
-        let right = self.split(outside, corpus, verifier, ws, leaf);
+        let left = self.split(inside, corpus, algorithm, ws, leaf);
+        let right = self.split(outside, corpus, algorithm, ws, leaf);
         if let VpNode::Inner {
             left: l, right: r, ..
         } = &mut self.nodes[idx as usize]
@@ -296,7 +297,7 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
         qsketch: &TreeSketch<L>,
         tau: f64,
         pipeline: &FilterPipeline<L>,
-        verifier: &CountedVerifier<'_, L>,
+        verifier: &CountedVerifier<'_>,
         ws: &mut Workspace,
         out: &mut Vec<Neighbor>,
         stats: &mut SearchStats,
@@ -413,7 +414,7 @@ impl<L: Eq + std::hash::Hash + Clone> VpTree<L> {
         qsketch: &TreeSketch<L>,
         k: usize,
         pipeline: &FilterPipeline<L>,
-        verifier: &CountedVerifier<'_, L>,
+        verifier: &CountedVerifier<'_>,
         ws: &mut Workspace,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {

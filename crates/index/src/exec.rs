@@ -15,8 +15,8 @@
 //!
 //! The executor itself is threshold-agnostic: the verification budget a
 //! query carries (range/join `tau`, the top-k batch radius) is threaded
-//! through the per-chunk closures in `lib.rs`, which hand it to the
-//! verifier's `verify_within` alongside a pooled workspace.
+//! through the per-chunk closures in `striped.rs`, which hand it to
+//! `rted_core::ted_within` alongside a pooled workspace.
 
 use rted_core::Workspace;
 use std::sync::atomic::{AtomicUsize, Ordering};

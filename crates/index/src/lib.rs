@@ -12,17 +12,16 @@
 //! * a staged [`FilterPipeline`] of sound [`rted_core::bounds::LowerBound`]
 //!   stages (size → depth → leaf → degree → histogram) prunes candidate
 //!   pairs before any exact computation, recording per-stage counters;
-//! * surviving candidates go to the [`TedVerifier`], which runs the
-//!   cheapest exact unit-cost kernel per pair — a band-limited
-//!   early-exit kernel under a finite budget (above 256 cells), otherwise
-//!   the cheapest of Zhang-L, Zhang-R and RTED by the pair's exact cell
-//!   counts ([`rted_core::Algorithm::cheapest_exact`]) — or one pinned
-//!   [`rted_core::Algorithm`]
-//!   ([`TreeIndex::with_algorithm`]). Queries hand the verifier their
-//!   threshold (`tau` for `range`/`join`, the current radius for `top_k`)
-//!   through [`Verifier::verify_within`], so it may abandon a pair the
-//!   moment the budget is provably blown — results are byte-identical to
-//!   exact verification, only "no" answers get cheaper;
+//! * surviving candidates are verified by [`rted_core::ted_within`] under
+//!   unit costs, which runs the cheapest exact kernel per pair — a
+//!   band-limited early-exit kernel under a finite budget (above 256
+//!   cells), otherwise the cheapest of Zhang-L, Zhang-R and RTED by the
+//!   pair's exact cell counts ([`rted_core::Algorithm::cheapest_exact`])
+//!   — or one pinned [`rted_core::Algorithm`]
+//!   ([`TreeIndex::with_algorithm`]). Queries hand it their threshold
+//!   (`tau` for `range`/`join`, the current radius for `top_k`), so it may
+//!   abandon a pair the moment the budget is provably blown — results are
+//!   byte-identical to exact verification, only "no" answers get cheaper;
 //! * a chunked executor ([`exec::map_chunks`]) spreads verification over
 //!   scoped threads; results are bit-identical for any thread count;
 //! * an optional **adaptive planner** ([`TreeIndex::with_planner`], the
@@ -41,10 +40,8 @@
 //! `TED < tau`, and a stage prunes iff its bound reaches `tau`.
 //!
 //! The standard filter stages are sound for cost models charging ≥ 1 per
-//! delete/insert and ≥ 1 per rename of distinct labels (unit costs, the
-//! index's verifier). When joining under a cheaper cost model via
-//! [`TreeIndex::join_with`], disable or replace the pipeline — see the
-//! `join_with` docs.
+//! delete/insert and ≥ 1 per rename of distinct labels: the unit costs
+//! the index verifies under.
 //!
 //! # Example
 //!
@@ -78,7 +75,7 @@ pub mod persist;
 pub mod store;
 mod striped;
 pub mod totals;
-pub mod verify;
+mod verify;
 
 pub use candidates::{MetricConfig, MetricSnapshot, MetricStats, VpTree};
 pub use corpus::{CorpusEntry, TreeCorpus};
@@ -88,11 +85,10 @@ pub use persist::{encode_corpus, salvage_corpus, CorpusFile, PersistError, Repai
 pub use store::{CorpusLog, CorpusStore, Recovery, WalObs};
 pub use striped::Stripes;
 pub use totals::{IndexTotals, QueryKind, TotalsSnapshot};
-pub use verify::{BoundedVerify, Kernel, TedVerifier, Verifier};
 
 use crate::verify::CountedVerifier;
 use rted_core::bounds::TreeSketch;
-use rted_core::Algorithm;
+use rted_core::{ted_within, Algorithm, BoundedRun, UnitCost};
 use rted_plan::CandidateGen;
 use rted_tree::Tree;
 use std::sync::{Arc, PoisonError, RwLock};
@@ -171,7 +167,7 @@ pub struct SearchStats {
     /// Exact distance computations performed (on the metric-tree path
     /// this includes routing distances to vantage points).
     pub verified: usize,
-    /// Relevant subproblems computed by the verifier, summed.
+    /// Relevant subproblems computed by exact verification, summed.
     pub subproblems: u64,
     /// Metric-tree traversal counters (all zero on the linear path).
     pub metric: MetricStats,
@@ -183,8 +179,8 @@ pub struct SearchStats {
     /// the budget was provably blown (a subset of `verified`: an
     /// early-exited verification still counts as one verification).
     pub early_exits: usize,
-    /// Wall time inside budget-aware ([`Verifier::verify_within`])
-    /// verifications — a subset of `ted_time`.
+    /// Wall time inside verifications with a finite budget — a subset of
+    /// `ted_time`.
     pub bounded_time: Duration,
     /// Wall-clock time of the whole query.
     pub time: Duration,
@@ -225,19 +221,22 @@ pub struct JoinOutcome {
     pub stats: SearchStats,
 }
 
-/// The similarity-search engine: corpus + filter pipeline + verifier +
-/// execution policy.
+/// The similarity-search engine: corpus + filter pipeline + verification
+/// setting + execution policy.
 ///
 /// Built once over an immutable corpus; all queries take `&self` and are
 /// safe to issue concurrently. [`fork`](Self::fork) produces a
 /// copy-on-write sibling for epoch-style snapshot publication: the corpus
-/// (cheap `Arc`-per-entry clones) and metric tree are copied, while the
-/// pipeline, verifier, workspace pool, and lifetime totals stay shared —
+/// (cheap `Arc`-per-entry clones), metric tree and pinned algorithm are
+/// copied, while the pipeline, workspace pool, and lifetime totals stay
+/// shared —
 /// so counters and warm scratch survive a snapshot swap.
 pub struct TreeIndex<L> {
     corpus: TreeCorpus<L>,
     pipeline: Arc<FilterPipeline<L>>,
-    verifier: TedVerifier,
+    /// The pinned exact algorithm, or `None` for the per-pair dispatch of
+    /// [`ted_within`].
+    algorithm: Option<Algorithm>,
     policy: ExecPolicy,
     /// Recycled verification scratch, shared by all queries: one
     /// [`Workspace`](rted_core::Workspace) per concurrent worker, warm
@@ -287,8 +286,8 @@ where
     L: Eq + std::hash::Hash + Clone + Send + Sync + 'static,
 {
     /// Builds an index with the standard filter pipeline, the per-pair
-    /// dispatching unit-cost [`TedVerifier`], and the default execution
-    /// policy.
+    /// kernel dispatch of [`ted_within`] under unit costs, and the default
+    /// execution policy.
     pub fn build(trees: impl IntoIterator<Item = Tree<L>>) -> Self {
         Self::from_corpus(TreeCorpus::build(trees))
     }
@@ -301,7 +300,7 @@ where
         TreeIndex {
             corpus,
             pipeline: Arc::new(pipeline),
-            verifier: TedVerifier::default(),
+            algorithm: None,
             policy: ExecPolicy::default(),
             scratch: Arc::new(WorkspacePool::new()),
             metric_enabled: false,
@@ -317,7 +316,7 @@ where
     ///
     /// The corpus clones (one `Arc` bump per entry — no tree is re-analyzed)
     /// and a built metric tree is carried over verbatim, while the filter
-    /// pipeline, verifier, workspace pool, and lifetime totals are
+    /// pipeline, workspace pool, and lifetime totals are
     /// **shared** with the original. A writer mutates the fork and
     /// publishes it with a single `Arc` pointer swap; readers holding the
     /// previous snapshot are never disturbed.
@@ -325,7 +324,7 @@ where
         TreeIndex {
             corpus: self.corpus.clone(),
             pipeline: Arc::clone(&self.pipeline),
-            verifier: self.verifier,
+            algorithm: self.algorithm,
             policy: self.policy,
             scratch: Arc::clone(&self.scratch),
             metric_enabled: self.metric_enabled,
@@ -392,8 +391,9 @@ where
         }
     }
 
-    /// Budget-aware distance between two trees under this index's
-    /// verifier, drawing scratch from `ws` — the serving layer's
+    /// Budget-aware distance between two trees through [`ted_within`]
+    /// under this index's pinned algorithm (if any), drawing scratch from
+    /// `ws` — the serving layer's
     /// per-worker, allocation-free `distance` path (neither tree needs to
     /// be in the corpus). Returns the exact distance when it is ≤ `tau`
     /// (always, for `tau = ∞`), or a certified lower bound the moment the
@@ -406,23 +406,23 @@ where
         g: &Tree<L>,
         tau: f64,
         ws: &mut rted_core::Workspace,
-    ) -> BoundedVerify {
+    ) -> BoundedRun {
         let started = Instant::now();
-        let bv = self.verifier.verify_within(f, g, tau, ws);
+        let run = ted_within(f, g, &UnitCost, tau, self.algorithm, ws);
         self.totals.record_distance(
-            bv.subproblems,
+            run.subproblems,
             started.elapsed(),
             tau != f64::INFINITY,
-            bv.early_exit,
+            run.early_exit,
         );
-        bv
+        run
     }
 
     /// Optimal edit mapping between two trees under **unit costs**,
     /// drawing scratch from `ws` — the serving layer's per-worker `diff`
     /// path (neither tree needs to be in the corpus). Under unit costs
-    /// the mapping's cost equals the distance this index's verifier
-    /// reports for the same pair, so a served edit script is
+    /// the mapping's cost equals the distance
+    /// [`distance_within`](Self::distance_within) reports for the same pair, so a served edit script is
     /// always consistent with a served `distance`.
     pub fn diff_in(
         &self,
@@ -476,9 +476,9 @@ where
     /// Verifies every pair with `algorithm` under unit costs instead of
     /// the per-pair dispatch — the oracle configuration.
     pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.verifier.algorithm = Some(algorithm);
+        self.algorithm = Some(algorithm);
         // Metric routing compares fresh distances against the mu radii
-        // recorded at build time; a tree built under a different verifier
+        // recorded at build time; a tree built under a different algorithm
         // would prune with stale geometry. Drop it for a lazy rebuild.
         *relock(self.metric.get_mut()) = None;
         self
@@ -492,8 +492,8 @@ where
     /// way; only the number of candidates examined changes — see
     /// [`candidates::metric`].
     ///
-    /// Requires the index's verifier to compute a *metric* (true for
-    /// unit costs). Joins, and striped queries over several shards,
+    /// Relies on the index's distances being a *metric* (true for unit
+    /// costs). Joins, and striped queries over several shards,
     /// always take the linear path. Metric traversal
     /// runs on one workspace (sequential) —
     /// [`with_threads`](Self::with_threads) parallelism applies to the
@@ -535,7 +535,7 @@ where
 
     /// The decision record for a hypothetical next query: which candidate
     /// generator the planner would pick (`budgeted` says whether the
-    /// query would carry a finite `tau`, and so run the bounded verifier
+    /// query would carry a finite `tau`, and so run the bounded kernel
     /// on pairs above 256 cells),
     /// the pipeline's stage order, and the observed per-arm rates that
     /// drove the choice. Records the probed decision into the
@@ -545,7 +545,7 @@ where
         rted_plan::PlanReport {
             candidate_gen: self.plan_query(metric_eligible),
             stage_order: self.pipeline.stages().iter().map(|s| s.name()).collect(),
-            budgeted: budgeted && self.verifier.algorithm.is_none(),
+            budgeted: budgeted && self.algorithm.is_none(),
             linear_rate: self.plan.linear.rate(),
             metric_rate: self.plan.metric.rate(),
             observed_queries: self.plan.linear.queries() + self.plan.metric.queries(),
@@ -567,11 +567,11 @@ where
         gen
     }
 
-    /// This index's verifier, counting its kernel choices into the
+    /// This index's verification, counting its kernel choices into the
     /// index totals.
-    fn counted(&self) -> CountedVerifier<'_, L> {
+    fn counted(&self) -> CountedVerifier<'_> {
         CountedVerifier {
-            verifier: &self.verifier,
+            algorithm: self.algorithm,
             totals: &self.totals,
         }
     }
@@ -691,24 +691,9 @@ where
         Self::join_striped(&[self], tau)
     }
 
-    /// [`join`](Self::join) with an explicit (possibly borrowed) verifier
-    /// — e.g. a [`TedVerifier`] pinning one algorithm under a caller's
-    /// cost model.
-    ///
-    /// **Soundness:** the filter stages assume the verifier's cost model
-    /// charges ≥ 1 per delete/insert and ≥ 1 per rename of distinct
-    /// labels (true for unit costs). A verifier with cheaper operations
-    /// can have exact distances *below* the stage bounds, silently
-    /// dropping true matches — pair such verifiers with
-    /// [`unfiltered`](Self::unfiltered) or a custom pipeline whose stages
-    /// are sound for that model.
-    pub fn join_with(&self, tau: f64, verifier: &dyn Verifier<L>) -> JoinOutcome {
-        Self::join_linear(&[self], tau, verifier)
-    }
-
     /// Runs `f` against the metric tree, building it first if needed (the
     /// build draws a workspace from the shared pool and uses the index's
-    /// own verifier, so routing and verification distances agree).
+    /// own pinned algorithm, so routing and verification distances agree).
     fn with_metric<R>(&self, f: impl FnOnce(&VpTree<L>) -> R) -> R {
         {
             let guard = relock(self.metric.read());
@@ -722,7 +707,7 @@ where
                 let mut ws = self.scratch.take();
                 *guard = Some(VpTree::build(
                     &self.corpus,
-                    &self.verifier,
+                    self.algorithm,
                     ws.get(),
                     &self.metric_config,
                 ));

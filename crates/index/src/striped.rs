@@ -17,7 +17,7 @@
 //! Answers are reported under global ids, and the neighbour or match
 //! set **and every counter** are byte-identical to an unsharded index
 //! holding the union, for any shard count and thread count. `shards[0]`
-//! is the driver of every query: its filter pipeline, verifier,
+//! is the driver of every query: its filter pipeline, pinned algorithm,
 //! execution policy, workspace pool and lifetime totals serve the whole
 //! query, which is recorded once, into the driver's totals (the shards
 //! of one service share one configuration). The single-index
@@ -27,7 +27,6 @@
 use crate::corpus::CorpusEntry;
 use crate::exec::map_chunks_with;
 use crate::totals::QueryKind;
-use crate::verify::{CountedVerifier, Verifier};
 use crate::{
     zeroed_stats, JoinOutcome, JoinPair, Neighbor, OrdF64, QueryResult, SearchStats, TreeIndex,
 };
@@ -170,7 +169,7 @@ where
         let driver = driver(shards);
         // Joins always scan linearly; planning only records the decision.
         driver.plan_query(false);
-        Self::join_linear(shards, tau, &driver.verifier)
+        Self::join_linear(shards, tau)
     }
 
     fn range_linear(shards: &[&TreeIndex<L>], query: &Tree<L>, tau: f64) -> QueryResult {
@@ -363,11 +362,7 @@ where
 
     /// The size-sorted pair walk behind every join, parallelized over
     /// chunks of outer positions of the merged view.
-    pub(crate) fn join_linear(
-        shards: &[&TreeIndex<L>],
-        tau: f64,
-        verifier: &dyn Verifier<L>,
-    ) -> JoinOutcome {
+    fn join_linear(shards: &[&TreeIndex<L>], tau: f64) -> JoinOutcome {
         let driver = driver(shards);
         let pipeline = &*driver.pipeline;
         let start = Instant::now();
@@ -378,10 +373,7 @@ where
         // With `tau = ∞` no finite bound can reach the threshold: skip the
         // per-pair stage evaluation entirely.
         let filters_active = tau != f64::INFINITY;
-        let verifier = CountedVerifier {
-            verifier,
-            totals: &driver.totals,
-        };
+        let verifier = driver.counted();
 
         let chunks = map_chunks_with(
             &by_size,

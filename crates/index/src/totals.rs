@@ -12,8 +12,8 @@
 //! --stats`.
 
 use crate::filter::{FilterPipeline, StagePrune};
-use crate::verify::Kernel;
 use crate::SearchStats;
+use rted_core::Kernel;
 use rted_obs::Counter;
 use std::time::Duration;
 

@@ -1,16 +1,16 @@
-//! The budget-aware default verifier must be invisible in results: every
-//! query answered through the per-pair dispatching [`TedVerifier`] (the
-//! `TreeIndex` default, which hands the query threshold to the
-//! band-limited early-exit kernel) is **byte-identical** to the same
-//! query through the pure exact-RTED verifier — on any corpus, any
-//! threshold, any k, linear and metric paths alike. Only the counters may
+//! The budget-aware default verification must be invisible in results:
+//! every query answered through the per-pair kernel dispatch of
+//! `rted_core::ted_within` (the `TreeIndex` default, which hands the query
+//! threshold to the band-limited early-exit kernel) is **byte-identical**
+//! to the same query with RTED pinned — on any corpus, any threshold, any
+//! k, linear and metric paths alike. Only the counters may
 //! differ: the bounded path may report early exits and bounded time,
 //! never different neighbors.
 
 use proptest::prelude::*;
-use rted_core::{Algorithm, BoundedResult, PerLabelCost, Workspace};
+use rted_core::Algorithm;
 use rted_datasets::shapes::{perturb_labels, Shape, DEFAULT_ALPHABET};
-use rted_index::{Kernel, TedVerifier, TreeIndex, Verifier};
+use rted_index::TreeIndex;
 use rted_tree::Tree;
 
 fn arb_shape_tree(max: usize) -> impl Strategy<Value = Tree<u32>> {
@@ -28,7 +28,7 @@ fn arb_corpus(max_trees: usize, max_nodes: usize) -> impl Strategy<Value = Vec<T
 }
 
 /// An index forced onto the pure exact path: `with_algorithm` pins RTED,
-/// whose `verify_within` always completes the full computation.
+/// which always completes the full computation.
 fn exact_index(trees: &[Tree<u32>]) -> TreeIndex<u32> {
     TreeIndex::build(trees.iter().cloned()).with_algorithm(Algorithm::Rted)
 }
@@ -104,58 +104,6 @@ proptest! {
         let exact = exact_index(&corpus);
         prop_assert_eq!(&metric.range(&q, tau).neighbors, &exact.range(&q, tau).neighbors);
         prop_assert_eq!(&metric.top_k(&q, 4).neighbors, &exact.top_k(&q, 4).neighbors);
-    }
-
-    /// The per-pair dispatch is exact under a non-unit cost model too:
-    /// on pairs that take both exact arms of the rule, in both operand
-    /// orders, at budgets around the distance, a within-budget answer is
-    /// bit-identical to pinned RTED and an over-budget answer certifies a
-    /// lower bound.
-    #[test]
-    fn auto_dispatch_matches_rted_under_per_label_costs(
-        small in arb_shape_tree(12),
-        large in (0..Shape::ALL.len(), 17..=40usize, any::<u32>())
-            .prop_map(|(s, n, seed)| Shape::ALL[s].generate(n, seed as u64)),
-        zigzag in (40..=44usize, any::<u32>())
-            .prop_map(|(n, seed)| Shape::ZigZag.generate(n, seed as u64)),
-    ) {
-        let cm = PerLabelCost::new(1.5, 2.0, 0.75);
-        let auto = TedVerifier { algorithm: None, cost_model: cm };
-        let rted = TedVerifier { algorithm: Some(Algorithm::Rted), cost_model: cm };
-        let mut ws = Workspace::new();
-        let mut arms = Vec::new();
-        for (f, g) in [
-            (&small, &large),
-            (&large, &small),
-            (&small, &small),
-            (&large, &large),
-            (&small, &zigzag),
-            (&zigzag, &large),
-            (&zigzag, &zigzag),
-        ] {
-            let d = rted.verify_within(f, g, f64::INFINITY, &mut ws).result.value();
-            for tau in [0.0, d - 1.0, d, d + 1.0, f64::INFINITY] {
-                let run = auto.verify_within(f, g, tau, &mut ws);
-                if tau == f64::INFINITY {
-                    arms.push(run.kernel);
-                }
-                let got = run.result;
-                if d <= tau {
-                    prop_assert_eq!(
-                        got.value().to_bits(), d.to_bits(),
-                        "{}x{} cells, tau {}: {:?} vs exact {}",
-                        f.len(), g.len(), tau, got, d
-                    );
-                    prop_assert!(got.is_exact());
-                } else {
-                    prop_assert!(matches!(got, BoundedResult::Exceeds(b) if b <= d),
-                        "{}x{} cells, tau {}: {:?} vs exact {}", f.len(), g.len(), tau, got, d);
-                }
-            }
-        }
-        // The sampled pairs take both exact arms of the rule.
-        prop_assert!(arms.contains(&Some(Kernel::ZhangShasha)), "{:?}", arms);
-        prop_assert!(arms.contains(&Some(Kernel::Rted)), "{:?}", arms);
     }
 }
 

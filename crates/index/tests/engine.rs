@@ -1,10 +1,10 @@
 //! Integration tests of the search engine on the paper's mixed-shape
-//! workload: filter effectiveness, verifier pluggability, and the exact
+//! workload: filter effectiveness, pinned algorithms, and the exact
 //! acceptance semantics of each query API.
 
-use rted_core::{Algorithm, UnitCost};
+use rted_core::Algorithm;
 use rted_datasets::shapes::{perturb_labels, Shape, DEFAULT_ALPHABET};
-use rted_index::{ExecPolicy, FilterPipeline, TedVerifier, TreeIndex};
+use rted_index::{ExecPolicy, FilterPipeline, TreeIndex};
 use rted_tree::Tree;
 
 /// The acceptance corpus: all six shapes at mixed sizes plus perturbed
@@ -109,21 +109,6 @@ fn every_algorithm_verifier_agrees() {
         let res = index.join(6.0);
         assert_eq!(res.matches, base.matches, "{alg}");
     }
-}
-
-#[test]
-fn borrowed_cost_model_verifier() {
-    // `join_with` accepts verifiers borrowing a caller's cost model.
-    let corpus = shapes_mixed_corpus();
-    let cm = UnitCost;
-    let verifier = TedVerifier {
-        algorithm: Some(Algorithm::Rted),
-        cost_model: &cm,
-    };
-    let index = TreeIndex::build(corpus.iter().cloned());
-    let a = index.join_with(6.0, &verifier);
-    let b = index.join(6.0);
-    assert_eq!(a.matches, b.matches);
 }
 
 #[test]

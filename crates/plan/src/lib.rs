@@ -24,8 +24,8 @@
 //!
 //! This crate is dependency-free and holds the pure decision logic plus
 //! the lock-free observation accumulators; `rted-index` owns the
-//! integration (counters) and the per-pair verifier dispatch, which its
-//! `TedVerifier` runs on every query.
+//! integration (counters), and `rted_core::ted_within` makes the per-pair
+//! kernel choice on every query.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -20,8 +20,8 @@
 //!   `Arc<TreeIndex>` behind an `RwLock` that is only ever held for the
 //!   duration of a pointer clone or swap — nanoseconds. Queries *pin* a
 //!   snapshot (`Arc::clone`) and run entirely against it; writers fork
-//!   the pinned snapshot (O(live) pointer copies — trees, pipeline,
-//!   verifier and scratch pool are all `Arc`-shared), apply the
+//!   the pinned snapshot (O(live) pointer copies — trees, pipeline
+//!   and scratch pool are all `Arc`-shared), apply the
 //!   mutation, and publish with a single swap. Compaction rewrites a
 //!   pinned epoch. **No query ever waits on a mutation or a
 //!   compaction** — the only contended wait left in the system is the
@@ -280,7 +280,7 @@ impl Server {
     /// Starts a 1-shard service over a pre-built index. Pass the log
     /// half of a [`CorpusStore`] (see [`CorpusStore::into_parts`]) to
     /// make mutations durable; `None` serves purely from memory. The
-    /// index is used as configured — set its verifier/pipeline/threads
+    /// index is used as configured — set its algorithm/pipeline/threads
     /// first. (`cfg.shards` is ignored here: a pre-built index is one
     /// stripe by construction; use [`Server::open`] or
     /// [`Server::in_memory`] for sharded layouts.)

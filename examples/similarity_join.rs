@@ -6,9 +6,9 @@
 //! cargo run --release --example similarity_join -- [size] [tau]
 //! ```
 
-use rted::core::{Algorithm, UnitCost};
+use rted::core::Algorithm;
 use rted::datasets::shapes::{perturb_labels, Shape, DEFAULT_ALPHABET};
-use rted::index::{ExecPolicy, FilterPipeline, TedVerifier, TreeIndex};
+use rted::index::{ExecPolicy, FilterPipeline, TreeIndex};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,12 +33,9 @@ fn main() {
     );
     let index = TreeIndex::build(trees)
         .with_pipeline(FilterPipeline::size_only())
-        .with_policy(ExecPolicy::serial());
-    let verifier = TedVerifier {
-        algorithm: Some(Algorithm::Rted),
-        cost_model: UnitCost,
-    };
-    let res = index.join_with(tau, &verifier);
+        .with_policy(ExecPolicy::serial())
+        .with_algorithm(Algorithm::Rted);
+    let res = index.join(tau);
 
     let stats = &res.stats;
     println!(

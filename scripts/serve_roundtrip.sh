@@ -207,6 +207,9 @@ CHAIN20="$(printf '{a%.0s' {1..20})$(printf '}%.0s' {1..20})"
     || fail "budget exactly at the distance must stay exact: $(sed -n 4p "$WORK/bounded.out")"
 [[ "$(sed -n 5p "$WORK/bounded.out")" == '{"id":"b5","ok":true,"exceeds":true,"lower_bound":3}' ]] \
     || fail "small pair must certify its exact distance: $(sed -n 5p "$WORK/bounded.out")"
+# The command line answers through the same call, so it prints b5's bound.
+cli_b5=$("$RTED" distance --at-most 1 '{a{b}{c}}' '{x{y}{z}}' 2>/dev/null)
+[[ "$cli_b5" == "exceeds 3" ]] || fail "distance --at-most must print serve's bound: $cli_b5"
 
 # --- 5. Concurrent TCP clients, all answered without error --------------
 client_pids=()

@@ -88,13 +88,12 @@ fn per_cost<C: CostModel<u32>>(
     ws: &mut Workspace,
 ) -> (PerCost, [u64; 5]) {
     let runs = Algorithm::ALL.map(|alg| alg.run_in(f, g, cm, ws));
-    let d = runs[Algorithm::KleinH.portfolio_index()].distance;
-    for alg in [Algorithm::ZhangL, Algorithm::ZhangR, Algorithm::Rted] {
-        assert_eq!(
-            runs[alg.portfolio_index()].distance,
-            d,
-            "{alg} disagrees with Klein-H"
-        );
+    // `Algorithm::ALL` order: Zhang-L, Zhang-R, Klein-H, Demaine-H, RTED.
+    let d = runs[2].distance;
+    for (alg, run) in Algorithm::ALL.iter().zip(&runs) {
+        if *alg != Algorithm::DemaineH {
+            assert_eq!(run.distance, d, "{alg} disagrees with Klein-H");
+        }
     }
     let bounded = [0.5, d / 2.0, d, d + 1.0].map(|tau| {
         let run = ted_at_most_run(f, g, cm, tau, ws);
@@ -124,11 +123,11 @@ fn measure() -> Vec<Golden> {
                 asym_subproblems, subproblems,
                 "{pair}: cells depend on costs"
             );
-            let zhang = [Algorithm::ZhangL, Algorithm::ZhangR];
-            for (right, alg) in [false, true].into_iter().zip(zhang) {
+            // Zhang-L and Zhang-R lead `Algorithm::ALL`.
+            for (right, alg) in [false, true].into_iter().zip(Algorithm::ALL) {
                 assert_eq!(
                     keyroot_cells(&f, &g, right),
-                    subproblems[alg.portfolio_index()],
+                    subproblems[right as usize],
                     "{pair}: root counts disagree with {alg}"
                 );
             }
