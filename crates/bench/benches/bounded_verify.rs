@@ -1,4 +1,4 @@
-//! Budget-aware verification: the band-limited `ted_at_most` kernel
+//! Budget-aware verification: the band-limited `ted_at_most_run` kernel
 //! versus the full RTED computation, per pair and end-to-end.
 //!
 //! Two claims are measured — and the deterministic halves of them

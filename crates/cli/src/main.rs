@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! rted distance  <TREE1> <TREE2> [--xml] [--algorithm NAME] [--costs D,I,R]
+//!                [--at-most T]
 //! rted compare   <TREE1> <TREE2> [--xml]
 //! rted diff      <TREE1> <TREE2> [--xml] [--costs D,I,R] [--format text|json]
 //! rted diff      --index INDEX <ID1> <ID2> [--format text|json]
@@ -83,11 +84,13 @@
 //! order. Metric-tree (vantage-point) candidate generation is **off by
 //! default**, as in `rted serve`: `--metric-tree` makes it available to
 //! `search` and `topk` (joins always scan linearly). Verification picks
-//! the cheapest exact kernel per pair unless `--algorithm` pins one.
+//! the cheapest exact kernel per pair unless `--algorithm` pins one, and
+//! `rted distance` answers through the same call (`ted_within`), so it
+//! prints the distance `rted diff` and serve's `distance` print.
 //! `rted query --explain` asks a running service what it would plan
 //! (`{"op":"explain"}`, `--tau T` for a budgeted query), and `rted
-//! index info --stats` prints the planner's decision report and the
-//! observed per-algorithm cost model alongside the pipeline probe.
+//! index info --stats` prints the planner's decision report alongside
+//! the pipeline probe.
 //!
 //! Every failure — malformed trees, missing files, unknown or
 //! valueless flags, corrupt or version-mismatched index files — exits
@@ -147,13 +150,15 @@ fn usage() -> ExitCode {
          {{\"op\":\"explain\"}} round-trip; --tau T plans a budgeted query).\n\
          index info --stats probes the filter pipeline and prints per-stage\n\
          prune counts, hit rates, and the planner's decision report.\n\
-         distance --at-most T prints the exact distance when it is <= T,\n\
-         else `exceeds B` with a certified lower bound B: pairs above 256\n\
-         cells run the band-limited kernel, which usually stops long before\n\
-         the full computation; smaller pairs run an exact kernel, whose\n\
-         bound B is the exact distance. The same call answers serve's\n\
-         `distance` op, so both print the same bound.\n\
-         NAME: rted (default) | zhang-l | zhang-r | klein-h | demaine-h\n\
+         distance runs the cheapest exact kernel for the pair (the rule of\n\
+         diff and of serve's `distance` op, so all print the same value);\n\
+         --algorithm pins one instead. --at-most T prints the distance when\n\
+         it is <= T, else `exceeds B` with a certified lower bound B: pairs\n\
+         above 256 cells run the band-limited kernel, which usually stops\n\
+         long before the full computation; smaller or pinned pairs run an\n\
+         exact kernel, whose bound B is the exact distance.\n\
+         NAME: rted | zhang-l | zhang-r | klein-h | demaine-h\n\
+         \x20     (default: the per-pair rule, zhang-l, zhang-r or rted)\n\
          SHAPE: lb | rb | fb | zz | mx | random\n\
          TREE/QUERY: inline bracket notation or a file path\n\
          FILE: one bracket tree per line (an indexed corpus)\n\
@@ -334,46 +339,44 @@ fn cmd_distance(opts: &Opts) -> Result<(), String> {
     let xml = opts.has("xml");
     let f = load_tree(&opts.positional[0], xml)?;
     let g = load_tree(&opts.positional[1], xml)?;
-    let alg = match opts.flag("algorithm") {
-        None => Algorithm::Rted,
-        Some(name) => algorithm_by_name(name).ok_or(format!("unknown algorithm {name}"))?,
+    let pinned = match opts.flag("algorithm") {
+        None => None,
+        Some(name) => Some(algorithm_by_name(name).ok_or(format!("unknown algorithm {name}"))?),
     };
     let cm = cost_model(opts)?;
-    if let Some(spec) = opts.flag("at-most") {
-        // The budget path picks its kernel per pair (`ted_within`, as
-        // serve's `distance` does); the strategy choice does not apply.
-        if opts.has("algorithm") {
-            return Err("--at-most picks its own kernel; drop --algorithm".into());
-        }
-        let tau: f64 = spec
+    let tau = match opts.flag("at-most") {
+        None => f64::INFINITY,
+        Some(spec) => spec
             .parse::<f64>()
             .ok()
             .filter(|t| !t.is_nan())
-            .ok_or(format!("bad --at-most {spec}"))?;
-        let run = rted_core::ted_within(&f, &g, &cm, tau, None, &mut Workspace::new());
-        match run.result {
-            rted_core::BoundedResult::Exact(d) => println!("{d}"),
-            rted_core::BoundedResult::Exceeds(lb) => println!("exceeds {lb}"),
-        }
-        eprintln!(
-            "bounded at {tau} | {} + {} nodes | {} subproblems | early exit: {}",
-            f.len(),
-            g.len(),
-            run.subproblems,
-            run.early_exit
-        );
-        return Ok(());
+            .ok_or(format!("bad --at-most {spec}"))?,
+    };
+    // The one rule behind serve's `distance`, `rted diff` and the index:
+    // the cheapest kernel for the pair, unless `--algorithm` pins one.
+    let run = rted_core::ted_within(&f, &g, &cm, tau, pinned, &mut Workspace::new());
+    match run.result {
+        rted_core::BoundedResult::Exact(d) => println!("{d}"),
+        rted_core::BoundedResult::Exceeds(lb) => println!("exceeds {lb}"),
     }
-    let run = alg.run_in(&f, &g, &cm, &mut Workspace::new());
-    println!("{}", run.distance);
+    let kernel = match pinned {
+        Some(alg) => alg.name().to_string(),
+        None => format!(
+            "{:?}",
+            run.kernel.expect("an unpinned run names its kernel")
+        ),
+    };
+    let budget = if tau != f64::INFINITY {
+        format!(" | at most {tau}")
+    } else {
+        String::new()
+    };
     eprintln!(
-        "algorithm {} | {} + {} nodes | {} subproblems | strategy {:?} | distance {:?}",
-        alg.name(),
+        "kernel {kernel} | {} + {} nodes | {} subproblems | early exit: {}{budget}",
         f.len(),
         g.len(),
         run.subproblems,
-        run.strategy_time,
-        run.distance_time
+        run.early_exit
     );
     Ok(())
 }

@@ -4,7 +4,7 @@
 //! Index queries always verify candidates against a known budget (τ for
 //! range/join, the current radius for top-k), so the verifier can stop the
 //! moment the budget is provably blown. Following the bounded-TED
-//! literature (Jin 2021; Nogler–Saha–Xu 2024), [`ted_at_most`] runs
+//! literature (Jin 2021; Nogler–Saha–Xu 2024), [`ted_at_most_run`] runs
 //! Zhang–Shasha's keyroot-pair loop over the shared keyroot sheet, on the
 //! side (left or right paths) with fewer cells by Lemma 3's root counts,
 //! with three budget devices stacked on the exact recurrence:
@@ -48,12 +48,13 @@
 //! check; the sheet routine fills the band. All scratch comes from the
 //! [`Workspace`], so warm calls stay allocation-free.
 //!
-//! [`ted_within`] is the one budgeted-distance call every caller goes
-//! through (index verification, vantage-point routing, the served and the
-//! command-line `distance`). It picks the kernel per pair: the bounded
-//! kernel under a finite budget on pairs above 256 cells, otherwise
-//! [`Algorithm::cheapest_exact`]'s pick, and it reports the pick as
-//! [`BoundedRun::kernel`].
+//! [`ted_within`] is the one distance call every caller goes through
+//! (index verification, vantage-point routing, the served and the
+//! command-line `distance`, and at `τ = ∞` the exact [`ted`](crate::ted)
+//! and [`ted_with`](crate::ted_with)). It picks the kernel per pair: the
+//! bounded kernel under a finite budget on pairs above 256 cells,
+//! otherwise [`Algorithm::cheapest_exact`]'s pick, and it reports the
+//! pick as [`BoundedRun::kernel`].
 
 use crate::cost::CostModel;
 use crate::keyroot::Band;
@@ -129,25 +130,6 @@ pub struct BoundedRun {
     pub kernel: Option<Kernel>,
 }
 
-/// Decides whether `ted(f, g) ≤ tau` under cost model `cm`, drawing all
-/// scratch from `ws` (allocation-free once the workspace is warm).
-///
-/// Returns [`BoundedResult::Exact`] with the true distance when it is
-/// ≤ `tau`, and [`BoundedResult::Exceeds`] with a lower bound `b ≤
-/// ted(f, g)` otherwise. A non-finite `tau` (`+∞`) widens the band past
-/// every sheet: the exact Zhang–Shasha DP. Either way the DP runs on the
-/// Zhang–Shasha side with fewer cells (left on ties). `tau` must not be
-/// NaN.
-pub fn ted_at_most<L, C: CostModel<L>>(
-    f: &Tree<L>,
-    g: &Tree<L>,
-    cm: &C,
-    tau: f64,
-    ws: &mut Workspace,
-) -> BoundedResult {
-    ted_at_most_run(f, g, cm, tau, ws).result
-}
-
 /// The budgeted distance of `(f, g)` under `cm`, through the cheapest
 /// kernel for the pair: the one call behind every budgeted and exact
 /// distance the index, the server and the command line answer.
@@ -162,7 +144,10 @@ pub fn ted_at_most<L, C: CostModel<L>>(
 ///
 /// An exact kernel answers `Exceeds(d)` with the exact distance `d` when
 /// `d > tau`, the tightest bound there is. Every kernel returns the same
-/// `Exact(d)` whenever `d ≤ tau`, so the choice changes only the work.
+/// `Exact(d)` whenever `d ≤ tau`, so the choice changes only the work
+/// (bit for bit when the costs are dyadic, as unit costs are; costs such
+/// as 0.1 can round differently in the last place from kernel to
+/// kernel, which is why every exact surface goes through this one rule).
 ///
 /// ```
 /// use rted_core::{ted_within, BoundedResult, Kernel, UnitCost, Workspace};
@@ -204,8 +189,18 @@ pub fn ted_within<L, C: CostModel<L>>(
     }
 }
 
-/// [`ted_at_most`] with work counters: the bounded kernel alone, for
-/// [`ted_within`] and benchmarks.
+/// The bounded kernel alone, with its work counters, for [`ted_within`]
+/// and benchmarks: decides whether `ted(f, g) ≤ tau` under cost model
+/// `cm`, drawing all scratch from `ws` (allocation-free once the
+/// workspace is warm).
+///
+/// The result is [`BoundedResult::Exact`] with the true distance when it
+/// is ≤ `tau`, and [`BoundedResult::Exceeds`] with a lower bound `b ≤
+/// ted(f, g)` otherwise. A non-finite `tau` (`+∞`) widens the band past
+/// every sheet: the exact Zhang–Shasha DP. Either way the DP runs on the
+/// Zhang–Shasha side with fewer cells (left on ties), and
+/// [`BoundedRun::kernel`] is `Some(Kernel::Bounded)`. `tau` must not be
+/// NaN.
 pub fn ted_at_most_run<L, C: CostModel<L>>(
     f: &Tree<L>,
     g: &Tree<L>,
@@ -308,7 +303,7 @@ mod tests {
             d * 2.0 + 1.0,
             f64::INFINITY,
         ] {
-            match ted_at_most(&f, &g, cm, tau, &mut ws) {
+            match ted_at_most_run(&f, &g, cm, tau, &mut ws).result {
                 BoundedResult::Exact(got) => {
                     assert!(d <= tau, "{a} vs {b}: Exact below budget {tau} but d={d}");
                     assert_eq!(got, d, "{a} vs {b} at tau={tau}");
@@ -375,7 +370,7 @@ mod tests {
         let f = parse_bracket("{a{b}{c{d}}}").unwrap();
         let g = parse_bracket("{a{b{d}}{c}}").unwrap();
         let d = zs_distance(&f, &g, &UnitCost);
-        let res = ted_at_most(&f, &g, &UnitCost, d, &mut Workspace::new());
+        let res = ted_at_most_run(&f, &g, &UnitCost, d, &mut Workspace::new()).result;
         assert_eq!(res, BoundedResult::Exact(d));
     }
 

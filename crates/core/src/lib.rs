@@ -21,15 +21,17 @@
 //!   O(n²) space, built on three single-path functions: `∆L`/`∆R`
 //!   (keyroot sheets) and `∆I` (the Demaine-style heavy-path DP over the
 //!   canonical forest encoding);
-//! * [`rted`] — the RTED facade: optimal strategy + GTED, with run
-//!   statistics, and the [`Algorithm`] enum running all five algorithms of
-//!   the paper's evaluation uniformly; [`Algorithm::cheapest_exact`] picks
-//!   the cheapest of Zhang-L, Zhang-R and RTED per pair from Lemma 3's
-//!   root counts;
+//! * [`rted`] — the [`Algorithm`] enum running all five algorithms of the
+//!   paper's evaluation uniformly, RTED (optimal strategy + GTED) among
+//!   them, with run statistics; [`Algorithm::cheapest_exact`] picks the
+//!   cheapest of Zhang-L, Zhang-R and RTED per pair from Lemma 3's root
+//!   counts;
 //! * [`bounded`] — the budgeted question "is `ted ≤ τ`, and what is it?":
 //!   the band-limited early-exit kernel, and [`ted_within`], the one call
 //!   that answers it per pair with the cheapest kernel (the bounded one
 //!   under a finite budget, otherwise [`Algorithm::cheapest_exact`]'s).
+//!   The exact distance is the unbounded case: [`ted`] and [`ted_with`]
+//!   call [`ted_within`] at `τ = ∞`.
 //!
 //! # Example
 //!
@@ -67,13 +69,13 @@ mod keyroot;
 mod spf_i;
 mod spf_lr;
 
-pub use bounded::{ted_at_most, ted_at_most_run, ted_within, BoundedResult, BoundedRun, Kernel};
+pub use bounded::{ted_at_most_run, ted_within, BoundedResult, BoundedRun, Kernel};
 pub use bounds::{LowerBound, TreeSketch};
 pub use cost::{CostModel, PerLabelCost, UnitCost};
 pub use gted::{ExecStats, Executor};
 pub use mapping::{edit_mapping, edit_mapping_in, EditMapping, EditOp, EditScript, ScriptOp};
 pub use pqgram::{PqGramProfile, PqParams, PqScratch};
-pub use rted::{ted, ted_with, Algorithm, Rted, RunStats, RTED_CELL_RATIO};
+pub use rted::{ted, ted_with, Algorithm, RunStats, RTED_CELL_RATIO};
 pub use strategy::{
     compute_strategy_in, optimal_strategy, strategy_cost, Chooser, DemaineChooser, FixedChooser,
     OptimalChooser, PathChoice, Side, Strategy, StrategyProvider, SubsetChooser,

@@ -1,11 +1,15 @@
-//! RTED — the robust tree edit distance algorithm (§6), plus the
+//! RTED — the robust tree edit distance algorithm (§6) — and the
 //! [`Algorithm`] enum running every competitor of the paper's evaluation
 //! through a uniform interface.
 //!
 //! RTED computes the optimal LRH strategy with Algorithm 2, then runs GTED
 //! under it. Its subproblem count is, by construction, at most that of any
-//! LRH competitor (Zhang-L/R, Klein-H, Demaine-H) on every input.
+//! LRH competitor (Zhang-L/R, Klein-H, Demaine-H) on every input. Per
+//! subproblem it costs more than Zhang–Shasha, so [`ted`] and [`ted_with`]
+//! do not pin it: they run [`Algorithm::cheapest_exact`]'s pick through
+//! [`ted_within`], the rule behind every distance the crate reports.
 
+use crate::bounded::ted_within;
 use crate::cost::CostModel;
 use crate::gted::{ExecStats, Executor};
 use crate::strategy::{
@@ -262,46 +266,19 @@ fn run_gted_in<L, C: CostModel<L>, S: crate::strategy::StrategyProvider<L>>(
     }
 }
 
-/// The RTED algorithm bound to a cost model.
-///
-/// ```
-/// use rted_core::{Rted, UnitCost};
-/// use rted_tree::parse_bracket;
-///
-/// let f = parse_bracket("{a{b}{c}}").unwrap();
-/// let g = parse_bracket("{a{c}}").unwrap();
-/// let rted = Rted::new(UnitCost);
-/// let run = rted.distance(&f, &g);
-/// assert_eq!(run.distance, 1.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Rted<C> {
-    cm: C,
-}
-
-impl<C> Rted<C> {
-    /// Binds RTED to a cost model.
-    pub fn new(cm: C) -> Self {
-        Rted { cm }
-    }
-
-    /// Computes the distance and run statistics for `(f, g)`.
-    pub fn distance<L>(&self, f: &Tree<L>, g: &Tree<L>) -> RunStats
-    where
-        C: CostModel<L>,
-    {
-        Algorithm::Rted.run(f, g, &self.cm)
-    }
-}
-
-/// The unit-cost tree edit distance computed by RTED.
+/// The unit-cost tree edit distance, through [`ted_within`]'s kernel
+/// rule at an unbounded budget: [`Algorithm::cheapest_exact`]'s pick.
 pub fn ted<L: PartialEq>(f: &Tree<L>, g: &Tree<L>) -> f64 {
-    Algorithm::Rted.run(f, g, &crate::cost::UnitCost).distance
+    ted_with(f, g, &crate::cost::UnitCost)
 }
 
-/// The tree edit distance under a custom cost model, computed by RTED.
+/// The tree edit distance under a custom cost model, through
+/// [`ted_within`]'s kernel rule at an unbounded budget: the same value
+/// the index, the server, `rted diff` and every budgeted call report.
 pub fn ted_with<L, C: CostModel<L>>(f: &Tree<L>, g: &Tree<L>, cm: &C) -> f64 {
-    Algorithm::Rted.run(f, g, cm).distance
+    ted_within(f, g, cm, f64::INFINITY, None, &mut Workspace::new())
+        .result
+        .value()
 }
 
 #[cfg(test)]

@@ -124,10 +124,10 @@ fn second_run_through_workspace_is_allocation_free() {
 #[test]
 fn warm_bounded_verify_is_allocation_free() {
     // The budgeted kernel draws every buffer from the same pooled
-    // workspace, so warm `ted_at_most` calls allocate nothing — in the
+    // workspace, so warm `ted_at_most_run` calls allocate nothing — in the
     // exact regime, the exceeds regime (frontier abandonment), and the
     // size-reject fast path alike, under both cost models.
-    use rted_core::{ted_at_most, BoundedResult};
+    use rted_core::{ted_at_most_run, BoundedResult};
     let pairs = [
         (mixed_tree(60, 31), mixed_tree(55, 32)),
         (mixed_tree(25, 33), mixed_tree(70, 34)),
@@ -138,22 +138,22 @@ fn warm_bounded_verify_is_allocation_free() {
     for (pi, (f, g)) in pairs.iter().enumerate() {
         // Budgets on both sides of the threshold: ∞ (exact), generous,
         // and tight enough to reject.
-        let d = match ted_at_most(f, g, &UnitCost, f64::INFINITY, &mut ws) {
+        let d = match ted_at_most_run(f, g, &UnitCost, f64::INFINITY, &mut ws).result {
             BoundedResult::Exact(d) => d,
             BoundedResult::Exceeds(_) => unreachable!("infinite budget"),
         };
         let budgets = [f64::INFINITY, d + 1.0, d / 2.0, 0.5];
         for &tau in &budgets {
-            ted_at_most(f, g, &UnitCost, tau, &mut ws);
-            ted_at_most(f, g, &asym, tau, &mut ws);
+            ted_at_most_run(f, g, &UnitCost, tau, &mut ws);
+            ted_at_most_run(f, g, &asym, tau, &mut ws);
         }
         let before = allocations();
         for &tau in &budgets {
-            let unit = ted_at_most(f, g, &UnitCost, tau, &mut ws);
+            let unit = ted_at_most_run(f, g, &UnitCost, tau, &mut ws).result;
             if tau >= d {
                 assert_eq!(unit, BoundedResult::Exact(d), "pair {pi} tau={tau}");
             }
-            ted_at_most(f, g, &asym, tau, &mut ws);
+            ted_at_most_run(f, g, &asym, tau, &mut ws);
         }
         let delta = allocations() - before;
         assert_eq!(

@@ -1,5 +1,5 @@
 //! Property tests for the bounded kernel: on both sides of the threshold
-//! `ted_at_most` must agree with exact RTED — `Exact(d)` with `d` equal to
+//! `ted_at_most_run` must agree with exact RTED — `Exact(d)` with `d` equal to
 //! the true distance whenever `d ≤ τ`, and `Exceeds(b)` with a lower bound
 //! `b ≤ d` whenever `d > τ` — under the unit model and an asymmetric
 //! per-label model, in both operand orders, through one shared workspace

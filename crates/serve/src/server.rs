@@ -98,14 +98,15 @@ pub(crate) fn relock<T>(result: Result<T, PoisonError<T>>) -> T {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Pre-reserved request-queue slots: submissions beyond this still
+/// succeed but may grow the queue (one allocation).
+const QUEUE_CAPACITY: usize = 1024;
+
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Worker threads executing requests (each owns a workspace).
     pub workers: usize,
-    /// Pre-reserved request-queue slots: submissions beyond this still
-    /// succeed but may grow the queue (one allocation).
-    pub queue_capacity: usize,
     /// Threads *within* one query (`TreeIndex` execution policy). Used
     /// by [`Server::open`] and [`Server::in_memory`] as
     /// `max(query_threads, shards)`, so a striped query keeps an N-way
@@ -142,7 +143,6 @@ impl Default for ServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .min(4),
-            queue_capacity: 1024,
             query_threads: 1,
             shards: 1,
             compact_fraction: Some(0.25),
@@ -334,7 +334,7 @@ impl Server {
             next_global: AtomicU64::new(next_global),
             tcp_addr: Mutex::new(None),
             queue: Mutex::new(QueueState {
-                jobs: VecDeque::with_capacity(cfg.queue_capacity),
+                jobs: VecDeque::with_capacity(QUEUE_CAPACITY),
                 closed: false,
             }),
             have_jobs: Condvar::new(),

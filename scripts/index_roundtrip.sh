@@ -164,6 +164,34 @@ if [[ "$d" != "0" ]]; then
         || fail "exceeds bound $lb not in [0, $d]"
 fi
 
+# Non-dyadic costs round differently in the last place from kernel to
+# kernel. On `generate random 60 --seed 1` against `generate zz 60 --seed
+# 11`, RTED and Zhang-L give 12.299999999999985, Zhang-R …986, Klein-H
+# and Demaine-H …974; on `mx 60 --seed 1` against the same zz tree, RTED
+# gives 13.199999999999974 and Zhang-L …976. Only one kernel rule behind
+# `distance`, `distance --at-most` and `diff` keeps their output
+# byte-identical. (On these pairs the rule's exact arm is Zhang–Shasha,
+# which the budgeted kernel shares; on pairs where it picks RTED, a
+# finite budget can still round differently.) A pinned algorithm under
+# a zero budget must report its own exact distance as the bound.
+"$RTED" generate zz 60 --seed 11 > "$WORK/nd_zz.tree"
+"$RTED" generate random 60 --seed 1 > "$WORK/nd_random.tree"
+"$RTED" generate mx 60 --seed 1 > "$WORK/nd_mx.tree"
+for pair in "$tree_a|$tree_b" "$WORK/nd_random.tree|$WORK/nd_zz.tree" \
+    "$WORK/nd_mx.tree|$WORK/nd_zz.tree"; do
+    a=${pair%|*}; b=${pair#*|}
+    nd=$("$RTED" distance "$a" "$b" --costs 0.1,0.2,0.3 2>/dev/null)
+    nb=$("$RTED" distance "$a" "$b" --costs 0.1,0.2,0.3 --at-most 1e9 2>/dev/null)
+    [[ "$nb" == "$nd" ]] || fail "--costs 0.1,0.2,0.3: --at-most 1e9 printed $nb, distance $nd"
+    "$RTED" diff "$a" "$b" --costs 0.1,0.2,0.3 2>/dev/null > "$WORK/nd.diff"
+    [[ "$(head -1 "$WORK/nd.diff")" == "distance $nd" ]] \
+        || fail "--costs 0.1,0.2,0.3: diff printed '$(head -1 "$WORK/nd.diff")', distance $nd"
+    pd=$("$RTED" distance "$a" "$b" --costs 0.1,0.2,0.3 --algorithm zhang-r 2>/dev/null)
+    px=$("$RTED" distance "$a" "$b" --costs 0.1,0.2,0.3 --algorithm zhang-r --at-most 0 2>/dev/null) \
+        || fail "distance --algorithm zhang-r --at-most 0 exited non-zero"
+    [[ "$px" == "exceeds $pd" ]] || fail "pinned zhang-r at budget 0 printed '$px', exact $pd"
+done
+
 # --- 4. Damaged files must be rejected with a clear error ---------------
 head -c 100 "$WORK/corpus.idx" > "$WORK/truncated.idx"
 if "$RTED" search --index "$WORK/truncated.idx" "$QUERY" --tau 2 2> "$WORK/err.txt"; then

@@ -35,8 +35,8 @@
 //!
 //! let f = parse_bracket("{a{b}{c{d}}}").unwrap();
 //! let g = parse_bracket("{a{b{d}}{c}}").unwrap();
-//! // Unit-cost tree edit distance with the robust (optimal-strategy)
-//! // algorithm.
+//! // Unit-cost tree edit distance, through the cheapest exact kernel
+//! // for the pair (Zhang-L, Zhang-R or RTED).
 //! assert_eq!(ted(&f, &g), 2.0);
 //! ```
 //!
@@ -72,8 +72,7 @@ pub use rted_serve as serve;
 pub use rted_tree as tree;
 
 pub use rted_core::{
-    edit_mapping, ted, Algorithm, CostModel, EditMapping, EditOp, PerLabelCost, Rted, RunStats,
-    UnitCost,
+    edit_mapping, ted, Algorithm, CostModel, EditMapping, EditOp, PerLabelCost, RunStats, UnitCost,
 };
 pub use rted_index::TreeIndex;
 pub use rted_tree::{parse_bracket, to_bracket, NodeId, PathKind, Tree, TreeBuilder};

@@ -1,5 +1,5 @@
 //! Metric and invariance properties of the unit-cost tree edit distance,
-//! checked through RTED on randomized inputs.
+//! checked through `ted` (the per-pair exact rule) on randomized inputs.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
