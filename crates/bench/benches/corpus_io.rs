@@ -59,6 +59,15 @@ fn corpus_io(c: &mut Criterion) {
         },
     );
 
+    // The parse share of `rebuild`: bracket text to trees, no analysis.
+    group.bench_with_input(BenchmarkId::new("parse", n_trees), &flat, |b, text| {
+        b.iter(|| {
+            let trees: Vec<Tree<String>> =
+                text.lines().map(|l| parse_bracket(l).unwrap()).collect();
+            black_box(trees.len())
+        });
+    });
+
     // Cold load: read + decode the binary image, sketches included.
     group.bench_with_input(
         BenchmarkId::new("cold_load_owned", n_trees),

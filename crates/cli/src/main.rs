@@ -35,8 +35,8 @@
 //! one `delete`/`insert`/`rename`/`keep` line per node (`--format json`
 //! emits the serve protocol's `diff` response line instead — same bytes
 //! a `{"op":"diff"}` request gets). With `--index` the operands are two
-//! corpus tree ids of a persistent index and the script is unit-cost
-//! (`mapping` is the legacy alias for `diff`). `<FILE>` for
+//! corpus tree ids of a persistent index and the script is unit-cost.
+//! `<FILE>` for
 //! `join`, `search` and `topk` holds one bracket tree per line and is
 //! loaded into an in-memory [`rted_index::TreeIndex`]; alternatively
 //! `--index <INDEX>` loads a persistent corpus built with `rted index
@@ -409,16 +409,16 @@ fn cmd_compare(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `rted diff` (and its legacy alias `mapping`): the optimal edit script
+/// `rted diff`: the optimal edit script
 /// between two inline/file trees, or — with `--index` — between two
 /// corpus trees of a persistent index (unit costs, through the index's
 /// pooled workspaces).
-fn cmd_diff(opts: &Opts, cmd: &str) -> Result<(), String> {
+fn cmd_diff(opts: &Opts) -> Result<(), String> {
     let script = if opts.has("index") {
-        opts.expect_flags(cmd, &["index", "format"])?;
+        opts.expect_flags("diff", &["index", "format"])?;
         let path = opts.flag("index").unwrap();
         if opts.positional.len() != 2 {
-            return Err(format!("{cmd} --index needs two tree ids"));
+            return Err("diff --index needs two tree ids".into());
         }
         let id = |i: usize| {
             opts.positional[i]
@@ -434,11 +434,9 @@ fn cmd_diff(opts: &Opts, cmd: &str) -> Result<(), String> {
             .diff(left, right)
             .ok_or_else(|| format!("index {path}: no live tree with id {left} or {right}"))?
     } else {
-        opts.expect_flags(cmd, &["xml", "costs", "format"])?;
+        opts.expect_flags("diff", &["xml", "costs", "format"])?;
         if opts.positional.len() != 2 {
-            return Err(format!(
-                "{cmd} needs two trees (or --index INDEX and two ids)"
-            ));
+            return Err("diff needs two trees (or --index INDEX and two ids)".into());
         }
         let xml = opts.has("xml");
         let f = load_tree(&opts.positional[0], xml)?;
@@ -1112,7 +1110,7 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "distance" => cmd_distance(&opts),
         "compare" => cmd_compare(&opts),
-        "diff" | "mapping" => cmd_diff(&opts, cmd),
+        "diff" => cmd_diff(&opts),
         "generate" => cmd_generate(&opts),
         "join" => cmd_join(&opts),
         "search" => cmd_search(&opts),

@@ -17,31 +17,23 @@ fn tree_from_choices(n: usize, rnd: &mut impl FnMut() -> u32) -> Tree<u8> {
         let p = rnd() % i as u32;
         children[p as usize].push(i as u32);
     }
-    let mut post_of = vec![u32::MAX; n];
-    let mut order = Vec::with_capacity(n);
+    // Postorder walk: emit each node's label and child count.
+    let mut labels = Vec::with_capacity(n);
+    let mut degrees = Vec::with_capacity(n);
     let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
     while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-        if *i < children[v as usize].len() {
-            let c = children[v as usize][*i];
+        let ch = &children[v as usize];
+        if *i < ch.len() {
+            let c = ch[*i];
             *i += 1;
             stack.push((c, 0));
         } else {
-            post_of[v as usize] = order.len() as u32;
-            order.push(v);
+            labels.push((v % 3) as u8);
+            degrees.push(ch.len() as u32);
             stack.pop();
         }
     }
-    let labels: Vec<u8> = order.iter().map(|&v| (v % 3) as u8).collect();
-    let post_children: Vec<Vec<u32>> = order
-        .iter()
-        .map(|&v| {
-            children[v as usize]
-                .iter()
-                .map(|&c| post_of[c as usize])
-                .collect()
-        })
-        .collect();
-    Tree::from_postorder(labels, post_children)
+    Tree::from_postorder_degrees(labels, &degrees).unwrap()
 }
 
 fn main() {

@@ -41,12 +41,14 @@
 //!    would leave subtree distances unwritten that later sheets still
 //!    read.)
 //!
-//! The result is [`BoundedResult::Exact`] — bit-identical to the exact
-//! algorithms — whenever the distance is within budget, and
-//! [`BoundedResult::Exceeds`] with a certified lower bound otherwise. This
-//! module keeps only the pre-bound, the band widths and the frontier
-//! check; the sheet routine fills the band. All scratch comes from the
-//! [`Workspace`], so warm calls stay allocation-free.
+//! The result is [`BoundedResult::Exact`] whenever the distance is within
+//! budget, and [`BoundedResult::Exceeds`] with a certified lower bound
+//! otherwise. `Exact` is bit-identical to the exact algorithms when the
+//! costs are dyadic, as unit costs are; costs such as 0.1 can round
+//! differently in the last place. This module keeps only the pre-bound,
+//! the band widths and the frontier check; the sheet routine fills the
+//! band. All scratch comes from the [`Workspace`], so warm calls stay
+//! allocation-free.
 //!
 //! [`ted_within`] is the one distance call every caller goes through
 //! (index verification, vantage-point routing, the served and the

@@ -452,31 +452,21 @@ mod tests {
                     let p = rng.random_range(0..i) as u32;
                     children[p as usize].push(i as u32);
                 }
-                let mut post_of = vec![u32::MAX; n];
-                let mut order = Vec::new();
+                let mut degrees = Vec::with_capacity(n);
                 let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
                 while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-                    if *i < children[v as usize].len() {
-                        let c = children[v as usize][*i];
+                    let ch = &children[v as usize];
+                    if *i < ch.len() {
+                        let c = ch[*i];
                         *i += 1;
                         stack.push((c, 0));
                     } else {
-                        post_of[v as usize] = order.len() as u32;
-                        order.push(v);
+                        degrees.push(ch.len() as u32);
                         stack.pop();
                     }
                 }
                 let labels: Vec<u32> = (0..n).map(|_| rng.random_range(0..5u32)).collect();
-                let pc: Vec<Vec<u32>> = order
-                    .iter()
-                    .map(|&v| {
-                        children[v as usize]
-                            .iter()
-                            .map(|&c| post_of[c as usize])
-                            .collect()
-                    })
-                    .collect();
-                Tree::from_postorder(labels, pc)
+                Tree::from_postorder_degrees(labels, &degrees).unwrap()
             };
             let f = mk(n1, &mut rng);
             let g = mk(n2, &mut rng);

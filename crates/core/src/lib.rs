@@ -5,7 +5,7 @@
 //!
 //! * [`cost`] — edit cost models ([`UnitCost`], [`PerLabelCost`], or any
 //!   [`CostModel`] implementation);
-//! * [`reference`](crate::reference) — the recursive formula of Fig. 2,
+//! * [`reference`](mod@reference) — the recursive formula of Fig. 2,
 //!   memoized on explicit forests (the correctness oracle of the tests);
 //! * [`zs`] — the classic Zhang–Shasha algorithm (left and right variants),
 //!   i.e. the paper's optimized `Zhang-L` / `Zhang-R` baselines, around the

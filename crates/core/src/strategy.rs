@@ -755,35 +755,23 @@ mod tests {
             let p = rng.random_range(0..i);
             children[p].push(i as u32);
         }
-        // Convert insertion ids to postorder ids.
-        let mut post_of = vec![u32::MAX; n];
-        let mut order = Vec::with_capacity(n);
+        // Postorder walk: emit each node's label and child count.
+        let mut labels = Vec::with_capacity(n);
+        let mut degrees = Vec::with_capacity(n);
         let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
         while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-            if *i < children[v as usize].len() {
-                let c = children[v as usize][*i];
+            let ch = &children[v as usize];
+            if *i < ch.len() {
+                let c = ch[*i];
                 *i += 1;
                 stack.push((c, 0));
             } else {
-                post_of[v as usize] = order.len() as u32;
-                order.push(v);
+                labels.push(format!("{}", (v * 7 + 3) % 3));
+                degrees.push(ch.len() as u32);
                 stack.pop();
             }
         }
-        let labels: Vec<String> = order
-            .iter()
-            .map(|&v| format!("{}", (v * 7 + 3) % 3))
-            .collect();
-        let post_children: Vec<Vec<u32>> = order
-            .iter()
-            .map(|&v| {
-                children[v as usize]
-                    .iter()
-                    .map(|&c| post_of[c as usize])
-                    .collect()
-            })
-            .collect();
-        Tree::from_postorder(labels, post_children)
+        Tree::from_postorder_degrees(labels, &degrees).unwrap()
     }
 
     #[test]

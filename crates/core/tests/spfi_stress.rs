@@ -5,8 +5,7 @@
 use rted_core::strategy::{PathChoice, Side};
 use rted_core::zs::zs_distance;
 use rted_core::{Executor, UnitCost};
-use rted_tree::build::BuildNode;
-use rted_tree::{parse_bracket, PathKind, Tree};
+use rted_tree::{parse_bracket, PathKind, Tree, TreeBuilder};
 
 /// Runs Klein (all pairs → heavy path of F), the G-side heavy constant
 /// strategy, and Demaine against Zhang–Shasha.
@@ -32,34 +31,46 @@ fn check_heavy(f: &Tree<String>, g: &Tree<String>, name: &str) {
 }
 
 fn star(n: usize, label: &str) -> Tree<String> {
-    BuildNode::node(
-        label.to_string(),
-        (0..n - 1)
-            .map(|i| BuildNode::leaf(format!("c{}", i % 3)))
-            .collect(),
-    )
-    .build()
+    let mut b = TreeBuilder::new();
+    b.open(label.to_string());
+    for i in 0..n - 1 {
+        b.leaf(format!("c{}", i % 3));
+    }
+    b.up();
+    b.finish().unwrap()
 }
 
+/// A chain of `n` nodes: `n{i % 4}` at depth `n - 1 - i`, leaf `x`.
 fn chain(n: usize) -> Tree<String> {
-    let mut node = BuildNode::leaf("x".to_string());
-    for i in 1..n {
-        node = BuildNode::node(format!("n{}", i % 4), vec![node]);
+    let mut b = TreeBuilder::new();
+    for i in (1..n).rev() {
+        b.open(format!("n{}", i % 4));
     }
-    node.build()
+    b.leaf("x".to_string());
+    for _ in 1..n {
+        b.up();
+    }
+    b.finish().unwrap()
 }
 
+/// A comb: spine nodes `i`, each with a leaf `s{i % 2}` to the right of
+/// the spine (`left`, a left comb) or to its left; the spine ends in `l`.
 fn comb(n: usize, left: bool) -> Tree<String> {
-    let mut node = BuildNode::leaf("l".to_string());
-    for i in 1..n / 2 {
-        let leaf = BuildNode::leaf(format!("s{}", i % 2));
-        node = if left {
-            BuildNode::node("i".to_string(), vec![node, leaf])
-        } else {
-            BuildNode::node("i".to_string(), vec![leaf, node])
-        };
+    let mut b = TreeBuilder::new();
+    for i in (1..n / 2).rev() {
+        b.open("i".to_string());
+        if !left {
+            b.leaf(format!("s{}", i % 2));
+        }
     }
-    node.build()
+    b.leaf("l".to_string());
+    for i in 1..n / 2 {
+        if left {
+            b.leaf(format!("s{}", i % 2));
+        }
+        b.up();
+    }
+    b.finish().unwrap()
 }
 
 #[test]
@@ -99,21 +110,20 @@ fn right_comb_only_right_siblings() {
 fn wide_shallow_periods() {
     // Path node with many siblings on both sides of the heavy child.
     let mk = |k: usize| {
-        let mut children: Vec<BuildNode<String>> = (0..k)
-            .map(|i| BuildNode::leaf(format!("a{}", i % 2)))
-            .collect();
-        children.insert(
-            k / 2,
-            BuildNode::node(
-                "h".into(),
-                vec![
-                    BuildNode::leaf("u".into()),
-                    BuildNode::leaf("v".into()),
-                    BuildNode::leaf("w".into()),
-                ],
-            ),
-        );
-        BuildNode::node("root".into(), children).build()
+        let mut b = TreeBuilder::new();
+        b.open("root".to_string());
+        for i in 0..k {
+            if i == k / 2 {
+                b.open("h".into())
+                    .leaf("u".into())
+                    .leaf("v".into())
+                    .leaf("w".into())
+                    .up();
+            }
+            b.leaf(format!("a{}", i % 2));
+        }
+        b.up();
+        b.finish().unwrap()
     };
     check_heavy(&mk(12), &mk(9), "wide periods");
 }
@@ -172,31 +182,21 @@ fn medium_random_cross_validation() {
                 let p = rnd() % i as u32;
                 children[p as usize].push(i as u32);
             }
-            let mut post_of = vec![u32::MAX; n];
-            let mut order = Vec::new();
+            let mut degrees = Vec::with_capacity(n);
             let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
             while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-                if *i < children[v as usize].len() {
-                    let c = children[v as usize][*i];
+                let ch = &children[v as usize];
+                if *i < ch.len() {
+                    let c = ch[*i];
                     *i += 1;
                     stack.push((c, 0));
                 } else {
-                    post_of[v as usize] = order.len() as u32;
-                    order.push(v);
+                    degrees.push(ch.len() as u32);
                     stack.pop();
                 }
             }
             let labels: Vec<String> = (0..n).map(|_| format!("{}", rnd() % 3)).collect();
-            let pc: Vec<Vec<u32>> = order
-                .iter()
-                .map(|&v| {
-                    children[v as usize]
-                        .iter()
-                        .map(|&c| post_of[c as usize])
-                        .collect()
-                })
-                .collect();
-            Tree::from_postorder(labels, pc)
+            Tree::from_postorder_degrees(labels, &degrees).unwrap()
         };
         let f = mk(n1, &mut rnd);
         let g = mk(n2, &mut rnd);

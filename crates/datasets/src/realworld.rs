@@ -16,14 +16,14 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rted_tree::Tree;
 
-use crate::shapes::relabel_random;
+use crate::shapes::{relabel_random, Adj};
 
 /// A SwissProt-like tree: depth ≤ 4, wide fan-out near the root, roughly
 /// `target_size` nodes. Structure: root → entries → fields → values.
 pub fn swissprot_like(target_size: usize, seed: u64) -> Tree<u32> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5155_0001);
     let n = target_size.max(2);
-    let mut children: Vec<Vec<u32>> = vec![Vec::new()];
+    let mut adj = Adj::with_root();
     let mut depth = vec![0u32; 1];
     // Level-biased attachment: favour shallow parents heavily so the tree
     // stays flat with large fanouts, hard-capped at depth 3 below the root.
@@ -41,18 +41,14 @@ pub fn swissprot_like(target_size: usize, seed: u64) -> Tree<u32> {
         let parents = &by_level[lvl];
         if parents.is_empty() {
             // Fall back to the root until the level fills up.
-            let id = children.len() as u32;
-            children.push(Vec::new());
-            children[0].push(id);
+            let id = adj.add_child(0);
             depth.push(1);
             by_level[1].push(id);
             count += 1;
             continue;
         }
         let p = parents[rng.random_range(0..parents.len())];
-        let id = children.len() as u32;
-        children.push(Vec::new());
-        children[p as usize].push(id);
+        let id = adj.add_child(p);
         let d = depth[p as usize] + 1;
         depth.push(d);
         if (d as usize) < by_level.len() - 1 {
@@ -60,7 +56,7 @@ pub fn swissprot_like(target_size: usize, seed: u64) -> Tree<u32> {
         }
         count += 1;
     }
-    finish(children, target_size, seed)
+    finish(adj, seed)
 }
 
 /// A TreeBank-like tree: small, deep and narrow, like natural-language
@@ -68,7 +64,7 @@ pub fn swissprot_like(target_size: usize, seed: u64) -> Tree<u32> {
 pub fn treebank_like(target_size: usize, seed: u64) -> Tree<u32> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7b7b_0002);
     let n = target_size.max(1);
-    let mut children: Vec<Vec<u32>> = vec![Vec::new()];
+    let mut adj = Adj::with_root();
     let mut depth = vec![0u32; 1];
     // Grammar-style growth: expand a frontier; each expansion adds 1–3
     // children with probabilities biased to 1–2, bounded by depth 35.
@@ -88,9 +84,7 @@ pub fn treebank_like(target_size: usize, seed: u64) -> Tree<u32> {
         };
         let k = k.min(n - count);
         for _ in 0..k {
-            let id = children.len() as u32;
-            children.push(Vec::new());
-            children[p as usize].push(id);
+            let id = adj.add_child(p);
             depth.push(d + 1);
             frontier.push(id);
             count += 1;
@@ -98,13 +92,11 @@ pub fn treebank_like(target_size: usize, seed: u64) -> Tree<u32> {
     }
     // If the frontier died early (depth bound), pad under the root.
     while count < n {
-        let id = children.len() as u32;
-        children.push(Vec::new());
-        children[0].push(id);
+        adj.add_child(0);
         depth.push(1);
         count += 1;
     }
-    finish(children, target_size, seed)
+    finish(adj, seed)
 }
 
 /// A TreeFam-like phylogeny: an ordered binary tree over `target_size`
@@ -113,7 +105,7 @@ pub fn treebank_like(target_size: usize, seed: u64) -> Tree<u32> {
 pub fn treefam_like(target_size: usize, seed: u64) -> Tree<u32> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7f7f_0003);
     let n = target_size.max(1);
-    let mut children: Vec<Vec<u32>> = vec![Vec::new()];
+    let mut adj = Adj::with_root();
     // Recursive splitting, iteratively: (node, size) where size counts the
     // node itself plus its future descendants.
     let mut stack: Vec<(u32, usize)> = vec![(0, n)];
@@ -122,54 +114,23 @@ pub fn treefam_like(target_size: usize, seed: u64) -> Tree<u32> {
             continue;
         }
         if size == 2 {
-            let id = children.len() as u32;
-            children.push(Vec::new());
-            children[v as usize].push(id);
+            adj.add_child(v);
             continue;
         }
         // Binary split of the remaining size - 1 nodes.
         let rest = size - 1;
         let left = rng.random_range(1..rest);
-        let l = children.len() as u32;
-        children.push(Vec::new());
-        children[v as usize].push(l);
-        let r = children.len() as u32;
-        children.push(Vec::new());
-        children[v as usize].push(r);
+        let l = adj.add_child(v);
+        let r = adj.add_child(v);
         stack.push((l, left));
         stack.push((r, rest - left));
     }
-    finish(children, target_size, seed)
+    finish(adj, seed)
 }
 
-fn finish(children: Vec<Vec<u32>>, _target: usize, seed: u64) -> Tree<u32> {
-    // Convert adjacency (root id 0) to postorder arena, then label.
-    let n = children.len();
-    let mut post_of = vec![u32::MAX; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
-    while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-        if *i < children[v as usize].len() {
-            let c = children[v as usize][*i];
-            *i += 1;
-            stack.push((c, 0));
-        } else {
-            post_of[v as usize] = order.len() as u32;
-            order.push(v);
-            stack.pop();
-        }
-    }
-    let post_children: Vec<Vec<u32>> = order
-        .iter()
-        .map(|&v| {
-            children[v as usize]
-                .iter()
-                .map(|&c| post_of[c as usize])
-                .collect()
-        })
-        .collect();
-    let t = Tree::from_postorder(vec![0u32; n], post_children);
-    relabel_random(&t, 64, seed)
+/// Converts the adjacency to a postorder tree, then labels it.
+fn finish(adj: Adj, seed: u64) -> Tree<u32> {
+    relabel_random(&adj.into_tree(), 64, seed)
 }
 
 #[cfg(test)]

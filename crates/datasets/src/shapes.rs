@@ -95,54 +95,45 @@ impl std::fmt::Display for Shape {
     }
 }
 
-/// Flat adjacency under construction; converted to a postorder arena once.
-struct Adj {
+/// Flat adjacency under construction (root id 0, children left to right);
+/// converted to a postorder tree once.
+pub(crate) struct Adj {
     children: Vec<Vec<u32>>,
 }
 
 impl Adj {
-    fn with_root() -> Adj {
+    pub(crate) fn with_root() -> Adj {
         Adj {
             children: vec![Vec::new()],
         }
     }
 
-    fn add_child(&mut self, parent: u32) -> u32 {
+    pub(crate) fn add_child(&mut self, parent: u32) -> u32 {
         let id = self.children.len() as u32;
         self.children.push(Vec::new());
         self.children[parent as usize].push(id);
         id
     }
 
-    /// Converts to a [`Tree`] (root = id 0), labels all zero.
-    fn into_tree(self) -> Tree<u32> {
+    /// Converts to a [`Tree`] with all labels zero: an iterative postorder
+    /// walk that emits each node's child count.
+    pub(crate) fn into_tree(self) -> Tree<u32> {
         let n = self.children.len();
-        // Iterative postorder numbering.
-        let mut post_of = vec![u32::MAX; n];
-        let mut order: Vec<u32> = Vec::with_capacity(n);
+        let mut degrees: Vec<u32> = Vec::with_capacity(n);
         let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
         while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-            if *i < self.children[v as usize].len() {
-                let c = self.children[v as usize][*i];
+            let ch = &self.children[v as usize];
+            if *i < ch.len() {
+                let c = ch[*i];
                 *i += 1;
                 stack.push((c, 0));
             } else {
-                post_of[v as usize] = order.len() as u32;
-                order.push(v);
+                degrees.push(ch.len() as u32);
                 stack.pop();
             }
         }
-        let labels = vec![0u32; n];
-        let children: Vec<Vec<u32>> = order
-            .iter()
-            .map(|&v| {
-                self.children[v as usize]
-                    .iter()
-                    .map(|&c| post_of[c as usize])
-                    .collect()
-            })
-            .collect();
-        Tree::from_postorder(labels, children)
+        Tree::from_postorder_degrees(vec![0; n], &degrees)
+            .expect("a postorder walk of an adjacency emits a tree's degrees")
     }
 }
 
@@ -229,26 +220,13 @@ fn mixed(n: usize) -> Tree<u32> {
         zigzag(sizes[3].max(1)),
     ];
     // Graft the four subtrees under a new root.
-    let mut labels: Vec<u32> = Vec::with_capacity(n);
-    let mut children: Vec<Vec<u32>> = Vec::with_capacity(n);
-    let mut offsets = Vec::new();
-    let mut off = 0u32;
+    let mut degrees: Vec<u32> = Vec::with_capacity(n);
     for s in &subs {
-        offsets.push(off);
-        for v in s.nodes() {
-            labels.push(0);
-            children.push(s.children(v).map(|c| c.0 + off).collect());
-        }
-        off += s.len() as u32;
+        degrees.extend(s.postorder_degrees());
     }
-    labels.push(0);
-    children.push(
-        subs.iter()
-            .zip(&offsets)
-            .map(|(s, &o)| o + s.root().0)
-            .collect(),
-    );
-    Tree::from_postorder(labels, children)
+    degrees.push(subs.len() as u32);
+    Tree::from_postorder_degrees(vec![0; degrees.len()], &degrees)
+        .expect("concatenated subtrees under one root form a tree")
 }
 
 /// Random attachment tree: each new node is attached to a uniformly random
@@ -294,11 +272,8 @@ pub fn perturb_labels(tree: &Tree<u32>, k: usize, alphabet: u32, seed: u64) -> T
         let i = rng.random_range(0..labels.len());
         labels[i] = rng.random_range(0..alphabet);
     }
-    let children: Vec<Vec<u32>> = tree
-        .nodes()
-        .map(|v| tree.children(v).map(|c| c.0).collect())
-        .collect();
-    Tree::from_postorder(labels, children)
+    Tree::from_postorder_degrees(labels, &tree.postorder_degrees())
+        .expect("a tree's own degrees describe a tree")
 }
 
 /// Structural statistics of a tree (used to validate the generators and to

@@ -6,8 +6,7 @@
 //! namespaces, DTDs or entities — this is a workload adapter, not an XML
 //! library.
 
-use rted_tree::build::BuildNode;
-use rted_tree::Tree;
+use rted_tree::{Tree, TreeBuilder};
 
 /// Error from [`parse_xml`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,15 +38,13 @@ fn err<T>(position: usize, message: impl Into<String>) -> Result<T, XmlError> {
 pub fn parse_xml(input: &str) -> Result<Tree<String>, XmlError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let mut stack: Vec<BuildNode<String>> = Vec::new();
-    let mut root: Option<BuildNode<String>> = None;
+    let mut builder = TreeBuilder::new();
 
-    let flush_text = |stack: &mut Vec<BuildNode<String>>, text: &mut String| {
+    // Text outside every element is dropped.
+    let flush_text = |builder: &mut TreeBuilder<String>, text: &mut String| {
         let trimmed = text.trim();
-        if !trimmed.is_empty() {
-            if let Some(top) = stack.last_mut() {
-                top.children.push(BuildNode::leaf(trimmed.to_string()));
-            }
+        if !trimmed.is_empty() && builder.open_label().is_some() {
+            builder.leaf(trimmed.to_string());
         }
         text.clear();
     };
@@ -74,7 +71,7 @@ pub fn parse_xml(input: &str) -> Result<Tree<String>, XmlError> {
                     None => return err(pos, "unterminated declaration"),
                 }
             }
-            flush_text(&mut stack, &mut text);
+            flush_text(&mut builder, &mut text);
             let close = bytes.get(pos + 1) == Some(&b'/');
             let end = match input[pos..].find('>') {
                 Some(e) => pos + e,
@@ -89,50 +86,34 @@ pub fn parse_xml(input: &str) -> Result<Tree<String>, XmlError> {
                 return err(pos, "empty tag name");
             }
             if close {
-                let node = match stack.pop() {
-                    Some(n) => n,
+                match builder.open_label() {
                     None => return err(pos, format!("unmatched closing tag </{name}>")),
+                    Some(open) if open != name => {
+                        return err(pos, format!("expected </{open}>, found </{name}>"))
+                    }
+                    Some(_) => builder.up(),
                 };
-                if node.label != name {
-                    return err(pos, format!("expected </{}>, found </{name}>", node.label));
-                }
-                match stack.last_mut() {
-                    Some(parent) => parent.children.push(node),
-                    None => {
-                        if root.is_some() {
-                            return err(pos, "multiple root elements");
-                        }
-                        root = Some(node);
-                    }
-                }
+            } else if builder.is_complete() {
+                return err(pos, "multiple root elements");
             } else if self_closing {
-                let node = BuildNode::leaf(name.to_string());
-                match stack.last_mut() {
-                    Some(parent) => parent.children.push(node),
-                    None => {
-                        if root.is_some() {
-                            return err(pos, "multiple root elements");
-                        }
-                        root = Some(node);
-                    }
-                }
+                builder.leaf(name.to_string());
             } else {
-                stack.push(BuildNode::leaf(name.to_string()));
+                builder.open(name.to_string());
             }
             pos = end + 1;
         } else {
-            text.push(bytes[pos] as char);
-            pos += 1;
+            // A text run up to the next tag; '<' is ASCII, so the slice ends
+            // on a char boundary.
+            let run_end = input[pos..].find('<').map_or(bytes.len(), |i| pos + i);
+            text.push_str(&input[pos..run_end]);
+            pos = run_end;
         }
     }
-    if !stack.is_empty() {
-        return err(
-            pos,
-            format!("unclosed element <{}>", stack.last().unwrap().label),
-        );
+    if let Some(open) = builder.open_label() {
+        return err(pos, format!("unclosed element <{open}>"));
     }
-    match root {
-        Some(r) => Ok(r.build()),
+    match builder.finish() {
+        Some(tree) => Ok(tree),
         None => err(pos, "no root element"),
     }
 }
@@ -171,6 +152,14 @@ mod tests {
         assert!(parse_xml("<a>").is_err());
         assert!(parse_xml("text only").is_err());
         assert!(parse_xml("<a/><b/>").is_err());
+    }
+
+    #[test]
+    fn utf8_text_and_tags_match_bracket_labels() {
+        let t = parse_xml("<café><p>naïve</p></café>").unwrap();
+        let bracket = rted_tree::parse_bracket("{café{p{naïve}}}").unwrap();
+        assert_eq!(rted_tree::to_bracket(&t), "{café{p{naïve}}}");
+        assert_eq!(rted_tree::to_bracket(&t), rted_tree::to_bracket(&bracket));
     }
 
     #[test]

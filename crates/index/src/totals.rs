@@ -1,4 +1,4 @@
-//! Lifetime query totals: per-query [`SearchStats`](crate::SearchStats)
+//! Lifetime query totals: per-query [`SearchStats`]
 //! folded into cumulative atomic counters on the index.
 //!
 //! Every query already produces exact per-run counters; operating the

@@ -257,7 +257,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::TestRng;
 
-    /// Lengths acceptable to [`vec`]: a fixed size or a range of sizes.
+    /// Lengths acceptable to [`vec()`]: a fixed size or a range of sizes.
     pub trait IntoLenRange {
         /// Resolves to concrete `(min, max)` bounds (inclusive).
         fn bounds(&self) -> (usize, usize);

@@ -1,85 +1,14 @@
 //! Incremental tree construction.
 
-use crate::{NodeId, Tree};
-
-/// A node under construction: a label and its ordered children.
-#[derive(Debug, Clone)]
-pub struct BuildNode<L> {
-    /// Node label.
-    pub label: L,
-    /// Children in left-to-right order.
-    pub children: Vec<BuildNode<L>>,
-}
-
-impl<L> BuildNode<L> {
-    /// A leaf with the given label.
-    pub fn leaf(label: L) -> Self {
-        BuildNode {
-            label,
-            children: Vec::new(),
-        }
-    }
-
-    /// An inner node with the given label and children.
-    pub fn node(label: L, children: Vec<BuildNode<L>>) -> Self {
-        BuildNode { label, children }
-    }
-
-    /// Number of nodes in this subtree.
-    pub fn size(&self) -> usize {
-        // Iterative to support degenerate chain-shaped trees.
-        let mut count = 0usize;
-        let mut stack: Vec<&BuildNode<L>> = vec![self];
-        while let Some(node) = stack.pop() {
-            count += 1;
-            stack.extend(node.children.iter());
-        }
-        count
-    }
-
-    /// Finalizes this nested structure into a [`Tree`] (postorder arena).
-    pub fn build(self) -> Tree<L> {
-        let n = self.size();
-        let mut labels: Vec<L> = Vec::with_capacity(n);
-        let mut children: Vec<Vec<u32>> = Vec::with_capacity(n);
-        // Iterative postorder flattening (avoids recursion-depth limits on
-        // degenerate chain trees used as adversarial benchmark shapes).
-        enum Item<L> {
-            Visit(BuildNode<L>),
-            Emit { label: L, degree: usize },
-        }
-        let mut stack = vec![Item::Visit(self)];
-        let mut id_stack: Vec<u32> = Vec::new();
-        while let Some(item) = stack.pop() {
-            match item {
-                Item::Visit(node) => {
-                    let BuildNode {
-                        label,
-                        children: ch,
-                    } = node;
-                    stack.push(Item::Emit {
-                        label,
-                        degree: ch.len(),
-                    });
-                    for c in ch.into_iter().rev() {
-                        stack.push(Item::Visit(c));
-                    }
-                }
-                Item::Emit { label, degree } => {
-                    let id = labels.len() as u32;
-                    let ch = id_stack.split_off(id_stack.len() - degree);
-                    labels.push(label);
-                    children.push(ch);
-                    id_stack.push(id);
-                }
-            }
-        }
-        Tree::from_postorder(labels, children)
-    }
-}
+use crate::Tree;
 
 /// Stack-based builder: push nodes depth-first, closing each with
 /// [`TreeBuilder::up`].
+///
+/// Each closed node appends its label and child count to postorder arrays,
+/// and [`finish`](TreeBuilder::finish) hands them to
+/// [`Tree::from_postorder_degrees`]. Apart from the labels it is given, the
+/// builder allocates nothing per node.
 ///
 /// ```
 /// use rted_tree::TreeBuilder;
@@ -96,8 +25,12 @@ impl<L> BuildNode<L> {
 /// ```
 #[derive(Debug)]
 pub struct TreeBuilder<L> {
-    stack: Vec<BuildNode<L>>,
-    finished: Option<BuildNode<L>>,
+    /// Labels of the closed nodes, in postorder.
+    labels: Vec<L>,
+    /// Child counts of the closed nodes, in postorder.
+    degrees: Vec<u32>,
+    /// The open nodes, outermost first: label and children closed so far.
+    open: Vec<(L, u32)>,
 }
 
 impl<L> Default for TreeBuilder<L> {
@@ -110,98 +43,96 @@ impl<L> TreeBuilder<L> {
     /// An empty builder.
     pub fn new() -> Self {
         TreeBuilder {
-            stack: Vec::new(),
-            finished: None,
+            labels: Vec::new(),
+            degrees: Vec::new(),
+            open: Vec::new(),
         }
     }
 
     /// Opens a new node as the next child of the currently open node (or as
     /// the root if no node is open).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the root has already been closed.
     pub fn open(&mut self, label: L) -> &mut Self {
-        assert!(self.finished.is_none(), "root already closed");
-        self.stack.push(BuildNode::leaf(label));
+        assert!(!self.is_complete(), "root already closed");
+        self.open.push((label, 0));
         self
     }
 
     /// Closes the currently open node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no node is open.
     pub fn up(&mut self) -> &mut Self {
-        let node = self.stack.pop().expect("no open node to close");
-        match self.stack.last_mut() {
-            Some(parent) => parent.children.push(node),
-            None => {
-                assert!(self.finished.is_none(), "multiple roots");
-                self.finished = Some(node);
-            }
-        }
+        let (label, degree) = self.open.pop().expect("no open node to close");
+        self.close(label, degree);
         self
     }
 
-    /// Adds a leaf child to the currently open node.
+    /// Adds a leaf child to the currently open node (or a single-node tree
+    /// if no node is open).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the root has already been closed.
     pub fn leaf(&mut self, label: L) -> &mut Self {
-        self.open(label);
-        self.up()
+        assert!(!self.is_complete(), "root already closed");
+        self.close(label, 0);
+        self
     }
 
-    /// Completes the build. Returns `None` if no root was closed or nodes
-    /// remain open.
+    fn close(&mut self, label: L, degree: u32) {
+        self.labels.push(label);
+        self.degrees.push(degree);
+        if let Some((_, d)) = self.open.last_mut() {
+            *d += 1;
+        }
+    }
+
+    /// Label of the innermost open node, or `None` if no node is open.
+    pub fn open_label(&self) -> Option<&L> {
+        self.open.last().map(|(label, _)| label)
+    }
+
+    /// `true` once the root has been closed.
+    pub fn is_complete(&self) -> bool {
+        self.open.is_empty() && !self.labels.is_empty()
+    }
+
+    /// Completes the build and resets the builder. Returns `None` if no root
+    /// was closed or nodes remain open.
     pub fn finish(&mut self) -> Option<Tree<L>> {
-        if !self.stack.is_empty() {
+        if !self.is_complete() {
             return None;
         }
-        self.finished.take().map(BuildNode::build)
+        let labels = std::mem::take(&mut self.labels);
+        let tree = Tree::from_postorder_degrees(labels, &self.degrees)
+            .expect("every closed node was counted by its parent");
+        self.degrees.clear();
+        Some(tree)
     }
-}
-
-/// Convenience: builds a tree from a parent vector given in postorder.
-///
-/// `parents[i]` is the postorder id of node `i`'s parent; the root (last
-/// node) uses `parents[n-1] == n-1` or any value `>= n`. The vector must
-/// describe a valid postorder layout (every subtree a contiguous id
-/// range); [`Tree::from_postorder`] panics otherwise.
-pub fn from_parent_vec<L>(labels: Vec<L>, parents: &[u32]) -> Tree<L> {
-    let n = labels.len();
-    assert_eq!(parents.len(), n);
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-    assert!(n > 0, "tree must have at least one node");
-    for (i, &p) in parents.iter().enumerate().take(n - 1) {
-        let p = p as usize;
-        assert!(p > i && p < n, "parent of {i} must follow it in postorder");
-        children[p].push(i as u32);
-    }
-    Tree::from_postorder(labels, children)
-}
-
-/// Relabels node `v`'s subtree root in a copied tree (testing utility).
-pub fn with_label<L: Clone>(tree: &Tree<L>, v: NodeId, label: L) -> Tree<L> {
-    let mut labels: Vec<L> = tree.nodes().map(|u| tree.label(u).clone()).collect();
-    labels[v.idx()] = label;
-    let children = tree
-        .nodes()
-        .map(|u| tree.children(u).map(|c| c.0).collect())
-        .collect();
-    Tree::from_postorder(labels, children)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodeId;
 
     #[test]
     fn build_node_nested() {
-        let t = BuildNode::node(
-            "a",
-            vec![
-                BuildNode::leaf("b"),
-                BuildNode::node("c", vec![BuildNode::leaf("d")]),
-            ],
-        )
-        .build();
+        let mut b = TreeBuilder::new();
+        b.open("a").leaf("b").open("c").leaf("d").up().up();
+        let t = b.finish().unwrap();
         // Postorder: b=0, d=1, c=2, a=3.
         assert_eq!(t.len(), 4);
         assert_eq!(t.label(NodeId(0)), &"b");
         assert_eq!(t.label(NodeId(1)), &"d");
         assert_eq!(t.label(NodeId(2)), &"c");
         assert_eq!(t.label(NodeId(3)), &"a");
+        assert_eq!(t.degree(NodeId(3)), 2);
     }
 
     #[test]
@@ -214,26 +145,16 @@ mod tests {
     #[test]
     fn deep_chain_does_not_overflow_stack() {
         // 200k-node chain: must not recurse.
-        let mut node = BuildNode::leaf(0u32);
-        for i in 1..200_000u32 {
-            node = BuildNode::node(i, vec![node]);
+        let mut b = TreeBuilder::new();
+        for i in (1..200_000u32).rev() {
+            b.open(i);
         }
-        let t = node.build();
+        b.leaf(0);
+        for _ in 1..200_000 {
+            b.up();
+        }
+        let t = b.finish().unwrap();
         assert_eq!(t.len(), 200_000);
         assert_eq!(t.max_depth(), 199_999);
-    }
-
-    #[test]
-    fn parent_vec_roundtrip() {
-        // chain a->b->c: postorder c=0,b=1,a=2; parents: c->1, b->2.
-        let t = from_parent_vec(vec!["c", "b", "a"], &[1, 2, 2]);
-        assert_eq!(t.label(t.root()), &"a");
-        assert_eq!(t.depth(NodeId(0)), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn parent_vec_rejects_empty() {
-        from_parent_vec(Vec::<u8>::new(), &[]);
     }
 }

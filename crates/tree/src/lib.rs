@@ -7,8 +7,9 @@
 //!   the left-to-right **postorder rank**, with all derived per-node data the
 //!   edit distance algorithms need (subtree sizes, depths, leftmost and
 //!   rightmost leaf descendants, mirror postorder, preorder, heavy child);
-//! * [`build::TreeBuilder`] and [`parse`] — construction from nested builders
-//!   or the bracket notation `{a{b}{c}}`;
+//! * [`Tree::from_postorder_degrees`] — the one constructor, from postorder
+//!   labels and child counts; [`build::TreeBuilder`] and [`parse`] (the
+//!   bracket notation `{a{b}{c}}`) feed it;
 //! * [`paths`] — root-leaf paths (left, right, heavy) and the relevant
 //!   subtrees `F − γ` of a path (Definition 2 of the paper);
 //! * [`decompose`] — explicit enumeration of the full decomposition `A(F)`

@@ -6,8 +6,7 @@
 //! has a single child `d`. Labels may contain any character except `{` and
 //! `}`, which can be escaped as `\{`, `\}` (and `\\` for a backslash).
 
-use crate::build::BuildNode;
-use crate::Tree;
+use crate::{Tree, TreeBuilder};
 
 /// Error produced when parsing bracket notation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,13 +35,9 @@ fn err<T>(position: usize, message: impl Into<String>) -> Result<T, ParseError> 
 /// Parses a tree in bracket notation, e.g. `{a{b}{c}}`.
 pub fn parse_bracket(input: &str) -> Result<Tree<String>, ParseError> {
     let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    // Skip leading whitespace.
-    while pos < bytes.len() && bytes[pos].is_ascii_whitespace() {
-        pos += 1;
-    }
+    let mut pos = skip_whitespace(bytes, 0);
     // Iterative parse to support very deep trees.
-    let mut stack: Vec<BuildNode<String>> = Vec::new();
+    let mut builder = TreeBuilder::new();
     loop {
         if pos >= bytes.len() {
             return err(pos, "unexpected end of input");
@@ -50,26 +45,12 @@ pub fn parse_bracket(input: &str) -> Result<Tree<String>, ParseError> {
         if bytes[pos] != b'{' {
             return err(
                 pos,
-                format!("expected '{{', found {:?}", bytes[pos] as char),
+                format!("expected '{{', found {:?}", char_at(input, pos)),
             );
         }
-        pos += 1;
-        // Read the label up to the next unescaped '{' or '}'.
-        let mut label = String::new();
-        while pos < bytes.len() {
-            match bytes[pos] {
-                b'{' | b'}' => break,
-                b'\\' if pos + 1 < bytes.len() => {
-                    label.push(bytes[pos + 1] as char);
-                    pos += 2;
-                }
-                c => {
-                    label.push(c as char);
-                    pos += 1;
-                }
-            }
-        }
-        stack.push(BuildNode::leaf(label));
+        let (label, end) = read_label(input, pos + 1);
+        builder.open(label);
+        pos = end;
         // Close any finished nodes.
         loop {
             if pos >= bytes.len() {
@@ -79,27 +60,67 @@ pub fn parse_bracket(input: &str) -> Result<Tree<String>, ParseError> {
                 b'{' => break, // next child of the top node
                 b'}' => {
                     pos += 1;
-                    let node = stack.pop().expect("stack invariant");
-                    match stack.last_mut() {
-                        Some(parent) => parent.children.push(node),
-                        None => {
-                            // Allow trailing whitespace only.
-                            while pos < bytes.len() && bytes[pos].is_ascii_whitespace() {
-                                pos += 1;
-                            }
-                            if pos != bytes.len() {
-                                return err(pos, "trailing input after root");
-                            }
-                            return Ok(node.build());
+                    builder.up();
+                    if builder.open_label().is_none() {
+                        // Allow trailing whitespace only.
+                        pos = skip_whitespace(bytes, pos);
+                        if pos != bytes.len() {
+                            return err(pos, "trailing input after root");
                         }
+                        return Ok(builder.finish().expect("the root has just closed"));
                     }
                 }
-                c => {
-                    return err(pos, format!("expected '{{' or '}}', found {:?}", c as char));
+                _ => {
+                    return err(
+                        pos,
+                        format!("expected '{{' or '}}', found {:?}", char_at(input, pos)),
+                    );
                 }
             }
         }
     }
+}
+
+fn skip_whitespace(bytes: &[u8], mut pos: usize) -> usize {
+    while pos < bytes.len() && bytes[pos].is_ascii_whitespace() {
+        pos += 1;
+    }
+    pos
+}
+
+/// The character starting at byte `pos`, which lies on a char boundary:
+/// the parser only steps over ASCII delimiters and whole labels.
+fn char_at(input: &str, pos: usize) -> char {
+    input[pos..]
+        .chars()
+        .next()
+        .expect("pos lies inside the input")
+}
+
+/// Reads the label starting at byte `pos` up to the next unescaped `{` or
+/// `}` (or the end of input); returns it and the offset just past it.
+///
+/// The delimiters are ASCII, so every slice taken here ends on a char
+/// boundary; an escape copies the whole character that follows it.
+fn read_label(input: &str, mut pos: usize) -> (String, usize) {
+    let bytes = input.as_bytes();
+    let mut label = String::new();
+    let mut run = pos;
+    while pos < bytes.len() {
+        match bytes[pos] {
+            b'{' | b'}' => break,
+            b'\\' if pos + 1 < bytes.len() => {
+                label.push_str(&input[run..pos]);
+                let escaped = char_at(input, pos + 1);
+                label.push(escaped);
+                pos += 1 + escaped.len_utf8();
+                run = pos;
+            }
+            _ => pos += 1,
+        }
+    }
+    label.push_str(&input[run..pos]);
+    (label, pos)
 }
 
 /// Serializes a tree to bracket notation (inverse of [`parse_bracket`]).
@@ -154,6 +175,19 @@ mod tests {
         let s = to_bracket(&t);
         let t2 = parse_bracket(&s).unwrap();
         assert_eq!(t2.label(crate::NodeId(0)), "sub {tree}");
+    }
+
+    #[test]
+    fn utf8_labels_roundtrip() {
+        for s in ["{é{ü}}", "{日本{語}}", "{a\\{é}"] {
+            let t = parse_bracket(s).unwrap();
+            assert_eq!(to_bracket(&t), s);
+        }
+        let t = parse_bracket("{a\\{é}").unwrap();
+        assert_eq!(t.label(t.root()), "a{é");
+        // An escape takes the whole multi-byte character after it.
+        let t = parse_bracket("{\\é{x}}").unwrap();
+        assert_eq!(t.label(t.root()), "é");
     }
 
     #[test]

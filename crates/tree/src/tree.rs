@@ -25,9 +25,8 @@ impl std::fmt::Display for NodeId {
 
 /// Error produced when flat postorder arrays do not describe a tree.
 ///
-/// Unlike [`Tree::from_postorder`], which panics (its inputs are produced
-/// by in-process builders), the flat-array constructors return this error
-/// so corrupt serialized data can be rejected instead of aborting.
+/// [`Tree::from_postorder_degrees`] returns it, so corrupt serialized data
+/// is rejected instead of aborting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatTreeError {
     /// Human-readable description of the structural violation.
@@ -73,87 +72,16 @@ pub struct Tree<L> {
 }
 
 impl<L> Tree<L> {
-    /// Builds a tree from parallel postorder arrays.
+    /// Builds a tree from its postorder encoding: one label and one child
+    /// count (degree) per node, in postorder.
     ///
-    /// `post_labels[i]` is the label of the node with postorder rank `i`, and
-    /// `post_children[i]` lists its children (postorder ids, left-to-right).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arrays do not describe a single well-formed tree in
-    /// postorder (children must precede parents, every non-root node must
-    /// have exactly one parent, the last node must be the root).
-    pub fn from_postorder(post_labels: Vec<L>, post_children: Vec<Vec<u32>>) -> Self {
-        let n = post_labels.len();
-        assert!(n > 0, "tree must have at least one node");
-        assert_eq!(post_children.len(), n);
-
-        let mut parent = vec![NONE; n];
-        let mut children_off = Vec::with_capacity(n + 1);
-        let mut children = Vec::with_capacity(n.saturating_sub(1));
-        for (i, ch) in post_children.iter().enumerate() {
-            children_off.push(children.len() as u32);
-            for &c in ch {
-                assert!(
-                    (c as usize) < i,
-                    "child {c} must precede parent {i} in postorder"
-                );
-                assert_eq!(parent[c as usize], NONE, "node {c} has two parents");
-                parent[c as usize] = i as u32;
-                children.push(c);
-            }
-        }
-        children_off.push(children.len() as u32);
-        assert_eq!(parent[n - 1], NONE, "last postorder node must be the root");
-        let roots = parent.iter().filter(|&&p| p == NONE).count();
-        assert_eq!(roots, 1, "input is a forest, not a tree");
-        // Postorder validity: every subtree must occupy a contiguous id
-        // range, i.e. each node's children tile the range right below it.
-        let mut size = vec![0u32; n];
-        for i in 0..n {
-            let ch = &children[children_off[i] as usize..children_off[i + 1] as usize];
-            let mut sz = 1u32;
-            let mut expect_end = i as u32; // exclusive upper bound of next child
-            for &c in ch.iter().rev() {
-                assert_eq!(
-                    c + 1,
-                    expect_end,
-                    "node {i}: children do not tile a contiguous postorder range"
-                );
-                sz += size[c as usize];
-                expect_end = c + 1 - size[c as usize];
-            }
-            size[i] = sz;
-        }
-
-        let mut t = Tree {
-            labels: post_labels,
-            parent,
-            children_off,
-            children,
-            size: vec![0; n],
-            depth: vec![0; n],
-            lld: vec![0; n],
-            rld: vec![0; n],
-            rpost: vec![0; n],
-            by_rpost: vec![0; n],
-            pre: vec![0; n],
-            heavy: vec![NONE; n],
-        };
-        t.compute_derived();
-        t
-    }
-
-    /// Builds a tree from the flattest possible postorder encoding: one
-    /// label and one child count (degree) per node, in postorder.
-    ///
-    /// This is the inverse of [`postorder_degrees`](Self::postorder_degrees)
-    /// and the canonical wire format for serialized trees: a node's children
-    /// are the `degree` most recent complete subtrees, so the structure is
-    /// recovered with a single stack pass. Unlike
-    /// [`from_postorder`](Self::from_postorder) this rejects malformed input
-    /// with an error instead of panicking, making it safe to feed with
-    /// untrusted bytes.
+    /// This is the only constructor: parsers, builders, generators and the
+    /// corpus decoder all produce these two arrays. It is the inverse of
+    /// [`postorder_degrees`](Self::postorder_degrees) and the canonical wire
+    /// format for serialized trees: a node's children are the `degree` most
+    /// recent complete subtrees, so the structure is recovered with a single
+    /// stack pass. Malformed input is rejected with an error, which makes it
+    /// safe to feed with untrusted bytes.
     pub fn from_postorder_degrees(
         post_labels: Vec<L>,
         degrees: &[u32],
@@ -170,9 +98,13 @@ impl<L> Tree<L> {
             });
         }
         // Stack of completed subtree roots, left-to-right: node `i`'s
-        // children are exactly the top `degrees[i]` entries, in order.
-        let mut stack: Vec<u32> = Vec::new();
-        let mut children: Vec<Vec<u32>> = Vec::with_capacity(n);
+        // children are exactly the top `degrees[i]` entries, in order. The
+        // stack discipline makes children precede parents, gives every
+        // non-root node one parent and every subtree a contiguous id range.
+        let mut stack: Vec<u32> = Vec::with_capacity(n);
+        let mut parent = vec![NONE; n];
+        let mut children_off = Vec::with_capacity(n + 1);
+        let mut children = Vec::with_capacity(n - 1);
         for (i, &d) in degrees.iter().enumerate() {
             let d = d as usize;
             if stack.len() < d {
@@ -183,18 +115,37 @@ impl<L> Tree<L> {
                     ),
                 });
             }
-            children.push(stack.split_off(stack.len() - d));
+            children_off.push(children.len() as u32);
+            let first = stack.len() - d;
+            for &c in &stack[first..] {
+                parent[c as usize] = i as u32;
+            }
+            children.extend_from_slice(&stack[first..]);
+            stack.truncate(first);
             stack.push(i as u32);
         }
+        children_off.push(children.len() as u32);
         if stack.len() != 1 {
             return Err(FlatTreeError {
                 message: format!("input is a forest of {} trees, not one tree", stack.len()),
             });
         }
-        // The stack discipline guarantees every `from_postorder` invariant
-        // (children precede parents, single root, contiguous subtree
-        // ranges), so the panicking constructor cannot fire here.
-        Ok(Tree::from_postorder(post_labels, children))
+        let mut t = Tree {
+            labels: post_labels,
+            parent,
+            children_off,
+            children,
+            size: vec![0; n],
+            depth: vec![0; n],
+            lld: vec![0; n],
+            rld: vec![0; n],
+            rpost: vec![0; n],
+            by_rpost: vec![0; n],
+            pre: vec![0; n],
+            heavy: vec![NONE; n],
+        };
+        t.compute_derived();
+        Ok(t)
     }
 
     /// The degree (child count) of every node, in postorder.
@@ -211,30 +162,37 @@ impl<L> Tree<L> {
         let n = self.len();
         // Sizes, leaf descendants, heavy child: children precede parents in
         // postorder, so a single ascending pass suffices.
+        let Tree {
+            children,
+            children_off,
+            size,
+            lld,
+            rld,
+            heavy,
+            ..
+        } = self;
         for v in 0..n {
-            let ch: &[u32] =
-                &self.children[self.children_off[v] as usize..self.children_off[v + 1] as usize];
-            let ch = ch.to_vec();
-            let ch = &ch[..];
-            if ch.is_empty() {
-                self.size[v] = 1;
-                self.lld[v] = v as u32;
-                self.rld[v] = v as u32;
-            } else {
-                let mut sz = 1u32;
-                let mut heavy = ch[0];
-                let mut heavy_sz = self.size[ch[0] as usize];
-                for &c in ch {
-                    sz += self.size[c as usize];
-                    if self.size[c as usize] > heavy_sz {
-                        heavy_sz = self.size[c as usize];
-                        heavy = c;
+            let ch = &children[children_off[v] as usize..children_off[v + 1] as usize];
+            match (ch.first(), ch.last()) {
+                (Some(&first), Some(&last)) => {
+                    let mut sz = 1u32;
+                    let mut best = first;
+                    for &c in ch {
+                        sz += size[c as usize];
+                        if size[c as usize] > size[best as usize] {
+                            best = c;
+                        }
                     }
+                    size[v] = sz;
+                    lld[v] = lld[first as usize];
+                    rld[v] = rld[last as usize];
+                    heavy[v] = best;
                 }
-                self.size[v] = sz;
-                self.lld[v] = self.lld[ch[0] as usize];
-                self.rld[v] = self.rld[*ch.last().unwrap() as usize];
-                self.heavy[v] = heavy;
+                _ => {
+                    size[v] = 1;
+                    lld[v] = v as u32;
+                    rld[v] = v as u32;
+                }
             }
         }
         // Depth, preorder and mirror postorder via explicit DFS from the root.
@@ -429,17 +387,15 @@ impl<L> Tree<L> {
     where
         L: Clone,
     {
-        let n = self.len();
-        let mut labels = Vec::with_capacity(n);
-        let mut ch = Vec::with_capacity(n);
-        for r in 0..n as u32 {
-            let v = self.by_rpost(r);
-            labels.push(self.label(v).clone());
-            let mut cs: Vec<u32> = self.children(v).map(|c| self.rpost(c)).collect();
-            cs.reverse();
-            ch.push(cs);
-        }
-        Tree::from_postorder(labels, ch)
+        // Mirror postorder with unchanged degrees: decoding takes each
+        // node's children in the order they complete, right to left.
+        let (labels, degrees): (Vec<L>, Vec<u32>) = (0..self.len() as u32)
+            .map(|r| {
+                let v = self.by_rpost(r);
+                (self.label(v).clone(), self.degree(v) as u32)
+            })
+            .unzip();
+        Self::rebuilt(labels, &degrees)
     }
 
     /// Extracts the subtree rooted at `v` as a standalone tree.
@@ -447,23 +403,25 @@ impl<L> Tree<L> {
     where
         L: Clone,
     {
-        let first = self.subtree_first(v).0;
-        let labels: Vec<L> = (first..=v.0)
-            .map(|i| self.labels[i as usize].clone())
-            .collect();
-        let ch: Vec<Vec<u32>> = (first..=v.0)
-            .map(|i| self.children(NodeId(i)).map(|c| c.0 - first).collect())
-            .collect();
-        Tree::from_postorder(labels, ch)
+        let (labels, degrees): (Vec<L>, Vec<u32>) = self
+            .subtree_nodes(v)
+            .map(|u| (self.label(u).clone(), self.degree(u) as u32))
+            .unzip();
+        Self::rebuilt(labels, &degrees)
     }
 
     /// Maps labels through `f`, preserving structure.
-    pub fn map_labels<M>(&self, mut f: impl FnMut(&L) -> M) -> Tree<M> {
-        let labels = self.labels.iter().map(&mut f).collect();
-        let ch = (0..self.len())
-            .map(|i| self.children_range(i).to_vec())
-            .collect();
-        Tree::from_postorder(labels, ch)
+    pub fn map_labels<M>(&self, f: impl FnMut(&L) -> M) -> Tree<M> {
+        Tree::rebuilt(
+            self.labels.iter().map(f).collect(),
+            &self.postorder_degrees(),
+        )
+    }
+
+    /// Decodes arrays taken from a well-formed tree.
+    fn rebuilt(labels: Vec<L>, degrees: &[u32]) -> Self {
+        Self::from_postorder_degrees(labels, degrees)
+            .expect("postorder degrees read from a tree describe a tree")
     }
 }
 
@@ -564,13 +522,6 @@ mod tests {
         assert_eq!(t.preorder(NodeId(0)), 2); // d
         assert_eq!(t.preorder(NodeId(1)), 3); // e
         assert_eq!(t.preorder(NodeId(3)), 4); // c
-    }
-
-    #[test]
-    #[should_panic(expected = "forest")]
-    fn rejects_forest() {
-        // Two roots: node 1 is not connected.
-        Tree::from_postorder(vec!["a", "b", "c"], vec![vec![], vec![], vec![0]]);
     }
 
     #[test]

@@ -16,31 +16,23 @@ fn tree_from_choices(labels: &[u8], choices: &[u32]) -> Tree<u8> {
         let p = choices[i - 1] % i as u32;
         children[p as usize].push(i as u32);
     }
-    let mut post_of = vec![u32::MAX; n];
-    let mut order = Vec::with_capacity(n);
+    // Postorder walk: emit each node's label and child count.
+    let mut post_labels = Vec::with_capacity(n);
+    let mut degrees = Vec::with_capacity(n);
     let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
     while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-        if *i < children[v as usize].len() {
-            let c = children[v as usize][*i];
+        let ch = &children[v as usize];
+        if *i < ch.len() {
+            let c = ch[*i];
             *i += 1;
             stack.push((c, 0));
         } else {
-            post_of[v as usize] = order.len() as u32;
-            order.push(v);
+            post_labels.push(labels[v as usize]);
+            degrees.push(ch.len() as u32);
             stack.pop();
         }
     }
-    let post_labels: Vec<u8> = order.iter().map(|&v| labels[v as usize]).collect();
-    let post_children: Vec<Vec<u32>> = order
-        .iter()
-        .map(|&v| {
-            children[v as usize]
-                .iter()
-                .map(|&c| post_of[c as usize])
-                .collect()
-        })
-        .collect();
-    Tree::from_postorder(post_labels, post_children)
+    Tree::from_postorder_degrees(post_labels, &degrees).unwrap()
 }
 
 fn arb_tree(max: usize) -> impl Strategy<Value = Tree<u8>> {
@@ -174,28 +166,4 @@ proptest! {
             });
         }
     }
-}
-
-#[test]
-fn invalid_postorder_rejected() {
-    // Node 0 attached to node 2 while node 1 is a child of node 2 as well
-    // is fine; but attaching node 0 to node 3 when {1,2} form a closed
-    // subtree below 2 breaks contiguity.
-    let r = std::panic::catch_unwind(|| {
-        Tree::from_postorder(
-            vec!["a", "b", "c", "d"],
-            vec![vec![], vec![], vec![1], vec![0, 2]],
-        )
-    });
-    // children of 3 = {0, 2}, subtree(2) = {1, 2}: valid tiling => ok.
-    assert!(r.is_ok());
-    let r = std::panic::catch_unwind(|| {
-        Tree::from_postorder(
-            vec!["a", "b", "c", "d"],
-            vec![vec![], vec![], vec![0], vec![1, 2]],
-        )
-    });
-    // children of 2 = {0} but subtree(1) not nested => node 3's children
-    // {1, 2} cannot tile: subtree(2) = {0, 2} skips 1.
-    assert!(r.is_err());
 }

@@ -94,7 +94,7 @@ pub use rted_tree::{parse_bracket, to_bracket, NodeId, PathKind, Tree, TreeBuild
 /// assert_eq!(script.renames, 1);
 /// ```
 ///
-/// [`edit_mapping`](rted_core::edit_mapping) is a thin wrapper over
+/// [`edit_mapping`] is a thin wrapper over
 /// [`edit_mapping_in`](rted_core::edit_mapping_in) with a throwaway
 /// workspace; hold a [`rted_core::Workspace`] and call the `_in` variant
 /// to extract many scripts allocation-free.
