@@ -136,10 +136,9 @@ fn usage() -> ExitCode {
          --metric-tree (vantage-point tree instead of the linear size-window\n\
          scan; answers are identical).\n\
          serve/query speak one JSON request per line (see README); ops: range |\n\
-         topk | distance | diff (single or batched pairs) | join | insert |\n\
-         remove | status | compact | metrics | explain | shutdown. serve\n\
-         --index recovers (and repairs) the corpus on startup, a FILE serves\n\
-         from memory only.\n\
+         topk | distance | diff | join | insert | remove | status | compact |\n\
+         metrics | explain | shutdown. serve --index recovers (and repairs)\n\
+         the corpus on startup, a FILE serves from memory only.\n\
          serve --tcp listens on ADDR (may coexist with --socket); --auth-token\n\
          (or RTED_AUTH_TOKEN) gates TCP connections on a shared-secret first\n\
          line; --shards N stripes the corpus over N snapshot-isolated shards\n\
@@ -985,10 +984,10 @@ fn connect(opts: &Opts, cmd: &str) -> Result<front::Connection, String> {
 /// `rted query` — the line-pipe client for a `rted serve` service over
 /// its Unix socket or TCP listener: forwards each stdin line as a
 /// request, prints each response. Requests are one JSON object per line
-/// with an `op` of `range`, `topk`, `distance`, `diff` (single pair or
-/// batched `pairs`), `join`, `insert`, `remove`, `status`, `compact`,
-/// `metrics`, `explain`, or `shutdown` (a `status` response lists the
-/// same set under `ops` for feature detection).
+/// with an `op` of `range`, `topk`, `distance`, `diff`, `join`,
+/// `insert`, `remove`, `status`, `compact`, `metrics`, `explain`, or
+/// `shutdown` (a `status` response lists the same set under `ops` for
+/// feature detection).
 ///
 /// `--explain` skips stdin entirely: it sends one `{"op":"explain"}`
 /// request (with the query budget `--tau T` when given) and prints the

@@ -9,31 +9,15 @@
 use rted_core::reference::reference_ted;
 use rted_core::strategy::PathChoice;
 use rted_core::{Executor, UnitCost};
+use rted_datasets::shapes::tree_from_choices;
 use rted_tree::Tree;
 
-fn tree_from_choices(n: usize, rnd: &mut impl FnMut() -> u32) -> Tree<u8> {
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for i in 1..n {
-        let p = rnd() % i as u32;
-        children[p as usize].push(i as u32);
-    }
-    // Postorder walk: emit each node's label and child count.
-    let mut labels = Vec::with_capacity(n);
-    let mut degrees = Vec::with_capacity(n);
-    let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
-    while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-        let ch = &children[v as usize];
-        if *i < ch.len() {
-            let c = ch[*i];
-            *i += 1;
-            stack.push((c, 0));
-        } else {
-            labels.push((v % 3) as u8);
-            degrees.push(ch.len() as u32);
-            stack.pop();
-        }
-    }
-    Tree::from_postorder_degrees(labels, &degrees).unwrap()
+/// A random `n`-node tree: node `i` attaches under `rnd() % i`, and node
+/// `v` is labelled `v % 3` (insertion order).
+fn random_tree(n: usize, rnd: &mut impl FnMut() -> u32) -> Tree<u8> {
+    let labels: Vec<u8> = (0..n).map(|v| (v % 3) as u8).collect();
+    let choices: Vec<u32> = (1..n).map(|_| rnd()).collect();
+    tree_from_choices(&labels, &choices)
 }
 
 fn main() {
@@ -51,8 +35,8 @@ fn main() {
     for trial in 0..trials {
         let n1 = 1 + (rnd() as usize) % max_n;
         let n2 = 1 + (rnd() as usize) % max_n;
-        let f = tree_from_choices(n1, &mut rnd);
-        let g = tree_from_choices(n2, &mut rnd);
+        let f = random_tree(n1, &mut rnd);
+        let g = random_tree(n2, &mut rnd);
         let want = reference_ted(&f, &g, &UnitCost);
         for choice in PathChoice::ALL {
             let mut exec = Executor::new(&f, &g, &UnitCost);

@@ -6,35 +6,8 @@
 
 use proptest::prelude::*;
 use rted_core::{edit_mapping, edit_mapping_in, Algorithm, PerLabelCost, UnitCost, Workspace};
+use rted_datasets::shapes::tree_from_choices;
 use rted_tree::Tree;
-
-/// Builds a tree from random-attachment choices: node `i` (insertion
-/// order, `i ≥ 1`) becomes the next child of node `choices[i-1] % i`.
-fn tree_from_choices(labels: &[u8], choices: &[u32]) -> Tree<u8> {
-    let n = labels.len();
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for i in 1..n {
-        let p = choices[i - 1] % i as u32;
-        children[p as usize].push(i as u32);
-    }
-    // Postorder walk: emit each node's label and child count.
-    let mut post_labels = Vec::with_capacity(n);
-    let mut degrees = Vec::with_capacity(n);
-    let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
-    while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-        let ch = &children[v as usize];
-        if *i < ch.len() {
-            let c = ch[*i];
-            *i += 1;
-            stack.push((c, 0));
-        } else {
-            post_labels.push(labels[v as usize]);
-            degrees.push(ch.len() as u32);
-            stack.pop();
-        }
-    }
-    Tree::from_postorder_degrees(post_labels, &degrees).unwrap()
-}
 
 fn arb_tree(max: usize) -> impl Strategy<Value = Tree<u8>> {
     (1..=max).prop_flat_map(|n| {

@@ -115,10 +115,17 @@ impl Adj {
         id
     }
 
-    /// Converts to a [`Tree`] with all labels zero: an iterative postorder
-    /// walk that emits each node's child count.
+    /// Converts to a [`Tree`] with all labels zero.
     pub(crate) fn into_tree(self) -> Tree<u32> {
+        self.into_labelled(|_| 0)
+    }
+
+    /// Converts to a [`Tree`] whose node `v` (in insertion order) carries
+    /// `label(v)`: an iterative postorder walk that emits each node's
+    /// label and child count.
+    fn into_labelled<L>(self, label: impl Fn(u32) -> L) -> Tree<L> {
         let n = self.children.len();
+        let mut labels: Vec<L> = Vec::with_capacity(n);
         let mut degrees: Vec<u32> = Vec::with_capacity(n);
         let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
         while let Some(&mut (v, ref mut i)) = stack.last_mut() {
@@ -128,13 +135,32 @@ impl Adj {
                 *i += 1;
                 stack.push((c, 0));
             } else {
+                labels.push(label(v));
                 degrees.push(ch.len() as u32);
                 stack.pop();
             }
         }
-        Tree::from_postorder_degrees(vec![0; n], &degrees)
+        Tree::from_postorder_degrees(labels, &degrees)
             .expect("a postorder walk of an adjacency emits a tree's degrees")
     }
+}
+
+/// Builds a tree from random-attachment choices: node `i` (insertion
+/// order, `i ≥ 1`) becomes the next child of node `choices[i-1] % i`, and
+/// node `i` carries `labels[i]`. Every ordered tree shape with
+/// `labels.len()` nodes is reachable, and every choice vector gives a
+/// valid tree, which makes this the generator for property tests.
+///
+/// # Panics
+///
+/// Panics if `labels` is empty or `choices` holds fewer than
+/// `labels.len() - 1` entries.
+pub fn tree_from_choices<L: Clone>(labels: &[L], choices: &[u32]) -> Tree<L> {
+    let mut adj = Adj::with_root();
+    for i in 1..labels.len() {
+        adj.add_child(choices[i - 1] % i as u32);
+    }
+    adj.into_labelled(|v| labels[v as usize].clone())
 }
 
 /// Caterpillar: spine node has `[spine, leaf]` children (left branch) or
@@ -308,6 +334,18 @@ pub fn profile<L>(tree: &Tree<L>) -> TreeProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn choices_attach_in_insertion_order() {
+        let bracket = |t: Tree<u8>| rted_tree::to_bracket(&t);
+        assert_eq!(bracket(tree_from_choices(&[5], &[9])), "{5}");
+        assert_eq!(bracket(tree_from_choices(&[0, 1, 2], &[0, 0])), "{0{1}{2}}");
+        assert_eq!(bracket(tree_from_choices(&[0, 1, 2], &[4, 7])), "{0{1{2}}}");
+        assert_eq!(
+            bracket(tree_from_choices(&[0, 1, 2, 3], &[0, 2, 0])),
+            "{0{1}{2}{3}}"
+        );
+    }
 
     #[test]
     fn exact_sizes() {

@@ -15,10 +15,10 @@
 //!   source runs.
 //! * [`metric`] — a vantage-point tree over the corpus under the exact
 //!   (unit-cost) tree edit distance, which is a metric. It *replaces* the
-//!   linear scan for `range`/`top_k`/`join` when enabled: triangle-
-//!   inequality pruning discards whole subtrees of the corpus per routing
-//!   distance, so the number of trees even *looked at* falls with the
-//!   query's selectivity.
+//!   linear scan for `range`/`top_k` when enabled (joins always scan
+//!   linearly, see `TreeIndex::join`): triangle-inequality pruning
+//!   discards whole subtrees of the corpus per routing distance, so the
+//!   number of trees even *looked at* falls with the query's selectivity.
 //!
 //! The two layers cooperate: during metric traversal the filter pipeline
 //! (pq-grams included) is consulted before every exact routing distance —
@@ -52,8 +52,8 @@ pub struct MetricStats {
 }
 
 impl MetricStats {
-    /// Accumulates another query's counters (the join path runs one
-    /// metric range query per corpus tree).
+    /// Accumulates another run's counters: a traversal's into its query's
+    /// stats, or one query's into another through `SearchStats::merge`.
     pub fn merge(&mut self, other: &MetricStats) {
         self.nodes_visited += other.nodes_visited;
         self.routing_ted += other.routing_ted;

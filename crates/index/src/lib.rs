@@ -242,7 +242,8 @@ pub struct TreeIndex<L> {
     /// [`Workspace`](rted_core::Workspace) per concurrent worker, warm
     /// after the first query, so verification stops heap-allocating.
     scratch: Arc<WorkspacePool>,
-    /// Whether `range`/`top_k`/`join` route through the metric tree.
+    /// Whether `range`/`top_k` route through the metric tree (joins
+    /// always scan linearly).
     metric_enabled: bool,
     metric_config: MetricConfig,
     /// The lazily built vantage-point tree (`None` = not built yet, or

@@ -11,8 +11,8 @@
 //! end, and `run` returns.
 
 use crate::proto::{parse_request_line, render_response, render_response_with};
-use crate::proto::{Request, RequestId, Response, REQUEST_TYPE_NAMES};
-use crate::server::{op_kind, relock, Server};
+use crate::proto::{Request, RequestId, Response};
+use crate::server::{relock, Server};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -288,22 +288,15 @@ pub fn serve_connection(
             Err(e) => Response::Error(e),
             Ok(Request::Shutdown) => Response::Bye,
             Ok(request) => {
-                let kind = op_kind(&request);
+                let kind = request.kind();
                 let started = Instant::now();
                 let response = client.call(request);
                 if let Some(threshold) = slow {
                     let took = started.elapsed();
                     if took >= threshold {
                         metrics.slow_queries.inc();
-                        let op = kind.map_or("shutdown", |k| REQUEST_TYPE_NAMES[k as usize]);
-                        let id_part = match &id {
-                            None => String::new(),
-                            Some(RequestId::Num(n)) => format!(" id={n}"),
-                            Some(RequestId::Str(s)) => format!(" id=\"{s}\""),
-                        };
-                        eprintln!(
-                            "rted serve: slow {op} request{id_part}: {took:?} (threshold {threshold:?})"
-                        );
+                        let op = kind.map_or("shutdown", |k| k.name());
+                        eprintln!("{}", slow_line(op, id.as_ref(), took, threshold));
                     }
                 }
                 response
@@ -322,6 +315,18 @@ pub fn serve_connection(
     };
     metrics.connections_open.add(-1);
     is_shutdown
+}
+
+/// The slow-query log line (no newline). The id is rendered as in the
+/// response echo, JSON-escaped, so a client's id cannot forge log lines.
+fn slow_line(op: &str, id: Option<&RequestId>, took: Duration, threshold: Duration) -> String {
+    let mut line = format!("rted serve: slow {op} request");
+    if let Some(id) = id {
+        line.push_str(" id=");
+        id.render(&mut line);
+    }
+    line.push_str(&format!(": {took:?} (threshold {threshold:?})"));
+    line
 }
 
 /// Writes the one error line of a refused connection.
@@ -395,5 +400,29 @@ impl Connection {
             }
             Err(e) => Err(format!("connection read: {e}")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slow_line_escapes_the_request_id() {
+        let ms = Duration::from_millis;
+        let forged = RequestId::Str("q\"\nrted serve: slow status request".into());
+        let line = slow_line("range", Some(&forged), ms(12), ms(10));
+        assert_eq!(line.lines().count(), 1, "{line}");
+        assert_eq!(
+            line,
+            r#"rted serve: slow range request id="q\"\nrted serve: slow status request": 12ms (threshold 10ms)"#
+        );
+        let line = slow_line("diff", Some(&RequestId::Num(7.0)), ms(3), ms(1));
+        assert_eq!(
+            line,
+            "rted serve: slow diff request id=7: 3ms (threshold 1ms)"
+        );
+        let line = slow_line("status", None, ms(3), ms(1));
+        assert_eq!(line, "rted serve: slow status request: 3ms (threshold 1ms)");
     }
 }

@@ -5,9 +5,10 @@
 //! arrays / strings / finite numbers / booleans / null. The parser is a
 //! plain recursive-descent over bytes with a depth cap (a service must
 //! not stack-overflow on hostile input) and precise error positions; the
-//! writer escapes strings per RFC 8259 and refuses non-finite numbers
+//! writer escapes strings per RFC 8259, refuses non-finite numbers
 //! (JSON has no `Infinity` — the protocol encodes "no threshold" by
-//! omitting the field instead).
+//! omitting the field instead), and frames objects and arrays through
+//! [`write_object`] / [`write_array`], which place every comma.
 
 use std::fmt;
 
@@ -361,6 +362,65 @@ pub fn write_number(n: f64, out: &mut String) {
     write!(out, "{n}").expect("writing to String cannot fail");
 }
 
+/// The members of one JSON object or array being written: places the
+/// comma before every member after the first.
+pub struct Members<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+/// Appends a JSON object whose members `body` writes.
+pub fn write_object(out: &mut String, body: impl FnOnce(&mut Members)) {
+    write_members(out, '{', '}', body);
+}
+
+/// Appends a JSON array whose elements `body` writes.
+pub fn write_array(out: &mut String, body: impl FnOnce(&mut Members)) {
+    write_members(out, '[', ']', body);
+}
+
+fn write_members(out: &mut String, open: char, close: char, body: impl FnOnce(&mut Members)) {
+    out.push(open);
+    let mut members = Members { out, empty: true };
+    body(&mut members);
+    members.out.push(close);
+}
+
+impl Members<'_> {
+    /// Starts the next array element; its value goes into the returned
+    /// buffer.
+    pub fn item(&mut self) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        self.out
+    }
+
+    /// Starts the next object member, `"key":`; its value goes into the
+    /// returned buffer.
+    pub fn key(&mut self, key: &str) -> &mut String {
+        let out = self.item();
+        write_escaped(key, out);
+        out.push(':');
+        out
+    }
+
+    /// Writes the member `"key":n`.
+    pub fn num(&mut self, key: &str, n: f64) {
+        write_number(n, self.key(key));
+    }
+
+    /// Writes the member `"key":"s"`.
+    pub fn str(&mut self, key: &str, s: &str) {
+        write_escaped(s, self.key(key));
+    }
+
+    /// Writes the member `"key":true` or `"key":false`.
+    pub fn bool(&mut self, key: &str, b: bool) {
+        self.key(key).push_str(if b { "true" } else { "false" });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,5 +493,27 @@ mod tests {
         out.push(' ');
         write_number(2.25, &mut out);
         assert_eq!(out, "3 2.25");
+    }
+
+    #[test]
+    fn members_place_commas_and_close() {
+        let mut out = String::new();
+        write_object(&mut out, |o| {
+            o.num("n", 1.0);
+            o.str("s", "a\"b");
+            o.bool("b", false);
+            write_array(o.key("xs"), |a| {
+                for x in [1.0, 2.5] {
+                    write_number(x, a.item());
+                }
+                write_object(a.item(), |_| {});
+            });
+            write_array(o.key("none"), |_| {});
+        });
+        assert_eq!(
+            out,
+            r#"{"n":1,"s":"a\"b","b":false,"xs":[1,2.5,{}],"none":[]}"#
+        );
+        parse(&out).unwrap();
     }
 }

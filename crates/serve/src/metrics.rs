@@ -19,34 +19,10 @@
 //! minted once at startup (the registry wants `&'static str`, so they
 //! are leaked — a few dozen bytes per shard for the process lifetime).
 
+use crate::proto::{OpKind, REQUEST_TYPE_NAMES};
 use rted_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The request kinds the server tracks individually. `shutdown` is
-/// transport-level and never reaches a worker successfully, so it has
-/// no slot. Batched diff shares the `Diff` slot: it is the same
-/// operation amortized, and capability probing goes through `ops`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OpKind {
-    Range,
-    TopK,
-    Distance,
-    Insert,
-    Remove,
-    Status,
-    Compact,
-    Metrics,
-    Diff,
-    Join,
-    Explain,
-}
-
-impl OpKind {
-    fn index(self) -> usize {
-        self as usize
-    }
-}
 
 /// Nanoseconds since `started`, saturating into a `u64`.
 pub(crate) fn ns_since(started: Instant) -> u64 {
@@ -120,19 +96,8 @@ pub(crate) struct ServeMetrics {
 impl ServeMetrics {
     pub(crate) fn new(shards: usize) -> Self {
         let mut r = Registry::new();
-        let latency = [
-            r.histogram("serve_latency_range_ns"),
-            r.histogram("serve_latency_topk_ns"),
-            r.histogram("serve_latency_distance_ns"),
-            r.histogram("serve_latency_insert_ns"),
-            r.histogram("serve_latency_remove_ns"),
-            r.histogram("serve_latency_status_ns"),
-            r.histogram("serve_latency_compact_ns"),
-            r.histogram("serve_latency_metrics_ns"),
-            r.histogram("serve_latency_diff_ns"),
-            r.histogram("serve_latency_join_ns"),
-            r.histogram("serve_latency_explain_ns"),
-        ];
+        let latency =
+            REQUEST_TYPE_NAMES.map(|name| r.histogram(leak(format!("serve_latency_{name}_ns"))));
         let shard_blocks = (0..shards.max(1))
             .map(|k| ShardMetrics {
                 queries: r.counter(leak(format!("serve_shard{k}_queries_total"))),
@@ -168,7 +133,7 @@ impl ServeMetrics {
 
     /// The latency histogram for one request kind.
     pub(crate) fn latency_of(&self, kind: OpKind) -> &Histogram {
-        &self.latency[kind.index()]
+        &self.latency[kind as usize]
     }
 
     /// The per-shard block for shard `k`.
@@ -181,8 +146,8 @@ impl ServeMetrics {
         self.started.elapsed().as_secs()
     }
 
-    /// Per-type request counts, in [`crate::proto::REQUEST_TYPE_NAMES`]
-    /// order (which is [`OpKind`] discriminant order).
+    /// Per-type request counts, in [`REQUEST_TYPE_NAMES`] order (which is
+    /// [`OpKind`] discriminant order).
     pub(crate) fn per_type_counts(&self) -> [u64; 11] {
         let mut out = [0u64; 11];
         for (slot, h) in out.iter_mut().zip(self.latency.iter()) {
@@ -209,7 +174,8 @@ impl ServeMetrics {
 }
 
 /// Mints a `&'static str` metric name at startup (the registry holds
-/// names for the process lifetime anyway; shard counts are small).
+/// names for the process lifetime anyway; op and shard counts are
+/// small).
 fn leak(name: String) -> &'static str {
     Box::leak(name.into_boxed_str())
 }
@@ -232,19 +198,35 @@ mod tests {
         assert_eq!(counts[OpKind::Join as usize], 1);
         assert_eq!(counts[OpKind::Range as usize], 0);
         // The wire names and the histogram slots stay aligned.
+        assert_eq!(OpKind::Distance.name(), "distance");
+        assert_eq!(OpKind::Join.name(), "join");
+        assert_eq!(OpKind::Explain.name(), "explain");
+        assert_eq!(REQUEST_TYPE_NAMES.len(), m.latency.len());
+    }
+
+    #[test]
+    fn latency_histograms_register_in_name_order() {
+        let snap = ServeMetrics::new(1).snapshot();
+        let names: Vec<&str> = (snap.metrics.iter())
+            .map(|(name, _)| name.as_ref())
+            .filter(|name: &&str| name.starts_with("serve_latency_"))
+            .collect();
         assert_eq!(
-            crate::proto::REQUEST_TYPE_NAMES[OpKind::Distance as usize],
-            "distance"
+            names,
+            [
+                "serve_latency_range_ns",
+                "serve_latency_topk_ns",
+                "serve_latency_distance_ns",
+                "serve_latency_insert_ns",
+                "serve_latency_remove_ns",
+                "serve_latency_status_ns",
+                "serve_latency_compact_ns",
+                "serve_latency_metrics_ns",
+                "serve_latency_diff_ns",
+                "serve_latency_join_ns",
+                "serve_latency_explain_ns",
+            ]
         );
-        assert_eq!(
-            crate::proto::REQUEST_TYPE_NAMES[OpKind::Join as usize],
-            "join"
-        );
-        assert_eq!(
-            crate::proto::REQUEST_TYPE_NAMES[OpKind::Explain as usize],
-            "explain"
-        );
-        assert_eq!(crate::proto::REQUEST_TYPE_NAMES.len(), m.latency.len());
     }
 
     #[test]

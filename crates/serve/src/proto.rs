@@ -18,7 +18,6 @@
 //! | `topk`     | `tree` (string), `k` (number, default 5) | `neighbors` (array of `{id, distance}`), `candidates`, `verified`            |
 //! | `distance` | `left`, `right` (each: id number or tree string), `at_most` (number, omit = exact) | `distance` (number); with a finite `at_most` budget the answer may instead be `exceeds` (`true`) + `lower_bound` (number) when the distance provably exceeds the budget — above 256 cells the bounded kernel stops early instead of finishing the computation |
 //! | `diff`     | `left`, `right` (each: id number or tree string) | `distance`, `ops` (array of script steps: `{"op":"delete","node",` `"label"}`, `{"op":"insert","node","label"}`, `{"op":"rename","from","to","old","new"}`, `{"op":"keep","from","to","label"}`), `summary` (`{deletes, inserts, renames, keeps}`) |
-//! | `diff` (batched) | `pairs` (array of `[left_id, right_id]` pairs; excludes `left`/`right`) | `results` (array of `{distance, ops, summary}` objects, one per pair, in order) |
 //! | `join`     | `tau` (number, omit = unbounded)         | `matches` (array of `{left, right, distance}`, `left < right`), `candidates` (unordered pairs), `verified` |
 //! | `insert`   | `trees` (array of tree strings)          | `ids` (assigned ids, ascending)                                              |
 //! | `remove`   | `ids` (array of id numbers)              | `removed` (count actually live)                                              |
@@ -45,7 +44,7 @@
 //! {"op":"status","id":"s1"}                    → {"id":"s1","ok":true,"status":{...}}
 //! ```
 
-use crate::json::{self, write_escaped, write_number, Value};
+use crate::json::{self, write_array, write_escaped, write_number, write_object, Members, Value};
 use rted_index::Neighbor;
 use rted_tree::{parse_bracket, Tree};
 
@@ -111,14 +110,6 @@ pub enum Request {
         /// Right operand (the "after" tree).
         right: TreeRef,
     },
-    /// Batched edit scripts over corpus id pairs
-    /// (`{"op":"diff","pairs":[[a,b],...]}`): one workspace is amortized
-    /// across the whole batch, and ids are validated up front — any dead
-    /// id fails the entire request before any script is extracted.
-    DiffBatch {
-        /// `(left, right)` corpus id pairs, in response order.
-        pairs: Vec<(usize, usize)>,
-    },
     /// All corpus pairs with `TED < tau` (the similarity self-join over
     /// the whole corpus; one striped pass over all shards).
     Join {
@@ -182,7 +173,8 @@ pub enum RequestId {
 }
 
 impl RequestId {
-    fn render(&self, out: &mut String) {
+    /// Appends the id as JSON: a number, or an escaped string.
+    pub(crate) fn render(&self, out: &mut String) {
         match self {
             RequestId::Num(n) => write_number(*n, out),
             RequestId::Str(s) => write_escaped(s, out),
@@ -249,6 +241,71 @@ pub const REQUEST_TYPE_NAMES: [&str; 11] = [
     "join", "explain",
 ];
 
+/// A worker-served op, in [`REQUEST_TYPE_NAMES`] order: its discriminant
+/// is the slot of its name, its `requests_by_type` count and its latency
+/// histogram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpKind {
+    Range,
+    TopK,
+    Distance,
+    Insert,
+    Remove,
+    Status,
+    Compact,
+    Metrics,
+    Diff,
+    Join,
+    Explain,
+}
+
+impl OpKind {
+    const ALL: [OpKind; 11] = [
+        OpKind::Range,
+        OpKind::TopK,
+        OpKind::Distance,
+        OpKind::Insert,
+        OpKind::Remove,
+        OpKind::Status,
+        OpKind::Compact,
+        OpKind::Metrics,
+        OpKind::Diff,
+        OpKind::Join,
+        OpKind::Explain,
+    ];
+
+    /// The op's wire name.
+    pub(crate) fn name(self) -> &'static str {
+        REQUEST_TYPE_NAMES[self as usize]
+    }
+
+    fn from_name(name: &str) -> Option<OpKind> {
+        let slot = REQUEST_TYPE_NAMES.iter().position(|n| *n == name)?;
+        Some(OpKind::ALL[slot])
+    }
+}
+
+impl Request {
+    /// The op this request is, or `None` for the transport-level
+    /// `shutdown`.
+    pub(crate) fn kind(&self) -> Option<OpKind> {
+        Some(match self {
+            Request::Range { .. } => OpKind::Range,
+            Request::TopK { .. } => OpKind::TopK,
+            Request::Distance { .. } => OpKind::Distance,
+            Request::Diff { .. } => OpKind::Diff,
+            Request::Join { .. } => OpKind::Join,
+            Request::Insert { .. } => OpKind::Insert,
+            Request::Remove { .. } => OpKind::Remove,
+            Request::Status => OpKind::Status,
+            Request::Compact => OpKind::Compact,
+            Request::Explain { .. } => OpKind::Explain,
+            Request::Metrics { .. } => OpKind::Metrics,
+            Request::Shutdown => return None,
+        })
+    }
+}
+
 /// The service's answer to one [`Request`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -269,8 +326,6 @@ pub enum Response {
     DistanceExceeds(f64),
     /// Edit script for `diff` (its `cost` is rendered as `distance`).
     Diff(rted_core::EditScript),
-    /// Edit scripts for a batched `diff`, in request-pair order.
-    DiffBatch(Vec<rted_core::EditScript>),
     /// Matched pairs for `join`, plus that join's filter counters.
     Matches {
         /// Matched pairs, sorted by `(left, right)` with `left < right`.
@@ -334,6 +389,37 @@ fn tree_ref_field(v: &Value, op: &str, key: &str) -> Result<TreeRef, String> {
     }
 }
 
+/// An optional threshold (`tau`, `at_most`): absent means unbounded
+/// (`f64::INFINITY`); anything but a number is refused.
+fn threshold_field(v: &Value, op: &str, key: &str) -> Result<f64, String> {
+    match v.get(key) {
+        None => Ok(f64::INFINITY),
+        Some(t) => t
+            .as_f64()
+            .filter(|t| !t.is_nan())
+            .ok_or_else(|| field_err(op, format_args!("\"{key}\" must be a number"))),
+    }
+}
+
+/// The array field `key`, each element read by `item` (`needs` is the
+/// error when the field is missing or not an array). An element's error
+/// is reported after its position, as `"key"[i]<error>`.
+fn array_field<T>(
+    v: &Value,
+    op: &str,
+    key: &str,
+    needs: &str,
+    item: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let items = v
+        .get(key)
+        .and_then(Value::as_arr)
+        .ok_or_else(|| field_err(op, needs))?;
+    (items.iter().enumerate())
+        .map(|(i, x)| item(x).map_err(|e| field_err(op, format_args!("\"{key}\"[{i}]{e}"))))
+        .collect()
+}
+
 /// Rejects keys the operation does not understand — a typoed `"taau"`
 /// must not silently run an unbounded query. `op` and the transport-level
 /// `id` are accepted everywhere.
@@ -375,22 +461,26 @@ fn parse_request_value(v: &Value) -> Result<Request, String> {
         .get("op")
         .and_then(Value::as_str)
         .ok_or("request needs an \"op\" field")?;
-    match op {
-        "range" => {
+    let Some(kind) = OpKind::from_name(op) else {
+        if op == "shutdown" {
+            expect_keys(v, op, &[])?;
+            return Ok(Request::Shutdown);
+        }
+        return Err(format!(
+            "unknown op \"{op}\" ({} | shutdown)",
+            REQUEST_TYPE_NAMES.join(" | ")
+        ));
+    };
+    match kind {
+        OpKind::Range => {
             expect_keys(v, op, &["tree", "tau"])?;
-            let tau = match v.get("tau") {
-                None => f64::INFINITY,
-                Some(t) => t
-                    .as_f64()
-                    .filter(|t| !t.is_nan())
-                    .ok_or_else(|| field_err(op, "\"tau\" must be a number"))?,
-            };
+            let tau = threshold_field(v, op, "tau")?;
             Ok(Request::Range {
                 tree: tree_field(v, op, "tree")?,
                 tau,
             })
         }
-        "topk" => {
+        OpKind::TopK => {
             expect_keys(v, op, &["tree", "k"])?;
             let k = match v.get("k") {
                 None => 5,
@@ -403,143 +493,72 @@ fn parse_request_value(v: &Value) -> Result<Request, String> {
                 k,
             })
         }
-        "distance" => {
+        OpKind::Distance => {
             expect_keys(v, op, &["left", "right", "at_most"])?;
-            let at_most = match v.get("at_most") {
-                None => f64::INFINITY,
-                Some(t) => t
-                    .as_f64()
-                    .filter(|t| !t.is_nan())
-                    .ok_or_else(|| field_err(op, "\"at_most\" must be a number"))?,
-            };
+            let at_most = threshold_field(v, op, "at_most")?;
             Ok(Request::Distance {
                 left: tree_ref_field(v, op, "left")?,
                 right: tree_ref_field(v, op, "right")?,
                 at_most,
             })
         }
-        "diff" => {
-            expect_keys(v, op, &["left", "right", "pairs"])?;
-            if let Some(pairs_val) = v.get("pairs") {
-                if v.get("left").is_some() || v.get("right").is_some() {
-                    return Err(field_err(op, "\"pairs\" excludes \"left\"/\"right\""));
-                }
-                let items = pairs_val
-                    .as_arr()
-                    .ok_or_else(|| field_err(op, "\"pairs\" must be an array of [left,right]"))?;
-                let pairs = items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, item)| {
-                        let pair = item.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                            field_err(op, format_args!("\"pairs\"[{i}] is not an id pair"))
-                        })?;
-                        let left = pair[0].as_usize().ok_or_else(|| {
-                            field_err(op, format_args!("\"pairs\"[{i}][0] is not an id"))
-                        })?;
-                        let right = pair[1].as_usize().ok_or_else(|| {
-                            field_err(op, format_args!("\"pairs\"[{i}][1] is not an id"))
-                        })?;
-                        Ok((left, right))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                return Ok(Request::DiffBatch { pairs });
-            }
+        OpKind::Diff => {
+            expect_keys(v, op, &["left", "right"])?;
             Ok(Request::Diff {
                 left: tree_ref_field(v, op, "left")?,
                 right: tree_ref_field(v, op, "right")?,
             })
         }
-        "join" => {
+        OpKind::Join => {
             expect_keys(v, op, &["tau"])?;
-            let tau = match v.get("tau") {
-                None => f64::INFINITY,
-                Some(t) => t
-                    .as_f64()
-                    .filter(|t| !t.is_nan())
-                    .ok_or_else(|| field_err(op, "\"tau\" must be a number"))?,
-            };
-            Ok(Request::Join { tau })
+            Ok(Request::Join {
+                tau: threshold_field(v, op, "tau")?,
+            })
         }
-        "insert" => {
+        OpKind::Insert => {
             expect_keys(v, op, &["trees"])?;
-            let items = v
-                .get("trees")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| field_err(op, "needs a \"trees\" array of tree strings"))?;
-            let trees = items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    let text = item.as_str().ok_or_else(|| {
-                        field_err(op, format_args!("\"trees\"[{i}] is not a string"))
-                    })?;
-                    parse_bracket(text)
-                        .map_err(|e| field_err(op, format_args!("\"trees\"[{i}]: {e}")))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
+            let needs = "needs a \"trees\" array of tree strings";
+            let trees = array_field(v, op, "trees", needs, |item| {
+                let text = item.as_str().ok_or(" is not a string")?;
+                parse_bracket(text).map_err(|e| format!(": {e}"))
+            })?;
             Ok(Request::Insert { trees })
         }
-        "remove" => {
+        OpKind::Remove => {
             expect_keys(v, op, &["ids"])?;
-            let items = v
-                .get("ids")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| field_err(op, "needs an \"ids\" array"))?;
-            let ids = items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    item.as_usize()
-                        .ok_or_else(|| field_err(op, format_args!("\"ids\"[{i}] is not an id")))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
+            let ids = array_field(v, op, "ids", "needs an \"ids\" array", |item| {
+                item.as_usize().ok_or_else(|| " is not an id".into())
+            })?;
             Ok(Request::Remove { ids })
         }
-        "status" => {
+        OpKind::Status => {
             expect_keys(v, op, &[])?;
             Ok(Request::Status)
         }
-        "compact" => {
+        OpKind::Compact => {
             expect_keys(v, op, &[])?;
             Ok(Request::Compact)
         }
-        "metrics" => {
+        OpKind::Metrics => {
             expect_keys(v, op, &["format"])?;
-            let format = match v.get("format") {
-                None => MetricsFormat::Json,
-                Some(f) => match f.as_str() {
-                    Some("json") => MetricsFormat::Json,
-                    Some("prometheus") => MetricsFormat::Prometheus,
-                    _ => {
-                        return Err(field_err(
-                            op,
-                            "\"format\" must be \"json\" or \"prometheus\"",
-                        ))
-                    }
-                },
+            let format = match v.get("format").map(Value::as_str) {
+                None | Some(Some("json")) => MetricsFormat::Json,
+                Some(Some("prometheus")) => MetricsFormat::Prometheus,
+                Some(_) => {
+                    return Err(field_err(
+                        op,
+                        "\"format\" must be \"json\" or \"prometheus\"",
+                    ))
+                }
             };
             Ok(Request::Metrics { format })
         }
-        "explain" => {
+        OpKind::Explain => {
             expect_keys(v, op, &["tau"])?;
-            let tau = match v.get("tau") {
-                None => f64::INFINITY,
-                Some(t) => t
-                    .as_f64()
-                    .filter(|t| !t.is_nan())
-                    .ok_or_else(|| field_err(op, "\"tau\" must be a number"))?,
-            };
-            Ok(Request::Explain { tau })
+            Ok(Request::Explain {
+                tau: threshold_field(v, op, "tau")?,
+            })
         }
-        "shutdown" => {
-            expect_keys(v, op, &[])?;
-            Ok(Request::Shutdown)
-        }
-        other => Err(format!(
-            "unknown op \"{other}\" ({} | shutdown)",
-            REQUEST_TYPE_NAMES.join(" | ")
-        )),
     }
 }
 
@@ -553,326 +572,196 @@ pub fn render_response(response: &Response) -> String {
 /// as the first member so pipelined clients can correlate answers.
 pub fn render_response_with(response: &Response, id: Option<&RequestId>) -> String {
     let mut out = String::new();
-    out.push('{');
-    if let Some(id) = id {
-        out.push_str("\"id\":");
-        id.render(&mut out);
-        out.push(',');
-    }
+    write_object(&mut out, |o| {
+        if let Some(id) = id {
+            id.render(o.key("id"));
+        }
+        o.bool("ok", !matches!(response, Response::Error(_)));
+        render_members(response, o);
+    });
+    out
+}
+
+/// The members of one response after `"ok"`.
+fn render_members(response: &Response, o: &mut Members) {
     match response {
         Response::Neighbors {
             neighbors,
             candidates,
             verified,
         } => {
-            out.push_str("\"ok\":true,\"neighbors\":[");
-            for (i, n) in neighbors.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+            write_array(o.key("neighbors"), |a| {
+                for n in neighbors {
+                    write_object(a.item(), |e| {
+                        e.num("id", n.id as f64);
+                        e.num("distance", n.distance);
+                    });
                 }
-                out.push_str("{\"id\":");
-                write_number(n.id as f64, &mut out);
-                out.push_str(",\"distance\":");
-                write_number(n.distance, &mut out);
-                out.push('}');
-            }
-            out.push_str("],\"candidates\":");
-            write_number(*candidates as f64, &mut out);
-            out.push_str(",\"verified\":");
-            write_number(*verified as f64, &mut out);
-            out.push('}');
+            });
+            o.num("candidates", *candidates as f64);
+            o.num("verified", *verified as f64);
         }
-        Response::Distance(d) => {
-            out.push_str("\"ok\":true,\"distance\":");
-            write_number(*d, &mut out);
-            out.push('}');
-        }
+        Response::Distance(d) => o.num("distance", *d),
         Response::DistanceExceeds(lb) => {
-            out.push_str("\"ok\":true,\"exceeds\":true,\"lower_bound\":");
-            write_number(*lb, &mut out);
-            out.push('}');
+            o.bool("exceeds", true);
+            o.num("lower_bound", *lb);
         }
-        Response::Diff(script) => {
-            out.push_str("\"ok\":true,");
-            render_script_body(script, &mut out);
-            out.push('}');
-        }
-        Response::DiffBatch(scripts) => {
-            out.push_str("\"ok\":true,\"results\":[");
-            for (i, script) in scripts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('{');
-                render_script_body(script, &mut out);
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
+        Response::Diff(script) => render_script(script, o),
         Response::Matches {
             matches,
             candidates,
             verified,
         } => {
-            out.push_str("\"ok\":true,\"matches\":[");
-            for (i, m) in matches.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+            write_array(o.key("matches"), |a| {
+                for m in matches {
+                    write_object(a.item(), |e| {
+                        e.num("left", m.left as f64);
+                        e.num("right", m.right as f64);
+                        e.num("distance", m.distance);
+                    });
                 }
-                out.push_str("{\"left\":");
-                write_number(m.left as f64, &mut out);
-                out.push_str(",\"right\":");
-                write_number(m.right as f64, &mut out);
-                out.push_str(",\"distance\":");
-                write_number(m.distance, &mut out);
-                out.push('}');
-            }
-            out.push_str("],\"candidates\":");
-            write_number(*candidates as f64, &mut out);
-            out.push_str(",\"verified\":");
-            write_number(*verified as f64, &mut out);
-            out.push('}');
+            });
+            o.num("candidates", *candidates as f64);
+            o.num("verified", *verified as f64);
         }
-        Response::Inserted(ids) => {
-            out.push_str("\"ok\":true,\"ids\":[");
-            for (i, id) in ids.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        Response::Inserted(ids) => write_counts(o.key("ids"), ids),
+        Response::Removed(n) => o.num("removed", *n as f64),
+        Response::Status(s) => write_object(o.key("status"), |st| render_status(s, st)),
+        Response::Compacted(reclaimed) => o.bool("compacted", *reclaimed),
+        Response::Plan(report) => write_object(o.key("plan"), |p| {
+            p.str("candidate_gen", report.candidate_gen.name());
+            write_array(p.key("stage_order"), |a| {
+                for name in &report.stage_order {
+                    write_escaped(name, a.item());
                 }
-                write_number(*id as f64, &mut out);
-            }
-            out.push_str("]}");
-        }
-        Response::Removed(n) => {
-            out.push_str("\"ok\":true,\"removed\":");
-            write_number(*n as f64, &mut out);
-            out.push('}');
-        }
-        Response::Status(s) => {
-            out.push_str("\"ok\":true,\"status\":{");
-            let fields: [(&str, f64); 13] = [
-                ("uptime_secs", s.uptime_secs as f64),
-                ("live", s.live as f64),
-                ("id_bound", s.id_bound as f64),
-                ("holes", s.holes as f64),
-                ("segments", s.segments as f64),
-                ("file_tombstones", s.file_tombstones as f64),
-                ("workers", s.workers as f64),
-                ("shards", s.shards as f64),
-                ("requests", s.requests as f64),
-                ("compactions", s.compactions as f64),
-                ("metric_built", s.metric_built as f64),
-                ("metric_pending", s.metric_pending as f64),
-                ("metric_tombstones", s.metric_tombstones as f64),
-            ];
-            for (key, value) in fields {
-                out.push('"');
-                out.push_str(key);
-                out.push_str("\":");
-                write_number(value, &mut out);
-                out.push(',');
-            }
-            out.push_str("\"requests_by_type\":{");
-            for (i, (name, count)) in REQUEST_TYPE_NAMES
-                .iter()
-                .zip(s.requests_by_type.iter())
-                .enumerate()
-            {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(name);
-                out.push_str("\":");
-                write_number(*count as f64, &mut out);
-            }
-            // The supported-op list, so clients can feature-detect new
-            // ops (`shutdown` included: it is accepted on the wire even
-            // though the transport answers it itself).
-            out.push_str("},\"ops\":[");
-            for (i, name) in REQUEST_TYPE_NAMES
-                .iter()
-                .chain(["shutdown"].iter())
-                .enumerate()
-            {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(name);
-                out.push('"');
-            }
-            // Per-shard breakdowns (aligned by shard number), then the
-            // TCP bind address when a TCP front-end is up — clients
-            // probe it the same way they probe `ops`.
-            out.push_str("],\"shard_live\":[");
-            for (i, n) in s.shard_live.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_number(*n as f64, &mut out);
-            }
-            out.push_str("],\"shard_tombstones\":[");
-            for (i, n) in s.shard_tombstones.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_number(*n as f64, &mut out);
-            }
-            out.push(']');
-            if let Some(addr) = &s.tcp {
-                out.push_str(",\"tcp\":");
-                write_escaped(addr, &mut out);
-            }
-            out.push_str(",\"metric_tree\":");
-            out.push_str(if s.metric_tree { "true" } else { "false" });
-            out.push_str(",\"persistent\":");
-            out.push_str(if s.persistent { "true" } else { "false" });
-            out.push_str("}}");
-        }
-        Response::Compacted(reclaimed) => {
-            out.push_str("\"ok\":true,\"compacted\":");
-            out.push_str(if *reclaimed { "true" } else { "false" });
-            out.push('}');
-        }
-        Response::Plan(report) => {
-            out.push_str("\"ok\":true,\"plan\":{\"candidate_gen\":");
-            write_escaped(report.candidate_gen.name(), &mut out);
-            out.push_str(",\"stage_order\":[");
-            for (i, name) in report.stage_order.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(name, &mut out);
-            }
-            out.push_str("],\"budgeted\":");
-            out.push_str(if report.budgeted { "true" } else { "false" });
+            });
+            p.bool("budgeted", report.budgeted);
             for (key, rate) in [
                 ("linear_rate", report.linear_rate),
                 ("metric_rate", report.metric_rate),
             ] {
-                out.push_str(",\"");
-                out.push_str(key);
-                out.push_str("\":");
                 match rate {
-                    Some(r) => write_number(r, &mut out),
-                    None => out.push_str("null"),
+                    Some(r) => p.num(key, r),
+                    None => p.key(key).push_str("null"),
                 }
             }
-            out.push_str(",\"observed_queries\":");
-            write_number(report.observed_queries as f64, &mut out);
-            out.push_str("}}");
-        }
-        Response::Metrics(snap) => {
-            out.push_str("\"ok\":true,\"metrics\":{");
-            for (i, (name, value)) in snap.metrics.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(name, &mut out);
-                out.push(':');
+            p.num("observed_queries", report.observed_queries as f64);
+        }),
+        Response::Metrics(snap) => write_object(o.key("metrics"), |m| {
+            for (name, value) in &snap.metrics {
+                let out = m.key(name);
                 match value {
-                    rted_obs::MetricValue::Counter(v) => write_number(*v as f64, &mut out),
-                    rted_obs::MetricValue::Gauge(v) => write_number(*v as f64, &mut out),
-                    rted_obs::MetricValue::Histogram(h) => {
-                        let fields: [(&str, u64); 6] = [
-                            ("count", h.count),
-                            ("sum", h.sum),
-                            ("p50", h.p50),
-                            ("p95", h.p95),
-                            ("p99", h.p99),
-                            ("max", h.max),
-                        ];
-                        out.push('{');
-                        for (j, (key, v)) in fields.iter().enumerate() {
-                            if j > 0 {
-                                out.push(',');
-                            }
-                            out.push('"');
-                            out.push_str(key);
-                            out.push_str("\":");
-                            write_number(*v as f64, &mut out);
-                        }
-                        out.push('}');
-                    }
+                    rted_obs::MetricValue::Counter(v) => write_number(*v as f64, out),
+                    rted_obs::MetricValue::Gauge(v) => write_number(*v as f64, out),
+                    rted_obs::MetricValue::Histogram(h) => write_object(out, |f| {
+                        f.num("count", h.count as f64);
+                        f.num("sum", h.sum as f64);
+                        f.num("p50", h.p50 as f64);
+                        f.num("p95", h.p95 as f64);
+                        f.num("p99", h.p99 as f64);
+                        f.num("max", h.max as f64);
+                    }),
                 }
             }
-            out.push_str("}}");
-        }
-        Response::MetricsText(text) => {
-            out.push_str("\"ok\":true,\"exposition\":");
-            write_escaped(text, &mut out);
-            out.push('}');
-        }
-        Response::Bye => out.push_str("\"ok\":true,\"bye\":true}"),
-        Response::Error(msg) => {
-            out.push_str("\"ok\":false,\"error\":");
-            write_escaped(msg, &mut out);
-            out.push('}');
-        }
+        }),
+        Response::MetricsText(text) => o.str("exposition", text),
+        Response::Bye => o.bool("bye", true),
+        Response::Error(msg) => o.str("error", msg),
     }
-    out
 }
 
-/// Renders one edit script's members (`distance`, `ops`, `summary`,
-/// without surrounding braces) — shared between the single `diff`
-/// response and each element of a batched one, so the two shapes can
-/// never drift apart.
-fn render_script_body(script: &rted_core::EditScript, out: &mut String) {
-    use rted_core::ScriptOp;
-    out.push_str("\"distance\":");
-    write_number(script.cost, out);
-    out.push_str(",\"ops\":[");
-    for (i, op) in script.ops.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// An array of counts or ids.
+fn write_counts(out: &mut String, values: &[usize]) {
+    write_array(out, |a| {
+        for &n in values {
+            write_number(n as f64, a.item());
         }
-        match op {
-            ScriptOp::Delete { node, label } => {
-                out.push_str("{\"op\":\"delete\",\"node\":");
-                write_number(*node as f64, out);
-                out.push_str(",\"label\":");
-                write_escaped(label, out);
-                out.push('}');
-            }
-            ScriptOp::Insert { node, label } => {
-                out.push_str("{\"op\":\"insert\",\"node\":");
-                write_number(*node as f64, out);
-                out.push_str(",\"label\":");
-                write_escaped(label, out);
-                out.push('}');
-            }
-            ScriptOp::Rename { from, to, old, new } => {
-                out.push_str("{\"op\":\"rename\",\"from\":");
-                write_number(*from as f64, out);
-                out.push_str(",\"to\":");
-                write_number(*to as f64, out);
-                out.push_str(",\"old\":");
-                write_escaped(old, out);
-                out.push_str(",\"new\":");
-                write_escaped(new, out);
-                out.push('}');
-            }
-            ScriptOp::Keep { from, to, label } => {
-                out.push_str("{\"op\":\"keep\",\"from\":");
-                write_number(*from as f64, out);
-                out.push_str(",\"to\":");
-                write_number(*to as f64, out);
-                out.push_str(",\"label\":");
-                write_escaped(label, out);
-                out.push('}');
-            }
-        }
+    });
+}
+
+/// The members of a `status` object.
+fn render_status(s: &StatusReport, st: &mut Members) {
+    for (key, value) in [
+        ("uptime_secs", s.uptime_secs as f64),
+        ("live", s.live as f64),
+        ("id_bound", s.id_bound as f64),
+        ("holes", s.holes as f64),
+        ("segments", s.segments as f64),
+        ("file_tombstones", s.file_tombstones as f64),
+        ("workers", s.workers as f64),
+        ("shards", s.shards as f64),
+        ("requests", s.requests as f64),
+        ("compactions", s.compactions as f64),
+        ("metric_built", s.metric_built as f64),
+        ("metric_pending", s.metric_pending as f64),
+        ("metric_tombstones", s.metric_tombstones as f64),
+    ] {
+        st.num(key, value);
     }
-    out.push_str("],\"summary\":{\"deletes\":");
-    write_number(script.deletes as f64, out);
-    out.push_str(",\"inserts\":");
-    write_number(script.inserts as f64, out);
-    out.push_str(",\"renames\":");
-    write_number(script.renames as f64, out);
-    out.push_str(",\"keeps\":");
-    write_number(script.keeps as f64, out);
-    out.push('}');
+    write_object(st.key("requests_by_type"), |t| {
+        for (name, count) in REQUEST_TYPE_NAMES.iter().zip(&s.requests_by_type) {
+            t.num(name, *count as f64);
+        }
+    });
+    // The supported-op list, so clients can feature-detect new ops
+    // (`shutdown` included: it is accepted on the wire even though the
+    // transport answers it itself).
+    write_array(st.key("ops"), |a| {
+        for name in REQUEST_TYPE_NAMES.iter().chain(&["shutdown"]) {
+            write_escaped(name, a.item());
+        }
+    });
+    // Per-shard breakdowns (aligned by shard number), then the TCP bind
+    // address when a TCP front-end is up — clients probe it the same
+    // way they probe `ops`.
+    write_counts(st.key("shard_live"), &s.shard_live);
+    write_counts(st.key("shard_tombstones"), &s.shard_tombstones);
+    if let Some(addr) = &s.tcp {
+        st.str("tcp", addr);
+    }
+    st.bool("metric_tree", s.metric_tree);
+    st.bool("persistent", s.persistent);
+}
+
+/// The members of a `diff` answer: `distance`, `ops` and `summary`.
+fn render_script(script: &rted_core::EditScript, o: &mut Members) {
+    use rted_core::ScriptOp;
+    o.num("distance", script.cost);
+    write_array(o.key("ops"), |a| {
+        for op in &script.ops {
+            write_object(a.item(), |e| match op {
+                ScriptOp::Delete { node, label } => {
+                    e.str("op", "delete");
+                    e.num("node", *node as f64);
+                    e.str("label", label);
+                }
+                ScriptOp::Insert { node, label } => {
+                    e.str("op", "insert");
+                    e.num("node", *node as f64);
+                    e.str("label", label);
+                }
+                ScriptOp::Rename { from, to, old, new } => {
+                    e.str("op", "rename");
+                    e.num("from", *from as f64);
+                    e.num("to", *to as f64);
+                    e.str("old", old);
+                    e.str("new", new);
+                }
+                ScriptOp::Keep { from, to, label } => {
+                    e.str("op", "keep");
+                    e.num("from", *from as f64);
+                    e.num("to", *to as f64);
+                    e.str("label", label);
+                }
+            });
+        }
+    });
+    write_object(o.key("summary"), |s| {
+        s.num("deletes", script.deletes as f64);
+        s.num("inserts", script.inserts as f64);
+        s.num("renames", script.renames as f64);
+        s.num("keeps", script.keeps as f64);
+    });
 }
 
 #[cfg(test)]
@@ -915,10 +804,6 @@ mod tests {
                 left: TreeRef::Inline(t),
                 right: TreeRef::Id(2),
             } => assert_eq!(to_bracket(&t), "{a{b}}"),
-            other => panic!("{other:?}"),
-        }
-        match parse_request(r#"{"op":"diff","pairs":[[0,1],[2,0]]}"#).unwrap() {
-            Request::DiffBatch { pairs } => assert_eq!(pairs, vec![(0, 1), (2, 0)]),
             other => panic!("{other:?}"),
         }
         match parse_request(r#"{"op":"join","tau":2}"#).unwrap() {
@@ -1028,10 +913,6 @@ mod tests {
             r#"{"op":"distance","left":0,"right":1,"atmost":2}"#,    // typoed key
             r#"{"op":"diff","left":0}"#,                             // missing right
             r#"{"op":"diff","left":0,"right":1,"costs":"1,1,1"}"#,   // unknown key
-            r#"{"op":"diff","pairs":[[0,1]],"left":0}"#,             // pairs excludes left
-            r#"{"op":"diff","pairs":[[0,1,2]]}"#,                    // not a pair
-            r#"{"op":"diff","pairs":[[0,1.5]]}"#,                    // non-id member
-            r#"{"op":"diff","pairs":[0,1]}"#,                        // flat list
             r#"{"op":"join","tau":"2"}"#,                            // non-numeric tau
             r#"{"op":"join","k":3}"#,                                // unknown key
             r#"{"op":"insert","trees":"{a}"}"#,                      // not an array
@@ -1233,19 +1114,39 @@ mod tests {
             r#"{"ok":true,"distance":1,"ops":[{"op":"keep","from":0,"to":0,"label":"b"},{"op":"rename","from":1,"to":1,"old":"c","new":"x"},{"op":"keep","from":2,"to":2,"label":"a"}],"summary":{"deletes":0,"inserts":0,"renames":1,"keeps":2}}"#
         );
         crate::json::parse(&line).unwrap();
+    }
 
-        // Batched rendering reuses the exact same script body, wrapped
-        // in a results array.
-        let batch = render_response(&Response::DiffBatch(vec![script.clone(), script]));
-        let body = line
-            .strip_prefix(r#"{"ok":true,"#)
-            .and_then(|s| s.strip_suffix('}'))
-            .unwrap();
+    #[test]
+    fn diff_takes_one_pair_per_request() {
+        // There is one `diff` form: a batch of pairs is refused like any
+        // other unknown key; pipelined single diffs do the same work.
+        for line in [
+            r#"{"op":"diff","pairs":[[0,1],[2,0]]}"#,
+            r#"{"op":"diff","left":0,"right":1,"pairs":[[0,1]]}"#,
+        ] {
+            assert_eq!(
+                parse_request(line).unwrap_err(),
+                r#"diff: unknown key "pairs""#
+            );
+        }
+    }
+
+    #[test]
+    fn op_kinds_follow_the_name_list() {
+        for (slot, kind) in OpKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, slot);
+            assert_eq!(OpKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(OpKind::from_name("shutdown"), None);
+        assert_eq!(parse_request(r#"{"op":"shutdown"}"#).unwrap().kind(), None);
+        let diff = parse_request(r#"{"op":"diff","left":0,"right":1}"#).unwrap();
+        assert_eq!(diff.kind().map(OpKind::name), Some("diff"));
+        // The unknown-op message lists every name, in order.
         assert_eq!(
-            batch,
-            format!(r#"{{"ok":true,"results":[{{{body}}},{{{body}}}]}}"#)
+            parse_request(r#"{"op":"fly"}"#).unwrap_err(),
+            "unknown op \"fly\" (range | topk | distance | insert | remove | status | \
+             compact | metrics | diff | join | explain | shutdown)"
         );
-        crate::json::parse(&batch).unwrap();
     }
 
     #[test]

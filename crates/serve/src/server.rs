@@ -74,7 +74,7 @@
 //! `RwLock`s nest innermost and are never held across work. That
 //! ordering keeps the three thread groups deadlock-free.
 
-use crate::metrics::{ns_since, OpKind, ServeMetrics};
+use crate::metrics::{ns_since, ServeMetrics};
 use crate::proto::{MetricsFormat, Request, Response, StatusReport, TreeRef};
 use rted_core::{Workspace, WorkspaceStats};
 use rted_index::{
@@ -521,27 +521,6 @@ fn shard_path(path: &Path, k: usize) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// The telemetry slot for one request, or `None` for the transport-level
-/// `shutdown` (which only reaches a worker by mistake). Batched diff
-/// shares the `diff` slot.
-pub(crate) fn op_kind(request: &Request) -> Option<OpKind> {
-    match request {
-        Request::Range { .. } => Some(OpKind::Range),
-        Request::TopK { .. } => Some(OpKind::TopK),
-        Request::Distance { .. } => Some(OpKind::Distance),
-        Request::Diff { .. } => Some(OpKind::Diff),
-        Request::DiffBatch { .. } => Some(OpKind::Diff),
-        Request::Join { .. } => Some(OpKind::Join),
-        Request::Insert { .. } => Some(OpKind::Insert),
-        Request::Remove { .. } => Some(OpKind::Remove),
-        Request::Status => Some(OpKind::Status),
-        Request::Compact => Some(OpKind::Compact),
-        Request::Explain { .. } => Some(OpKind::Explain),
-        Request::Metrics { .. } => Some(OpKind::Metrics),
-        Request::Shutdown => None,
-    }
-}
-
 fn worker_loop(shared: &Shared) {
     // This worker's scratch for its whole lifetime: every request it
     // serves reuses the same warm buffers.
@@ -569,7 +548,7 @@ fn worker_loop(shared: &Shared) {
             .metrics
             .queue_wait_ns
             .record(ns_since(job.enqueued_at));
-        let kind = op_kind(&job.request);
+        let kind = job.request.kind();
         // A panicking handler must not strand its client (the gate would
         // never fill and `Client::call` would block forever) nor kill
         // this worker: catch the unwind and answer with an error. Locks
@@ -673,43 +652,6 @@ fn handle(shared: &Shared, ws: &mut Workspace, request: Request) -> Response {
         Request::Diff { left, right } => with_operands(shared, &left, &right, |index, f, g| {
             Response::Diff(index.diff_in(f, g, ws).script(f, g))
         }),
-        Request::DiffBatch { pairs } => {
-            let n = shared.nshards();
-            // One pinned snapshot per touched shard, reused across the
-            // whole batch; every id validated before any script is
-            // extracted, so a dead id fails the batch atomically.
-            let mut pins: Vec<Option<Arc<TreeIndex<String>>>> = vec![None; n];
-            for &(a, b) in &pairs {
-                for id in [a, b] {
-                    let (s, local) = shared.route(id);
-                    let pin = match &pins[s] {
-                        Some(pin) => pin,
-                        None => {
-                            pins[s] = Some(shared.pin(s));
-                            pins[s].as_ref().expect("just pinned")
-                        }
-                    };
-                    if pin.corpus().get(local).is_none() {
-                        return Response::Error(format!("no live tree with id {id}"));
-                    }
-                }
-            }
-            // This worker's one warm workspace is amortized across the
-            // batch — the per-pair cost is the extraction itself.
-            let mut scripts = Vec::with_capacity(pairs.len());
-            for &(a, b) in &pairs {
-                let (sa, la) = shared.route(a);
-                let (sb, lb) = shared.route(b);
-                let pa = pins[sa].as_ref().expect("validated above");
-                let pb = pins[sb].as_ref().expect("validated above");
-                let left = pa.corpus().get(la).expect("validated above").tree();
-                let right = pb.corpus().get(lb).expect("validated above").tree();
-                let mapping = pa.diff_in(left, right, ws);
-                scripts.push(mapping.script(left, right));
-                shared.metrics.shard(sa).queries.inc();
-            }
-            Response::DiffBatch(scripts)
-        }
         Request::Insert { trees } => {
             // Analyze outside every lock — the expensive part.
             let entries: Vec<Arc<CorpusEntry<String>>> = trees

@@ -89,12 +89,15 @@ proptest! {
         // Routed ops on arbitrary (possibly dead) ids: identical
         // answers *and* identical errors.
         let id = |i: usize| picks[i] as usize % id_bound;
-        let request = Request::DiffBatch {
-            pairs: vec![(id(0), id(1)), (id(2), id(3))],
-        };
-        let a = render_response(&ref_client.call(request.clone()));
-        let b = render_response(&sh_client.call(request));
-        prop_assert_eq!(a, b);
+        for (left, right) in [(id(0), id(1)), (id(2), id(3))] {
+            let request = Request::Diff {
+                left: rted_serve::TreeRef::Id(left),
+                right: rted_serve::TreeRef::Id(right),
+            };
+            let a = render_response(&ref_client.call(request.clone()));
+            let b = render_response(&sh_client.call(request));
+            prop_assert_eq!(a, b);
+        }
         let request = Request::Distance {
             left: rted_serve::TreeRef::Id(id(0)),
             right: rted_serve::TreeRef::Id(id(3)),

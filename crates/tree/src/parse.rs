@@ -125,6 +125,7 @@ fn read_label(input: &str, mut pos: usize) -> (String, usize) {
 
 /// Serializes a tree to bracket notation (inverse of [`parse_bracket`]).
 pub fn to_bracket<L: std::fmt::Display>(tree: &Tree<L>) -> String {
+    use std::fmt::Write;
     let mut out = String::new();
     // Iterative preorder with explicit close markers.
     enum Step {
@@ -136,23 +137,30 @@ pub fn to_bracket<L: std::fmt::Display>(tree: &Tree<L>) -> String {
         match step {
             Step::Open(v) => {
                 out.push('{');
-                let label = tree.label(v).to_string();
-                for ch in label.chars() {
-                    if ch == '{' || ch == '}' || ch == '\\' {
-                        out.push('\\');
-                    }
-                    out.push(ch);
-                }
+                write!(Escaped(&mut out), "{}", tree.label(v))
+                    .expect("writing to a String cannot fail");
                 stack.push(Step::Close);
-                let children: Vec<_> = tree.children(v).collect();
-                for &c in children.iter().rev() {
-                    stack.push(Step::Open(c));
-                }
+                stack.extend(tree.children(v).rev().map(Step::Open));
             }
             Step::Close => out.push('}'),
         }
     }
     out
+}
+
+/// Writes a label into bracket text, escaping `{`, `}` and `\` as it goes.
+struct Escaped<'a>(&'a mut String);
+
+impl std::fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for ch in s.chars() {
+            if ch == '{' || ch == '}' || ch == '\\' {
+                self.0.push('\\');
+            }
+            self.0.push(ch);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -271,7 +271,10 @@ impl<L> Tree<L> {
 
     /// Children of `v` in left-to-right order.
     #[inline]
-    pub fn children(&self, v: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+    pub fn children(
+        &self,
+        v: NodeId,
+    ) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + '_ {
         self.children_range(v.idx()).iter().map(|&c| NodeId(c))
     }
 

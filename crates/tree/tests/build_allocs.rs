@@ -1,9 +1,11 @@
-//! Allocation budget of tree construction.
+//! Allocation budget of tree construction and serialization.
 //!
 //! Parsing and decoding build the postorder arrays directly: a label owns
 //! its one allocation, and the structure costs a fixed number of arrays
-//! however many nodes the tree has. A per-node intermediate (a nested node
-//! or a child list per node) breaks these budgets at once.
+//! however many nodes the tree has. Serializing writes every label straight
+//! into the output, so it costs only the output and its walk stack. A
+//! per-node intermediate (a nested node, a child list or a label string per
+//! node) breaks these budgets at once.
 //!
 //! The counting allocator tallies the calling thread's `alloc`,
 //! `alloc_zeroed` and `realloc` calls, so the parallel test harness cannot
@@ -105,5 +107,19 @@ fn degree_decode_allocates_a_fixed_number_of_arrays() {
     assert!(
         used <= 64,
         "from_postorder_degrees made {used} allocations beyond its labels for {N} nodes"
+    );
+}
+
+#[test]
+fn to_bracket_allocates_a_fixed_number_of_buffers() {
+    let text = sample();
+    let t = parse_bracket(&text).unwrap();
+    let before = allocations();
+    let back = to_bracket(&t);
+    let used = allocations() - before;
+    assert_eq!(back, text);
+    assert!(
+        used <= 64,
+        "to_bracket made {used} allocations for {N} nodes"
     );
 }

@@ -11,8 +11,8 @@
 #      per-shard counters (`serve_shard{K}_queries_total`), the
 #      `serve_scatter_fanout` histogram and the service-wide
 #      `index_*_queries_total` to match it to the count;
-#   4. check batched diff (`pairs`) answers the same scripts as the
-#      equivalent single diffs, one workspace amortized;
+#   4. check pipelined `diff` lines with ids answer the same scripts as
+#      one-at-a-time diffs, and a dead id fails only its own line;
 #   5. hammer the service with concurrent TCP clients (range / topk /
 #      join / distance), all answered without error;
 #   6. record reference answers, then `kill -9` the server MID-UPDATE
@@ -114,10 +114,10 @@ echo "$status" | grep -q '"ops":\["range","topk","distance","insert","remove","s
 # --- 3. Exactly-counted striped traffic vs per-shard telemetry ---------
 # 2 range + 1 topk + 1 join = 4 striped queries, each one driver pass
 # over all 3 shards (fanout histogram count 4): +4 on every shard. Plus
-# routed ops: distance 0,1 (+1 on shards 0 and 1), diff 0,2 (+1 on
-# shards 0 and 2), batched diff [[0,1],[2,4]] (left shards: +1 on
-# shards 0 and 2).
-# Totals: shard0 = 4+1+1+1 = 7, shard1 = 4+1 = 5, shard2 = 4+1+1 = 6.
+# routed ops, each +1 on every shard its operands live on: distance 0,1
+# (shards 0 and 1), diff 0,2 (shards 0 and 2), diff 0,1 (shards 0 and
+# 1), diff 2,4 (shards 2 and 1).
+# Totals: shard0 = 4+1+1+1 = 7, shard1 = 4+1+1+1 = 7, shard2 = 4+1+1 = 6.
 # Each striped query is recorded once into the service-wide index
 # totals, whatever the shard count: 2 range, 1 topk, 1 join.
 QUERY=$("$RTED" generate mx 14 --seed 99)
@@ -128,25 +128,25 @@ QUERY=$("$RTED" generate mx 14 --seed 99)
     echo '{"op":"join","tau":6}'
     echo '{"op":"distance","left":0,"right":1}'
     echo '{"op":"diff","left":0,"right":2}'
-    echo '{"op":"diff","pairs":[[0,1],[2,4]]}'
+    echo '{"op":"diff","left":0,"right":1,"id":1}'
+    echo '{"op":"diff","left":2,"right":4,"id":2}'
 } | q > "$WORK/counted.out"
 grep -q '"ok":false' "$WORK/counted.out" && fail "counted sequence errored: $(grep -m1 '"ok":false' "$WORK/counted.out")"
 metrics=$(echo '{"op":"metrics","format":"json"}' | q)
 echo "$metrics" | grep -q '"serve_scatter_fanout":{"count":4,"sum":12,"p50":3,"p95":3,"p99":3,"max":3}' \
     || fail "metrics: expected 4 striped queries over 3 shards: $metrics"
 echo "$metrics" | grep -q '"serve_shard0_queries_total":7[,}]' || fail "metrics: shard0 count wrong: $metrics"
-echo "$metrics" | grep -q '"serve_shard1_queries_total":5[,}]' || fail "metrics: shard1 count wrong: $metrics"
+echo "$metrics" | grep -q '"serve_shard1_queries_total":7[,}]' || fail "metrics: shard1 count wrong: $metrics"
 echo "$metrics" | grep -q '"serve_shard2_queries_total":6[,}]' || fail "metrics: shard2 count wrong: $metrics"
 echo "$metrics" | grep -q '"index_range_queries_total":2[,}]' || fail "metrics: expected 2 range queries: $metrics"
 echo "$metrics" | grep -q '"index_topk_queries_total":1[,}]' || fail "metrics: expected 1 topk query: $metrics"
 echo "$metrics" | grep -q '"index_join_queries_total":1[,}]' || fail "metrics: expected 1 join query: $metrics"
 echo "$metrics" | grep -q '"serve_latency_join_ns":{"count":1,' || fail "metrics: expected 1 join request: $metrics"
-echo "$metrics" | grep -q '"serve_latency_diff_ns":{"count":2,' || fail "metrics: expected 2 diff requests (single + batch): $metrics"
-# The batch counts each extracted pair in the index totals: 1 single + 2.
+echo "$metrics" | grep -q '"serve_latency_diff_ns":{"count":3,' || fail "metrics: expected 3 diff requests: $metrics"
 echo "$metrics" | grep -q '"index_diff_calls_total":3' || fail "metrics: expected 3 extracted scripts: $metrics"
 # The scrape client renders the same counters as a Prometheus exposition.
 RTED_AUTH_TOKEN="$TOKEN" "$RTED" metrics --tcp "$ADDR" > "$WORK/metrics.prom"
-for expect in 0:7 1:5 2:6; do
+for expect in 0:7 1:7 2:6; do
     grep -q "^serve_shard${expect%:*}_queries_total ${expect#*:}\$" "$WORK/metrics.prom" \
         || fail "exposition shard${expect%:*} count wrong: $(grep "shard${expect%:*}" "$WORK/metrics.prom")"
 done
@@ -168,16 +168,22 @@ echo "$metrics" | grep -q '"index_plan_linear_total":[1-9]' || fail "metrics: no
 echo "$metrics" | grep -qE '"index_plan_(zs|bounded|rted)_pairs_total":[1-9]' \
     || fail "metrics: the planned verifier dispatched no pairs: $metrics"
 
-# --- 4. Batched diff answers the same scripts as single diffs -----------
+# --- 4. Pipelined diffs answer the same scripts as one-at-a-time diffs ---
 single1=$(echo '{"op":"diff","left":0,"right":1}' | q)
 single2=$(echo '{"op":"diff","left":2,"right":4}' | q)
-batch=$(echo '{"op":"diff","pairs":[[0,1],[2,4]]}' | q)
-body1=${single1#'{"ok":true,'}; body1=${body1%'}'}
-body2=${single2#'{"ok":true,'}; body2=${body2%'}'}
-[[ "$batch" == "{\"ok\":true,\"results\":[{$body1},{$body2}]}" ]] \
-    || fail "batched diff differs from single diffs: $batch"
-echo '{"op":"diff","pairs":[[0,9999]]}' | q | grep -q '"ok":false.*no live tree with id 9999' \
-    || fail "batched diff with a dead id must fail whole-request"
+{
+    echo '{"op":"diff","left":0,"right":1,"id":"p1"}'
+    echo '{"op":"diff","left":0,"right":9999,"id":"dead"}'
+    echo '{"op":"diff","left":2,"right":4,"id":"p2"}'
+} | q > "$WORK/pipelined.out"
+[[ "$(sed -n 1p "$WORK/pipelined.out")" == "{\"id\":\"p1\",${single1#'{'}" ]] \
+    || fail "pipelined diff differs from a single diff: $(sed -n 1p "$WORK/pipelined.out")"
+sed -n 2p "$WORK/pipelined.out" | grep -q '^{"id":"dead","ok":false,.*no live tree with id 9999' \
+    || fail "a diff with a dead id must fail its own line: $(sed -n 2p "$WORK/pipelined.out")"
+[[ "$(sed -n 3p "$WORK/pipelined.out")" == "{\"id\":\"p2\",${single2#'{'}" ]] \
+    || fail "a dead id must not disturb the next diff: $(sed -n 3p "$WORK/pipelined.out")"
+echo '{"op":"diff","pairs":[[0,1]]}' | q | grep -q '"ok":false,"error":"diff: unknown key \\"pairs\\""' \
+    || fail "a batch of pairs must be refused as an unknown key"
 
 # --- 4b. Budget-aware distance: exact wire bytes over TCP ---------------
 # Same contract as through the library: a met budget answers the plain
@@ -248,7 +254,8 @@ grep -q '"removed":3' "$WORK/update.out" || fail "remove count wrong: $(cat "$WO
     echo '{"op":"join","tau":5}'
     echo '{"op":"distance","left":0,"right":11}'
     echo "{\"op\":\"distance\",\"left\":0,\"right\":\"$QUERY\"}"
-    echo '{"op":"diff","pairs":[[0,11],[1,2]]}'
+    echo '{"op":"diff","left":0,"right":11}'
+    echo '{"op":"diff","left":1,"right":2}'
     echo "{\"op\":\"distance\",\"left\":\"$STAR1\",\"right\":\"$STAR2\",\"at_most\":1}"
 } > "$WORK/queries.ndjson"
 q < "$WORK/queries.ndjson" > "$WORK/ref.out"
@@ -342,4 +349,4 @@ for n in 1 4; do
     done
 done
 
-echo "serve-roundtrip OK: 3-shard TCP service with auth, even striping, exact per-shard telemetry, planner explain + plan counters, batched diff == single diffs, concurrent clients served, kill -9 mid-update + torn tails repaired on restart (answers byte-identical), strict mode refuses damage, per-shard compaction reclaims, other shard counts refused"
+echo "serve-roundtrip OK: 3-shard TCP service with auth, even striping, exact per-shard telemetry, planner explain + plan counters, pipelined diffs == single diffs, concurrent clients served, kill -9 mid-update + torn tails repaired on restart (answers byte-identical), strict mode refuses damage, per-shard compaction reclaims, other shard counts refused"

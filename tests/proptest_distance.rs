@@ -1,45 +1,15 @@
 //! Property-based tests: arbitrary small trees, full oracle chain.
 //!
-//! Trees are generated from arbitrary parent vectors (every postorder
-//! parent vector with `parents[i] > i` is a valid ordered tree), which
-//! covers shapes no hand-written generator produces.
+//! Trees are generated from arbitrary random-attachment choices
+//! (`tree_from_choices`), which reach every ordered tree shape, including
+//! shapes no hand-written generator produces.
 
 use proptest::prelude::*;
 use rted::core::reference::reference_ted;
 use rted::core::strategy::PathChoice;
 use rted::core::{Algorithm, Executor, PerLabelCost, UnitCost};
+use rted::datasets::shapes::tree_from_choices;
 use rted::tree::Tree;
-
-/// Builds a tree from random-attachment choices: node `i` (insertion
-/// order, `i ≥ 1`) becomes the next child of node `choices[i-1] % i`.
-/// Every ordered tree shape is reachable, and the construction is valid by
-/// design (the adjacency is walked into postorder labels and degrees at the
-/// end).
-fn tree_from_choices(labels: &[u8], choices: &[u32]) -> Tree<u8> {
-    let n = labels.len();
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for i in 1..n {
-        let p = choices[i - 1] % i as u32;
-        children[p as usize].push(i as u32);
-    }
-    // Postorder walk: emit each node's label and child count.
-    let mut post_labels = Vec::with_capacity(n);
-    let mut degrees = Vec::with_capacity(n);
-    let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
-    while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-        let ch = &children[v as usize];
-        if *i < ch.len() {
-            let c = ch[*i];
-            *i += 1;
-            stack.push((c, 0));
-        } else {
-            post_labels.push(labels[v as usize]);
-            degrees.push(ch.len() as u32);
-            stack.pop();
-        }
-    }
-    Tree::from_postorder_degrees(post_labels, &degrees).unwrap()
-}
 
 /// Strategy: an arbitrary ordered tree with 1..=max nodes and labels from a
 /// 3-symbol alphabet.
