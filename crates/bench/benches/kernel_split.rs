@@ -13,8 +13,7 @@
 //! Three more rows per pair measure the kernel-choice rule:
 //!
 //! * `best-fixed` — the fastest of ZS-L, ZS-R and RTED on this machine,
-//!   picked by a quick probe (the minimum of two runs each), as the
-//!   `planner` bench picks its best fixed plan;
+//!   picked by a quick probe (the minimum of two runs each);
 //! * `best-fixed+auto` — [`Algorithm::cheapest_exact`] and the kernel it
 //!   picks, timed together (the rule's counting pass is the strategy
 //!   time); CI gates its geometric-mean ratio to `best-fixed` with

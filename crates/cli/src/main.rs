@@ -10,9 +10,9 @@
 //! rted join      <FILE> [--tau T] [--algorithm NAME] [--threads N] [--no-filter]
 //!                [--pq P,Q]
 //! rted search    <FILE> <QUERY> [--tau T] [--algorithm NAME] [--threads N] [--no-filter]
-//!                [--pq P,Q] [--metric-tree]
+//!                [--pq P,Q]
 //! rted topk      <FILE> <QUERY> [--k K] [--algorithm NAME] [--threads N] [--no-filter]
-//!                [--pq P,Q] [--metric-tree]
+//!                [--pq P,Q]
 //! rted index build   <INDEX> <FILE>
 //! rted index update  <INDEX> [--add FILE] [--remove IDS]... [--compact]
 //! rted index compact <INDEX>
@@ -22,7 +22,7 @@
 //! rted serve   [--index INDEX | FILE] [--socket PATH] [--tcp ADDR]
 //!              [--auth-token TOKEN] [--shards N] [--timeout-ms MS]
 //!              [--workers N] [--threads N] [--compact-frac F] [--strict]
-//!              [--metric-tree] [--slow-ms MS]
+//!              [--slow-ms MS]
 //! rted query   (--socket PATH | --tcp ADDR) [--auth-token TOKEN]
 //!              [--explain [--tau T]]
 //! rted metrics (--socket PATH | --tcp ADDR) [--auth-token TOKEN] [--json]
@@ -78,19 +78,14 @@
 //! logs every request whose wall time (queue wait included) crosses the
 //! threshold to stderr, carrying the request's `id` when one was given.
 //!
-//! The adaptive query planner (`rted-plan`) is always on for the query
-//! commands and `rted serve`. It picks the candidate generator per query
-//! and is answer-invariant; filter stages run in their construction
-//! order. Metric-tree (vantage-point) candidate generation is **off by
-//! default**, as in `rted serve`: `--metric-tree` makes it available to
-//! `search` and `topk` (joins always scan linearly). Verification picks
-//! the cheapest exact kernel per pair unless `--algorithm` pins one, and
+//! Every query command scans the size-sorted corpus linearly through the
+//! filter stages, in their construction order. Verification picks the
+//! cheapest exact kernel per pair unless `--algorithm` pins one, and
 //! `rted distance` answers through the same call (`ted_within`), so it
 //! prints the distance `rted diff` and serve's `distance` print.
-//! `rted query --explain` asks a running service what it would plan
+//! `rted query --explain` asks a running service what a query would run
 //! (`{"op":"explain"}`, `--tau T` for a budgeted query), and `rted
-//! index info --stats` prints the planner's decision report alongside
-//! the pipeline probe.
+//! index info --stats` probes the filter pipeline.
 //!
 //! Every failure — malformed trees, missing files, unknown or
 //! valueless flags, corrupt or version-mismatched index files — exits
@@ -127,14 +122,12 @@ fn usage() -> ExitCode {
          rted serve    [--index INDEX | FILE] [--socket PATH] [--tcp ADDR]\n  \
          \x20             [--auth-token TOKEN] [--shards N] [--timeout-ms MS]\n  \
          \x20             [--workers N] [--threads N] [--compact-frac F] [--strict]\n  \
-         \x20             [--metric-tree] [--slow-ms MS]\n  \
+         \x20             [--slow-ms MS]\n  \
          rted query    (--socket PATH | --tcp ADDR) [--auth-token TOKEN]\n  \
          \x20             [--explain [--tau T]]\n  \
          rted metrics  (--socket PATH | --tcp ADDR) [--auth-token TOKEN] [--json]\n\n\
          join/search/topk also accept --index <INDEX> in place of <FILE>, plus\n\
-         --pq P,Q (re-profile with those gram lengths). search/topk also accept\n\
-         --metric-tree (vantage-point tree instead of the linear size-window\n\
-         scan; answers are identical).\n\
+         --pq P,Q (re-profile with those gram lengths).\n\
          serve/query speak one JSON request per line (see README); ops: range |\n\
          topk | distance | diff | join | insert | remove | status | compact |\n\
          metrics | explain | shutdown. serve --index recovers (and repairs)\n\
@@ -145,10 +138,10 @@ fn usage() -> ExitCode {
          with scatter-gather queries (answers identical to 1 shard).\n\
          serve --slow-ms logs slow requests to stderr; metrics scrapes the\n\
          service's telemetry (Prometheus text, or the raw line with --json).\n\
-         query --explain asks the service for its current query plan (one\n\
-         {{\"op\":\"explain\"}} round-trip; --tau T plans a budgeted query).\n\
+         query --explain asks the service what a query would run (one\n\
+         {{\"op\":\"explain\"}} round-trip; --tau T for a budgeted query).\n\
          index info --stats probes the filter pipeline and prints per-stage\n\
-         prune counts, hit rates, and the planner's decision report.\n\
+         prune counts, hit rates, and the verifier mix.\n\
          distance runs the cheapest exact kernel for the pair (the rule of\n\
          diff and of serve's `distance` op, so all print the same value);\n\
          --algorithm pins one instead. --at-most T prints the distance when\n\
@@ -513,14 +506,8 @@ fn parse_pq(spec: &str) -> Result<rted_core::PqParams, String> {
 /// Loads the corpus for a query command — either the positional flat file
 /// or a persistent `--index` file (read-only, via [`CorpusFile`], so a
 /// query never touches the file) — honoring the shared `--algorithm`,
-/// `--threads`, `--no-filter`, `--pq` and (search/topk) `--metric-tree`
-/// flags. `extra` is how many positional arguments follow the corpus
-/// (the query, for search/topk).
-///
-/// The adaptive query planner is always **on**; metric-tree candidate
-/// generation is **off** by default and enabled by `--metric-tree`.
-/// Results are identical either way; stderr counters show the
-/// difference.
+/// `--threads`, `--no-filter` and `--pq` flags. `extra` is how many
+/// positional arguments follow the corpus (the query, for search/topk).
 fn load_query_index(opts: &Opts, cmd: &str, extra: usize) -> Result<TreeIndex<String>, String> {
     let mut corpus = match opts.flag("index") {
         Some(path) => {
@@ -545,9 +532,7 @@ fn load_query_index(opts: &Opts, cmd: &str, extra: usize) -> Result<TreeIndex<St
         // the loaded corpus in memory (the index file is not rewritten).
         corpus.recompute_profiles(parse_pq(spec)?);
     }
-    let mut index = TreeIndex::from_corpus(corpus)
-        .with_metric_tree(opts.has("metric-tree"))
-        .with_planner(true);
+    let mut index = TreeIndex::from_corpus(corpus);
     if let Some(name) = opts.flag("algorithm") {
         let alg = algorithm_by_name(name).ok_or(format!("unknown algorithm {name}"))?;
         index = index.with_algorithm(alg);
@@ -589,8 +574,7 @@ where
     }
 }
 
-/// Prints query statistics, including per-filter-stage prune counters and
-/// (when the metric tree ran) the traversal counters.
+/// Prints query statistics, including per-filter-stage prune counters.
 fn report_stats(stats: &SearchStats, what: &str) {
     let pruned: Vec<String> = stats
         .filter
@@ -604,17 +588,8 @@ fn report_stats(stats: &SearchStats, what: &str) {
     } else {
         pruned.join(", ")
     };
-    let m = &stats.metric;
-    let metric = if *m == rted_index::MetricStats::default() {
-        String::new()
-    } else {
-        format!(
-            " | metric: {} visited, {} routed, {} bound-skipped, {} overflow",
-            m.nodes_visited, m.routing_ted, m.routing_skipped, m.pending_scanned
-        )
-    };
     eprintln!(
-        "{} {what} | {} verified exactly | pruned: {pruned} | {} subproblems{metric} | {:?}",
+        "{} {what} | {} verified exactly | pruned: {pruned} | {} subproblems | {:?}",
         stats.candidates, stats.verified, stats.subproblems, stats.time
     );
 }
@@ -624,10 +599,9 @@ fn report_stats(stats: &SearchStats, what: &str) {
 /// and a loose threshold) and prints the cumulative per-stage prune
 /// counters the index keeps for its lifetime — stage order, prune
 /// counts, and each stage's hit rate over the candidates that actually
-/// reached it — followed by the adaptive planner's decision report for
-/// the probed workload.
+/// reached it — and the kernels verification ran.
 fn print_pipeline_stats(corpus: rted_index::TreeCorpus<String>) {
-    let index = TreeIndex::from_corpus(corpus).with_planner(true);
+    let index = TreeIndex::from_corpus(corpus);
     for (_, entry) in index.corpus().iter().take(16) {
         for tau in [2.0, 8.0] {
             index.range(entry.tree(), tau);
@@ -668,17 +642,10 @@ fn print_pipeline_stats(corpus: rted_index::TreeCorpus<String>) {
         "  {:<14} {:>8} zhang-shasha / {} bounded / {} full-rted pairs",
         "verifier mix", totals.plan_zs_pairs, totals.plan_bounded_pairs, totals.plan_rted_pairs
     );
-    println!("\nplanner report  (for a budgeted query, after the probe)");
-    for line in index.explain(true).summary_lines() {
-        println!("  {line}");
-    }
 }
 
 fn cmd_search(opts: &Opts) -> Result<(), String> {
-    opts.expect_flags(
-        "search",
-        &[QUERY_FLAGS, &["tau", "xml", "metric-tree"]].concat(),
-    )?;
+    opts.expect_flags("search", &[QUERY_FLAGS, &["tau", "xml"]].concat())?;
     let index = load_query_index(opts, "search", 1)?;
     let query = load_tree(
         opts.positional.last().ok_or("search needs a QUERY")?,
@@ -694,10 +661,7 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_topk(opts: &Opts) -> Result<(), String> {
-    opts.expect_flags(
-        "topk",
-        &[QUERY_FLAGS, &["k", "xml", "metric-tree"]].concat(),
-    )?;
+    opts.expect_flags("topk", &[QUERY_FLAGS, &["k", "xml"]].concat())?;
     let index = load_query_index(opts, "topk", 1)?;
     let query = load_tree(
         opts.positional.last().ok_or("topk needs a QUERY")?,
@@ -870,7 +834,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
             "threads",
             "compact-frac",
             "strict",
-            "metric-tree",
             "slow-ms",
         ],
     )?;
@@ -885,7 +848,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let frac: f64 = parsed_flag(opts, "compact-frac", 0.25)?;
     // A non-positive fraction disables background compaction.
     config.compact_fraction = (frac > 0.0).then_some(frac);
-    config.metric_tree = opts.has("metric-tree");
     // Slow-query threshold: off unless asked for. Measured at the
     // front-end around the whole call, so queue wait counts — that is
     // what the client experienced.
@@ -990,9 +952,9 @@ fn connect(opts: &Opts, cmd: &str) -> Result<front::Connection, String> {
 /// feature detection).
 ///
 /// `--explain` skips stdin entirely: it sends one `{"op":"explain"}`
-/// request (with the query budget `--tau T` when given) and prints the
-/// service's current plan — candidate generator, verifier arm,
-/// stage order, and the observed per-arm rates steering the generator.
+/// request (with the query budget `--tau T` when given) and prints what
+/// a query would run — the filter stage order and whether verification
+/// is budgeted.
 fn cmd_query(opts: &Opts) -> Result<(), String> {
     use std::io::BufRead;
     opts.expect_flags("query", &["socket", "tcp", "auth-token", "explain", "tau"])?;

@@ -51,7 +51,7 @@
 //! allocation-free.
 //!
 //! [`ted_within`] is the one distance call every caller goes through
-//! (index verification, vantage-point routing, the served and the
+//! (index verification, the served and the
 //! command-line `distance`, and at `τ = ∞` the exact [`ted`](crate::ted)
 //! and [`ted_with`](crate::ted_with)). It picks the kernel per pair: the
 //! bounded kernel under a finite budget on pairs above 256 cells,

@@ -1,5 +1,6 @@
-//! The linear query drivers — `range`, `top_k` and `join` — over one
-//! index or a striped (sharded) corpus.
+//! The query drivers — `range`, `top_k` and `join` — over one index or a
+//! striped (sharded) corpus. Each is one linear pass over the size-sorted
+//! corpus view: there is no other candidate generator.
 //!
 //! The sharded serving layer splits one logical corpus over `N` shard
 //! indexes by the [`Stripes`] layout: global id `g` lives on shard
@@ -30,7 +31,6 @@ use crate::totals::QueryKind;
 use crate::{
     zeroed_stats, JoinOutcome, JoinPair, Neighbor, OrdF64, QueryResult, SearchStats, TreeIndex,
 };
-use rted_plan::CandidateGen;
 use rted_tree::Tree;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -120,59 +120,12 @@ where
     /// All trees across `shards` with `TED(query, tree) < tau`, sorted by
     /// **global** id — exactly the result (and counters) of
     /// [`range`](Self::range) on one index holding the union corpus under
-    /// global ids. The metric arm is eligible only with one shard.
+    /// global ids.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is empty.
     pub fn range_striped(shards: &[&TreeIndex<L>], query: &Tree<L>, tau: f64) -> QueryResult {
-        let driver = driver(shards);
-        let metric_eligible = shards.len() == 1
-            && driver.metric_enabled
-            && tau.is_finite()
-            && tau > 0.0
-            && !driver.corpus.is_empty();
-        match driver.plan_query(metric_eligible) {
-            CandidateGen::Metric => driver.range_metric(query, tau),
-            CandidateGen::Linear => Self::range_linear(shards, query, tau),
-        }
-    }
-
-    /// The `k` nearest trees across all `shards` by exact distance (ties
-    /// broken by **global** id), sorted by `(distance, id)` — exactly
-    /// the result (and counters) of [`top_k`](Self::top_k) on one index
-    /// holding the union corpus under global ids. The metric arm is
-    /// eligible only with one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    pub fn top_k_striped(shards: &[&TreeIndex<L>], query: &Tree<L>, k: usize) -> QueryResult {
-        let driver = driver(shards);
-        let metric_eligible =
-            shards.len() == 1 && driver.metric_enabled && k > 0 && !driver.corpus.is_empty();
-        match driver.plan_query(metric_eligible) {
-            CandidateGen::Metric => driver.top_k_metric(query, k),
-            CandidateGen::Linear => Self::top_k_linear(shards, query, k),
-        }
-    }
-
-    /// The similarity self-join over the union of `shards`: every pair of
-    /// **global** ids `(i, j)`, `i < j`, with `TED < tau`, sorted by
-    /// `(left, right)` — exactly the result (and counters) of
-    /// [`join`](Self::join) on one index holding the union corpus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    pub fn join_striped(shards: &[&TreeIndex<L>], tau: f64) -> JoinOutcome {
-        let driver = driver(shards);
-        // Joins always scan linearly; planning only records the decision.
-        driver.plan_query(false);
-        Self::join_linear(shards, tau)
-    }
-
-    fn range_linear(shards: &[&TreeIndex<L>], query: &Tree<L>, tau: f64) -> QueryResult {
         let driver = driver(shards);
         let pipeline = &*driver.pipeline;
         let start = Instant::now();
@@ -234,20 +187,33 @@ where
 
         let mut neighbors = gather(&mut stats, chunks);
         neighbors.sort_by_key(|n| n.id);
-        driver.record(QueryKind::Range, CandidateGen::Linear, start, &mut stats);
+        driver.record(QueryKind::Range, start, &mut stats);
         QueryResult { neighbors, stats }
     }
 
-    /// The best-first batch driver behind every linear top-k.
-    fn top_k_linear(shards: &[&TreeIndex<L>], query: &Tree<L>, k: usize) -> QueryResult {
+    /// The `k` nearest trees across all `shards` by exact distance (ties
+    /// broken by **global** id), sorted by `(distance, id)` — exactly
+    /// the result (and counters) of [`top_k`](Self::top_k) on one index
+    /// holding the union corpus under global ids. Best-first batches over
+    /// the merged size-distance order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is empty.
+    pub fn top_k_striped(shards: &[&TreeIndex<L>], query: &Tree<L>, k: usize) -> QueryResult {
         let driver = driver(shards);
         let pipeline = &*driver.pipeline;
         let start = Instant::now();
         let qsketch = Self::query_sketch(shards, query);
-        let candidates = shards.iter().map(|s| s.corpus.len()).sum();
+        // A query for no neighbours considers no candidate.
+        let candidates = if k == 0 {
+            0
+        } else {
+            shards.iter().map(|s| s.corpus.len()).sum()
+        };
         let mut stats = zeroed_stats(candidates, pipeline);
-        if k == 0 || candidates == 0 {
-            driver.record(QueryKind::TopK, CandidateGen::Linear, start, &mut stats);
+        if candidates == 0 {
+            driver.record(QueryKind::TopK, start, &mut stats);
             return QueryResult {
                 neighbors: Vec::new(),
                 stats,
@@ -356,13 +322,21 @@ where
             .into_iter()
             .map(|(OrdF64(distance), id)| Neighbor { id, distance })
             .collect();
-        driver.record(QueryKind::TopK, CandidateGen::Linear, start, &mut stats);
+        driver.record(QueryKind::TopK, start, &mut stats);
         QueryResult { neighbors, stats }
     }
 
-    /// The size-sorted pair walk behind every join, parallelized over
-    /// chunks of outer positions of the merged view.
-    fn join_linear(shards: &[&TreeIndex<L>], tau: f64) -> JoinOutcome {
+    /// The similarity self-join over the union of `shards`: every pair of
+    /// **global** ids `(i, j)`, `i < j`, with `TED < tau`, sorted by
+    /// `(left, right)` — exactly the result (and counters) of
+    /// [`join`](Self::join) on one index holding the union corpus. A
+    /// size-sorted pair walk, parallelized over chunks of outer positions
+    /// of the merged view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is empty.
+    pub fn join_striped(shards: &[&TreeIndex<L>], tau: f64) -> JoinOutcome {
         let driver = driver(shards);
         let pipeline = &*driver.pipeline;
         let start = Instant::now();
@@ -430,7 +404,7 @@ where
 
         let mut matches = gather(&mut stats, chunks);
         matches.sort_by_key(|m| (m.left, m.right));
-        driver.record(QueryKind::Join, CandidateGen::Linear, start, &mut stats);
+        driver.record(QueryKind::Join, start, &mut stats);
         JoinOutcome { matches, stats }
     }
 }

@@ -2,14 +2,13 @@
 //! folded into cumulative atomic counters on the index.
 //!
 //! Every query already produces exact per-run counters; operating the
-//! engine (and the adaptive planner the roadmap wants) needs the same
-//! signals *aggregated across the index's lifetime* — per-stage prune
-//! selectivity, verification counts, exact-TED time — without any query
-//! holding a lock or allocating to report them. [`IndexTotals`] is a
-//! fixed set of [`rted_obs::Counter`]s recorded into at the end of each
-//! query (a handful of relaxed `fetch_add`s) and snapshotted on demand
-//! by the serving layer's `metrics` request and `rted index info
-//! --stats`.
+//! engine needs the same signals *aggregated across the index's
+//! lifetime* — per-stage prune selectivity, verification counts,
+//! exact-TED time — without any query holding a lock or allocating to
+//! report them. [`IndexTotals`] is a fixed set of [`rted_obs::Counter`]s
+//! recorded into at the end of each query (a handful of relaxed
+//! `fetch_add`s) and snapshotted on demand by the serving layer's
+//! `metrics` request and `rted index info --stats`.
 
 use crate::filter::{FilterPipeline, StagePrune};
 use crate::SearchStats;
@@ -20,11 +19,11 @@ use std::time::Duration;
 /// Which query API a recorded run came through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryKind {
-    /// [`TreeIndex::range`](crate::TreeIndex::range) (either path).
+    /// [`TreeIndex::range`](crate::TreeIndex::range).
     Range,
-    /// [`TreeIndex::top_k`](crate::TreeIndex::top_k) (either path).
+    /// [`TreeIndex::top_k`](crate::TreeIndex::top_k).
     TopK,
-    /// [`TreeIndex::join`](crate::TreeIndex::join) (either path).
+    /// [`TreeIndex::join`](crate::TreeIndex::join).
     Join,
 }
 
@@ -53,7 +52,7 @@ pub struct IndexTotals {
     /// Per-stage prune totals, aligned with the pipeline's stage order.
     stage_names: Vec<&'static str>,
     stage_prunes: Vec<Counter>,
-    /// Exact TED computations (verification + metric routing), summed.
+    /// Exact TED verifications, summed.
     verified: Counter,
     /// Relevant subproblems computed by the verifier, summed.
     subproblems: Counter,
@@ -65,15 +64,6 @@ pub struct IndexTotals {
     /// Wall time inside budget-aware verifications, summed (ns) — a
     /// subset of `ted_ns`.
     verify_bounded_ns: Counter,
-    /// Metric-tree nodes visited, summed.
-    metric_nodes_visited: Counter,
-    /// Metric-tree routing TED computations, summed (included in
-    /// `verified`).
-    metric_routing_ted: Counter,
-    /// Planner decisions that selected the linear candidate generator.
-    plan_linear: Counter,
-    /// Planner decisions that selected the metric-tree generator.
-    plan_metric: Counter,
     /// Pairs the per-pair dispatch sent to Zhang–Shasha.
     plan_zs_pairs: Counter,
     /// Pairs the per-pair dispatch sent to the bounded-τ kernel.
@@ -101,10 +91,6 @@ impl IndexTotals {
             ted_ns: Counter::new(),
             verify_early_exits: Counter::new(),
             verify_bounded_ns: Counter::new(),
-            metric_nodes_visited: Counter::new(),
-            metric_routing_ted: Counter::new(),
-            plan_linear: Counter::new(),
-            plan_metric: Counter::new(),
             plan_zs_pairs: Counter::new(),
             plan_bounded_pairs: Counter::new(),
             plan_rted_pairs: Counter::new(),
@@ -130,9 +116,6 @@ impl IndexTotals {
         self.ted_ns.add(duration_ns(stats.ted_time));
         self.verify_early_exits.add(stats.early_exits as u64);
         self.verify_bounded_ns.add(duration_ns(stats.bounded_time));
-        self.metric_nodes_visited
-            .add(stats.metric.nodes_visited as u64);
-        self.metric_routing_ted.add(stats.metric.routing_ted as u64);
     }
 
     /// Folds one point-to-point distance computation in (the serving
@@ -170,16 +153,6 @@ impl IndexTotals {
         self.ted_ns.add(duration_ns(ted_time));
     }
 
-    /// Folds one planner candidate-generation decision in (a planned
-    /// query's chosen arm, or an `explain` probe's recommendation).
-    #[inline]
-    pub fn record_plan(&self, gen: rted_plan::CandidateGen) {
-        match gen {
-            rted_plan::CandidateGen::Linear => self.plan_linear.inc(),
-            rted_plan::CandidateGen::Metric => self.plan_metric.inc(),
-        }
-    }
-
     /// Notes the kernel the per-pair dispatch ran. Lock-free and
     /// allocation-free: called from verification worker threads.
     #[inline]
@@ -215,14 +188,10 @@ impl IndexTotals {
             ted_ns: self.ted_ns.get(),
             verify_early_exits: self.verify_early_exits.get(),
             verify_bounded_ns: self.verify_bounded_ns.get(),
-            metric_nodes_visited: self.metric_nodes_visited.get(),
-            metric_routing_ted: self.metric_routing_ted.get(),
-            plan_linear: self.plan_linear.get(),
-            plan_metric: self.plan_metric.get(),
-            plan_reorders: 0,
             plan_zs_pairs: self.plan_zs_pairs.get(),
             plan_bounded_pairs: self.plan_bounded_pairs.get(),
             plan_rted_pairs: self.plan_rted_pairs.get(),
+            ..TotalsSnapshot::default()
         }
     }
 }
@@ -252,7 +221,7 @@ pub struct TotalsSnapshot {
     pub candidates: u64,
     /// Cumulative per-stage prune counts, in pipeline stage order.
     pub stages: Vec<StagePrune>,
-    /// Exact TED computations spent verifying (and metric routing).
+    /// Exact TED computations spent verifying.
     pub verified: u64,
     /// Relevant subproblems computed, summed.
     pub subproblems: u64,
@@ -264,23 +233,22 @@ pub struct TotalsSnapshot {
     /// Wall time inside budget-aware verifications (ns) — a subset of
     /// `ted_ns`.
     pub verify_bounded_ns: u64,
-    /// Metric-tree nodes visited, summed.
-    pub metric_nodes_visited: u64,
-    /// Metric-tree routing TED computations, summed.
-    pub metric_routing_ted: u64,
-    /// Planner decisions for the linear candidate generator.
-    pub plan_linear: u64,
-    /// Planner decisions for the metric-tree generator.
-    pub plan_metric: u64,
-    /// Always 0: filter stages run in construction order. Kept only
-    /// because the benchmark harness still reads it.
-    pub plan_reorders: u64,
     /// Pairs the per-pair dispatch sent to Zhang–Shasha.
     pub plan_zs_pairs: u64,
     /// Pairs the per-pair dispatch sent to the bounded-τ kernel.
     pub plan_bounded_pairs: u64,
     /// Pairs the per-pair dispatch sent to full RTED.
     pub plan_rted_pairs: u64,
+    // Kept only because perfbench calls it (see the block at the end of
+    // the crate root): the next four fields are always 0.
+    /// Always 0: there is no metric tree.
+    pub metric_routing_ted: u64,
+    /// Always 0: there is one candidate generator.
+    pub plan_linear: u64,
+    /// Always 0: there is no metric tree.
+    pub plan_metric: u64,
+    /// Always 0: filter stages run in construction order.
+    pub plan_reorders: u64,
 }
 
 impl TotalsSnapshot {
@@ -312,10 +280,6 @@ impl TotalsSnapshot {
         self.ted_ns += other.ted_ns;
         self.verify_early_exits += other.verify_early_exits;
         self.verify_bounded_ns += other.verify_bounded_ns;
-        self.metric_nodes_visited += other.metric_nodes_visited;
-        self.metric_routing_ted += other.metric_routing_ted;
-        self.plan_linear += other.plan_linear;
-        self.plan_metric += other.plan_metric;
         self.plan_zs_pairs += other.plan_zs_pairs;
         self.plan_bounded_pairs += other.plan_bounded_pairs;
         self.plan_rted_pairs += other.plan_rted_pairs;
@@ -344,13 +308,6 @@ impl TotalsSnapshot {
         snap.push("index_ted_ns_total", C(self.ted_ns));
         snap.push("index_verify_early_exit_total", C(self.verify_early_exits));
         snap.push("index_verify_bounded_ns", C(self.verify_bounded_ns));
-        snap.push(
-            "index_metric_nodes_visited_total",
-            C(self.metric_nodes_visited),
-        );
-        snap.push("index_metric_routing_ted_total", C(self.metric_routing_ted));
-        snap.push("index_plan_linear_total", C(self.plan_linear));
-        snap.push("index_plan_metric_total", C(self.plan_metric));
         snap.push("index_plan_zs_pairs_total", C(self.plan_zs_pairs));
         snap.push("index_plan_bounded_pairs_total", C(self.plan_bounded_pairs));
         snap.push("index_plan_rted_pairs_total", C(self.plan_rted_pairs));

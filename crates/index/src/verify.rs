@@ -17,7 +17,7 @@ use std::time::Instant;
 
 /// An index's verification settings paired with the totals its kernel
 /// choices are counted into: the one per-pair verify-and-count step of
-/// every query path (linear, striped, metric leaves and vantage routing).
+/// every query (`range`, `top_k` and `join`).
 pub(crate) struct CountedVerifier<'a> {
     /// The pinned exact algorithm, or `None` for per-pair dispatch.
     pub(crate) algorithm: Option<Algorithm>,

@@ -3,9 +3,8 @@
 //! `rted_core::ted_within` (the `TreeIndex` default, which hands the query
 //! threshold to the band-limited early-exit kernel) is **byte-identical**
 //! to the same query with RTED pinned — on any corpus, any threshold, any
-//! k, linear and metric paths alike. Only the counters may
-//! differ: the bounded path may report early exits and bounded time,
-//! never different neighbors.
+//! k. Only the counters may differ: the bounded path may report early
+//! exits and bounded time, never different neighbors.
 
 use proptest::prelude::*;
 use rted_core::Algorithm;
@@ -89,22 +88,6 @@ proptest! {
         prop_assert_eq!(a.stats.verified, b.stats.verified);
         prop_assert_eq!(&a.stats.filter, &b.stats.filter);
     }
-
-    /// Metric-tree routing under the bounded default: leaf buckets and
-    /// the pending overflow verify within the budget, vantage routing
-    /// stays exact — answers still match the linear exact scan.
-    #[test]
-    fn bounded_metric_range_identical_to_exact_linear(
-        corpus in arb_corpus(7, 16),
-        q in arb_shape_tree(16),
-        tau_int in 1..15usize,
-    ) {
-        let tau = tau_int as f64;
-        let metric = TreeIndex::build(corpus.iter().cloned()).with_metric_tree(true);
-        let exact = exact_index(&corpus);
-        prop_assert_eq!(&metric.range(&q, tau).neighbors, &exact.range(&q, tau).neighbors);
-        prop_assert_eq!(&metric.top_k(&q, 4).neighbors, &exact.top_k(&q, 4).neighbors);
-    }
 }
 
 /// In a selective regime (tight threshold, far-apart trees that survive
@@ -146,4 +129,28 @@ fn selective_range_reports_early_exits_and_less_work() {
     assert_eq!(t.verify_early_exits, a.stats.early_exits as u64);
     assert!(t.verify_bounded_ns > 0);
     assert!(t.verify_bounded_ns <= t.ted_ns);
+}
+
+/// `explain`'s `budgeted` reports what the verifier runs under a finite
+/// τ: the bounded kernel whenever the per-pair dispatch is in charge, and
+/// never once an algorithm is pinned or the query has no budget.
+#[test]
+fn explain_budgeted_follows_the_verifier() {
+    let trees: Vec<Tree<u32>> = (0..10)
+        .map(|i| Shape::ALL[i % Shape::ALL.len()].generate(6 + i, i as u64))
+        .collect();
+    let index = TreeIndex::build(trees.iter().cloned());
+    assert!(
+        index.explain(true).budgeted,
+        "the dispatch runs the bounded kernel under a finite tau"
+    );
+    assert!(
+        !index.explain(false).budgeted,
+        "no budget, no bounded kernel"
+    );
+    let pinned = index.with_algorithm(Algorithm::Rted);
+    assert!(
+        !pinned.explain(true).budgeted,
+        "a pinned algorithm never runs the bounded kernel"
+    );
 }

@@ -21,9 +21,9 @@
 //! | `join`     | `tau` (number, omit = unbounded)         | `matches` (array of `{left, right, distance}`, `left < right`), `candidates` (unordered pairs), `verified` |
 //! | `insert`   | `trees` (array of tree strings)          | `ids` (assigned ids, ascending)                                              |
 //! | `remove`   | `ids` (array of id numbers)              | `removed` (count actually live)                                              |
-//! | `status`   | —                                        | `status` object: `uptime_secs`, `live`, `id_bound`, `holes`, `segments`, `file_tombstones`, `workers`, `shards`, `requests`, `compactions`, `metric_built`, `metric_pending`, `metric_tombstones`, `requests_by_type` (per-op counts), `ops` (supported op names, for feature detection), `shard_live` / `shard_tombstones` (per-shard arrays), `tcp` (bound TCP address, present only when the TCP front-end is up), `metric_tree`, `persistent` |
+//! | `status`   | —                                        | `status` object: `uptime_secs`, `live`, `id_bound`, `holes`, `segments`, `file_tombstones`, `workers`, `shards`, `requests`, `compactions`, `requests_by_type` (per-op counts), `ops` (supported op names, for feature detection), `shard_live` / `shard_tombstones` (per-shard arrays), `tcp` (bound TCP address, present only when the TCP front-end is up), `persistent` |
 //! | `compact`  | —                                        | `compacted` (bool: anything reclaimed)                                       |
-//! | `explain`  | `tau` (number, omit = unbudgeted)        | `plan` object: `candidate_gen`, `stage_order` (array), `budgeted`, `linear_rate` / `metric_rate` (number or `null` while unsampled), `observed_queries` — the planner's decision record for a hypothetical query with this `tau` |
+//! | `explain`  | `tau` (number, omit = unbudgeted)        | `plan` object: `stage_order` (array), `budgeted` — what a query with this `tau` would run |
 //! | `metrics`  | `format` (`"json"` \| `"prometheus"`)    | `metrics` object (name → value or histogram summary) / `exposition` (string) |
 //! | `shutdown` | —                                        | `bye` (then the stream ends)                                                 |
 //!
@@ -128,10 +128,9 @@ pub enum Request {
     },
     /// Service counters and corpus/store state.
     Status,
-    /// The adaptive planner's decision record for a hypothetical query
-    /// carrying this `tau` — what would run and the observed signals
-    /// driving the choice. Answered from shard 0 (all shards share one
-    /// configuration; observations differ only by routing).
+    /// What a query carrying this `tau` would run: the filter stage order
+    /// and whether verification is budgeted. Answered from shard 0 (all
+    /// shards share one configuration).
     Explain {
         /// The hypothetical query's budget (`f64::INFINITY` = none).
         tau: f64,
@@ -214,16 +213,6 @@ pub struct StatusReport {
     /// Shard-file compaction rewrites since start (threshold-driven +
     /// explicit; one per rewritten file).
     pub compactions: u64,
-    /// Whether metric-tree candidate generation is enabled.
-    pub metric_tree: bool,
-    /// Ids the current vantage-point tree was built over, summed over
-    /// shards (0 = not built).
-    pub metric_built: usize,
-    /// Post-build inserts in the metric trees' linear overflow, summed.
-    pub metric_pending: usize,
-    /// Built ids tombstoned in the metric trees since their builds,
-    /// summed.
-    pub metric_tombstones: usize,
     /// Seconds since the server started.
     pub uptime_secs: u64,
     /// Requests served per type, in [`REQUEST_TYPE_NAMES`] order.
@@ -343,8 +332,8 @@ pub enum Response {
     Status(StatusReport),
     /// Answer to `compact` (`false` when there was nothing to reclaim).
     Compacted(bool),
-    /// Answer to `explain`: the planner's decision record.
-    Plan(rted_plan::PlanReport),
+    /// Answer to `explain`: what a query would run.
+    Plan(rted_index::PlanReport),
     /// Answer to `metrics` with `format: "json"`: every registered
     /// metric as a structured value.
     Metrics(rted_obs::Snapshot),
@@ -629,23 +618,12 @@ fn render_members(response: &Response, o: &mut Members) {
         Response::Status(s) => write_object(o.key("status"), |st| render_status(s, st)),
         Response::Compacted(reclaimed) => o.bool("compacted", *reclaimed),
         Response::Plan(report) => write_object(o.key("plan"), |p| {
-            p.str("candidate_gen", report.candidate_gen.name());
             write_array(p.key("stage_order"), |a| {
                 for name in &report.stage_order {
                     write_escaped(name, a.item());
                 }
             });
             p.bool("budgeted", report.budgeted);
-            for (key, rate) in [
-                ("linear_rate", report.linear_rate),
-                ("metric_rate", report.metric_rate),
-            ] {
-                match rate {
-                    Some(r) => p.num(key, r),
-                    None => p.key(key).push_str("null"),
-                }
-            }
-            p.num("observed_queries", report.observed_queries as f64);
         }),
         Response::Metrics(snap) => write_object(o.key("metrics"), |m| {
             for (name, value) in &snap.metrics {
@@ -692,9 +670,6 @@ fn render_status(s: &StatusReport, st: &mut Members) {
         ("shards", s.shards as f64),
         ("requests", s.requests as f64),
         ("compactions", s.compactions as f64),
-        ("metric_built", s.metric_built as f64),
-        ("metric_pending", s.metric_pending as f64),
-        ("metric_tombstones", s.metric_tombstones as f64),
     ] {
         st.num(key, value);
     }
@@ -719,7 +694,6 @@ fn render_status(s: &StatusReport, st: &mut Members) {
     if let Some(addr) = &s.tcp {
         st.str("tcp", addr);
     }
-    st.bool("metric_tree", s.metric_tree);
     st.bool("persistent", s.persistent);
 }
 
@@ -987,20 +961,12 @@ mod tests {
                 tcp: Some("127.0.0.1:4433".into()),
                 requests: 99,
                 compactions: 1,
-                metric_tree: true,
-                metric_built: 3,
-                metric_pending: 1,
-                metric_tombstones: 0,
                 uptime_secs: 12,
                 requests_by_type: [40, 5, 50, 1, 1, 1, 1, 0, 2, 4, 3],
             }),
-            Response::Plan(rted_plan::PlanReport {
-                candidate_gen: rted_plan::CandidateGen::Linear,
+            Response::Plan(rted_index::PlanReport {
                 stage_order: vec!["size", "depth"],
                 budgeted: true,
-                linear_rate: Some(0.25),
-                metric_rate: None,
-                observed_queries: 8,
             }),
         ] {
             let line = render_response(&resp);
@@ -1025,10 +991,6 @@ mod tests {
             tcp: None,
             requests: 46,
             compactions: 0,
-            metric_tree: false,
-            metric_built: 0,
-            metric_pending: 0,
-            metric_tombstones: 0,
             uptime_secs: 7,
             requests_by_type: [40, 5, 0, 0, 0, 1, 0, 0, 3, 2, 1],
         }));
@@ -1047,7 +1009,7 @@ mod tests {
         // Per-shard arrays render aligned by shard number; the tcp
         // member is absent without a TCP front-end...
         assert!(
-            line.contains(r#""shard_live":[1,1,1],"shard_tombstones":[0,0,0],"metric_tree":"#),
+            line.contains(r#""shard_live":[1,1,1],"shard_tombstones":[0,0,0],"persistent":false}"#),
             "{line}"
         );
         assert!(!line.contains(r#""tcp""#), "{line}");
@@ -1076,10 +1038,6 @@ mod tests {
             tcp: None,
             requests: 0,
             compactions: 0,
-            metric_tree: false,
-            metric_built: 0,
-            metric_pending: 0,
-            metric_tombstones: 0,
             uptime_secs: 0,
             requests_by_type: [0; 11],
         }
@@ -1087,17 +1045,13 @@ mod tests {
 
     #[test]
     fn plan_responses_render_decision_records() {
-        let line = render_response(&Response::Plan(rted_plan::PlanReport {
-            candidate_gen: rted_plan::CandidateGen::Metric,
+        let line = render_response(&Response::Plan(rted_index::PlanReport {
             stage_order: vec!["size", "leaf", "depth"],
             budgeted: false,
-            linear_rate: Some(0.5),
-            metric_rate: None,
-            observed_queries: 12,
         }));
         assert_eq!(
             line,
-            r#"{"ok":true,"plan":{"candidate_gen":"metric","stage_order":["size","leaf","depth"],"budgeted":false,"linear_rate":0.5,"metric_rate":null,"observed_queries":12}}"#
+            r#"{"ok":true,"plan":{"stage_order":["size","leaf","depth"],"budgeted":false}}"#
         );
         crate::json::parse(&line).unwrap();
     }

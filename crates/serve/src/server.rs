@@ -125,15 +125,6 @@ pub struct ServerConfig {
     /// How often the maintenance thread re-checks the trigger even
     /// without a mutation wake-up.
     pub maintenance_interval: Duration,
-    /// Route `range`/`topk` queries through the vantage-point tree
-    /// (built lazily by the first eligible query, maintained
-    /// incrementally across inserts/removes). Only 1-shard servers use
-    /// it: a striped query over N ≥ 2 shards always scans linearly.
-    /// Results are identical to the linear scan; only the work per query
-    /// changes. Off by default — the build spends O(n log n) exact
-    /// distances, which only pays off for query-heavy, selective
-    /// workloads.
-    pub metric_tree: bool,
 }
 
 impl Default for ServerConfig {
@@ -147,7 +138,6 @@ impl Default for ServerConfig {
             shards: 1,
             compact_fraction: Some(0.25),
             maintenance_interval: Duration::from_millis(100),
-            metric_tree: false,
         }
     }
 }
@@ -497,16 +487,9 @@ impl Drop for Server {
 }
 
 /// One shard of a `cfg.shards`-stripe layout, configured by `cfg`: the
-/// adaptive planner picks each query's candidate generator (answers are
-/// byte-identical to any fixed choice), the query fan-out is at least
-/// the shard count, and the vantage-point tree is enabled only on a
-/// 1-shard layout (striped queries over several shards always scan
-/// linearly, so it would never be used).
+/// query fan-out is at least the shard count.
 fn shard_index(index: TreeIndex<String>, cfg: &ServerConfig) -> TreeIndex<String> {
-    index
-        .with_threads(cfg.query_threads.max(cfg.shards))
-        .with_metric_tree(cfg.metric_tree && cfg.shards <= 1)
-        .with_planner(true)
+    index.with_threads(cfg.query_threads.max(cfg.shards))
 }
 
 /// Shard `k`'s backing file under a root path: the root itself for
@@ -733,15 +716,6 @@ fn handle(shared: &Shared, ws: &mut Workspace, request: Request) -> Response {
                 file_tombstones += tombs;
                 shard_tombstones.push(tombs);
             }
-            let (mut metric_built, mut metric_pending, mut metric_tombstones) = (0, 0, 0);
-            let mut metric_tree = false;
-            for pin in &pins {
-                let metric = pin.metric_snapshot();
-                metric_tree |= metric.enabled;
-                metric_built += metric.built;
-                metric_pending += metric.pending;
-                metric_tombstones += metric.tombstones;
-            }
             // Global id accounting: the stripe mapping means the global
             // id space is exactly [0, next_global), and every id not
             // live on its shard is a hole.
@@ -760,10 +734,6 @@ fn handle(shared: &Shared, ws: &mut Workspace, request: Request) -> Response {
                 tcp: relock(shared.tcp_addr.lock()).clone(),
                 requests: shared.requests.load(Ordering::Relaxed),
                 compactions: shared.metrics.compactions.get(),
-                metric_tree,
-                metric_built,
-                metric_pending,
-                metric_tombstones,
                 uptime_secs: shared.metrics.uptime_secs(),
                 requests_by_type: shared.metrics.per_type_counts(),
             })
@@ -801,10 +771,8 @@ fn handle(shared: &Shared, ws: &mut Workspace, request: Request) -> Response {
             }
         }
         Request::Explain { tau } => {
-            // All shards share one configuration and the same planner
-            // constants; shard 0 drives every striped query and holds
-            // the observations that steer them, so its decision record
-            // is the service's.
+            // All shards share one configuration and shard 0 drives every
+            // striped query, so its report is the service's.
             Response::Plan(shared.pin(0).explain(tau != f64::INFINITY))
         }
         Request::Shutdown => {

@@ -667,8 +667,9 @@ fn bounded_distance_answers_exact_or_certified_exceeds() {
     server.shutdown();
 }
 
-/// The `explain` op surfaces the planner's decision record, and planned
-/// queries feed the `index_plan_*` counters.
+/// The `explain` op reports the stage order and whether verification is
+/// budgeted; it records nothing, queries feed the per-kernel
+/// `index_plan_*_pairs` counters, and the generator counters are gone.
 #[test]
 fn explain_reports_planner_decisions() {
     use rted_serve::MetricsFormat;
@@ -681,11 +682,10 @@ fn explain_reports_planner_decisions() {
         },
     );
     let mut client = server.client();
-    // A budgeted probe: no metric tree, so the generator is linear; the
-    // default verifier is intact, so a finite tau plans the bounded arm.
+    // A budgeted probe: the default verifier is intact, so a finite tau
+    // plans the bounded arm.
     match client.call(Request::Explain { tau: 2.0 }) {
         Response::Plan(report) => {
-            assert_eq!(report.candidate_gen.name(), "linear");
             assert!(report.budgeted);
             assert_eq!(report.stage_order[0], "size");
             assert_eq!(report.stage_order.len(), 6);
@@ -697,7 +697,7 @@ fn explain_reports_planner_decisions() {
         Response::Plan(report) => assert!(!report.budgeted),
         other => panic!("{other:?}"),
     }
-    // Planned queries count their decisions.
+    // Queries count the kernels their verifications ran.
     match client.call(Request::Range {
         tree: gen_trees(1, 901).pop().unwrap(),
         tau: 2.0,
@@ -713,9 +713,18 @@ fn explain_reports_planner_decisions() {
                 Some(rted_obs::MetricValue::Counter(v)) => *v,
                 other => panic!("{name}: {other:?}"),
             };
-            // Two explain probes + one range over two shards.
-            assert!(counter("index_plan_linear_total") >= 3);
-            assert_eq!(counter("index_plan_metric_total"), 0);
+            // Two explain probes record nothing; the range verified
+            // every survivor through one of the three kernels.
+            assert_eq!(counter("index_range_queries_total"), 1);
+            assert_eq!(
+                counter("index_verified_total"),
+                counter("index_plan_zs_pairs_total")
+                    + counter("index_plan_bounded_pairs_total")
+                    + counter("index_plan_rted_pairs_total")
+            );
+            for gone in ["index_plan_linear_total", "index_plan_metric_total"] {
+                assert!(snap.get(gone).is_none(), "{gone} is still exported");
+            }
         }
         other => panic!("{other:?}"),
     }

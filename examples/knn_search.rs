@@ -73,24 +73,6 @@ fn main() {
         brute,
         brute.checked_div(res.stats.verified).unwrap_or(brute),
     );
-
-    // Metric-tree candidate generation: identical answers, candidates now
-    // come from a vantage-point tree (triangle-inequality routing) instead
-    // of the linear size-window scan.
-    let metric = {
-        let corpus = index.corpus().clone();
-        TreeIndex::from_corpus(corpus).with_metric_tree(true)
-    };
-    let mres = metric.range(&query, tau);
-    assert_eq!(mres.neighbors, res.neighbors);
-    println!(
-        "\nmetric tree (built with {} one-time distances): {} exact per query, \
-         {} vantages visited, {} routing skipped by cheap bounds",
-        metric.metric_snapshot().build_ted,
-        mres.stats.verified,
-        mres.stats.metric.nodes_visited,
-        mres.stats.metric.routing_skipped,
-    );
 }
 
 fn report(stats: &rted::index::SearchStats) {

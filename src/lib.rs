@@ -15,14 +15,11 @@
 //!   ([`rted_datasets`]);
 //! * [`index`] — the indexed, parallel similarity-search engine over tree
 //!   corpora: threshold (`range`), k-nearest-neighbour (`top_k`) and
-//!   self-join queries behind staged lower-bound filters (including the
-//!   serialized pq-gram stage), with optional metric-tree (vantage-point)
-//!   candidate generation ([`rted_index`]);
+//!   self-join queries, each one linear scan behind staged lower-bound
+//!   filters (including the serialized pq-gram stage) ([`rted_index`]);
 //! * [`obs`] — lock-free, allocation-free-at-record-time metrics:
 //!   counters, gauges, log₂ latency histograms, Prometheus-style text
 //!   exposition ([`rted_obs`]);
-//! * [`plan`] — the adaptive query planner's decision core: observed
-//!   crossover between candidate generators ([`rted_plan`]);
 //! * [`serve`] — the crash-safe, long-lived query service over a
 //!   persistent corpus: request queue + worker pool, torn-tail recovery
 //!   on startup, background compaction, scrape-able telemetry
@@ -67,7 +64,6 @@ pub use rted_core as core;
 pub use rted_datasets as datasets;
 pub use rted_index as index;
 pub use rted_obs as obs;
-pub use rted_plan as plan;
 pub use rted_serve as serve;
 pub use rted_tree as tree;
 

@@ -1,8 +1,8 @@
 //! Golden work counters of the keyroot kernels.
 //!
-//! The planner, the index's verifier stats and the end-to-end benchmark's
-//! `core.*` metrics all read these counters, so they are pinned to exact
-//! values here rather than only bounded: the relevant-subproblem count of
+//! The index's kernel-mix counters, its verifier stats and the end-to-end
+//! benchmark's `core.*` metrics all read these counters, so they are
+//! pinned to exact values here rather than only bounded: the relevant-subproblem count of
 //! every algorithm, the in-band cells, outcome and early-exit flag of the
 //! bounded verifier at four budgets under two cost models, the cells an
 //! edit-mapping extraction adds to the workspace's lifetime counter, and
@@ -143,7 +143,8 @@ fn measure() -> Vec<Golden> {
 }
 
 /// Exact values; a kernel change that moves any of them changes what the
-/// planner, the verifier stats and the benchmark's `core.*` metrics see.
+/// index's kernel mix, the verifier stats and the benchmark's `core.*`
+/// metrics see.
 const GOLDEN: &[Golden] = &[
     Golden {
         pair: "Mixed/60x55",
