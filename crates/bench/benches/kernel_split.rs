@@ -1,14 +1,20 @@
 //! Kernel split: strategy time, DP time, DP cells and ns per cell of the
 //! keyroot kernels, per shape × size × algorithm, on a warm workspace.
 //!
-//! Five runs per pair:
+//! Every row runs under [`UnitCost`], whose dyadic unit puts every
+//! kernel on `u32` cells, unless its name ends in `+f64`. Eight runs per
+//! pair:
 //!
 //! * `ZS-L` / `ZS-R` — the Zhang–Shasha keyroot-pair loop
 //!   ([`Algorithm::ZhangL`] / [`Algorithm::ZhangR`]);
-//! * `GTED-L` / `GTED-R` — GTED under the fixed strategy "left (right)
-//!   path of F everywhere", so every cell comes from the single-path
-//!   functions `∆L` / `∆R` (public [`Executor`] + [`PathChoice`]);
-//! * `RTED` — Algorithm 2's strategy, then GTED with `∆L`/`∆R`/`∆I`.
+//! * `GTED-L` / `GTED-R` / `GTED-H` — GTED under the fixed strategy
+//!   "left (right, heavy) path of F everywhere", so every cell comes from
+//!   one single-path function, `∆L` / `∆R` / `∆I` (public [`Executor`] +
+//!   [`PathChoice`]);
+//! * `RTED` — Algorithm 2's strategy, then GTED with `∆L`/`∆R`/`∆I`;
+//! * `ZS-L+f64` / `RTED+f64` — the same two kernels under
+//!   `PerLabelCost::new(0.1, 0.2, 0.3)`, which names no dyadic unit, so
+//!   they time the `f64` cells beside the `u32` ones.
 //!
 //! Three more rows per pair measure the kernel-choice rule:
 //!
@@ -21,9 +27,10 @@
 //! * `diff` — [`edit_mapping_in`]: the rule's kernel plus the backtrace,
 //!   with the cells both add to the workspace's counter.
 //!
-//! Each figure is the minimum over the samples (up to 10, at least 3 —
-//! see [`BUDGET`] — or 2 with `RTED_BENCH_QUICK`); `ns_per_cell` is the minimum DP time over the DP
-//! cells. With `RTED_BENCH_JSON_DIR` set the rows are also written to
+//! Each figure is the minimum over the samples (at least 10 and
+//! [`FLOOR`]'s worth, but no more than [`BUDGET`]'s worth past the
+//! third; 2 with `RTED_BENCH_QUICK`); `ns_per_cell` is the minimum DP
+//! time over the DP cells. With `RTED_BENCH_JSON_DIR` set the rows are also written to
 //! `<dir>/BENCH_kernel_split.json` in the criterion-shim layout
 //! (`min_ns` = strategy + DP) plus the split fields, so `bench_diff`
 //! reads it like every other bench file. `RTED_BENCH_FILTER` keeps only
@@ -35,22 +42,34 @@
 //! ```
 
 use rted_core::{
-    edit_mapping_in, Algorithm, Executor, PathChoice, RunStats, Side, UnitCost, Workspace,
+    edit_mapping_in, Algorithm, Executor, PathChoice, PerLabelCost, RunStats, Side, UnitCost,
+    Workspace,
 };
 use rted_datasets::Shape;
 use rted_tree::{PathKind, Tree};
 use std::time::{Duration, Instant};
 
-const ROWS: [&str; 8] = [
+const ROWS: [&str; 11] = [
     "ZS-L",
     "ZS-R",
     "GTED-L",
     "GTED-R",
+    "GTED-H",
     "RTED",
+    "ZS-L+f64",
+    "RTED+f64",
     "best-fixed",
     "best-fixed+auto",
     "diff",
 ];
+
+/// The cost model of the `+f64` rows: no power of two divides 0.1 within
+/// the integer cells' range, so every kernel runs on `f64` cells.
+const NO_UNIT: PerLabelCost = PerLabelCost {
+    del: 0.1,
+    ins: 0.2,
+    ren: 0.3,
+};
 
 /// The exact kernels `best-fixed` chooses from, by row name.
 const FIXED: [(&str, Algorithm); 3] = [
@@ -63,6 +82,11 @@ const FIXED: [(&str, Algorithm); 3] = [
 /// least three samples (the half-billion-cell rows take seconds per run).
 const BUDGET: Duration = Duration::from_secs(3);
 
+/// Fast rows keep sampling until they have used this much time: on a
+/// shared host a sub-millisecond row's minimum over 10 samples moves by
+/// ±50% from run to run.
+const FLOOR: Duration = Duration::from_millis(300);
+
 /// One timed run of a row other than `best-fixed`: `(strategy, dp,
 /// cells)`.
 fn run_once(
@@ -72,6 +96,7 @@ fn run_once(
     ws: &mut Workspace,
 ) -> (Duration, Duration, u64) {
     let split = |run: RunStats| (run.strategy_time, run.distance_time, run.subproblems);
+    let f64_row = |alg: Algorithm, ws: &mut Workspace| split(alg.run_in(f, g, &NO_UNIT, ws));
     let gted = |kind: PathKind, ws: &mut Workspace| {
         let start = Instant::now();
         let mut exec = Executor::with_workspace(f, g, &UnitCost, ws);
@@ -84,6 +109,9 @@ fn run_once(
     match row {
         "GTED-L" => gted(PathKind::Left, ws),
         "GTED-R" => gted(PathKind::Right, ws),
+        "GTED-H" => gted(PathKind::Heavy, ws),
+        "ZS-L+f64" => f64_row(Algorithm::ZhangL, ws),
+        "RTED+f64" => f64_row(Algorithm::Rted, ws),
         "best-fixed+auto" => {
             let start = Instant::now();
             let alg = Algorithm::cheapest_exact(f, g);
@@ -205,7 +233,15 @@ fn main() {
                 let (_, _, cells) = run_once(runs_as, &f, &g, &mut ws);
                 let started = Instant::now();
                 let mut runs = Vec::new();
-                while runs.len() < samples && (runs.len() < 3 || started.elapsed() < BUDGET) {
+                let (least, floor) = if quick {
+                    (samples, Duration::ZERO)
+                } else {
+                    (3, FLOOR)
+                };
+                while runs.len() < least
+                    || (started.elapsed() < BUDGET
+                        && (runs.len() < samples || started.elapsed() < floor))
+                {
                     runs.push(run_once(runs_as, &f, &g, &mut ws));
                 }
                 let samples = runs.len();

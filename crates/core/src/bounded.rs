@@ -58,6 +58,7 @@
 //! otherwise [`Algorithm::cheapest_exact`]'s pick, and it reports the
 //! pick as [`BoundedRun::kernel`].
 
+use crate::cell::{with_cells, Cell, Scale};
 use crate::cost::CostModel;
 use crate::keyroot::Band;
 use crate::rted::Algorithm;
@@ -215,15 +216,29 @@ pub fn ted_at_most_run<L, C: CostModel<L>>(
         // Distances are non-negative, so nothing fits a negative budget.
         return finish(ws, BoundedResult::Exceeds(0.0), 0, true);
     }
+    with_cells!(f, g, cm, |sc| bounded(f, g, cm, tau, ws, sc))
+}
 
-    ws.ftab.rebuild(f, cm);
-    ws.gtab.rebuild(g, cm);
+/// [`ted_at_most_run`] past the negative budget, on `T` cells. The budget
+/// tests run in the model's terms on exact conversions, so they decide
+/// alike on both cell types.
+fn bounded<L, C: CostModel<L>, T: Cell>(
+    f: &Tree<L>,
+    g: &Tree<L>,
+    cm: &C,
+    tau: f64,
+    ws: &mut Workspace,
+    sc: Scale<T>,
+) -> BoundedRun {
+    let b = T::bufs(ws);
+    b.ftab.rebuild(f, cm, sc);
+    b.gtab.rebuild(g, cm, sc);
     let (nf, ng) = (f.len() as u32, g.len() as u32);
 
     // Cheapest single delete / insert: the weights behind the size
     // pre-bound, the band widths, and the completion bounds.
-    let min_del = ws.ftab.del.iter().copied().fold(f64::INFINITY, f64::min);
-    let min_ins = ws.gtab.ins.iter().copied().fold(f64::INFINITY, f64::min);
+    let cheapest = |costs: &[T]| sc.real(costs.iter().fold(T::INF, |m, &c| m.min(c)));
+    let (min_del, min_ins) = (cheapest(&b.ftab.del), cheapest(&b.gtab.ins));
 
     // Size pre-bound: the surplus nodes of the larger tree have no
     // partners, so each costs at least one cheapest delete (insert).
@@ -245,14 +260,16 @@ pub fn ted_at_most_run<L, C: CostModel<L>>(
 
     // The frontier check on the root sheet (whose local ranks are the
     // view's): a row with no cell of `fd + comp ≤ τ` certifies `ted > τ`.
-    let frontier = |x: u32, row: &[f64], lo: usize, hi: usize| {
+    let frontier = |x: u32, row: &[T], lo: usize, hi: usize| {
         let pot = (lo..=hi)
-            .map(|y| row[y] + completion(nf - x, ng - y as u32, min_del, min_ins))
+            .map(|y| sc.real(row[y]) + completion(nf - x, ng - y as u32, min_del, min_ins))
             .fold(f64::INFINITY, f64::min);
         pot <= tau
     };
     let (right, _) = cheaper_side(f, g);
-    let (corner, subproblems, completed) = keyroot_pairs(f, g, cm, right, Some(band), ws, frontier);
+    let (corner, subproblems, completed) =
+        keyroot_pairs(f, g, cm, right, Some(band), ws, sc, frontier);
+    let corner = sc.real(corner);
     let result = if completed && corner <= tau {
         // In-budget cells are exact (see the module docs).
         BoundedResult::Exact(corner)

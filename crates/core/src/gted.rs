@@ -11,6 +11,7 @@
 //! The executor fills the distance matrix `D` with δ(F_v, G_w) for **every**
 //! pair of subtrees — the final entry is the tree edit distance.
 
+use crate::cell::{integer_unit, Cell, Scale};
 use crate::cost::{CostModel, CostTables};
 use crate::strategy::{PathChoice, Side, StrategyProvider};
 use crate::workspace::Workspace;
@@ -38,23 +39,29 @@ pub struct ExecStats {
 const EXPAND: u8 = u8::MAX;
 
 /// A GTED execution over one pair of trees: owns (or borrows from a
-/// [`Workspace`]) the distance matrix and the per-tree cost tables.
+/// [`Workspace`]) the distance matrix and the per-tree cost tables, in the
+/// cell type [`CostModel::unit`] allows for the pair (`u32` cost units or
+/// `f64`; the answers are the same).
 pub struct Executor<'a, L, C> {
-    pub(crate) f: &'a Tree<L>,
-    pub(crate) g: &'a Tree<L>,
-    pub(crate) cm: &'a C,
-    pub(crate) ftab: CostTables,
-    pub(crate) gtab: CostTables,
-    /// Subtree distance matrix, row-major `[v_F][w_G]`.
-    d: Vec<f64>,
-    /// Scratch source for the single-path functions; `Some` when borrowed
-    /// from a caller's workspace (matrix and tables are then returned to
-    /// it on drop), `None` when self-contained.
-    ws: Option<&'a mut Workspace>,
-    /// Owned scratch for the self-contained mode.
-    ws_owned: Workspace,
+    cells: Cells<'a, L, C>,
     /// Execution counters.
     pub stats: ExecStats,
+}
+
+/// The execution on the cell type chosen for the pair.
+enum Cells<'a, L, C> {
+    Wide(Gted<'a, L, C, f64>),
+    Narrow(Gted<'a, L, C, u32>),
+}
+
+/// Runs `$body` on the execution `$x` of either cell type.
+macro_rules! on_cells {
+    ($cells:expr, |$x:ident| $body:expr) => {
+        match $cells {
+            Cells::Wide($x) => $body,
+            Cells::Narrow($x) => $body,
+        }
+    };
 }
 
 impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
@@ -63,20 +70,7 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
     /// the executor; use [`Executor::with_workspace`] to amortize them
     /// across many pairs.
     pub fn new(f: &'a Tree<L>, g: &'a Tree<L>, cm: &'a C) -> Self {
-        let ftab = CostTables::new(f, cm);
-        let gtab = CostTables::new(g, cm);
-        let d = vec![f64::NAN; f.len() * g.len()];
-        Executor {
-            f,
-            g,
-            cm,
-            ftab,
-            gtab,
-            d,
-            ws: None,
-            ws_owned: Workspace::new(),
-            stats: ExecStats::default(),
-        }
+        Self::build(f, g, cm, None)
     }
 
     /// Prepares an execution whose distance matrix, cost tables and all
@@ -90,26 +84,71 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
         cm: &'a C,
         ws: &'a mut Workspace,
     ) -> Self {
-        let mut ftab = std::mem::take(&mut ws.ftab);
-        let mut gtab = std::mem::take(&mut ws.gtab);
-        let mut d = std::mem::take(&mut ws.d);
-        ftab.rebuild(f, cm);
-        gtab.rebuild(g, cm);
-        d.clear();
-        d.resize(f.len() * g.len(), f64::NAN);
+        Self::build(f, g, cm, Some(ws))
+    }
+
+    fn build(f: &'a Tree<L>, g: &'a Tree<L>, cm: &'a C, ws: Option<&'a mut Workspace>) -> Self {
+        let cells = match integer_unit(f, g, cm) {
+            Some(unit) => Cells::Narrow(Gted::new(f, g, cm, Scale::units(unit), ws)),
+            None => Cells::Wide(Gted::new(f, g, cm, Scale::REAL, ws)),
+        };
         Executor {
-            f,
-            g,
-            cm,
-            ftab,
-            gtab,
-            d,
-            ws: Some(ws),
-            ws_owned: Workspace::new(),
+            cells,
             stats: ExecStats::default(),
         }
     }
 
+    /// Runs GTED under `strategy` and returns the tree edit distance.
+    pub fn run<S: StrategyProvider<L>>(&mut self, strategy: &S) -> f64 {
+        let (distance, stats) = on_cells!(&mut self.cells, |x| {
+            let d = x.run(strategy);
+            (x.sc.real(d), x.stats)
+        });
+        self.stats = stats;
+        distance
+    }
+
+    /// The computed tree edit distance (valid after [`Executor::run`]).
+    pub fn distance(&self) -> f64 {
+        on_cells!(&self.cells, |x| x.sc.real(x.distance()))
+    }
+
+    /// Distance between the subtrees rooted at `v` (in `F`) and `w` (in
+    /// `G`). All pairs are available after [`Executor::run`].
+    pub fn subtree_distance(&self, v: NodeId, w: NodeId) -> f64 {
+        on_cells!(&self.cells, |x| x.sc.real(x.d_get(v, w, false)))
+    }
+}
+
+/// GTED on `T` cells: the executor proper, run directly by RTED and the
+/// heavy-path algorithms once the cell type is chosen.
+pub(crate) struct Gted<'a, L, C, T: Cell> {
+    pub(crate) f: &'a Tree<L>,
+    pub(crate) g: &'a Tree<L>,
+    pub(crate) cm: &'a C,
+    pub(crate) sc: Scale<T>,
+    pub(crate) ftab: CostTables<T>,
+    pub(crate) gtab: CostTables<T>,
+    /// Subtree distance matrix, row-major `[v_F][w_G]`.
+    d: Vec<T>,
+    /// Scratch source for the single-path functions; `Some` when borrowed
+    /// from a caller's workspace, `None` when self-contained. The matrix
+    /// and tables are taken from it and returned on drop.
+    ws: Option<&'a mut Workspace>,
+    /// Owned scratch for the self-contained mode.
+    ws_owned: Workspace,
+    /// The B side `(root, swapped, right)` whose per-rank rows the
+    /// keyroot scratch holds from the last `∆L`/`∆R`, which the next one
+    /// on the same side reuses.
+    pub(crate) lr_b: Option<(NodeId, bool, bool)>,
+    /// Likewise the B side `(root, swapped)` whose `∆I` tables the
+    /// workspace holds from the last `∆I`.
+    pub(crate) i_b: Option<(NodeId, bool)>,
+    /// Execution counters.
+    pub(crate) stats: ExecStats,
+}
+
+impl<L, C, T: Cell> Gted<'_, L, C, T> {
     /// The scratch workspace serving the single-path functions.
     #[inline]
     pub(crate) fn scratch(&mut self) -> &mut Workspace {
@@ -118,9 +157,46 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
             None => &mut self.ws_owned,
         }
     }
+}
+
+impl<'a, L, C: CostModel<L>, T: Cell> Gted<'a, L, C, T> {
+    pub(crate) fn new(
+        f: &'a Tree<L>,
+        g: &'a Tree<L>,
+        cm: &'a C,
+        sc: Scale<T>,
+        ws: Option<&'a mut Workspace>,
+    ) -> Self {
+        let mut exec = Gted {
+            f,
+            g,
+            cm,
+            sc,
+            ftab: CostTables::default(),
+            gtab: CostTables::default(),
+            d: Vec::new(),
+            ws,
+            ws_owned: Workspace::new(),
+            lr_b: None,
+            i_b: None,
+            stats: ExecStats::default(),
+        };
+        let b = T::bufs(exec.scratch());
+        let mut ftab = std::mem::take(&mut b.ftab);
+        let mut gtab = std::mem::take(&mut b.gtab);
+        let mut d = std::mem::take(&mut b.d);
+        ftab.rebuild(f, cm, sc);
+        gtab.rebuild(g, cm, sc);
+        d.clear();
+        d.resize(f.len() * g.len(), T::UNSET);
+        exec.ftab = ftab;
+        exec.gtab = gtab;
+        exec.d = d;
+        exec
+    }
 
     /// Runs GTED under `strategy` and returns the tree edit distance.
-    pub fn run<S: StrategyProvider<L>>(&mut self, strategy: &S) -> f64 {
+    pub(crate) fn run<S: StrategyProvider<L>>(&mut self, strategy: &S) -> T {
         // Iterative driver (strategy recursions can nest O(n) deep on
         // degenerate shapes). Children are expanded before the parent
         // pair's single-path function runs. The stack and the relevant-
@@ -192,19 +268,10 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
         }
     }
 
-    /// The computed tree edit distance (valid after [`Executor::run`]).
+    /// The computed tree edit distance (valid after [`Gted::run`]).
     #[inline]
-    pub fn distance(&self) -> f64 {
+    pub(crate) fn distance(&self) -> T {
         self.d[self.d.len() - 1]
-    }
-
-    /// Distance between the subtrees rooted at `v` (in `F`) and `w` (in
-    /// `G`). All pairs are available after [`Executor::run`].
-    #[inline]
-    pub fn subtree_distance(&self, v: NodeId, w: NodeId) -> f64 {
-        let d = self.d[v.idx() * self.g.len() + w.idx()];
-        debug_assert!(!d.is_nan(), "distance ({v},{w}) read before computed");
-        d
     }
 
     // ---- orientation-aware accessors used by the single-path functions.
@@ -233,7 +300,7 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
 
     /// Cost of deleting A-side node `a` (in the oriented problem).
     #[inline]
-    pub(crate) fn del_a(&self, a: NodeId, swapped: bool) -> f64 {
+    pub(crate) fn del_a(&self, a: NodeId, swapped: bool) -> T {
         if swapped {
             self.gtab.ins[a.idx()]
         } else {
@@ -243,7 +310,7 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
 
     /// Cost of inserting B-side node `b`.
     #[inline]
-    pub(crate) fn ins_b(&self, b: NodeId, swapped: bool) -> f64 {
+    pub(crate) fn ins_b(&self, b: NodeId, swapped: bool) -> T {
         if swapped {
             self.ftab.del[b.idx()]
         } else {
@@ -253,7 +320,7 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
 
     /// Total delete cost of A-side subtree `a`.
     #[inline]
-    pub(crate) fn sub_del_a(&self, a: NodeId, swapped: bool) -> f64 {
+    pub(crate) fn sub_del_a(&self, a: NodeId, swapped: bool) -> T {
         if swapped {
             self.gtab.sub_ins[a.idx()]
         } else {
@@ -263,7 +330,7 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
 
     /// Total insert cost of B-side subtree `b`.
     #[inline]
-    pub(crate) fn sub_ins_b(&self, b: NodeId, swapped: bool) -> f64 {
+    pub(crate) fn sub_ins_b(&self, b: NodeId, swapped: bool) -> T {
         if swapped {
             self.ftab.sub_del[b.idx()]
         } else {
@@ -273,12 +340,12 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
 
     /// Rename cost from A-side node `a` to B-side node `b`.
     #[inline]
-    pub(crate) fn ren_ab(&self, a: NodeId, b: NodeId, swapped: bool) -> f64 {
-        if swapped {
+    pub(crate) fn ren_ab(&self, a: NodeId, b: NodeId, swapped: bool) -> T {
+        self.sc.cell(if swapped {
             self.cm.rename(self.f.label(b), self.g.label(a))
         } else {
             self.cm.rename(self.f.label(a), self.g.label(b))
-        }
+        })
     }
 
     /// Index of δ(subtree(a), subtree(b)) in `D`, in the current
@@ -291,9 +358,9 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
 
     /// Reads δ(subtree(a), subtree(b)) in the current orientation.
     #[inline]
-    pub(crate) fn d_get(&self, a: NodeId, b: NodeId, swapped: bool) -> f64 {
+    pub(crate) fn d_get(&self, a: NodeId, b: NodeId, swapped: bool) -> T {
         let d = self.d[self.d_at(a, b, swapped)];
-        debug_assert!(!d.is_nan(), "D({a},{b}) read before computed");
+        debug_assert!(!d.is_unset(), "D({a},{b}) read before computed");
         d
     }
 
@@ -309,8 +376,8 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
         bs: &[NodeId],
         swapped: bool,
         consecutive: bool,
-        buf: &'s mut Vec<f64>,
-    ) -> &'s [f64] {
+        buf: &'s mut Vec<T>,
+    ) -> &'s [T] {
         if consecutive && !swapped {
             let first = self.d_at(a, bs[0], false);
             return &self.d[first..first + bs.len()];
@@ -320,23 +387,37 @@ impl<'a, L, C: CostModel<L>> Executor<'a, L, C> {
         buf
     }
 
+    /// The matrix and where δ(subtree(a), subtree(b)) lies in it for this
+    /// `a`, in the current orientation: at `base + b · step`.
+    #[inline]
+    pub(crate) fn d_line(&self, a: NodeId, swapped: bool) -> (&[T], usize, usize) {
+        let n = self.g.len();
+        if swapped {
+            (&self.d, a.idx(), n)
+        } else {
+            (&self.d, a.idx() * n, 1)
+        }
+    }
+
     /// Writes δ(subtree(a), subtree(b)) in the current orientation.
     #[inline]
-    pub(crate) fn d_set(&mut self, a: NodeId, b: NodeId, swapped: bool, val: f64) {
+    pub(crate) fn d_set(&mut self, a: NodeId, b: NodeId, swapped: bool, val: T) {
         let at = self.d_at(a, b, swapped);
         self.d[at] = val;
     }
 }
 
-impl<L, C> Drop for Executor<'_, L, C> {
+impl<L, C, T: Cell> Drop for Gted<'_, L, C, T> {
     fn drop(&mut self) {
-        // Hand the matrix and cost tables back to the borrowed workspace
-        // so the next executor built on it reuses their capacity.
-        if let Some(ws) = self.ws.take() {
-            ws.d = std::mem::take(&mut self.d);
-            ws.ftab = std::mem::take(&mut self.ftab);
-            ws.gtab = std::mem::take(&mut self.gtab);
-        }
+        // Hand the matrix and cost tables back to the workspace so the
+        // next execution built on it reuses their capacity.
+        let d = std::mem::take(&mut self.d);
+        let ftab = std::mem::take(&mut self.ftab);
+        let gtab = std::mem::take(&mut self.gtab);
+        let b = T::bufs(self.scratch());
+        b.d = d;
+        b.ftab = ftab;
+        b.gtab = gtab;
     }
 }
 

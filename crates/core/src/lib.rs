@@ -54,6 +54,7 @@
 pub mod baseline;
 pub mod bounded;
 pub mod bounds;
+mod cell;
 pub mod cost;
 pub mod gted;
 pub mod mapping;

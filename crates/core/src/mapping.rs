@@ -35,6 +35,7 @@
 //! unmapped `w ∈ G` + `Σ cr(v, w)` over pairs — the tree edit distance is
 //! the minimum over all valid mappings (Tai 1979).
 
+use crate::cell::{with_cells, Cell, Scale};
 use crate::cost::CostModel;
 use crate::keyroot::{self, Ranks, SheetHooks};
 use crate::rted::Algorithm;
@@ -292,13 +293,6 @@ impl EditScript {
     }
 }
 
-/// Float comparison for backtrace decisions: exact for integer-valued cost
-/// models, tolerant for general `f64` costs.
-#[inline]
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
-}
-
 /// One frame of the iterative backtrace: a subtree pair `(x, y)` whose
 /// forest DP has been materialized in the workspace sheet at this frame's
 /// depth, currently backtraced at `(a, b)`. Lives in the
@@ -320,51 +314,54 @@ pub(crate) struct TraceFrame {
 /// distance phase: the subtree-distance matrix and the per-rank leftmost
 /// leaves and delete/insert costs of both trees' left views (ranks are
 /// postorder + 1).
-struct TraceCtx<'a, L, C> {
+struct TraceCtx<'a, L, C, T> {
     f: &'a Tree<L>,
     g: &'a Tree<L>,
     cm: &'a C,
+    sc: Scale<T>,
     /// The subtree distances: δ(x, y) at `x · stride + y − skip`.
-    td: &'a [f64],
+    td: &'a [T],
     stride: usize,
     skip: usize,
-    a: &'a Ranks,
-    b: &'a Ranks,
+    a: &'a Ranks<T>,
+    b: &'a Ranks<T>,
 }
 
-impl<L, C: CostModel<L>> TraceCtx<'_, L, C> {
+impl<L, C: CostModel<L>, T: Cell> TraceCtx<'_, L, C, T> {
     #[inline]
-    fn td_at(&self, x: u32, y: u32) -> f64 {
+    fn td_at(&self, x: u32, y: u32) -> T {
         self.td[x as usize * self.stride + y as usize - self.skip]
     }
 }
 
 /// The backtrace refills a sheet from the finished subtree distances and
 /// writes none back.
-impl<L, C: CostModel<L>> SheetHooks for TraceCtx<'_, L, C> {
+impl<L, C: CostModel<L>, T: Cell> SheetHooks<T> for TraceCtx<'_, L, C, T> {
     #[inline]
-    fn rename(&self, x: u32, y: u32) -> f64 {
-        self.cm
-            .rename(self.f.label(NodeId(x - 1)), self.g.label(NodeId(y - 1)))
+    fn rename(&self, x: u32, y: u32) -> T {
+        self.sc.cell(
+            self.cm
+                .rename(self.f.label(NodeId(x - 1)), self.g.label(NodeId(y - 1))),
+        )
     }
 
     #[inline]
-    fn td_row<'s>(&'s self, x: u32, lj: u32, _j: u32, _buf: &'s mut Vec<f64>) -> &'s [f64] {
+    fn td_row<'s>(&'s self, x: u32, lj: u32, _j: u32, _buf: &'s mut Vec<T>) -> &'s [T] {
         &self.td[x as usize * self.stride + lj as usize - self.skip..]
     }
 
     #[inline]
-    fn set_td(&mut self, _x: u32, _y: u32, _v: f64) {}
+    fn set_td(&mut self, _x: u32, _y: u32, _v: T) {}
 }
 
 /// Re-runs the forest DP for the subtree pair `(x, y)` into the pooled
 /// sheet at depth `frames.len()` and pushes the frame, positioned at its
 /// top cell. Returns the number of DP cells computed.
-fn push_frame<L, C: CostModel<L>>(
-    cx: &mut TraceCtx<'_, L, C>,
-    sheets: &mut Vec<Vec<f64>>,
+fn push_frame<L, C: CostModel<L>, T: Cell>(
+    cx: &mut TraceCtx<'_, L, C, T>,
+    sheets: &mut Vec<Vec<T>>,
     frames: &mut Vec<TraceFrame>,
-    rows: &mut keyroot::Rows,
+    rows: &mut keyroot::Rows<T>,
     x: u32,
     y: u32,
 ) -> u64 {
@@ -377,7 +374,7 @@ fn push_frame<L, C: CostModel<L>>(
     let (cells, _) = keyroot::sheet(cx, a, b, (x, y), None, fd, rows);
     let (lx, ly) = (a.lml[x as usize], b.lml[y as usize]);
     let corner = (x - lx + 2) as usize * (y - ly + 2) as usize - 1;
-    debug_assert!(close(fd[corner], cx.td_at(x, y)), "trace DP mismatch");
+    debug_assert!(T::tie(fd[corner], cx.td_at(x, y)), "trace DP mismatch");
     frames.push(TraceFrame {
         x,
         y,
@@ -394,11 +391,13 @@ fn push_frame<L, C: CostModel<L>>(
 /// subtree-match transition suspends the current frame at its resume
 /// position and descends into a child frame; the parent's sheet stays
 /// live in its pool slot until the child (and its descendants) finish.
-fn backtrace<L, C: CostModel<L>>(
-    cx: &mut TraceCtx<'_, L, C>,
-    sheets: &mut Vec<Vec<f64>>,
+/// A step is co-optimal when [`Cell::tie`] says so: equality on `u32`
+/// cells, a 10⁻⁹ relative tolerance on `f64` ones.
+fn backtrace<L, C: CostModel<L>, T: Cell>(
+    cx: &mut TraceCtx<'_, L, C, T>,
+    sheets: &mut Vec<Vec<T>>,
     frames: &mut Vec<TraceFrame>,
-    rows: &mut keyroot::Rows,
+    rows: &mut keyroot::Rows<T>,
     ops: &mut Vec<EditOp>,
 ) -> u64 {
     frames.clear();
@@ -436,12 +435,12 @@ fn backtrace<L, C: CostModel<L>>(
             let w = (y - ly + 2) as usize;
             let at = |a: u32, b: u32| ((a + 1 - lx) as usize) * w + (b + 1 - ly) as usize;
             let cur = sheet[at(a, b)];
-            if close(cur, sheet[at(a - 1, b)] + cx.a.cost[a as usize]) {
+            if T::tie(cur, sheet[at(a - 1, b)] + cx.a.cost[a as usize]) {
                 ops.push(EditOp::Delete(NodeId(a - 1)));
                 a -= 1;
                 continue;
             }
-            if close(cur, sheet[at(a, b - 1)] + cx.b.cost[b as usize]) {
+            if T::tie(cur, sheet[at(a, b - 1)] + cx.b.cost[b as usize]) {
                 ops.push(EditOp::Insert(NodeId(b - 1)));
                 b -= 1;
                 continue;
@@ -449,13 +448,13 @@ fn backtrace<L, C: CostModel<L>>(
             let la = cx.a.lml[a as usize];
             let lb = cx.b.lml[b as usize];
             if la == lx && lb == ly {
-                debug_assert!(close(cur, sheet[at(a - 1, b - 1)] + cx.rename(a, b)));
+                debug_assert!(T::tie(cur, sheet[at(a - 1, b - 1)] + cx.rename(a, b)));
                 ops.push(EditOp::Map(NodeId(a - 1), NodeId(b - 1)));
                 a -= 1;
                 b -= 1;
                 continue;
             }
-            debug_assert!(close(cur, sheet[at(la - 1, lb - 1)] + cx.td_at(a, b)));
+            debug_assert!(T::tie(cur, sheet[at(la - 1, lb - 1)] + cx.td_at(a, b)));
             // Cannot be the frame's own root: there la == lx && lb == ly.
             debug_assert!(!(a == x && b == y), "subtree match at the DP origin");
             // Suspend this frame at its resume position, descend into the
@@ -495,27 +494,42 @@ pub(crate) fn edit_mapping_with<L, C: CostModel<L>>(
     kernel: Algorithm,
     ws: &mut Workspace,
 ) -> EditMapping {
-    let run = kernel.compute_in(f, g, cm, ws);
+    with_cells!(f, g, cm, |sc| trace(f, g, cm, kernel, ws, sc))
+}
+
+/// [`edit_mapping_with`] on `T` cells: the distance phase, then the
+/// backtrace over the `T` subtree distances it left.
+fn trace<L, C: CostModel<L>, T: Cell>(
+    f: &Tree<L>,
+    g: &Tree<L>,
+    cm: &C,
+    kernel: Algorithm,
+    ws: &mut Workspace,
+    sc: Scale<T>,
+) -> EditMapping {
+    let run = kernel.compute_cells(f, g, cm, ws, sc);
     let (nf, ng) = (f.len(), g.len());
-    let kr = &mut ws.keyroot;
+    let mut frames = std::mem::take(&mut ws.trace_frames);
+    let b = T::bufs(ws);
+    let kr = &mut b.keyroot;
     if kernel != Algorithm::ZhangL {
         // Only Zhang-L leaves the left views' ranks loaded.
-        let (ftab, gtab) = (&ws.ftab, &ws.gtab);
+        let (ftab, gtab) = (&b.ftab, &b.gtab);
         kr.a.load(&SubtreeView::new(f, f.root(), false), |v| ftab.del[v.idx()]);
         kr.b.load(&SubtreeView::new(g, g.root(), false), |w| gtab.ins[w.idx()]);
     }
     // Where the kernel left δ(x, y), as (matrix, stride, skip).
-    let (td, stride, skip): (&[f64], usize, usize) = match kernel {
-        Algorithm::ZhangL => (&ws.d, ng + 1, 0),
+    let (td, stride, skip): (&[T], usize, usize) = match kernel {
+        Algorithm::ZhangL => (&b.d, ng + 1, 0),
         Algorithm::ZhangR => {
             // Zhang-R's `td` is indexed by mirror ranks. Reorder it into
             // left ranks once, in the buffer of its root pair's sheet,
             // which the run left (|F| + 1) · (|G| + 1) long and done with.
             let w = ng + 1;
-            kr.fd.resize(kr.fd.len().max((nf + 1) * w), 0.0);
+            kr.fd.resize(kr.fd.len().max((nf + 1) * w), T::ZERO);
             for x in 1..=nf {
                 let xr = f.rpost(NodeId(x as u32 - 1)) as usize + 1;
-                let src = &ws.d[xr * w..(xr + 1) * w];
+                let src = &b.d[xr * w..(xr + 1) * w];
                 for (y, cell) in kr.fd[x * w + 1..(x + 1) * w].iter_mut().enumerate() {
                     *cell = src[g.rpost(NodeId(y as u32)) as usize + 1];
                 }
@@ -523,7 +537,7 @@ pub(crate) fn edit_mapping_with<L, C: CostModel<L>>(
             (&kr.fd, w, 0)
         }
         // GTED's `D`, row-major `[v][w]` by postorder id = rank − 1.
-        _ => (&ws.d, ng, ng + 1),
+        _ => (&b.d, ng, ng + 1),
     };
     let mut ops = Vec::with_capacity(nf + ng);
     // Disjoint field borrows: the DP products the kernel left in the
@@ -533,6 +547,7 @@ pub(crate) fn edit_mapping_with<L, C: CostModel<L>>(
         f,
         g,
         cm,
+        sc,
         td,
         stride,
         skip,
@@ -541,12 +556,13 @@ pub(crate) fn edit_mapping_with<L, C: CostModel<L>>(
     };
     let trace_cells = backtrace(
         &mut cx,
-        &mut ws.trace_sheets,
-        &mut ws.trace_frames,
+        &mut b.trace_sheets,
+        &mut frames,
         &mut kr.rows,
         &mut ops,
     );
     ops.reverse(); // backtrace emits from the right; present left-to-right
+    ws.trace_frames = frames;
     ws.note_run(run.subproblems + trace_cells);
     EditMapping {
         ops,
@@ -722,7 +738,7 @@ mod tests {
             let reused = edit_mapping_in(&f, &g, &asym, &mut ws);
             assert_eq!(reused, fresh, "{a} vs {b} (asym)");
             reused.validate(&f, &g).unwrap();
-            assert!(close(reused.cost_under(&f, &g, &asym), reused.cost));
+            assert!(f64::tie(reused.cost_under(&f, &g, &asym), reused.cost));
         }
     }
 
@@ -781,7 +797,7 @@ mod tests {
     /// a large `reach` uniform random attachment).
     fn reach_tree(labels: &[u8], picks: &[u32], reach: u32) -> Tree<u8> {
         let parents: Vec<u32> = (1..labels.len() as u32)
-            .map(|i| i - 1 - picks[i as usize - 1] % reach.min(i))
+            .map(|i| i - 1 - picks[i as usize - 1] % Ord::min(reach, i))
             .collect();
         let mut children: Vec<Vec<u32>> = vec![Vec::new(); labels.len()];
         for (i, &p) in parents.iter().enumerate() {

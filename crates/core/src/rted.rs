@@ -10,8 +10,9 @@
 //! [`ted_within`], the rule behind every distance the crate reports.
 
 use crate::bounded::ted_within;
+use crate::cell::{with_cells, Cell, Scale};
 use crate::cost::CostModel;
-use crate::gted::{ExecStats, Executor};
+use crate::gted::{ExecStats, Gted};
 use crate::strategy::{
     compute_strategy_in, DemaineChooser, DemaineHeavy, FixedChooser, OptimalChooser, PathChoice,
     Side,
@@ -51,6 +52,14 @@ pub struct RunStats {
 /// 25% above at 4.4 and 30% above with RTED everywhere. On every
 /// `kernel_split` shape (FB, LB, Random, ZZ at 100 and 300 nodes) the
 /// rule picks the fastest of the three kernels.
+///
+/// Re-checked once every kernel ran on `u32` cells under unit costs: on
+/// 120 such pairs (release, minimum of 3), RTED took 95 ns per
+/// `|F| · |G|` against 156 before, and Zhang–Shasha 2.9 ns per cell
+/// against 6.0, a ratio of 32 against 26. Anywhere from 20 to 50 the mean
+/// time per pair stays within 3% of picking the fastest kernel per pair
+/// (2.0% at 30), and every `kernel_split` shape still gets its fastest
+/// kernel, so the constant stays.
 pub const RTED_CELL_RATIO: u64 = 30;
 
 /// The five algorithms evaluated in §8 of the paper.
@@ -149,22 +158,35 @@ impl Algorithm {
     }
 
     /// [`Algorithm::run_in`] without folding the run into the workspace's
-    /// counters. Leaves the subtree distances in the workspace: Zhang–
-    /// Shasha's view-local `td` or GTED's `D` (see `mapping.rs`).
-    pub(crate) fn compute_in<L, C: CostModel<L>>(
+    /// counters, on the cell type the pair allows.
+    fn compute_in<L, C: CostModel<L>>(
         self,
         f: &Tree<L>,
         g: &Tree<L>,
         cm: &C,
         ws: &mut Workspace,
     ) -> RunStats {
+        with_cells!(f, g, cm, |sc| self.compute_cells(f, g, cm, ws, sc))
+    }
+
+    /// [`Algorithm::compute_in`] on `T` cells. Leaves the subtree
+    /// distances in the workspace's `T` buffers: Zhang–Shasha's view-local
+    /// `td` or GTED's `D` (see `mapping.rs`).
+    pub(crate) fn compute_cells<L, C: CostModel<L>, T: Cell>(
+        self,
+        f: &Tree<L>,
+        g: &Tree<L>,
+        cm: &C,
+        ws: &mut Workspace,
+        sc: Scale<T>,
+    ) -> RunStats {
         match self {
             Algorithm::ZhangL | Algorithm::ZhangR => {
                 let start = Instant::now();
                 let (distance, subproblems) =
-                    zhang_shasha_in(f, g, cm, self == Algorithm::ZhangR, ws);
+                    zhang_shasha_in(f, g, cm, self == Algorithm::ZhangR, ws, sc);
                 RunStats {
-                    distance,
+                    distance: sc.real(distance),
                     subproblems,
                     strategy_time: Duration::ZERO,
                     distance_time: start.elapsed(),
@@ -180,13 +202,14 @@ impl Algorithm {
                     kind: PathKind::Heavy,
                 },
                 ws,
+                sc,
             ),
-            Algorithm::DemaineH => run_gted_in(f, g, cm, &DemaineHeavy, ws),
+            Algorithm::DemaineH => run_gted_in(f, g, cm, &DemaineHeavy, ws, sc),
             Algorithm::Rted => {
                 let t0 = Instant::now();
                 let strategy = compute_strategy_in(f, g, &OptimalChooser, ws);
                 let strategy_time = t0.elapsed();
-                let mut stats = run_gted_in(f, g, cm, &strategy, ws);
+                let mut stats = run_gted_in(f, g, cm, &strategy, ws, sc);
                 stats.strategy_time = strategy_time;
                 // Hand the choice matrix back so the next run reuses it.
                 ws.recycle(strategy);
@@ -247,18 +270,24 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-fn run_gted_in<L, C: CostModel<L>, S: crate::strategy::StrategyProvider<L>>(
+fn run_gted_in<L, C, T, S>(
     f: &Tree<L>,
     g: &Tree<L>,
     cm: &C,
     strategy: &S,
     ws: &mut Workspace,
-) -> RunStats {
+    sc: Scale<T>,
+) -> RunStats
+where
+    C: CostModel<L>,
+    T: Cell,
+    S: crate::strategy::StrategyProvider<L>,
+{
     let start = Instant::now();
-    let mut exec = Executor::with_workspace(f, g, cm, ws);
+    let mut exec = Gted::new(f, g, cm, sc, Some(ws));
     let distance = exec.run(strategy);
     RunStats {
-        distance,
+        distance: sc.real(distance),
         subproblems: exec.stats.subproblems,
         strategy_time: Duration::ZERO,
         distance_time: start.elapsed(),

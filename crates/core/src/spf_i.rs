@@ -39,24 +39,37 @@
 //! scratch — lives in the executor's [`Workspace`](crate::Workspace) and is
 //! only ever length-reset: rows rotate between the `current` and `spare`
 //! slots by `mem::swap`, so a whole `∆I` invocation allocates nothing once
-//! the workspace is warm.
+//! the workspace is warm. The B-side tables, including each stage
+//! direction's per-member tables, depend only on the B subtree and the
+//! orientation, so consecutive invocations on the same B side (all of
+//! Klein-H's, most of RTED's) build them once.
+//!
+//! # Cells
+//!
+//! Rows, `kids`, the stage sheet and the B-side insert costs hold the
+//! call's [`Cell`] type: `u32` cost units when the cost model names a
+//! dyadic unit, `f64` otherwise. No value here is ever `+∞`, and every
+//! difference taken (`sum_ins − sub_ins`) is of a forest's insert cost
+//! and one of its subtrees', so never negative.
 
 #![allow(clippy::needless_range_loop, clippy::needless_late_init)]
 // The DP kernels below are written as explicit index loops over
 // canonical-pair arrays; iterator rewrites obscure the index
 // arithmetic the comments reference.
 
+use crate::cell::Cell;
 use crate::cost::CostModel;
-use crate::gted::Executor;
-use crate::workspace::{RlScratch, Row};
+use crate::gted::Gted;
+use crate::workspace::{bytes, RlScratch, Row};
 use rted_tree::{NodeId, Tree};
 
 /// Precomputed B-side (the non-decomposed tree) canonical-forest tables.
 ///
-/// One instance lives in the [`Workspace`](crate::Workspace) and is rebuilt
-/// in place per `∆I` invocation.
+/// One instance per cell type lives in the [`Workspace`](crate::Workspace);
+/// it is rebuilt in place when a `∆I` invocation's B side differs from the
+/// previous one's in the same GTED run.
 #[derive(Debug, Default)]
-pub(crate) struct BSide {
+pub(crate) struct BSide<T> {
     m: usize,
     /// Global node id by local lpost rank (index 1..=m).
     node_l: Vec<u32>,
@@ -81,18 +94,121 @@ pub(crate) struct BSide {
     /// family); `start_b[m+1]` = |A(G)|.
     start_b: Vec<usize>,
     /// Insert cost by local lpost / local rpost (orientation applied).
-    ins_l: Vec<f64>,
-    ins_r: Vec<f64>,
+    ins_l: Vec<T>,
+    ins_r: Vec<T>,
     /// Subtree insert-cost sums by local lpost.
-    sub_ins_l: Vec<f64>,
+    sub_ins_l: Vec<T>,
+    /// Member tables of stage R (families `b`) and stage L (families `a`).
+    right: Members<T>,
+    left: Members<T>,
 }
 
-impl BSide {
+/// The per-member tables of one removal direction, parallel to its
+/// member lists: stage R's families are the rpost families `b` with
+/// members from `mem_a`, stage L's the lpost families `a` with members
+/// from `mem_b`. They depend on the B side only, so a `∆I` run builds
+/// them once for all its stages, and the per-cell work is table reads.
+#[derive(Debug, Default)]
+pub(crate) struct Members<T> {
+    /// The extreme root `w` of the member's forest on the removal side.
+    wnode: Vec<u32>,
+    /// Insert cost of `w`.
+    insw: Vec<T>,
+    /// Column, within the family, of the forest less `w`'s subtree (0 for
+    /// the anchor, the first member).
+    jump: Vec<u32>,
+    /// Row-vector position of each member (stage L only; stage R's
+    /// families are laid out contiguously in member order).
+    pos: Vec<usize>,
+    /// `(column, slot)` of each member that is the children forest of
+    /// the node at local lpost `slot`; family `f`'s from `kid_off[f]`.
+    kid: Vec<(u32, u32)>,
+    kid_off: Vec<usize>,
+}
+
+impl<T: Cell> Members<T> {
+    fn build(&mut self, bs: &BSide<T>, left: bool) {
+        let m = bs.m;
+        self.wnode.clear();
+        self.insw.clear();
+        self.jump.clear();
+        self.pos.clear();
+        self.kid.clear();
+        self.kid_off.clear();
+        self.kid_off.resize(m + 2, 0);
+        for f in 1..=m as u32 {
+            self.kid_off[f as usize] = self.kid.len();
+            let (fam, low) = if left {
+                (bs.fam_b(f), bs.sz_l[f as usize])
+            } else {
+                (bs.fam_a(f), bs.sz_r[f as usize])
+            };
+            for (ci, &mb) in fam.iter().enumerate() {
+                let (a, b) = if left { (f, mb) } else { (mb, f) };
+                let (w, szw, ins) = if left {
+                    let b = b as usize;
+                    (bs.node_r[b], bs.sz_r[b], bs.ins_r[b])
+                } else {
+                    let a = a as usize;
+                    (bs.node_l[a], bs.sz_l[a], bs.ins_l[a])
+                };
+                self.wnode.push(w);
+                self.insw.push(ins);
+                self.jump.push(if ci == 0 {
+                    0
+                } else if left {
+                    bs.cnt_at(a, b - szw) - low
+                } else {
+                    bs.cnt_at(a - szw, b) - low
+                });
+                if left {
+                    self.pos.push(bs.pos(a, b));
+                }
+                let pa = a as usize + 1;
+                if pa <= m && bs.rb[pa] == b + 1 {
+                    self.kid.push((ci as u32, pa as u32));
+                }
+            }
+        }
+        self.kid_off[m + 1] = self.kid.len();
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        bytes(&self.wnode)
+            + bytes(&self.insw)
+            + bytes(&self.jump)
+            + bytes(&self.pos)
+            + bytes(&self.kid)
+            + bytes(&self.kid_off)
+    }
+}
+
+impl<T: Cell> BSide<T> {
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        bytes(&self.node_l)
+            + bytes(&self.node_r)
+            + bytes(&self.rb)
+            + bytes(&self.lb)
+            + bytes(&self.sz_l)
+            + bytes(&self.sz_r)
+            + bytes(&self.cnt)
+            + bytes(&self.mem_a)
+            + bytes(&self.mem_a_off)
+            + bytes(&self.mem_b)
+            + bytes(&self.mem_b_off)
+            + bytes(&self.start_b)
+            + bytes(&self.ins_l)
+            + bytes(&self.ins_r)
+            + bytes(&self.sub_ins_l)
+            + self.right.capacity_bytes()
+            + self.left.capacity_bytes()
+    }
+
     /// Rebuilds the tables for the B-side subtree at `b_root`, reusing all
     /// capacity.
     fn rebuild<L, C: CostModel<L>>(
         &mut self,
-        exec: &Executor<'_, L, C>,
+        exec: &Gted<'_, L, C, T>,
         b_root: NodeId,
         swapped: bool,
     ) {
@@ -115,11 +231,11 @@ impl BSide {
         self.sz_r.clear();
         self.sz_r.resize(m + 1, 0);
         self.ins_l.clear();
-        self.ins_l.resize(m + 1, 0.0);
+        self.ins_l.resize(m + 1, T::ZERO);
         self.ins_r.clear();
-        self.ins_r.resize(m + 1, 0.0);
+        self.ins_r.resize(m + 1, T::ZERO);
         self.sub_ins_l.clear();
-        self.sub_ins_l.resize(m + 1, 0.0);
+        self.sub_ins_l.resize(m + 1, T::ZERO);
         for a in 1..=m as u32 {
             let v = NodeId(first_l + a - 1);
             let b = tb.rpost(v) - first_r + 1;
@@ -181,6 +297,20 @@ impl BSide {
             }
         }
         self.mem_b_off[m + 1] = self.mem_b.len();
+
+        for left in [false, true] {
+            let mut members = std::mem::take(if left {
+                &mut self.left
+            } else {
+                &mut self.right
+            });
+            members.build(self, left);
+            *(if left {
+                &mut self.left
+            } else {
+                &mut self.right
+            }) = members;
+        }
     }
 
     #[inline]
@@ -218,16 +348,11 @@ impl BSide {
     }
 }
 
-impl Row {
-    #[inline]
-    fn get(&self, bs: &BSide, a: u32, b: u32) -> f64 {
-        self.vals[bs.pos(a, b)]
-    }
-
+impl<T: Cell> Row<T> {
     /// δ(row forest, children forest of node at local lpost `a`): for
     /// leaves the children forest is empty.
     #[inline]
-    fn kid(&self, bs: &BSide, a: u32) -> f64 {
+    fn kid(&self, bs: &BSide<T>, a: u32) -> T {
         if bs.sz_l[a as usize] == 1 {
             self.col0
         } else {
@@ -240,7 +365,7 @@ impl Row {
 /// canonical pair `(a, b)` is exactly `(lpost(x) − 1, rpost(x) − 1)` for
 /// some node `x` (whose children the forest then is).
 #[inline]
-fn note_kid(bs: &BSide, kids: &mut [f64], a: u32, b: u32, val: f64) {
+fn note_kid<T: Cell>(bs: &BSide<T>, kids: &mut [T], a: u32, b: u32, val: T) {
     let pa = a as usize + 1;
     if pa <= bs.m && bs.rb[pa] == b + 1 {
         kids[pa] = val;
@@ -248,13 +373,13 @@ fn note_kid(bs: &BSide, kids: &mut [f64], a: u32, b: u32, val: f64) {
 }
 
 /// δ(∅, ·) row: pure insertion costs, written into `out`.
-fn empty_a_row_into(bs: &BSide, out: &mut Row) {
+fn empty_a_row_into<T: Cell>(bs: &BSide<T>, out: &mut Row<T>) {
     out.vals.clear();
     out.kids.clear();
-    out.kids.resize(bs.m + 1, 0.0);
-    out.col0 = 0.0;
+    out.kids.resize(bs.m + 1, T::ZERO);
+    out.col0 = T::ZERO;
     for b in 1..=bs.m as u32 {
-        let mut sum = 0.0f64;
+        let mut sum = T::ZERO;
         for (i, &a) in bs.fam_a(b).iter().enumerate() {
             if i == 0 {
                 sum = bs.sub_ins_l[a as usize]; // S = subtree(y)
@@ -276,23 +401,23 @@ fn empty_a_row_into(bs: &BSide, out: &mut Row) {
 /// Stage T: from δ(children-forest(p), ·) compute δ(subtree(p), ·), writing
 /// the new tree-tree distances δ(subtree(p), subtree(w)) into `D` and the
 /// resulting row into `out`.
-fn stage_t_into<L, C: CostModel<L>>(
-    exec: &mut Executor<'_, L, C>,
-    bs: &BSide,
+fn stage_t_into<L, C: CostModel<L>, T: Cell>(
+    exec: &mut Gted<'_, L, C, T>,
+    bs: &BSide<T>,
     p: NodeId,
-    top_prev: &Row,
-    out: &mut Row,
+    top_prev: &Row<T>,
+    out: &mut Row<T>,
     swapped: bool,
 ) {
     let del_p = exec.del_a(p, swapped);
     out.vals.clear();
     out.kids.clear();
-    out.kids.resize(bs.m + 1, 0.0);
+    out.kids.resize(bs.m + 1, T::ZERO);
     out.col0 = exec.sub_del_a(p, swapped);
     let col0 = out.col0;
     let mut cells = 0u64;
     for b in 1..=bs.m as u32 {
-        let mut sum_ins = 0.0f64;
+        let mut sum_ins = T::ZERO;
         let fam = bs.fam_a(b);
         for (i, &a) in fam.iter().enumerate() {
             let x = NodeId(bs.node_l[a as usize]);
@@ -306,7 +431,7 @@ fn stage_t_into<L, C: CostModel<L>>(
                 } else {
                     out.kids[a as usize]
                 };
-                val = (top_prev.get(bs, a, b) + del_p)
+                val = (top_prev.vals[out.vals.len()] + del_p)
                     .min(s_minus_w + bs.ins_l[a as usize])
                     .min(top_prev.kid(bs, a) + exec.ren_ab(p, x, swapped));
                 exec.d_set(p, x, swapped, val);
@@ -314,11 +439,14 @@ fn stage_t_into<L, C: CostModel<L>>(
                 // S has ≥ 2 roots; direction right, w = rightmost root = x.
                 sum_ins += bs.ins_l[a as usize];
                 let prev_col = out.vals[out.vals.len() - 1]; // set (a−1, b)
-                let subtree_x = out.vals[bs.pos(a, bs.rb[a as usize])];
-                val = (top_prev.get(bs, a, b) + del_p)
+                                                             // subtree(x) anchors family rb(x): its first position.
+                let subtree_x = out.vals[bs.start_b[bs.rb[a as usize] as usize]];
+                val = (top_prev.vals[out.vals.len()] + del_p)
                     .min(prev_col + bs.ins_l[a as usize])
                     .min(subtree_x + (sum_ins - bs.sub_ins_l[a as usize]));
             }
+            // Both rows list the canonical pairs in position order.
+            debug_assert_eq!(out.vals.len(), bs.pos(a, b));
             out.vals.push(val);
             note_kid(bs, &mut out.kids, a, b, val);
             cells += 1;
@@ -334,15 +462,15 @@ fn stage_t_into<L, C: CostModel<L>>(
 /// postorder for stage L — each added node becomes the new extreme root.
 /// The resulting top row is written into `out`.
 #[allow(clippy::too_many_arguments)]
-fn stage_rl_into<L, C: CostModel<L>>(
-    exec: &mut Executor<'_, L, C>,
-    bs: &BSide,
-    base: &Row,
+fn stage_rl_into<L, C: CostModel<L>, T: Cell>(
+    exec: &mut Gted<'_, L, C, T>,
+    bs: &BSide<T>,
+    base: &Row<T>,
     add: &[NodeId],
     swapped: bool,
     left: bool,
-    scratch: &mut RlScratch,
-    out: &mut Row,
+    scratch: &mut RlScratch<T>,
+    out: &mut Row<T>,
 ) {
     let ta = exec.tree_a(swapped);
     let r_rows = add.len();
@@ -360,7 +488,7 @@ fn stage_rl_into<L, C: CostModel<L>>(
     let kstride = m + 1;
     let kids = &mut scratch.kids;
     kids.clear();
-    kids.resize((r_rows + 1) * kstride, 0.0);
+    kids.resize((r_rows + 1) * kstride, T::ZERO);
     kids[..kstride].copy_from_slice(&base.kids);
 
     scratch.sz_v.clear();
@@ -378,7 +506,7 @@ fn stage_rl_into<L, C: CostModel<L>>(
     // position order), skipping the zero prefill.
     out.vals.clear();
     if left {
-        out.vals.resize(bs.total(), 0.0);
+        out.vals.resize(bs.total(), T::ZERO);
     }
     // Stage buffer: (r_rows + 1) × (max family width).
     let mut wmax = 0usize;
@@ -392,7 +520,7 @@ fn stage_rl_into<L, C: CostModel<L>>(
     }
     let stage = &mut scratch.stage;
     stage.clear();
-    stage.resize((r_rows + 1) * wmax, 0.0);
+    stage.resize((r_rows + 1) * wmax, T::ZERO);
     let mut cells = 0u64;
 
     for fam_idx in 1..=m as u32 {
@@ -405,115 +533,81 @@ fn stage_rl_into<L, C: CostModel<L>>(
         if width == 0 {
             continue;
         }
-        // Rank of the first canonical member (size of the anchoring
-        // subtree), used to convert member counts to column indices.
-        let fam_low = if left {
-            bs.sz_l[fam_idx as usize]
+        let (off, mt) = if left {
+            (bs.mem_b_off[fam_idx as usize], &bs.left)
         } else {
-            bs.sz_r[fam_idx as usize]
+            (bs.mem_a_off[fam_idx as usize], &bs.right)
         };
-        // Row 0 = base row restricted to this family, and the per-member
-        // tables: every `if left` selection below depends only on the
-        // member, not the row, so it is resolved once per family instead
-        // of once per cell.
-        let m_wnode = &mut scratch.m_wnode;
-        let m_insw = &mut scratch.m_insw;
-        let m_jump = &mut scratch.m_jump;
-        let m_kid = &mut scratch.m_kid;
-        m_wnode.clear();
-        m_insw.clear();
-        m_jump.clear();
-        m_kid.clear();
+        let m_wnode = &mt.wnode[off..off + width];
+        let m_insw = &mt.insw[off..off + width];
+        let m_jump = &mt.jump[off..off + width];
+        let m_kid = &mt.kid[mt.kid_off[fam_idx as usize]..mt.kid_off[fam_idx as usize + 1]];
+        // Row 0 = base row restricted to this family.
+        for ci in 0..width {
+            stage[ci] = base.vals[if left {
+                mt.pos[off + ci]
+            } else {
+                bs.start_b[fam_idx as usize] + ci
+            }];
+        }
         // ci == 0 anchors the family: its `S − w` term reads the
         // children-forest slot (or the empty column when w is a leaf).
-        let mut szw0 = 0u32;
-        let mut kidx0 = 0usize;
-        for (ci, &mb) in fam.iter().enumerate() {
-            let (a, b) = if left { (fam_idx, mb) } else { (mb, fam_idx) };
-            stage[ci] = base.get(bs, a, b);
-            // w = extreme root of S on the removal side.
-            let (w_node, szw) = if left {
-                (bs.node_r[b as usize], bs.sz_r[b as usize])
-            } else {
-                (bs.node_l[a as usize], bs.sz_l[a as usize])
-            };
-            m_wnode.push(w_node);
-            m_insw.push(if left {
-                bs.ins_r[b as usize]
-            } else {
-                bs.ins_l[a as usize]
-            });
-            if ci == 0 {
-                szw0 = szw;
-                kidx0 = if left {
-                    a as usize
-                } else {
-                    bs.lb[b as usize] as usize
-                };
-                m_jump.push(0);
-            } else {
-                let jump_rank = if left {
-                    bs.cnt_at(a, b - szw)
-                } else {
-                    bs.cnt_at(a - szw, b)
-                };
-                debug_assert!(jump_rank >= fam_low);
-                m_jump.push(jump_rank - fam_low);
-            }
-            let pa = a as usize + 1;
-            m_kid.push(if pa <= bs.m && bs.rb[pa] == b + 1 {
-                pa as u32
-            } else {
-                u32::MAX
-            });
-        }
+        let (szw0, kidx0) = if left {
+            let b = fam[0] as usize;
+            (bs.sz_r[b], fam_idx as usize)
+        } else {
+            let a = fam[0] as usize;
+            (bs.sz_l[a], bs.lb[fam_idx as usize] as usize)
+        };
         let cand = &mut scratch.cand;
         cand.clear();
-        cand.resize(width, 0.0);
+        cand.resize(width, T::ZERO);
         for j in 1..=r_rows {
             let v = add[j - 1];
             let szv = sz_v[j - 1] as usize;
             let dv = del_v[j - 1];
             let jrow = j * wmax;
             let prow = (j - 1) * wmax;
-            // Bulk delete stream: a pure min/add pass over the contiguous
-            // previous stage row, hoisted out of the sequential loop.
-            for (ci, c) in cand.iter_mut().enumerate() {
-                *c = stage[prow + ci] + dv;
-            }
+            let jsrc = (j - szv) * wmax;
+            // δ(subtree(v), subtree(w)) is `d[dbase + w · dstep]`.
+            let (d, dbase, dstep) = exec.d_line(v, swapped);
+            let dvw = |w: u32| {
+                let x = d[dbase + w as usize * dstep];
+                debug_assert!(!x.is_unset(), "D({v},{w}) read before computed");
+                x
+            };
             // ci == 0: S is the single subtree anchoring this family.
-            {
-                let s_minus_w = if szw0 == 1 {
-                    col0[j]
-                } else {
-                    kids[j * kstride + kidx0]
-                };
-                let val = cand[0]
-                    .min(s_minus_w + m_insw[0])
-                    .min(exec.d_get(v, NodeId(m_wnode[0]), swapped) + col0[j - szv]);
-                stage[jrow] = val;
-                if m_kid[0] != u32::MAX {
-                    kids[j * kstride + m_kid[0] as usize] = val;
-                }
-            }
+            let s_minus_w = if szw0 == 1 {
+                col0[j]
+            } else {
+                kids[j * kstride + kidx0]
+            };
+            let mut run = (stage[prow] + dv)
+                .min(s_minus_w + m_insw[0])
+                .min(dvw(m_wnode[0]) + col0[j - szv]);
+            // ci ≥ 1, S has ≥ 2 roots: the delete and match candidates
+            // read earlier rows only, so they are one pass of independent
+            // loads ahead of the insert chain, the row's one loop-carried
+            // dependence (`min` is associative: a fused loop's values).
             for ci in 1..width {
-                // S has ≥ 2 roots: remove from this stage's direction.
-                let jump = stage[(j - szv) * wmax + m_jump[ci] as usize];
-                let val = cand[ci]
-                    .min(stage[jrow + ci - 1] + m_insw[ci])
-                    .min(exec.d_get(v, NodeId(m_wnode[ci]), swapped) + jump);
-                stage[jrow + ci] = val;
-                if m_kid[ci] != u32::MAX {
-                    kids[j * kstride + m_kid[ci] as usize] = val;
-                }
+                let jump = stage[jsrc + m_jump[ci] as usize];
+                cand[ci] = (stage[prow + ci] + dv).min(dvw(m_wnode[ci]) + jump);
+            }
+            stage[jrow] = run;
+            for ci in 1..width {
+                run = cand[ci].min(run + m_insw[ci]);
+                stage[jrow + ci] = run;
+            }
+            for &(ci, slot) in m_kid.iter() {
+                kids[j * kstride + slot as usize] = stage[jrow + ci as usize];
             }
             cells += width as u64;
         }
         // Capture the stage's top row into the output row.
         let top = r_rows * wmax;
         if left {
-            for (ci, &mb) in fam.iter().enumerate() {
-                out.vals[bs.pos(fam_idx, mb)] = stage[top + ci];
+            for ci in 0..width {
+                out.vals[mt.pos[off + ci]] = stage[top + ci];
             }
         } else {
             out.vals.extend_from_slice(&stage[top..top + width]);
@@ -528,8 +622,8 @@ fn stage_rl_into<L, C: CostModel<L>>(
 
 /// Runs `∆I` for the A-side subtree at `a_root` decomposed along `path`
 /// (root-leaf, `path[0] == a_root`) against the B-side subtree at `b_root`.
-pub(crate) fn run<L, C: CostModel<L>>(
-    exec: &mut Executor<'_, L, C>,
+pub(crate) fn run<L, C: CostModel<L>, T: Cell>(
+    exec: &mut Gted<'_, L, C, T>,
     a_root: NodeId,
     b_root: NodeId,
     path: &[NodeId],
@@ -542,19 +636,28 @@ pub(crate) fn run<L, C: CostModel<L>>(
     );
     // Take all scratch from the workspace up front; the two row slots
     // rotate by swap so no stage ever allocates.
-    let (mut bs, mut cur, mut spare, mut scratch, mut children, mut add_r, mut add_l) = {
+    let (mut bs, mut cur, mut spare, mut scratch) = {
+        let b = T::bufs(exec.scratch());
+        (
+            std::mem::take(&mut b.bside),
+            std::mem::take(&mut b.row_cur),
+            std::mem::take(&mut b.row_spare),
+            std::mem::take(&mut b.rl),
+        )
+    };
+    let (mut children, mut add_r, mut add_l) = {
         let ws = exec.scratch();
         (
-            std::mem::take(&mut ws.bside),
-            std::mem::take(&mut ws.row_cur),
-            std::mem::take(&mut ws.row_spare),
-            std::mem::take(&mut ws.rl),
             std::mem::take(&mut ws.children),
             std::mem::take(&mut ws.add_r),
             std::mem::take(&mut ws.add_l),
         )
     };
-    bs.rebuild(exec, b_root, swapped);
+    // GTED runs many `∆I` against one B subtree: its tables are kept.
+    if exec.i_b != Some((b_root, swapped)) {
+        bs.rebuild(exec, b_root, swapped);
+        exec.i_b = Some((b_root, swapped));
+    }
     let ta = exec.tree_a(swapped);
 
     // `cur` plays the role of δ(previous top row, ·), starting at δ(∅, ·).
@@ -615,18 +718,20 @@ pub(crate) fn run<L, C: CostModel<L>>(
     }
 
     let ws = exec.scratch();
-    ws.bside = bs;
-    ws.row_cur = cur;
-    ws.row_spare = spare;
-    ws.rl = scratch;
     ws.children = children;
     ws.add_r = add_r;
     ws.add_l = add_l;
+    let b = T::bufs(ws);
+    b.bside = bs;
+    b.row_cur = cur;
+    b.row_spare = spare;
+    b.rl = scratch;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::Scale;
     use crate::cost::UnitCost;
     use rted_tree::counts::DecompCounts;
     use rted_tree::parse_bracket;
@@ -634,11 +739,11 @@ mod tests {
     /// Builds the B-side tables for `s` without leaking: the throwaway
     /// executor only borrows the locals for the duration of the build
     /// (`BSide` owns all its arrays).
-    fn bside_for(s: &str) -> (BSide, rted_tree::Tree<String>) {
+    fn bside_for(s: &str) -> (BSide<f64>, rted_tree::Tree<String>) {
         let g = parse_bracket(s).unwrap();
         let f = parse_bracket("{x}").unwrap();
         let mut bs = BSide::default();
-        let exec = Executor::new(&f, &g, &UnitCost);
+        let exec = Gted::new(&f, &g, &UnitCost, Scale::REAL, None);
         bs.rebuild(&exec, g.root(), false);
         drop(exec);
         (bs, g)
@@ -707,7 +812,7 @@ mod tests {
         // Full-tree pair: inserting everything costs n under unit costs.
         let a = bs.m as u32;
         let b = bs.rb[a as usize];
-        assert_eq!(row.get(&bs, a, b), g.len() as f64);
+        assert_eq!(row.vals[bs.pos(a, b)], g.len() as f64);
         // Children forest of the root costs n - 1.
         assert_eq!(row.kid(&bs, a), (g.len() - 1) as f64);
     }
@@ -719,12 +824,12 @@ mod tests {
         let g_big = parse_bracket("{A{C}{B{G}{E{F}}{D}}}").unwrap();
         let g_small = parse_bracket("{a{b}}").unwrap();
         let f = parse_bracket("{x}").unwrap();
-        let mut bs = BSide::default();
-        let exec = Executor::new(&f, &g_big, &UnitCost);
+        let mut bs = BSide::<f64>::default();
+        let exec = Gted::new(&f, &g_big, &UnitCost, Scale::REAL, None);
         bs.rebuild(&exec, g_big.root(), false);
         drop(exec);
         let big_total = bs.total();
-        let exec = Executor::new(&f, &g_small, &UnitCost);
+        let exec = Gted::new(&f, &g_small, &UnitCost, Scale::REAL, None);
         bs.rebuild(&exec, g_small.root(), false);
         drop(exec);
         assert_eq!(bs.m, 2);

@@ -11,8 +11,9 @@
 //! sheet's subtree distances live in the executor's `D`. `∆R` is the same
 //! code on the mirrored orientation.
 
+use crate::cell::Cell;
 use crate::cost::CostModel;
-use crate::gted::Executor;
+use crate::gted::Gted;
 use crate::keyroot::{self, Ranks, SheetHooks};
 use crate::view::SubtreeView;
 use rted_tree::NodeId;
@@ -22,8 +23,8 @@ use rted_tree::NodeId;
 ///
 /// `swapped` selects the orientation of the executor's cost/distance
 /// accessors (true when the A side is the original right-hand tree).
-pub(crate) fn run<L, C: CostModel<L>>(
-    exec: &mut Executor<'_, L, C>,
+pub(crate) fn run<L, C: CostModel<L>, T: Cell>(
+    exec: &mut Gted<'_, L, C, T>,
     a_root: NodeId,
     b_root: NodeId,
     swapped: bool,
@@ -33,10 +34,14 @@ pub(crate) fn run<L, C: CostModel<L>>(
     let vb = SubtreeView::new(exec.tree_b(swapped), b_root, right);
     // Scratch comes from the workspace and is handed back below, so
     // repeat executions allocate nothing.
-    let mut s = std::mem::take(&mut exec.scratch().keyroot);
+    let mut s = std::mem::take(&mut T::bufs(exec.scratch()).keyroot);
     s.a.load(&va, |a| exec.del_a(a, swapped));
-    s.b.load(&vb, |b| exec.ins_b(b, swapped));
-    vb.keyroots_into(&mut s.b.keyroots);
+    // GTED runs many single-path functions against one B subtree.
+    if exec.lr_b != Some((b_root, swapped, right)) {
+        s.b.load(&vb, |b| exec.ins_b(b, swapped));
+        vb.keyroots_into(&mut s.b.keyroots);
+        exec.lr_b = Some((b_root, swapped, right));
+    }
 
     let mut hooks = Oriented {
         exec,
@@ -50,38 +55,38 @@ pub(crate) fn run<L, C: CostModel<L>>(
         let (cells, _) = keyroot::sheet(&mut hooks, &s.a, &s.b, (va.n, j), None, fd, rows);
         hooks.exec.stats.subproblems += cells;
     }
-    exec.scratch().keyroot = s;
+    T::bufs(exec.scratch()).keyroot = s;
 }
 
 /// The single-path functions' sheet hooks: costs and subtree distances
 /// through the executor's orientation-aware accessors.
-struct Oriented<'e, 'a, L, C> {
-    exec: &'e mut Executor<'a, L, C>,
-    a: &'e Ranks,
-    b: &'e Ranks,
+struct Oriented<'e, 'a, L, C, T: Cell> {
+    exec: &'e mut Gted<'a, L, C, T>,
+    a: &'e Ranks<T>,
+    b: &'e Ranks<T>,
     swapped: bool,
     right: bool,
 }
 
-impl<L, C: CostModel<L>> SheetHooks for Oriented<'_, '_, L, C> {
+impl<L, C: CostModel<L>, T: Cell> SheetHooks<T> for Oriented<'_, '_, L, C, T> {
     #[inline]
-    fn rename(&self, x: u32, y: u32) -> f64 {
+    fn rename(&self, x: u32, y: u32) -> T {
         let (a, b) = (self.a.node[x as usize], self.b.node[y as usize]);
         self.exec.ren_ab(a, b, self.swapped)
     }
 
     /// The row's oriented `D` entries as one contiguous slice (see
-    /// [`Executor::d_row`]). Entries this sheet has yet to write are unset
+    /// [`Gted::d_row`]). Entries this sheet has yet to write are unset
     /// and never read.
     #[inline]
-    fn td_row<'s>(&'s self, x: u32, lj: u32, j: u32, buf: &'s mut Vec<f64>) -> &'s [f64] {
+    fn td_row<'s>(&'s self, x: u32, lj: u32, j: u32, buf: &'s mut Vec<T>) -> &'s [T] {
         let bs = &self.b.node[lj as usize..=j as usize];
         let a = self.a.node[x as usize];
         self.exec.d_row(a, bs, self.swapped, !self.right, buf)
     }
 
     #[inline]
-    fn set_td(&mut self, x: u32, y: u32, v: f64) {
+    fn set_td(&mut self, x: u32, y: u32, v: T) {
         let (a, b) = (self.a.node[x as usize], self.b.node[y as usize]);
         self.exec.d_set(a, b, self.swapped, v);
     }

@@ -3,7 +3,9 @@
 //! Every distance computation needs the same family of buffers: the
 //! subtree-distance matrix, per-tree cost tables, the GTED work stack, the
 //! keyroot sheet with its per-rank rows, and the `∆I` rows and tables. A
-//! [`Workspace`] owns one instance of each, handed out by `mem::take` and
+//! [`Workspace`] owns one instance of each — the DP-cell buffers once per
+//! cell type, `f64` and `u32` (see [`CostModel::unit`](crate::CostModel::unit)),
+//! of which a call uses one — handed out by `mem::take` and
 //! returned when the borrowing phase finishes. Buffers are only ever
 //! **length-reset** (`clear` + `resize`), never freed, so the second and
 //! every later computation through the same workspace performs **zero heap
@@ -26,9 +28,15 @@
 //! out by borrowing. Give each worker thread its own workspace (the index
 //! crate's `WorkspacePool` does exactly that).
 
+use crate::cell::Cell;
 use crate::cost::CostTables;
 use rted_tree::counts::DecompCounts;
 use rted_tree::NodeId;
+
+/// Bytes `v` holds.
+pub(crate) fn bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
 
 /// Slot sentinel for the strategy row pool.
 pub(crate) const NO_ROW: u32 = u32::MAX;
@@ -36,28 +44,31 @@ pub(crate) const NO_ROW: u32 = u32::MAX;
 /// Scratch buffers of the heavy-path single-path function `∆I` whose
 /// lifetime is one `stage_rl` invocation.
 #[derive(Debug, Default)]
-pub(crate) struct RlScratch {
+pub(crate) struct RlScratch<T> {
     /// δ(F-row, ∅) per re-addition row.
-    pub col0: Vec<f64>,
+    pub col0: Vec<T>,
     /// Per-row children-forest values, `(rows + 1) × (m + 1)`.
-    pub kids: Vec<f64>,
+    pub kids: Vec<T>,
     /// Subtree size per re-added node.
     pub sz_v: Vec<u32>,
     /// Delete cost per re-added node.
-    pub del_v: Vec<f64>,
+    pub del_v: Vec<T>,
     /// The family-sliced DP sheet, `(rows + 1) × wmax`.
-    pub stage: Vec<f64>,
-    /// Per-family member tables, invariant across the re-addition rows:
-    /// extreme-root node id, insert cost, jump column, and children-forest
-    /// slot (`u32::MAX` when the member feeds no slot). Hoisted out of the
-    /// row loop so the per-cell work is branch-free table reads.
-    pub m_wnode: Vec<u32>,
-    pub m_insw: Vec<f64>,
-    pub m_jump: Vec<u32>,
-    pub m_kid: Vec<u32>,
-    /// Delete-stream row: `stage[prev row] + del(v)` bulk-computed per row
-    /// as a pure min/add stream before the sequential pass.
-    pub cand: Vec<f64>,
+    pub stage: Vec<T>,
+    /// Per row, the minimum of each member's delete and match candidates,
+    /// computed before the sequential insert chain.
+    pub cand: Vec<T>,
+}
+
+impl<T> RlScratch<T> {
+    fn capacity_bytes(&self) -> usize {
+        bytes(&self.col0)
+            + bytes(&self.kids)
+            + bytes(&self.sz_v)
+            + bytes(&self.del_v)
+            + bytes(&self.stage)
+            + bytes(&self.cand)
+    }
 }
 
 /// One DP row of `∆I`: δ(fixed A-forest, ·) over all canonical B-forests.
@@ -65,14 +76,62 @@ pub(crate) struct RlScratch {
 /// Lives in the workspace so the two row slots (`current` and `spare`)
 /// rotate by `mem::swap` instead of reallocating per stage.
 #[derive(Debug, Default)]
-pub(crate) struct Row {
+pub(crate) struct Row<T> {
     /// Values per canonical pair, family-`b` layout.
-    pub vals: Vec<f64>,
+    pub vals: Vec<T>,
     /// `kids[a]` = δ(row forest, children-forest of node with local lpost
     /// `a`); meaningful for non-leaf nodes only.
-    pub kids: Vec<f64>,
+    pub kids: Vec<T>,
     /// δ(row forest, empty forest).
-    pub col0: f64,
+    pub col0: T,
+}
+
+/// The buffers of a [`Workspace`] that hold DP cells or costs, for one
+/// cell type.
+#[derive(Debug, Default)]
+pub(crate) struct Bufs<T> {
+    /// Subtree distance matrix: GTED's `D`, row-major `[v_F][w_G]`, or
+    /// Zhang–Shasha's view-local `td`.
+    pub d: Vec<T>,
+    /// Cost tables of the left-hand tree.
+    pub ftab: CostTables<T>,
+    /// Cost tables of the right-hand tree.
+    pub gtab: CostTables<T>,
+    /// Keyroot sheet scratch (Zhang–Shasha, `∆L`/`∆R`, bounded; the
+    /// mapping backtrace reads both trees' left-view per-rank rows here).
+    pub keyroot: crate::keyroot::Scratch<T>,
+    /// The precomputed `∆I` B-side canonical-forest tables.
+    pub bside: crate::spf_i::BSide<T>,
+    /// Current top row of the `∆I` period DP.
+    pub row_cur: Row<T>,
+    /// Spare row rotated in by `mem::swap` at every stage.
+    pub row_spare: Row<T>,
+    pub rl: RlScratch<T>,
+    /// Forest-DP sheet pool for the mapping backtrace: sheet `i` belongs
+    /// to the frame at nesting depth `i` of the subtree-match recursion
+    /// (a parent's sheet stays live while its children are traced, so one
+    /// shared sheet is not enough). Slots are never freed and only ever
+    /// grow, so slot capacity is monotone and a repeated
+    /// pair meets sheets that are already big enough — the same
+    /// order-independence discipline as the strategy row pool.
+    pub trace_sheets: Vec<Vec<T>>,
+}
+
+impl<T: Cell> Bufs<T> {
+    fn capacity_bytes(&self) -> usize {
+        bytes(&self.d)
+            + self.ftab.capacity_bytes()
+            + self.gtab.capacity_bytes()
+            + self.keyroot.capacity_bytes()
+            + self.bside.capacity_bytes()
+            + [&self.row_cur, &self.row_spare]
+                .iter()
+                .map(|r| bytes(&r.vals) + bytes(&r.kids))
+                .sum::<usize>()
+            + self.rl.capacity_bytes()
+            + bytes(&self.trace_sheets)
+            + self.trace_sheets.iter().map(bytes).sum::<usize>()
+    }
 }
 
 /// Reusable scratch memory for TED computations (see the module docs).
@@ -81,13 +140,11 @@ pub(crate) struct Row {
 /// first use and are retained for the workspace's lifetime.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    // ---- executor state (matrix + cost tables + driver stack).
-    /// Subtree distance matrix, row-major `[v_F][w_G]`.
-    pub(crate) d: Vec<f64>,
-    /// Cost tables of the left-hand tree.
-    pub(crate) ftab: CostTables,
-    /// Cost tables of the right-hand tree.
-    pub(crate) gtab: CostTables,
+    // ---- DP cells and costs, per cell type.
+    pub(crate) wide: Bufs<f64>,
+    pub(crate) narrow: Bufs<u32>,
+
+    // ---- executor state (driver stack).
     /// GTED work stack: `(v, w, code)` with `code == EXPAND` or an spf
     /// path-choice code.
     pub(crate) stack: Vec<(u32, u32, u8)>,
@@ -96,18 +153,7 @@ pub struct Workspace {
     /// Root-leaf path scratch for `∆I` dispatch.
     pub(crate) path: Vec<NodeId>,
 
-    // ---- keyroot sheet scratch (Zhang–Shasha, `∆L`/`∆R`, bounded; the
-    // mapping backtrace reads both trees' left-view per-rank rows here).
-    pub(crate) keyroot: crate::keyroot::Scratch,
-
     // ---- `∆I` scratch.
-    /// The precomputed B-side canonical-forest tables.
-    pub(crate) bside: crate::spf_i::BSide,
-    /// Current top row of the period DP.
-    pub(crate) row_cur: Row,
-    /// Spare row rotated in by `mem::swap` at every stage.
-    pub(crate) row_spare: Row,
-    pub(crate) rl: RlScratch,
     /// Children of the current path node.
     pub(crate) children: Vec<NodeId>,
     /// Right siblings' nodes in re-addition order.
@@ -146,14 +192,6 @@ pub struct Workspace {
     pub(crate) choices: Vec<u8>,
 
     // ---- edit-mapping backtrace scratch (see `mapping::edit_mapping_in`).
-    /// Forest-DP sheet pool for the mapping backtrace: sheet `i` belongs
-    /// to the frame at nesting depth `i` of the subtree-match recursion
-    /// (a parent's sheet stays live while its children are traced, so one
-    /// shared sheet is not enough). Slots are never freed and only ever
-    /// grow, so slot capacity is monotone and a repeated
-    /// pair meets sheets that are already big enough — the same
-    /// order-independence discipline as the strategy row pool above.
-    pub(crate) trace_sheets: Vec<Vec<f64>>,
     /// Explicit frame stack of the backtrace (replaces recursion, so the
     /// per-level state lives here instead of on the call stack).
     pub(crate) trace_frames: Vec<crate::mapping::TraceFrame>,
@@ -207,6 +245,36 @@ impl Workspace {
     /// instead of the dense `n_F` rows. Exposed for tests and diagnostics.
     pub fn strategy_rows_peak(&self) -> usize {
         self.rows.len()
+    }
+
+    /// Bytes this workspace's buffers hold, by capacity: what it keeps
+    /// allocated between calls. Buffers only grow, so this is the high
+    /// water mark of the pairs served so far.
+    pub fn capacity_bytes(&self) -> usize {
+        self.wide.capacity_bytes()
+            + self.narrow.capacity_bytes()
+            + bytes(&self.stack)
+            + bytes(&self.subs)
+            + bytes(&self.path)
+            + bytes(&self.children)
+            + bytes(&self.add_r)
+            + bytes(&self.add_l)
+            + [&self.counts_f, &self.counts_g]
+                .iter()
+                .map(|c| bytes(&c.sum_sizes) + bytes(&c.full) + bytes(&c.left) + bytes(&c.right))
+                .sum::<usize>()
+            + bytes(&self.froles)
+            + bytes(&self.groles)
+            + bytes(&self.lw)
+            + bytes(&self.rw)
+            + bytes(&self.hw)
+            + bytes(&self.rows)
+            + self.rows.iter().map(bytes).sum::<usize>()
+            + bytes(&self.row_free)
+            + bytes(&self.row_of)
+            + bytes(&self.zero_row)
+            + bytes(&self.choices)
+            + bytes(&self.trace_frames)
     }
 
     /// This workspace's lifetime counters (see [`WorkspaceStats`]).

@@ -11,6 +11,7 @@
 //! test suite (validated against the recursive reference, then used to
 //! validate GTED on larger inputs).
 
+use crate::cell::{with_cells, Cell, Scale};
 use crate::cost::CostModel;
 use crate::keyroot::{self, Band, Ranks, SheetHooks};
 use crate::view::SubtreeView;
@@ -72,51 +73,60 @@ fn relevant_forests<L>(t: &Tree<L>, right: bool) -> u64 {
 /// algorithm) or right paths (`right = true`, its mirror).
 pub fn zhang_shasha<L, C: CostModel<L>>(f: &Tree<L>, g: &Tree<L>, cm: &C, right: bool) -> ZsResult {
     let mut ws = Workspace::new();
-    let (distance, subproblems) = zhang_shasha_in(f, g, cm, right, &mut ws);
-    ZsResult {
-        distance,
-        subproblems,
-        td: std::mem::take(&mut ws.d),
-    }
+    with_cells!(f, g, cm, |sc| {
+        let (distance, subproblems) = zhang_shasha_in(f, g, cm, right, &mut ws, sc);
+        ZsResult {
+            distance: sc.real(distance),
+            subproblems,
+            td: Cell::bufs(&mut ws).d.iter().map(|&x| sc.real(x)).collect(),
+        }
+    })
 }
 
-/// The Zhang–Shasha kernel drawing all buffers from `ws` (allocation-free
-/// once the workspace is warm). The subtree-distance matrix is left in
-/// `ws.d` in the `(n_F + 1) × (n_G + 1)` view-local layout of [`ZsResult`].
-pub(crate) fn zhang_shasha_in<L, C: CostModel<L>>(
+/// The Zhang–Shasha kernel on `T` cells, drawing all buffers from `ws`
+/// (allocation-free once the workspace is warm). The subtree-distance
+/// matrix is left in the workspace's `d` in the `(n_F + 1) × (n_G + 1)`
+/// view-local layout of [`ZsResult`].
+pub(crate) fn zhang_shasha_in<L, C: CostModel<L>, T: Cell>(
     f: &Tree<L>,
     g: &Tree<L>,
     cm: &C,
     right: bool,
     ws: &mut Workspace,
-) -> (f64, u64) {
-    ws.ftab.rebuild(f, cm);
-    ws.gtab.rebuild(g, cm);
-    let (distance, cells, _) = keyroot_pairs(f, g, cm, right, None, ws, |_, _, _, _| true);
+    sc: Scale<T>,
+) -> (T, u64) {
+    let b = T::bufs(ws);
+    b.ftab.rebuild(f, cm, sc);
+    b.gtab.rebuild(g, cm, sc);
+    let (distance, cells, _) = keyroot_pairs(f, g, cm, right, None, ws, sc, |_, _, _, _| true);
     (distance, cells)
 }
 
 /// The keyroot-pair loop: one sheet per A-keyroot × B-keyroot pair, in
 /// ascending order, so every subtree distance a sheet reads was written
-/// by an earlier one. `ws.ftab`/`ws.gtab` must hold `f`'s and `g`'s costs.
-/// `root_row` sees the rows of the root pair's sheet, the last one, and
-/// may abandon the run. Returns the root pair's distance, the cells
-/// computed and whether the run completed.
-pub(crate) fn keyroot_pairs<L, C, R>(
+/// by an earlier one. The workspace's `T` cost tables must hold `f`'s and
+/// `g`'s costs. `root_row` sees the rows of the root pair's sheet, the
+/// last one, and may abandon the run. Returns the root pair's distance,
+/// the cells computed and whether the run completed.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn keyroot_pairs<L, C, T, R>(
     f: &Tree<L>,
     g: &Tree<L>,
     cm: &C,
     right: bool,
     band: Option<Band>,
     ws: &mut Workspace,
+    sc: Scale<T>,
     root_row: R,
-) -> (f64, u64, bool)
+) -> (T, u64, bool)
 where
     C: CostModel<L>,
-    R: FnMut(u32, &[f64], usize, usize) -> bool,
+    T: Cell,
+    R: FnMut(u32, &[T], usize, usize) -> bool,
 {
     let fv = SubtreeView::new(f, f.root(), right);
     let gv = SubtreeView::new(g, g.root(), right);
+    let ws = T::bufs(ws);
     let (ftab, gtab, s) = (&ws.ftab, &ws.gtab, &mut ws.keyroot);
     s.a.load(&fv, |v| ftab.del[v.idx()]);
     s.b.load(&gv, |w| gtab.ins[w.idx()]);
@@ -128,11 +138,12 @@ where
     td.clear();
     // Pairs no sheet computes (row and column 0; with a band, the pairs
     // outside it) read as too expensive.
-    td.resize((nf as usize + 1) * stride, f64::INFINITY);
+    td.resize((nf as usize + 1) * stride, T::INF);
     let mut hooks = Matrix {
         f,
         g,
         cm,
+        sc,
         a: &s.a,
         b: &s.b,
         td,
@@ -148,7 +159,7 @@ where
             let (n, done) = keyroot::sheet(&mut hooks, &s.a, &s.b, (i, j), band, fd, rows);
             cells += n;
             if !done {
-                return (f64::INFINITY, cells, false);
+                return (T::INF, cells, false);
             }
         }
     }
@@ -157,42 +168,45 @@ where
 
 /// Zhang–Shasha's sheet hooks: renames by label, subtree distances in the
 /// view-local matrix `td`.
-struct Matrix<'a, L, C, R> {
+struct Matrix<'a, L, C, T, R> {
     f: &'a Tree<L>,
     g: &'a Tree<L>,
     cm: &'a C,
-    a: &'a Ranks,
-    b: &'a Ranks,
-    td: &'a mut Vec<f64>,
+    sc: Scale<T>,
+    a: &'a Ranks<T>,
+    b: &'a Ranks<T>,
+    td: &'a mut Vec<T>,
     stride: usize,
     /// Whether the root pair's sheet is running.
     root: bool,
     root_row: R,
 }
 
-impl<L, C, R> SheetHooks for Matrix<'_, L, C, R>
+impl<L, C, T, R> SheetHooks<T> for Matrix<'_, L, C, T, R>
 where
     C: CostModel<L>,
-    R: FnMut(u32, &[f64], usize, usize) -> bool,
+    T: Cell,
+    R: FnMut(u32, &[T], usize, usize) -> bool,
 {
     #[inline]
-    fn rename(&self, x: u32, y: u32) -> f64 {
+    fn rename(&self, x: u32, y: u32) -> T {
         let (v, w) = (self.a.node[x as usize], self.b.node[y as usize]);
-        self.cm.rename(self.f.label(v), self.g.label(w))
+        self.sc
+            .cell(self.cm.rename(self.f.label(v), self.g.label(w)))
     }
 
     #[inline]
-    fn td_row<'s>(&'s self, x: u32, lj: u32, _j: u32, _buf: &'s mut Vec<f64>) -> &'s [f64] {
+    fn td_row<'s>(&'s self, x: u32, lj: u32, _j: u32, _buf: &'s mut Vec<T>) -> &'s [T] {
         &self.td[x as usize * self.stride + lj as usize..]
     }
 
     #[inline]
-    fn set_td(&mut self, x: u32, y: u32, v: f64) {
+    fn set_td(&mut self, x: u32, y: u32, v: T) {
         self.td[x as usize * self.stride + y as usize] = v;
     }
 
     #[inline]
-    fn row_done(&mut self, x: u32, row: &[f64], lo: usize, hi: usize) -> bool {
+    fn row_done(&mut self, x: u32, row: &[T], lo: usize, hi: usize) -> bool {
         !self.root || (self.root_row)(x, row, lo, hi)
     }
 }

@@ -90,6 +90,8 @@ fn second_run_through_workspace_is_allocation_free() {
         (mixed_tree(25, 3), mixed_tree(70, 4)),
     ];
     let asym = PerLabelCost::new(1.5, 2.0, 0.75);
+    // No dyadic unit: the f64 instantiation of every kernel.
+    let plain = PerLabelCost::new(0.1, 0.2, 0.3);
 
     let mut ws = Workspace::new();
     for (pi, (f, g)) in pairs.iter().enumerate() {
@@ -108,15 +110,17 @@ fn second_run_through_workspace_is_allocation_free() {
             assert_eq!(again.subproblems, warm.subproblems, "{alg} pair {pi}");
 
             // Also under an asymmetric cost model (different cost tables,
-            // same buffers).
-            alg.run_in(f, g, &asym, &mut ws);
-            let before = allocations();
-            alg.run_in(f, g, &asym, &mut ws);
-            assert_eq!(
-                allocations() - before,
-                0,
-                "{alg} pair {pi}: asymmetric second run allocated"
-            );
+            // same buffers) and on f64 cells.
+            for (name, cm) in [("asymmetric", &asym), ("f64", &plain)] {
+                alg.run_in(f, g, cm, &mut ws);
+                let before = allocations();
+                alg.run_in(f, g, cm, &mut ws);
+                assert_eq!(
+                    allocations() - before,
+                    0,
+                    "{alg} pair {pi}: {name} second run allocated"
+                );
+            }
         }
     }
 }
@@ -133,6 +137,7 @@ fn warm_bounded_verify_is_allocation_free() {
         (mixed_tree(25, 33), mixed_tree(70, 34)),
     ];
     let asym = PerLabelCost::new(1.5, 2.0, 0.75);
+    let plain = PerLabelCost::new(0.1, 0.2, 0.3);
 
     let mut ws = Workspace::new();
     for (pi, (f, g)) in pairs.iter().enumerate() {
@@ -146,6 +151,7 @@ fn warm_bounded_verify_is_allocation_free() {
         for &tau in &budgets {
             ted_at_most_run(f, g, &UnitCost, tau, &mut ws);
             ted_at_most_run(f, g, &asym, tau, &mut ws);
+            ted_at_most_run(f, g, &plain, tau, &mut ws);
         }
         let before = allocations();
         for &tau in &budgets {
@@ -154,6 +160,7 @@ fn warm_bounded_verify_is_allocation_free() {
                 assert_eq!(unit, BoundedResult::Exact(d), "pair {pi} tau={tau}");
             }
             ted_at_most_run(f, g, &asym, tau, &mut ws);
+            ted_at_most_run(f, g, &plain, tau, &mut ws);
         }
         let delta = allocations() - before;
         assert_eq!(
@@ -176,6 +183,7 @@ fn warm_diff_allocates_only_the_output_script() {
         (mixed_tree(25, 23), mixed_tree(70, 24)),
     ];
     let asym = PerLabelCost::new(1.5, 2.0, 0.75);
+    let plain = PerLabelCost::new(0.1, 0.2, 0.3);
 
     let mut ws = Workspace::new();
     for (pi, (f, g)) in pairs.iter().enumerate() {
@@ -192,17 +200,19 @@ fn warm_diff_allocates_only_the_output_script() {
         assert_eq!(again, warm, "pair {pi}: warm diff changed the mapping");
         drop(again);
 
-        // Same bound under an asymmetric model: different cost tables,
-        // same buffers.
-        edit_mapping_in(f, g, &asym, &mut ws);
-        let before = allocations();
-        let m = edit_mapping_in(f, g, &asym, &mut ws);
-        let delta = allocations() - before;
-        assert!(
-            delta <= 1,
-            "pair {pi}: asymmetric warm diff performed {delta} allocations"
-        );
-        drop(m);
+        // Same bound under an asymmetric model (different cost tables,
+        // same buffers) and on f64 cells.
+        for (name, cm) in [("asymmetric", &asym), ("f64", &plain)] {
+            edit_mapping_in(f, g, cm, &mut ws);
+            let before = allocations();
+            let m = edit_mapping_in(f, g, cm, &mut ws);
+            let delta = allocations() - before;
+            assert!(
+                delta <= 1,
+                "pair {pi}: {name} warm diff performed {delta} allocations"
+            );
+            drop(m);
+        }
     }
 }
 
